@@ -10,10 +10,10 @@
 //!
 //! Writes `results/bench_summary.json` by default (`--json PATH`
 //! overrides). `--full` sweeps up to the paper's N = 2^18; the default is
-//! a fast subset. `--backend` (default `scalar,simd,threaded-simd`)
-//! selects the execution backends measured per size on the fine-guided
-//! seed schedule; the JSON reports each backend's median and the derived
-//! `simd_speedup` / `threaded_speedup` over scalar. Each size also carries
+//! a fast subset. `--backend` (default `scalar,simd`) selects the
+//! execution backends measured per size on the fine-guided seed schedule;
+//! the JSON reports each backend's median and the derived `simd_speedup`
+//! over scalar. Each size also carries
 //! a `kinds` section: the packed r2c/c2r medians (with the r2c speedup
 //! over the promote-to-complex route) and the composite 2D plan.
 
@@ -187,7 +187,7 @@ fn main() {
         cli.kv
             .get("backend")
             .map(String::as_str)
-            .unwrap_or("scalar,simd,threaded-simd"),
+            .unwrap_or("scalar,simd"),
     );
 
     let mut size_rows: Vec<Value> = Vec::new();
@@ -230,7 +230,6 @@ fn main() {
         let mut backend_rows: Vec<Value> = Vec::new();
         let mut scalar_ns = None;
         let mut simd_ns = None;
-        let mut threaded_ns = None;
         for &sel in &backends {
             let mut candidate = space.seed_candidate(Version::FineGuided);
             candidate.backend = sel;
@@ -240,9 +239,6 @@ fn main() {
                 fgfft::BackendKind::Simd => {
                     simd_ns = Some(simd_ns.unwrap_or(u64::MAX).min(median_ns))
                 }
-                fgfft::BackendKind::ThreadedScalar | fgfft::BackendKind::ThreadedSimd => {
-                    threaded_ns = Some(threaded_ns.unwrap_or(u64::MAX).min(median_ns))
-                }
             }
             println!("{:>8}  {median_ns:>14}  backend {sel}", 1u64 << n_log2);
             backend_rows.push(Value::obj(vec![
@@ -250,21 +246,12 @@ fn main() {
                 ("median_ns", Value::Num(median_ns as f64)),
             ]));
         }
-        let speedup_over_scalar = |ns: Option<u64>| match (scalar_ns, ns) {
+        let simd_speedup = match (scalar_ns, simd_ns) {
             (Some(scalar), Some(ns)) => Value::Num(scalar as f64 / ns.max(1) as f64),
             _ => Value::Null,
         };
-        let simd_speedup = speedup_over_scalar(simd_ns);
-        let threaded_speedup = speedup_over_scalar(threaded_ns);
         if let Value::Num(s) = simd_speedup {
             println!("{:>8}  {:>14}  simd_speedup {s:.2}x", 1u64 << n_log2, "");
-        }
-        if let Value::Num(s) = threaded_speedup {
-            println!(
-                "{:>8}  {:>14}  threaded_speedup {s:.2}x",
-                1u64 << n_log2,
-                ""
-            );
         }
 
         // What tuning buys at this size.
@@ -294,7 +281,6 @@ fn main() {
             ("kinds", kinds),
             ("backends", Value::Arr(backend_rows)),
             ("simd_speedup", simd_speedup),
-            ("threaded_speedup", threaded_speedup),
             ("seed_best_ns", Value::Num(seed_best as f64)),
             ("tuned_best_ns", Value::Num(tuned_ns as f64)),
             (

@@ -150,8 +150,9 @@ impl Figure {
 /// `bin [--full] [--json PATH] [--backend LIST] [key=value ...]`.
 ///
 /// `--backend` is sugar for `backend=LIST` — a comma-separated list of
-/// `fgfft::BackendSel` names (`scalar`, `simd[-r4|-r8]`, `threaded-scalar`,
-/// `threaded-simd`) for the bins that measure execution backends.
+/// `fgfft::BackendSel` names (`scalar`, `simd[-r4|-r8]`) for the bins that
+/// measure butterfly kernels; threading is the runtime's worker count, not
+/// a backend.
 #[derive(Debug, Clone, Default)]
 pub struct Cli {
     /// Run the paper-size sweep (otherwise a faster subset).
@@ -175,7 +176,7 @@ impl Cli {
                     if let Some(list) = args.next() {
                         cli.kv.insert("backend".to_string(), list);
                     } else {
-                        eprintln!("--backend needs a value (e.g. scalar,simd,threaded-simd)");
+                        eprintln!("--backend needs a value (e.g. scalar,simd-r4,simd)");
                     }
                 }
                 _ => {

@@ -1,4 +1,5 @@
 //! The host executor: fires codelet programs on a pool of worker threads.
+//! It is the one scheduler every plan and backend runs through.
 //!
 //! Two execution modes are provided, mirroring the paper's taxonomy:
 //!
@@ -12,6 +13,10 @@
 //!
 //! Shared-counter groups ([`crate::counter::SharedCounters`]) are used
 //! automatically when the program declares them.
+//!
+//! The calling thread is worker 0: a run spawns `workers − 1` scoped
+//! threads and runs worker 0's loop itself, so a one-worker run spawns no
+//! thread at all.
 //!
 //! # Panic semantics
 //!
@@ -67,8 +72,9 @@ impl RuntimeConfig {
     }
 }
 
-/// A reusable codelet runtime. Threads are spawned per `run` call via scoped
-/// threads: the runtime itself is just configuration, so it is cheap to
+/// A reusable codelet runtime. Each `run*` call spawns `workers − 1` scoped
+/// threads and runs worker 0 on the calling thread (none spawned at one
+/// worker): the runtime itself is just configuration, so it is cheap to
 /// construct and freely shareable.
 #[derive(Debug, Clone, Default)]
 pub struct Runtime {
@@ -177,25 +183,28 @@ impl Runtime {
 
         let start = Instant::now();
         let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
+        let worker = |w: usize| {
+            worker_loop(
+                w,
+                program,
+                &*pool,
+                &counters,
+                shared.as_ref(),
+                &completed,
+                &poisoned,
+                total,
+                &body,
+                &fired[w],
+                &empty[w],
+            )
+        };
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|w| {
-                    let pool = &*pool;
-                    let counters = &counters;
-                    let shared = shared.as_ref();
-                    let completed = &completed;
-                    let poisoned = &poisoned;
-                    let fired = &fired;
-                    let empty = &empty;
-                    let body = &body;
-                    scope.spawn(move || {
-                        worker_loop(
-                            w, program, pool, counters, shared, completed, poisoned, total, body,
-                            &fired[w], &empty[w],
-                        )
-                    })
-                })
+            let handles: Vec<_> = (1..n_workers)
+                .map(|w| scope.spawn(move || worker(w)))
                 .collect();
+            if let Err(payload) = worker(0) {
+                panic_payload = Some(payload);
+            }
             for h in handles {
                 match h.join() {
                     Ok(Ok(())) => {}
@@ -265,43 +274,36 @@ impl Runtime {
 
         let start = Instant::now();
         let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|w| {
-                    let barrier = &barrier;
-                    let poisoned = &poisoned;
-                    let cursors = &cursors;
-                    let fired = &fired;
-                    let body = &body;
-                    scope.spawn(move || {
-                        let mut payload: Option<Box<dyn std::any::Any + Send>> = None;
-                        for (phase, cursor) in phases.iter().zip(cursors) {
-                            while !poisoned.load(Ordering::Acquire) {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= phase.len() {
-                                    break;
-                                }
-                                match std::panic::catch_unwind(AssertUnwindSafe(|| body(phase[i])))
-                                {
-                                    Ok(()) => {
-                                        fired[w].fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Err(p) => {
-                                        // Keep attending barriers so peers
-                                        // cannot block forever; re-raise
-                                        // after the scope joins.
-                                        poisoned.store(true, Ordering::Release);
-                                        payload.get_or_insert(p);
-                                        break;
-                                    }
-                                }
-                            }
-                            barrier.wait();
+        let worker = |w: usize| {
+            let mut payload: Option<Box<dyn std::any::Any + Send>> = None;
+            for (phase, cursor) in phases.iter().zip(&cursors) {
+                while !poisoned.load(Ordering::Acquire) {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= phase.len() {
+                        break;
+                    }
+                    match std::panic::catch_unwind(AssertUnwindSafe(|| body(phase[i]))) {
+                        Ok(()) => {
+                            fired[w].fetch_add(1, Ordering::Relaxed);
                         }
-                        payload
-                    })
-                })
+                        Err(p) => {
+                            // Keep attending barriers so peers cannot block
+                            // forever; re-raise after the scope joins.
+                            poisoned.store(true, Ordering::Release);
+                            payload.get_or_insert(p);
+                            break;
+                        }
+                    }
+                }
+                barrier.wait();
+            }
+            payload
+        };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..n_workers)
+                .map(|w| scope.spawn(move || worker(w)))
                 .collect();
+            panic_payload = worker(0);
             for h in handles {
                 match h.join() {
                     Ok(None) => {}
@@ -591,35 +593,62 @@ mod tests {
     }
 
     #[test]
+    fn single_worker_runs_every_codelet_on_the_caller() {
+        // Worker 0 is the calling thread, so a one-worker run spawns
+        // nothing: every body invocation must see the caller's ThreadId.
+        let caller = std::thread::current().id();
+        let on_caller = |id: CodeletId| {
+            assert_eq!(std::thread::current().id(), caller, "codelet {id}");
+        };
+        let g = layered_graph(3, 4);
+        let rt = Runtime::with_workers(1);
+        assert_eq!(
+            rt.run(&g, PoolDiscipline::WorkSteal, on_caller).total_fired,
+            12
+        );
+        let partial = rt.run_partial(&g, PoolDiscipline::Lifo, &[0, 1, 2, 3], 12, on_caller);
+        assert_eq!(partial.total_fired, 12);
+        let phases: Vec<Vec<usize>> = vec![(0..4).collect(), (4..12).collect()];
+        assert_eq!(rt.run_phased(&phases, on_caller).total_fired, 12);
+    }
+
+    #[test]
     fn panicking_body_does_not_hang_and_propagates() {
         // Without poisoning, the non-panicking workers would spin forever
         // on a completion count that can no longer be reached.
         let g = layered_graph(2, 32);
-        let rt = Runtime::new(RuntimeConfig::with_workers(4));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rt.run(&g, PoolDiscipline::WorkSteal, |id| {
-                if id == 7 {
-                    panic!("codelet 7 exploded");
-                }
-            });
-        }));
-        let payload = result.expect_err("panic must propagate to the caller");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
-        assert!(msg.contains("exploded"), "wrong payload: {msg}");
+        for workers in [1, 4] {
+            let rt = Runtime::new(RuntimeConfig::with_workers(workers));
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rt.run(&g, PoolDiscipline::WorkSteal, |id| {
+                    if id == 7 {
+                        panic!("codelet 7 exploded");
+                    }
+                });
+            }));
+            let payload = result.expect_err("panic must propagate to the caller");
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
+            assert!(
+                msg.contains("exploded"),
+                "{workers} workers, wrong payload: {msg}"
+            );
+        }
     }
 
     #[test]
     fn panicking_body_in_phase_does_not_hang() {
         let phases: Vec<Vec<usize>> = vec![(0..16).collect(), (16..32).collect()];
-        let rt = Runtime::new(RuntimeConfig::with_workers(4));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rt.run_phased(&phases, |id| {
-                if id == 3 {
-                    panic!("phase codelet 3 exploded");
-                }
-            });
-        }));
-        assert!(result.is_err(), "panic must propagate");
+        for workers in [1, 4] {
+            let rt = Runtime::new(RuntimeConfig::with_workers(workers));
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rt.run_phased(&phases, |id| {
+                    if id == 3 {
+                        panic!("phase codelet 3 exploded");
+                    }
+                });
+            }));
+            assert!(result.is_err(), "{workers} workers: panic must propagate");
+        }
     }
 
     #[test]

@@ -1,24 +1,24 @@
-//! Pluggable execution backends for plans.
+//! Pluggable butterfly kernels for plans.
 //!
 //! A [`crate::planner::Plan`] fixes *what* to compute — the certified
 //! codelet schedule and the flattened per-stage gather/butterfly/twiddle
-//! tables — but until now there was exactly one way to *run* it: the
-//! scalar, schedule-driven hot path inside `Plan::execute_batch`. This
-//! module splits that decision out behind a [`Backend`] trait so the same
-//! certified plan can be driven by different engines:
+//! tables — and the one scheduler, [`Runtime`], fires that schedule
+//! exactly as certified on `runtime.workers()` workers (the calling thread
+//! is worker 0). A [`Backend`] only chooses the innermost loop, the
+//! [`CodeletKernel`] every codelet runs:
 //!
-//! * [`HostScalar`] — the historical tables-driven path, extracted behind
-//!   the trait. Bit-for-bit and instruction-for-instruction the code that
-//!   `Plan::execute_batch` itself runs.
+//! * [`HostScalar`] — the historical tables-driven path: the same
+//!   [`ScalarKernel`] that `Plan::execute_batch` itself runs.
 //! * [`HostSimd`] — f64x4 complex butterflies (two complex lanes per
 //!   vector) over the same tables, via `core::arch` AVX2 on `x86_64` with
 //!   a portable four-lane fallback everywhere else. Radix-4 or radix-8
 //!   register-fused passes over each codelet's local buffer; the SIMD
 //!   module's source documents why the FG40x-verified table shape is the
 //!   aliasing precondition for the vector loads.
-//! * [`Threaded`] — a work-stealing codelet pool on [`fgsupport::deque`]
-//!   that executes the certified DAG stage-by-stage (each stage split into
-//!   per-worker chunks), wrapping any serial backend's kernel.
+//!
+//! Threading is not a backend: it is the runtime's worker count, so every
+//! kernel runs the coarse, fine or guided schedule on any number of
+//! workers.
 //!
 //! The split keeps the certificate story intact: a backend never builds
 //! tables of its own, it only consumes the plan's — so a certificate over
@@ -26,16 +26,14 @@
 //! exactness suite pins all of them to identical bits.
 //!
 //! Selection is a plain value, [`BackendSel`], that serializes into wisdom
-//! (schema v3) so the autotuner can learn scalar-vs-SIMD-vs-threaded and
-//! kernel radix per `(N, machine)`.
+//! so the autotuner can learn scalar-vs-SIMD and kernel radix per
+//! `(N, machine)`.
 
 mod scalar;
 mod simd;
-mod threaded;
 
 pub use scalar::{HostScalar, ScalarKernel};
 pub use simd::HostSimd;
-pub use threaded::Threaded;
 
 use crate::complex::Complex64;
 use crate::exec::shared::SharedData;
@@ -53,7 +51,7 @@ use std::sync::Arc;
 /// bits behind as [`crate::exec::shared::execute_codelet_tabled`] would.
 /// Schedules, tables, and certificates are backend-independent; only this
 /// innermost loop varies.
-pub trait CodeletKernel: Send + Sync {
+pub trait CodeletKernel: Send + Sync + std::fmt::Debug {
     /// Short human-readable identity (used in fingerprints and stats).
     fn label(&self) -> &'static str;
 
@@ -81,8 +79,6 @@ pub struct Capabilities {
     pub vector_isa: &'static str,
     /// Complex values processed per vector operation (1 for scalar).
     pub complex_lanes: usize,
-    /// Whether the backend distributes codelets over its own worker pool.
-    pub threaded: bool,
 }
 
 /// An execution engine for certified plans.
@@ -101,37 +97,11 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// lanes. Two equal fingerprints execute plans identically.
     fn fingerprint(&self) -> String {
         let caps = self.capabilities();
-        format!(
-            "{}:{}x{}{}",
-            self.name(),
-            caps.vector_isa,
-            caps.complex_lanes,
-            if caps.threaded { ":threaded" } else { "" }
-        )
+        format!("{}:{}x{}", self.name(), caps.vector_isa, caps.complex_lanes)
     }
 
     /// Bind `plan` to this backend's execution strategy.
     fn prepare(&self, plan: &Arc<Plan>) -> PreparedPlan;
-}
-
-/// How a [`PreparedPlan`] drives its plan.
-enum ExecMode {
-    /// The historical scalar path, monomorphized inside `Plan` itself.
-    Scalar,
-    /// Schedule-driven dispatch with an alternate butterfly kernel.
-    Kernel(Arc<dyn CodeletKernel>),
-    /// Stage-by-stage waves over a work-stealing chunk pool.
-    Threaded(Arc<dyn CodeletKernel>),
-}
-
-impl std::fmt::Debug for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecMode::Scalar => write!(f, "Scalar"),
-            ExecMode::Kernel(k) => write!(f, "Kernel({})", k.label()),
-            ExecMode::Threaded(k) => write!(f, "Threaded({})", k.label()),
-        }
-    }
 }
 
 /// A plan bound to a backend, ready to execute batches.
@@ -143,7 +113,7 @@ impl std::fmt::Debug for ExecMode {
 #[derive(Debug)]
 pub struct PreparedPlan {
     plan: Arc<Plan>,
-    mode: ExecMode,
+    kernel: Arc<dyn CodeletKernel>,
     fingerprint: String,
 }
 
@@ -158,58 +128,23 @@ impl PreparedPlan {
         &self.fingerprint
     }
 
-    /// The serial kernel equivalent of this preparation — what a wrapping
-    /// backend (e.g. [`Threaded`]) should run per codelet.
-    pub(crate) fn serial_kernel(&self) -> Arc<dyn CodeletKernel> {
-        match &self.mode {
-            ExecMode::Scalar => Arc::new(ScalarKernel),
-            ExecMode::Kernel(k) | ExecMode::Threaded(k) => Arc::clone(k),
-        }
-    }
-
     /// In-place forward transform of one buffer; bit-identical to
     /// [`Plan::execute`] for every backend.
     pub fn execute(&self, data: &mut [Complex64], runtime: &Runtime) -> ExecStats {
-        match &self.mode {
-            ExecMode::Scalar => self.plan.execute(data, runtime),
-            ExecMode::Kernel(k) => self.plan.execute_with(&**k, data, runtime),
-            ExecMode::Threaded(k) => {
-                if self.plan.kind().is_c2c() {
-                    threaded::execute_batch_threaded(&self.plan, &**k, &mut [data], runtime)
-                } else {
-                    // Composite kinds (real, 2-D) orchestrate their
-                    // pack/untangle/transpose stages inside `Plan`; the
-                    // threaded wave driver only understands the flat C2C
-                    // stage schedule, so run the composite through the plan
-                    // with this backend's kernel — same bits, same tables.
-                    self.plan.execute_with(&**k, data, runtime)
-                }
-            }
-        }
+        self.plan.execute_with(&*self.kernel, data, runtime)
     }
 
     /// In-place forward transform of a batch of same-plan buffers;
     /// bit-identical to [`Plan::execute_batch`] for every backend.
     pub fn execute_batch(&self, buffers: &mut [&mut [Complex64]], runtime: &Runtime) -> ExecStats {
-        match &self.mode {
-            ExecMode::Scalar => self.plan.execute_batch(buffers, runtime),
-            ExecMode::Kernel(k) => self.plan.execute_batch_with(&**k, buffers, runtime),
-            ExecMode::Threaded(k) => {
-                if self.plan.kind().is_c2c() {
-                    threaded::execute_batch_threaded(&self.plan, &**k, buffers, runtime)
-                } else {
-                    // See `execute`: composite kinds run through the plan's
-                    // own orchestration with this backend's kernel.
-                    self.plan.execute_batch_with(&**k, buffers, runtime)
-                }
-            }
-        }
+        self.plan
+            .execute_batch_with(&*self.kernel, buffers, runtime)
     }
 
-    fn new(plan: &Arc<Plan>, mode: ExecMode, backend: &dyn Backend) -> Self {
+    fn new(plan: &Arc<Plan>, kernel: Arc<dyn CodeletKernel>, backend: &dyn Backend) -> Self {
         Self {
             plan: Arc::clone(plan),
-            mode,
+            kernel,
             fingerprint: backend.fingerprint(),
         }
     }
@@ -221,12 +156,8 @@ pub enum BackendKind {
     /// [`HostScalar`]: the historical scalar hot path.
     #[default]
     Scalar,
-    /// [`HostSimd`]: vectorized butterflies on the serial schedule.
+    /// [`HostSimd`]: vectorized butterflies over the same schedule.
     Simd,
-    /// [`Threaded`] wrapping [`HostScalar`].
-    ThreadedScalar,
-    /// [`Threaded`] wrapping [`HostSimd`].
-    ThreadedSimd,
 }
 
 /// A serializable backend choice: which engine runs the plan, and the
@@ -260,27 +191,11 @@ impl BackendSel {
         simd_radix_log2: 3,
     };
 
-    /// Threaded pool over the SIMD kernel (radix-8 fusion).
-    pub const THREADED_SIMD: Self = Self {
-        kind: BackendKind::ThreadedSimd,
-        simd_radix_log2: 3,
-    };
-
-    /// Threaded pool over the scalar kernel.
-    pub const THREADED_SCALAR: Self = Self {
-        kind: BackendKind::ThreadedScalar,
-        simd_radix_log2: 3,
-    };
-
     /// Instantiate the selected backend.
     pub fn build(&self) -> Arc<dyn Backend> {
         match self.kind {
             BackendKind::Scalar => Arc::new(HostScalar),
             BackendKind::Simd => Arc::new(HostSimd::new(self.simd_radix_log2)),
-            BackendKind::ThreadedScalar => Arc::new(Threaded::new(Arc::new(HostScalar))),
-            BackendKind::ThreadedSimd => {
-                Arc::new(Threaded::new(Arc::new(HostSimd::new(self.simd_radix_log2))))
-            }
         }
     }
 
@@ -289,15 +204,12 @@ impl BackendSel {
         match self.kind {
             BackendKind::Scalar => "scalar",
             BackendKind::Simd => "simd",
-            BackendKind::ThreadedScalar => "threaded-scalar",
-            BackendKind::ThreadedSimd => "threaded-simd",
         }
     }
 
-    /// Parse a selection: an engine name (`scalar`, `simd`,
-    /// `threaded-scalar`, `threaded-simd`, or `threaded` as an alias for
-    /// `threaded-simd`) with an optional `-r4`/`-r8` fusion-radix suffix
-    /// on the SIMD kinds (default radix-8).
+    /// Parse a selection: an engine name (`scalar` or `simd`) with an
+    /// optional `-r4`/`-r8` fusion-radix suffix on the SIMD kind (default
+    /// radix-8).
     pub fn parse(s: &str) -> Option<Self> {
         let (base, radix) = match s.strip_suffix("-r4") {
             Some(b) => (b, 2),
@@ -309,8 +221,6 @@ impl BackendSel {
         let kind = match base {
             "scalar" => BackendKind::Scalar,
             "simd" => BackendKind::Simd,
-            "threaded-scalar" => BackendKind::ThreadedScalar,
-            "threaded-simd" | "threaded" => BackendKind::ThreadedSimd,
             _ => return None,
         };
         Some(Self {
@@ -325,8 +235,6 @@ impl BackendSel {
         Some(match s {
             "scalar" => BackendKind::Scalar,
             "simd" => BackendKind::Simd,
-            "threaded-scalar" => BackendKind::ThreadedScalar,
-            "threaded-simd" => BackendKind::ThreadedSimd,
             _ => return None,
         })
     }
@@ -335,8 +243,8 @@ impl BackendSel {
 impl std::fmt::Display for BackendSel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.kind {
-            BackendKind::Scalar | BackendKind::ThreadedScalar => write!(f, "{}", self.kind_str()),
-            BackendKind::Simd | BackendKind::ThreadedSimd => {
+            BackendKind::Scalar => write!(f, "{}", self.kind_str()),
+            BackendKind::Simd => {
                 write!(f, "{}-r{}", self.kind_str(), 1u32 << self.simd_radix_log2)
             }
         }
@@ -358,8 +266,6 @@ mod tests {
                 kind: BackendKind::Simd,
                 simd_radix_log2: 2,
             },
-            BackendSel::THREADED_SCALAR,
-            BackendSel::THREADED_SIMD,
         ] {
             let shown = sel.to_string();
             let parsed = BackendSel::parse(&shown).unwrap();
@@ -368,10 +274,8 @@ mod tests {
             assert_eq!(parsed.kind, sel.kind, "{shown}");
             assert_eq!(BackendSel::kind_from_str(sel.kind_str()), Some(sel.kind));
         }
-        assert_eq!(
-            BackendSel::parse("threaded").map(|s| s.kind),
-            Some(BackendKind::ThreadedSimd)
-        );
+        // Threading is the runtime's worker count, not an engine name.
+        assert_eq!(BackendSel::parse("threaded"), None);
         assert_eq!(
             BackendSel::parse("simd-r4").map(|s| s.simd_radix_log2),
             Some(2)
@@ -387,16 +291,155 @@ mod tests {
             Version::Fine(SeedOrder::Natural).layout(),
         )));
         let mut prints = std::collections::HashSet::new();
-        for sel in [
-            BackendSel::SCALAR,
-            BackendSel::SIMD,
-            BackendSel::THREADED_SIMD,
-        ] {
+        for sel in [BackendSel::SCALAR, BackendSel::SIMD] {
             let backend = sel.build();
             let prepared = backend.prepare(&plan);
             assert_eq!(prepared.backend_fingerprint(), backend.fingerprint());
             prints.insert(backend.fingerprint());
         }
-        assert_eq!(prints.len(), 3, "{prints:?}");
+        assert_eq!(prints.len(), 2, "{prints:?}");
+    }
+
+    /// A panicking kernel must poison the run, not hang the phased barrier
+    /// or the dataflow completion count, and the panic must resurface on
+    /// the caller's thread — for the caller alone and for a worker pool.
+    #[test]
+    fn poisoned_kernel_propagates_the_panic() {
+        #[derive(Debug)]
+        struct Grenade;
+        impl CodeletKernel for Grenade {
+            fn label(&self) -> &'static str {
+                "grenade"
+            }
+            unsafe fn run_codelet(
+                &self,
+                _gather: &[u32],
+                _pairs: &[(u32, u32)],
+                _twiddles: &[Complex64],
+                _view: &SharedData<'_>,
+            ) {
+                panic!("boom");
+            }
+        }
+        for version in [Version::Coarse, Version::FineGuided] {
+            let plan = Plan::build(PlanKey::new(1 << 8, version, version.layout()));
+            for workers in [1, 4] {
+                let runtime = Runtime::with_workers(workers);
+                let mut bufs = vec![vec![Complex64::ZERO; 1 << 8]; 2];
+                let mut views: Vec<&mut [Complex64]> =
+                    bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    plan.execute_batch_with(&Grenade, &mut views, &runtime);
+                }));
+                let msg = caught.expect_err("panic must propagate");
+                assert_eq!(
+                    msg.downcast_ref::<&str>(),
+                    Some(&"boom"),
+                    "{version:?} @ {workers}w"
+                );
+            }
+        }
+    }
+}
+
+/// Multi-worker execution of prepared plans. Threading is the runtime's
+/// worker count, so these run every kernel through the one [`Runtime`]
+/// on several workers and pin the bits to the single-worker scalar path.
+#[cfg(test)]
+mod threaded {
+    mod tests {
+        use crate::backend::{BackendSel, HostScalar, HostSimd};
+        use crate::exec::{SeedOrder, Version};
+        use crate::planner::PlanKey;
+        use crate::{Backend, Complex64, Plan};
+        use codelet::runtime::Runtime;
+        use fgsupport::rng::Rng64;
+        use std::sync::Arc;
+
+        fn signal(n: usize, seed: u64) -> Vec<Complex64> {
+            let mut rng = Rng64::seed_from_u64(seed);
+            (0..n)
+                .map(|_| Complex64::new(rng.gen_f64() - 0.5, rng.gen_f64() - 0.5))
+                .collect()
+        }
+
+        fn bits(data: &[Complex64]) -> Vec<(u64, u64)> {
+            data.iter()
+                .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                .collect()
+        }
+
+        #[test]
+        fn threaded_matches_scalar_for_every_version_and_worker_count() {
+            for version in Version::paper_set(SeedOrder::Natural) {
+                let key = PlanKey::new(1 << 10, version, version.layout());
+                let plan = Arc::new(Plan::build(key));
+                let input = signal(1 << 10, 42);
+                let mut want = input.clone();
+                plan.execute(&mut want, &Runtime::with_workers(1));
+                for workers in [1, 2, 4] {
+                    let runtime = Runtime::with_workers(workers);
+                    for sel in [BackendSel::SCALAR, BackendSel::SIMD] {
+                        let mut got = input.clone();
+                        let stats = sel.build().prepare(&plan).execute(&mut got, &runtime);
+                        assert_eq!(
+                            bits(&want),
+                            bits(&got),
+                            "{version:?} {sel} workers={workers}"
+                        );
+                        assert_eq!(stats.codelets, plan.fft_plan().total_codelets() as u64);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn threaded_batch_matches_per_buffer_execution() {
+            let key = PlanKey::new(
+                1 << 9,
+                Version::Fine(SeedOrder::Natural),
+                Version::Fine(SeedOrder::Natural).layout(),
+            );
+            let plan = Arc::new(Plan::build(key));
+            let runtime = Runtime::with_workers(3);
+            let prepared = HostSimd::new(3).prepare(&plan);
+            let inputs: Vec<Vec<Complex64>> = (0..4).map(|i| signal(1 << 9, 100 + i)).collect();
+            let mut want = inputs.clone();
+            for buf in want.iter_mut() {
+                plan.execute(buf, &Runtime::with_workers(1));
+            }
+            let mut got = inputs.clone();
+            let mut refs: Vec<&mut [Complex64]> =
+                got.iter_mut().map(|b| b.as_mut_slice()).collect();
+            prepared.execute_batch(&mut refs, &runtime);
+            for (w, g) in want.iter().zip(&got) {
+                assert_eq!(bits(w), bits(g));
+            }
+        }
+
+        /// Repeated batched runs of the phased (coarse) schedule under a
+        /// contended pool, checked for bit-exactness: a missing
+        /// happens-before edge across the runtime's stage barrier is a data
+        /// race tsan flags, and a premature release corrupts the bits.
+        #[test]
+        fn threaded_stage_barrier_smoke() {
+            let key = PlanKey::new(1 << 8, Version::Coarse, Version::Coarse.layout());
+            let plan = Arc::new(Plan::build(key));
+            let runtime = Runtime::with_workers(4);
+            let prepared = HostScalar.prepare(&plan);
+            let input = signal(1 << 8, 9);
+            let mut want = input.clone();
+            plan.execute(&mut want, &Runtime::with_workers(1));
+            for _ in 0..16 {
+                let mut bufs: Vec<Vec<Complex64>> = (0..3).map(|_| input.clone()).collect();
+                let mut refs: Vec<&mut [Complex64]> =
+                    bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+                let stats = prepared.execute_batch(&mut refs, &runtime);
+                assert!(stats.barriers > 0, "coarse runs behind stage barriers");
+                for b in &bufs {
+                    assert_eq!(bits(&want), bits(b));
+                }
+            }
+        }
     }
 }

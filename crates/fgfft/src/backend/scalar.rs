@@ -1,6 +1,6 @@
 //! The historical scalar hot path, extracted behind [`Backend`].
 
-use super::{Backend, Capabilities, CodeletKernel, ExecMode, PreparedPlan};
+use super::{Backend, Capabilities, CodeletKernel, PreparedPlan};
 use crate::complex::Complex64;
 use crate::exec::shared::{execute_codelet_tabled, SharedData};
 use crate::planner::Plan;
@@ -31,9 +31,9 @@ impl CodeletKernel for ScalarKernel {
     }
 }
 
-/// The current tables-driven scalar path as a [`Backend`]. `prepare` is
-/// the identity — executing a plan prepared by `HostScalar` runs byte-
-/// for-byte the same code as calling [`Plan::execute_batch`] directly.
+/// The tables-driven scalar path as a [`Backend`]: `prepare` hands over
+/// [`ScalarKernel`], the kernel [`Plan::execute_batch`] runs directly, so
+/// a plan prepared by `HostScalar` produces exactly its bits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HostScalar;
 
@@ -46,11 +46,10 @@ impl Backend for HostScalar {
         Capabilities {
             vector_isa: "scalar",
             complex_lanes: 1,
-            threaded: false,
         }
     }
 
     fn prepare(&self, plan: &Arc<Plan>) -> PreparedPlan {
-        PreparedPlan::new(plan, ExecMode::Scalar, self)
+        PreparedPlan::new(plan, Arc::new(ScalarKernel), self)
     }
 }

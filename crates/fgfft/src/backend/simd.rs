@@ -36,7 +36,7 @@
 //! the scalar path.
 
 use super::scalar::ScalarKernel;
-use super::{Backend, Capabilities, CodeletKernel, ExecMode, PreparedPlan};
+use super::{Backend, Capabilities, CodeletKernel, PreparedPlan};
 use crate::complex::Complex64;
 use crate::exec::shared::{execute_codelet_tabled, SharedData};
 use crate::plan::MAX_RADIX_LOG2;
@@ -478,22 +478,23 @@ impl Backend for HostSimd {
                 "portable"
             },
             complex_lanes: 2,
-            threaded: false,
         }
     }
 
     fn prepare(&self, plan: &Arc<Plan>) -> PreparedPlan {
-        let mode = if plan.fft_plan().radix_log2() >= 2 && tables_are_canonical(plan) {
-            ExecMode::Kernel(Arc::new(SimdKernel {
-                fuse_log2: self.fuse_log2,
-                use_avx2: self.avx2_selected(),
-            }))
-        } else {
-            // Non-canonical tables or radix-2 codelets: the scalar path is
-            // the correct degradation (same bits, no pattern assumption).
-            ExecMode::Kernel(Arc::new(ScalarKernel))
-        };
-        PreparedPlan::new(plan, mode, self)
+        let kernel: Arc<dyn CodeletKernel> =
+            if plan.fft_plan().radix_log2() >= 2 && tables_are_canonical(plan) {
+                Arc::new(SimdKernel {
+                    fuse_log2: self.fuse_log2,
+                    use_avx2: self.avx2_selected(),
+                })
+            } else {
+                // Non-canonical tables or radix-2 codelets: the scalar path
+                // is the correct degradation (same bits, no pattern
+                // assumption).
+                Arc::new(ScalarKernel)
+            };
+        PreparedPlan::new(plan, kernel, self)
     }
 }
 

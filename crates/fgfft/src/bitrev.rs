@@ -104,10 +104,12 @@ pub fn apply_swaps<T>(data: &mut [T], swaps: &[(u32, u32)]) {
     }
 }
 
-/// Apply a precomputed transposition list with `workers` threads. Sound for
-/// any list of pairwise-disjoint transpositions (which
-/// [`bit_reverse_swaps`] produces): partitioning the *list* partitions the
-/// touched elements, so no two workers access the same element.
+/// Apply a precomputed transposition list with `workers` workers, the
+/// calling thread being worker 0 (it takes the first chunk; one thread is
+/// spawned per remaining chunk). Sound for any list of pairwise-disjoint
+/// transpositions (which [`bit_reverse_swaps`] produces): partitioning the
+/// *list* partitions the touched elements, so no two workers access the
+/// same element.
 pub fn apply_swaps_parallel(data: &mut [Complex64], swaps: &[(u32, u32)], workers: usize) {
     if workers <= 1 || swaps.len() < 1024 {
         apply_swaps(data, swaps);
@@ -116,20 +118,22 @@ pub fn apply_swaps_parallel(data: &mut [Complex64], swaps: &[(u32, u32)], worker
     let workers = workers.min(swaps.len());
     let chunk = swaps.len().div_ceil(workers);
     let shared = SharedComplexSlice::new(data);
-    thread::scope(|scope| {
-        for part in swaps.chunks(chunk) {
-            let shared = &shared;
-            scope.spawn(move || {
-                for &(i, j) in part {
-                    // SAFETY: transpositions are pairwise disjoint and the
-                    // list is partitioned across workers, so this worker has
-                    // exclusive access to elements i and j.
-                    unsafe {
-                        std::ptr::swap(shared.get(i as usize), shared.get(j as usize));
-                    }
-                }
-            });
+    let apply = |part: &[(u32, u32)]| {
+        for &(i, j) in part {
+            // SAFETY: transpositions are pairwise disjoint and the list is
+            // partitioned across workers, so this worker has exclusive
+            // access to elements i and j.
+            unsafe {
+                std::ptr::swap(shared.get(i as usize), shared.get(j as usize));
+            }
         }
+    };
+    let (first, rest) = swaps.split_at(chunk);
+    thread::scope(|scope| {
+        for part in rest.chunks(chunk) {
+            scope.spawn(move || apply(part));
+        }
+        apply(first);
     });
 }
 

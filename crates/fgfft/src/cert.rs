@@ -688,8 +688,6 @@ mod tests {
         for sel in [
             crate::backend::BackendSel::SCALAR,
             crate::backend::BackendSel::SIMD,
-            crate::backend::BackendSel::THREADED_SCALAR,
-            crate::backend::BackendSel::THREADED_SIMD,
         ] {
             let prepared = sel.build().prepare(&plan);
             cert.verify_plan(prepared.plan())

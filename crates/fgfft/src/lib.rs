@@ -36,10 +36,12 @@
 //! * [`cert`] — schedule certificates: compact digests of a tuned schedule
 //!   and its flattened tables that wisdom entries carry and the planner
 //!   re-verifies before trusting a tuning on the `unsafe` hot path.
-//! * [`backend`] — pluggable execution engines over certified plans:
-//!   [`HostScalar`] (the classic tables path), [`HostSimd`] (AVX2 /
-//!   portable f64x4 butterflies), and [`Threaded`] (work-stealing codelet
-//!   pool), selected per `(N, machine)` by wisdom via [`BackendSel`].
+//! * [`backend`] — pluggable butterfly kernels over certified plans:
+//!   [`HostScalar`] (the classic tables path) and [`HostSimd`] (AVX2 /
+//!   portable f64x4 butterflies), selected per `(N, machine)` by wisdom
+//!   via [`BackendSel`]. Threading is not a backend: the one scheduler,
+//!   `codelet::runtime::Runtime`, runs every certified schedule on its
+//!   worker count, with the calling thread as worker 0.
 //! * [`simwork`] — the workload layer's footprints lowered to byte-addressed
 //!   DRAM traffic for the `c64sim` Cyclops-64 simulator: this is where the
 //!   paper's bank-level results are reproduced.
@@ -89,7 +91,7 @@ pub mod workload;
 
 pub use api::{convolve, forward, inverse, power_spectrum, Fft};
 pub use backend::{
-    Backend, BackendKind, BackendSel, Capabilities, HostScalar, HostSimd, PreparedPlan, Threaded,
+    Backend, BackendKind, BackendSel, Capabilities, HostScalar, HostSimd, PreparedPlan,
 };
 pub use bluestein::{dft, idft};
 pub use cert::{CertError, CertPolicy, Certificate, WORKLOAD_REVISION};

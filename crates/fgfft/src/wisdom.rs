@@ -511,11 +511,18 @@ fn entry_from_json(value: &Value) -> Result<WisdomEntry, String> {
         Some(v) => Some(Certificate::from_json(v)?),
     };
     // Backend fields arrived with format 3; their absence (a legacy file)
-    // decodes as the scalar backend, which runs every plan correctly.
+    // decodes as the scalar backend, which runs every plan correctly. Files
+    // written while a stage-wave threaded backend existed name the same
+    // kernels `threaded-scalar` / `threaded-simd`: same bits, same
+    // certificate, and the thread count already travels in `workers`.
     let backend_kind = match value.get("backend") {
         None | Some(Value::Null) => crate::backend::BackendKind::Scalar,
         Some(v) => {
-            let name = v.as_str().ok_or("backend must be a string")?;
+            let name = match v.as_str().ok_or("backend must be a string")? {
+                "threaded-scalar" => "scalar",
+                "threaded-simd" => "simd",
+                name => name,
+            };
             BackendSel::kind_from_str(name).ok_or_else(|| format!("unknown backend {name:?}"))?
         }
     };
@@ -847,6 +854,41 @@ mod tests {
         let (loaded, status) = Wisdom::load_with(&path, CertPolicy::Trust);
         assert_eq!(status, WisdomStatus::Loaded { entries: 1 });
         assert!(loaded.entries()[0].key.kind.is_c2c());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn legacy_threaded_backend_names_decode_to_their_kernels() {
+        let dir = std::env::temp_dir().join(format!("fgfft-wisdom-thr-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("threaded.json");
+        // A format-4 file from before the stage-wave threaded backend was
+        // retired: certified entries naming `threaded-simd` (radix-4) and
+        // `threaded-scalar`. Both name a kernel that still exists, so the
+        // file loads under the strict policy and keeps its radix.
+        let mut wisdom = Wisdom::new();
+        let mut simd = sample_entry(12, Version::FineGuided);
+        simd.backend.simd_radix_log2 = 2;
+        let mut scalar = sample_entry(11, Version::FineGuided);
+        scalar.backend = BackendSel::SCALAR;
+        wisdom.insert(simd);
+        wisdom.insert(scalar);
+        let text = wisdom
+            .to_json()
+            .to_string_pretty()
+            .replace("\"backend\": \"simd\"", "\"backend\": \"threaded-simd\"")
+            .replace(
+                "\"backend\": \"scalar\"",
+                "\"backend\": \"threaded-scalar\"",
+            );
+        assert!(text.contains("threaded-simd") && text.contains("threaded-scalar"));
+        std::fs::write(&path, text).unwrap();
+        let (loaded, status) = Wisdom::load(&path);
+        assert_eq!(status, WisdomStatus::Loaded { entries: 2 });
+        // Entry for entry what was written: `simd` with radix-4, `scalar`.
+        assert_eq!(loaded, wisdom);
+        // The encoder only ever writes the current names.
+        assert!(!loaded.to_json().to_string_pretty().contains("threaded"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -228,9 +228,12 @@ impl<T> EdfInner<T> {
 /// A bounded, two-lane, earliest-deadline-first MPMC queue — the
 /// deadline-aware replacement for the FIFO submission queue.
 ///
-/// Same admission-control contract as `fgsupport::queue::Bounded`:
-/// [`EdfQueue::try_push`] fails (returning the value) at capacity, and
-/// consumers use [`EdfQueue::pop_timeout`] with a remaining-budget loop.
+/// Admission control is strict: [`EdfQueue::try_push`] fails (returning
+/// the value) once `capacity` entries are queued — the backpressure signal
+/// a submitter turns into an "overloaded" rejection — so the queue never
+/// grows without bound. Consumers block in [`EdfQueue::pop_timeout`] with a
+/// remaining-budget loop, so they can re-check shutdown flags without
+/// busy-waiting.
 /// [`EdfQueue::requeue`] re-inserts work the dispatcher already holds
 /// (cold-gate deferrals) and deliberately ignores the capacity bound —
 /// those requests were admitted once and must never be rejected or

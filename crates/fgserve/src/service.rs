@@ -1068,33 +1068,74 @@ mod tests {
     #[test]
     fn configured_backends_serve_identical_bits() {
         // Every backend drives the same certified plan tables, so routing
-        // the service through SIMD or the threaded pool must not move a
-        // single bit relative to the default scalar path.
-        let n = 1 << 10;
-        let input = signal(n);
-        let serve_with = |backend: Option<fgfft::BackendSel>| {
-            let service = FftService::start(ServeConfig {
+        // the service through SIMD — by config or by wisdom, including
+        // wisdom that names the retired `threaded-*` backends — must not
+        // move a single bit relative to the scalar path.
+        use fgfft::{Certificate, Plan, ScheduleTuning, Wisdom, WisdomEntry, WisdomStatus};
+        let sizes = [1usize << 9, 1 << 10];
+        let serve_with = |config: ServeConfig| {
+            let service = FftService::start(config);
+            let outs: Vec<_> = sizes
+                .iter()
+                .map(|&n| {
+                    let ticket = service.submit(Request::new(signal(n))).expect("admitted");
+                    ticket.wait().expect("completed").buffer
+                })
+                .collect();
+            let status = service.wisdom_status();
+            service.shutdown();
+            (outs, status)
+        };
+        let with_backend = |backend| {
+            serve_with(ServeConfig {
                 backend,
                 ..small_config()
-            });
-            let out = service
-                .submit(Request::new(input.clone()))
-                .expect("admitted")
-                .wait()
-                .expect("completed")
-                .buffer;
-            service.shutdown();
-            out
+            })
+            .0
         };
-        let scalar = serve_with(Some(fgfft::BackendSel::SCALAR));
-        assert_eq!(serve_with(None), scalar, "default routes to scalar");
-        for sel in [
-            fgfft::BackendSel::SIMD,
-            fgfft::BackendSel::THREADED_SCALAR,
-            fgfft::BackendSel::THREADED_SIMD,
+        let scalar = with_backend(Some(fgfft::BackendSel::SCALAR));
+        assert_eq!(with_backend(None), scalar, "default routes to scalar");
+        assert_eq!(with_backend(Some(fgfft::BackendSel::SIMD)), scalar, "simd");
+
+        // A format-4 wisdom file from before the stage-wave threaded
+        // backend was retired: certified `threaded-simd` (radix-4) and
+        // `threaded-scalar` entries for the two served keys.
+        let mut wisdom = Wisdom::new();
+        for (n, backend) in [
+            (1 << 10, fgfft::BackendSel::parse("simd-r4").unwrap()),
+            (1 << 9, fgfft::BackendSel::SCALAR),
         ] {
-            assert_eq!(serve_with(Some(sel)), scalar, "{sel}");
+            let key = PlanKey::new(n, Version::FineGuided, Version::FineGuided.layout());
+            let tuning = ScheduleTuning::default();
+            let cert = Certificate::for_plan(&Plan::build_tuned(key, Some(&tuning))).unwrap();
+            wisdom.insert(WisdomEntry {
+                key,
+                tuning,
+                workers: 2,
+                batch: 1,
+                backend,
+                median_ns: 1,
+                seed_median_ns: 1,
+                cert: Some(cert),
+            });
         }
+        let text = wisdom
+            .to_json()
+            .to_string_pretty()
+            .replace("\"backend\": \"simd\"", "\"backend\": \"threaded-simd\"")
+            .replace(
+                "\"backend\": \"scalar\"",
+                "\"backend\": \"threaded-scalar\"",
+            );
+        let path = std::env::temp_dir().join(format!("fgserve-thr-{}.json", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let (legacy, status) = serve_with(ServeConfig {
+            wisdom_path: Some(path.clone()),
+            ..small_config()
+        });
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(status, Some(WisdomStatus::Loaded { entries: 2 }));
+        assert_eq!(legacy, scalar, "legacy threaded-* wisdom");
     }
 
     #[test]

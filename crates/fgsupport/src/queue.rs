@@ -1,7 +1,5 @@
-//! MPMC FIFO queues: an unbounded [`SegQueue`] mirroring
-//! `crossbeam::queue::SegQueue`, and a bounded [`Bounded`] variant with
-//! blocking pops for producer/consumer pipelines that need *admission
-//! control* — a full queue rejects instead of growing without bound.
+//! MPMC FIFO queue: an unbounded [`SegQueue`] mirroring
+//! `crossbeam::queue::SegQueue`.
 //!
 //! The workspace pushes and pops in bursts of at most a few dozen items, so
 //! a mutex-guarded ring buffer is competitive with a lock-free segment
@@ -9,8 +7,6 @@
 
 use crate::sync::Mutex;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex as StdMutex};
-use std::time::Duration;
 
 /// Unbounded FIFO queue usable from many threads.
 #[derive(Debug, Default)]
@@ -47,98 +43,6 @@ impl<T> SegQueue<T> {
     }
 }
 
-/// A bounded MPMC FIFO queue.
-///
-/// `try_push` fails (returning the value) when the queue holds `capacity`
-/// elements — the backpressure signal a submitting thread turns into an
-/// "overloaded" rejection. Consumers use [`Bounded::pop_timeout`] so they
-/// can periodically re-check shutdown flags without busy-waiting.
-#[derive(Debug)]
-pub struct Bounded<T> {
-    inner: StdMutex<VecDeque<T>>,
-    capacity: usize,
-    available: Condvar,
-}
-
-impl<T> Bounded<T> {
-    /// New empty queue admitting at most `capacity` elements (min 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            inner: StdMutex::new(VecDeque::with_capacity(capacity)),
-            capacity,
-            available: Condvar::new(),
-        }
-    }
-
-    fn guard(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// The admission bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Append at the tail, or give the value back when the queue is full.
-    /// On success returns the queue depth *after* the push (for high-water
-    /// tracking).
-    pub fn try_push(&self, value: T) -> Result<usize, T> {
-        let mut q = self.guard();
-        if q.len() >= self.capacity {
-            return Err(value);
-        }
-        q.push_back(value);
-        let depth = q.len();
-        drop(q);
-        self.available.notify_one();
-        Ok(depth)
-    }
-
-    /// Remove the head element if one is present, without blocking.
-    pub fn try_pop(&self) -> Option<T> {
-        self.guard().pop_front()
-    }
-
-    /// Remove the head element, waiting up to `timeout` for one to arrive.
-    ///
-    /// Loops on the *remaining* budget: a spurious condvar wakeup, or a
-    /// notification whose element a racing [`Bounded::try_pop`] consumed
-    /// first, puts the caller back to sleep for the rest of the timeout
-    /// instead of returning `None` early. `None` therefore means the full
-    /// timeout elapsed with nothing to take.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = self.guard();
-        loop {
-            if let Some(v) = q.pop_front() {
-                return Some(v);
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            q = match self.available.wait_timeout(q, remaining) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
-    }
-
-    /// Number of queued elements at the time of the call.
-    pub fn len(&self) -> usize {
-        self.guard().len()
-    }
-
-    /// Whether the queue was empty at the time of the call.
-    pub fn is_empty(&self) -> bool {
-        self.guard().is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,74 +57,5 @@ mod tests {
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn bounded_rejects_when_full() {
-        let q = Bounded::new(2);
-        assert_eq!(q.capacity(), 2);
-        assert_eq!(q.try_push(1), Ok(1));
-        assert_eq!(q.try_push(2), Ok(2));
-        assert_eq!(q.try_push(3), Err(3), "full queue returns the value");
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.try_push(3), Ok(2), "space freed by pop");
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn bounded_pop_timeout_returns_quickly_when_empty() {
-        let q: Bounded<u32> = Bounded::new(4);
-        let start = std::time::Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_millis(20)), None);
-        assert!(start.elapsed() >= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn bounded_pop_timeout_wakes_on_push() {
-        let q = std::sync::Arc::new(Bounded::new(4));
-        let q2 = std::sync::Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(20));
-        q.try_push(7u32).unwrap();
-        assert_eq!(t.join().unwrap(), Some(7));
-    }
-
-    /// A competing `try_pop` consumer that steals the element behind a
-    /// notification must not make the blocked `pop_timeout` give up early:
-    /// the waiter keeps its remaining budget and eventually gets an item.
-    #[test]
-    fn bounded_pop_timeout_survives_stolen_notifications() {
-        let q = std::sync::Arc::new(Bounded::new(8));
-        let waiter = {
-            let q = std::sync::Arc::clone(&q);
-            std::thread::spawn(move || q.pop_timeout(Duration::from_secs(30)))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        // Push-then-steal storm: each push notifies the waiter, and the
-        // same-thread try_pop usually wins the race to the element, so the
-        // waiter repeatedly wakes to an empty queue. The one-shot wait of
-        // the old implementation returned None on the first such wakeup.
-        for i in 0..200u32 {
-            q.try_push(i).unwrap();
-            let _ = q.try_pop();
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        // Whatever the interleaving, a final element guarantees the waiter
-        // something to take (a full queue here means elements are already
-        // waiting for it, which is just as good).
-        let _ = q.try_push(u32::MAX);
-        let got = waiter.join().unwrap();
-        assert!(
-            got.is_some(),
-            "pop_timeout returned None with ~30 s of budget left"
-        );
-    }
-
-    #[test]
-    fn bounded_capacity_is_at_least_one() {
-        let q = Bounded::new(0);
-        assert_eq!(q.capacity(), 1);
-        assert_eq!(q.try_push(9), Ok(1));
-        assert!(q.try_push(10).is_err());
     }
 }

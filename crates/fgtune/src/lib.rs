@@ -27,10 +27,11 @@
 //! backend toggles) around the best candidate so far, is fully
 //! deterministic for a given `--seed`, and stops on a wall-clock budget.
 //!
-//! Since wisdom format 3 the space also covers *execution backends*
-//! ([`fgfft::BackendSel`]): the scalar hot path, the SIMD kernel at
-//! radix-4 or radix-8 fusion, and the threaded pool — so wisdom learns
-//! scalar-vs-SIMD-vs-threaded per `(N, machine)`, not just the schedule.
+//! Since wisdom format 3 the space also covers *butterfly kernels*
+//! ([`fgfft::BackendSel`]): the scalar hot path and the SIMD kernel at
+//! radix-4 or radix-8 fusion — so wisdom learns scalar-vs-SIMD per
+//! `(N, machine)`, not just the schedule. Threading is the `workers` axis:
+//! the runtime's worker count, running the certified schedule as is.
 //!
 //! Crucially, *tuning never changes results*: a [`fgfft::ScheduleTuning`]
 //! reorders execution of the same codelet DAG, and the DAG fixes the

@@ -119,7 +119,6 @@ impl TuningSpace {
                     kind: BackendKind::Simd,
                     simd_radix_log2: 2,
                 },
-                BackendSel::THREADED_SIMD,
             ],
         }
     }

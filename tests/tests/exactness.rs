@@ -7,12 +7,13 @@
 //! also agree with the recursive-FFT oracle to an accuracy that scales
 //! with N.
 //!
-//! The same argument extends to execution *backends*: scalar, SIMD
-//! (AVX2 or the portable four-lane fallback, radix-4 or radix-8 register
-//! fusion) and the threaded work-stealing pool all drive the identical
-//! certified plan tables, and the SIMD complex multiply deliberately
-//! avoids FMA so each lane rounds exactly like the scalar code. Any bit
-//! of divergence is a kernel bug, not round-off.
+//! The same argument extends to execution *backends* and worker counts:
+//! the scalar and SIMD kernels (AVX2 or the portable four-lane fallback,
+//! radix-4 or radix-8 register fusion) drive the identical certified plan
+//! tables through the one codelet runtime on any number of workers, and
+//! the SIMD complex multiply deliberately avoids FMA so each lane rounds
+//! exactly like the scalar code. Any bit of divergence is a kernel or
+//! scheduling bug, not round-off.
 
 use codelet::runtime::Runtime;
 use fgfft::reference::recursive_fft;
@@ -40,20 +41,36 @@ fn bits(data: &[Complex64]) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// The kernel × worker-count rows every exactness case runs: the scalar,
+/// simd-r4 and simd-r8 kernels on 1, 2 and 4 runtime workers, plus
+/// `simd-portable`, which forces the four-lane fallback even on AVX2
+/// hosts so both vector code paths are pinned no matter where this runs.
+fn kernel_rows() -> Vec<(String, Arc<dyn Backend>, Runtime)> {
+    let mut rows = Vec::new();
+    for name in ["scalar", "simd-r4", "simd-r8"] {
+        for workers in [1usize, 2, 4] {
+            rows.push((
+                format!("{name} @ {workers}w"),
+                BackendSel::parse(name).unwrap().build(),
+                Runtime::with_workers(workers),
+            ));
+        }
+    }
+    let portable: Arc<dyn Backend> = Arc::new(HostSimd::portable(3));
+    rows.push((
+        "simd-portable @ 4w".into(),
+        portable,
+        Runtime::with_workers(4),
+    ));
+    rows
+}
+
 #[test]
 fn backends_are_bit_exact_across_versions_sizes_and_batches() {
-    // Every backend × every Table-I version × three sizes × two batch
-    // shapes, all compared bitwise against the plan's own scalar path.
-    // `simd-portable` forces the four-lane fallback even on AVX2 hosts,
-    // so both vector code paths are pinned no matter where this runs.
-    let backends: Vec<(&str, Arc<dyn Backend>)> = vec![
-        ("scalar", BackendSel::SCALAR.build()),
-        ("simd-r4", BackendSel::parse("simd-r4").unwrap().build()),
-        ("simd-r8", BackendSel::SIMD.build()),
-        ("simd-portable", Arc::new(HostSimd::portable(3))),
-        ("threaded-scalar", BackendSel::THREADED_SCALAR.build()),
-        ("threaded-simd", BackendSel::THREADED_SIMD.build()),
-    ];
+    // Every kernel × worker count × every Table-I version × three sizes ×
+    // two batch shapes, all compared bitwise against the plan's own scalar
+    // path on a single buffer.
+    let rows = kernel_rows();
     let runtime = Runtime::with_workers(4);
     for n_log2 in [8u32, 12, 16] {
         let n = 1usize << n_log2;
@@ -63,13 +80,13 @@ fn backends_are_bit_exact_across_versions_sizes_and_batches() {
             let mut want = input.clone();
             plan.execute(&mut want, &runtime);
             let want = bits(&want);
-            for (name, backend) in &backends {
+            for (name, backend, workers) in &rows {
                 let prepared = backend.prepare(&plan);
                 for batch in [1usize, 4] {
                     let mut buffers = vec![input.clone(); batch];
                     let mut views: Vec<&mut [Complex64]> =
                         buffers.iter_mut().map(|b| b.as_mut_slice()).collect();
-                    prepared.execute_batch(&mut views, &runtime);
+                    prepared.execute_batch(&mut views, workers);
                     for (i, buffer) in buffers.iter().enumerate() {
                         assert!(
                             bits(buffer) == want,
@@ -85,26 +102,32 @@ fn backends_are_bit_exact_across_versions_sizes_and_batches() {
 
 #[test]
 fn threaded_stage_barrier_smoke() {
-    // Churn the threaded backend's per-stage barrier under contention:
-    // four workers, batched buffers, repeated dispatches. The point is
-    // less the (also checked) bits than the memory orderings — CI runs
-    // this test under ThreadSanitizer.
+    // Churn the runtime's cross-codelet handoff under contention: four
+    // workers (the caller plus three spawned), batched buffers, repeated
+    // dispatches of the phased (coarse) and dataflow (fine-guided)
+    // schedules. The point is less the (also checked) bits than the memory
+    // orderings — CI runs this test under ThreadSanitizer.
     let n = 1usize << 8;
-    let version = Version::FineGuided;
-    let plan = Arc::new(Plan::build(PlanKey::new(n, version, version.layout())));
-    let prepared = BackendSel::THREADED_SIMD.build().prepare(&plan);
     let runtime = Runtime::with_workers(4);
     let input = signal(n);
-    let mut want = input.clone();
-    plan.execute(&mut want, &runtime);
-    let want = bits(&want);
-    for _ in 0..16 {
-        let mut buffers = vec![input.clone(); 3];
-        let mut views: Vec<&mut [Complex64]> =
-            buffers.iter_mut().map(|b| b.as_mut_slice()).collect();
-        prepared.execute_batch(&mut views, &runtime);
-        for buffer in &buffers {
-            assert!(bits(buffer) == want, "barrier smoke: bitwise drift");
+    for version in [Version::Coarse, Version::FineGuided] {
+        let plan = Arc::new(Plan::build(PlanKey::new(n, version, version.layout())));
+        let prepared = BackendSel::SIMD.build().prepare(&plan);
+        let mut want = input.clone();
+        plan.execute(&mut want, &Runtime::with_workers(1));
+        let want = bits(&want);
+        for _ in 0..16 {
+            let mut buffers = vec![input.clone(); 3];
+            let mut views: Vec<&mut [Complex64]> =
+                buffers.iter_mut().map(|b| b.as_mut_slice()).collect();
+            prepared.execute_batch(&mut views, &runtime);
+            for buffer in &buffers {
+                assert!(
+                    bits(buffer) == want,
+                    "{} dispatch smoke: bitwise drift",
+                    version.name()
+                );
+            }
         }
     }
 }
@@ -147,15 +170,10 @@ fn paper_versions_are_bit_exact_across_workers() {
 fn backends_are_bit_exact_for_composite_kinds() {
     // The composite kinds (r2c/c2r untangle stages, 2D transposes) wrap
     // the same certified inner wave every backend drives, so the bitwise
-    // argument extends unchanged: every backend × R2C and 2D × two sizes
-    // × two batch shapes against the plan's own scalar path.
+    // argument extends unchanged: every kernel × worker count × R2C and 2D
+    // × two sizes × two batch shapes against the plan's own scalar path.
     use fgfft::TransformKind;
-    let backends: Vec<(&str, Arc<dyn Backend>)> = vec![
-        ("scalar", BackendSel::SCALAR.build()),
-        ("simd-r8", BackendSel::SIMD.build()),
-        ("simd-portable", Arc::new(HostSimd::portable(3))),
-        ("threaded-simd", BackendSel::THREADED_SIMD.build()),
-    ];
+    let rows = kernel_rows();
     let cases = [
         (TransformKind::R2C, 10u32),
         (TransformKind::R2C, 14),
@@ -188,13 +206,13 @@ fn backends_are_bit_exact_for_composite_kinds() {
             let mut want = input.clone();
             plan.execute(&mut want, &runtime);
             let want = bits(&want);
-            for (name, backend) in &backends {
+            for (name, backend, workers) in &rows {
                 let prepared = backend.prepare(&plan);
                 for batch in [1usize, 3] {
                     let mut buffers = vec![input.clone(); batch];
                     let mut views: Vec<&mut [Complex64]> =
                         buffers.iter_mut().map(|b| b.as_mut_slice()).collect();
-                    prepared.execute_batch(&mut views, &runtime);
+                    prepared.execute_batch(&mut views, workers);
                     for (i, buffer) in buffers.iter().enumerate() {
                         assert!(
                             bits(buffer) == want,

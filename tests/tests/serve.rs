@@ -422,35 +422,37 @@ fn killed_dispatcher_is_respawned_by_supervisor() {
 fn service_survives_repeated_injected_panics() {
     const FAULTS: u64 = 5;
     let n = 1 << 8;
-    let fault = FaultInjector::panic_on_size(n, FAULTS);
-    let service = FftService::start(ServeConfig {
-        queue_capacity: 32,
-        max_batch: 1, // one request per dispatch: each fault hits one ticket
-        workers: 2,
-        dispatchers: 1,
-        fault: fault.clone(),
-        ..ServeConfig::default()
-    });
-    let mut failed = 0u64;
-    let mut completed = 0u64;
-    for i in 0..(FAULTS + 3) {
-        let outcome = wait_bounded(
-            service
-                .submit(Request::new(signal(n, i as f64)))
-                .expect("admitted"),
-        );
-        match outcome {
-            Ok(_) => completed += 1,
-            Err(ServeError::Internal { .. }) => failed += 1,
-            Err(other) => panic!("unexpected error: {other}"),
+    for workers in [1, 2, 4] {
+        let fault = FaultInjector::panic_on_size(n, FAULTS);
+        let service = FftService::start(ServeConfig {
+            queue_capacity: 32,
+            max_batch: 1, // one request per dispatch: each fault hits one ticket
+            workers,
+            dispatchers: 1,
+            fault: fault.clone(),
+            ..ServeConfig::default()
+        });
+        let mut failed = 0u64;
+        let mut completed = 0u64;
+        for i in 0..(FAULTS + 3) {
+            let outcome = wait_bounded(
+                service
+                    .submit(Request::new(signal(n, i as f64)))
+                    .expect("admitted"),
+            );
+            match outcome {
+                Ok(_) => completed += 1,
+                Err(ServeError::Internal { .. }) => failed += 1,
+                Err(other) => panic!("unexpected error: {other}"),
+            }
         }
+        assert_eq!(fault.fired(), FAULTS, "every configured fault fired");
+        assert_eq!(failed, FAULTS);
+        assert_eq!(completed, 3, "requests after the budget are served");
+        let stats = service.shutdown();
+        assert_eq!(stats.failed, FAULTS);
+        assert_drained(&stats);
     }
-    assert_eq!(fault.fired(), FAULTS, "every configured fault fired");
-    assert_eq!(failed, FAULTS);
-    assert_eq!(completed, 3, "requests after the budget are served");
-    let stats = service.shutdown();
-    assert_eq!(stats.failed, FAULTS);
-    assert_drained(&stats);
 }
 
 /// Multi-dispatcher smoke under adversity: several dispatchers, concurrent
