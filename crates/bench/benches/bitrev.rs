@@ -1,7 +1,8 @@
-//! Criterion: bit-reversal permutation, serial vs parallel — the "first
-//! step" of every algorithm version, and the hash function of Sec. IV-B.
+//! Criterion: bit-reversal permutation, serial vs the plan's parallel
+//! swap-table path — the "first step" of every algorithm version, and the
+//! hash function of Sec. IV-B.
 
-use fgfft::bitrev::{bit_reverse, bit_reverse_permute, bit_reverse_permute_parallel};
+use fgfft::bitrev::{apply_swaps_parallel, bit_reverse, bit_reverse_permute, bit_reverse_swaps};
 use fgfft::Complex64;
 use fgsupport::bench::{BenchmarkId, Criterion, Throughput};
 use fgsupport::{criterion_group, criterion_main};
@@ -12,6 +13,7 @@ fn bench_permutation(c: &mut Criterion) {
         let n = 1usize << n_log2;
         group.throughput(Throughput::Elements(n as u64));
         let data: Vec<Complex64> = (0..n).map(|i| Complex64::new(i as f64, 0.0)).collect();
+        let swaps = bit_reverse_swaps(n);
         group.bench_with_input(BenchmarkId::new("serial", n_log2), &n_log2, |b, _| {
             let mut work = data.clone();
             b.iter(|| bit_reverse_permute(&mut work));
@@ -22,7 +24,7 @@ fn bench_permutation(c: &mut Criterion) {
                 &n_log2,
                 |b, _| {
                     let mut work = data.clone();
-                    b.iter(|| bit_reverse_permute_parallel(&mut work, workers));
+                    b.iter(|| apply_swaps_parallel(&mut work, &swaps, workers));
                 },
             );
         }

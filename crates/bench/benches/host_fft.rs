@@ -1,12 +1,12 @@
 //! Criterion: host wall-clock of the five algorithm versions on one input
-//! size, plus a plain fork-join baseline for the coarse-grain (barrier)
-//! model — scoped threads joined once per stage, the canonical embodiment
-//! of the coarse fork-join style the paper's baseline uses.
+//! size, each running its cached plan on the codelet runtime, plus a
+//! runtime-free floor: the same plan's codelets fired stage by stage on the
+//! calling thread. The gap between the floor and a version is what its
+//! schedule and dispatch cost on this host.
 
-use fgfft::exec::shared::{execute_codelet_shared, SharedData};
-use fgfft::{
-    fft_in_place, Complex64, ExecConfig, FftPlan, SeedOrder, TwiddleLayout, TwiddleTable, Version,
-};
+use codelet::runtime::Runtime;
+use fgfft::exec::shared::SharedData;
+use fgfft::{Complex64, Plan, PlanKey, SeedOrder, Version};
 use fgsupport::bench::{BenchmarkId, Criterion, Throughput};
 use fgsupport::{criterion_group, criterion_main};
 
@@ -18,29 +18,17 @@ fn signal(n: usize) -> Vec<Complex64> {
         .collect()
 }
 
-/// Coarse-grain fork-join FFT: spawn scoped threads per stage, each taking
-/// a contiguous slice of the stage's codelets; the scope join is the barrier.
-fn fork_join_coarse_fft(data: &mut [Complex64], plan: &FftPlan, tw: &TwiddleTable) {
-    fgfft::bitrev::bit_reverse_permute(data);
+/// Every codelet of `plan` in stage order on the calling thread: no
+/// runtime, no counters, no pool.
+fn stage_order_fft(data: &mut [Complex64], plan: &Plan) {
+    for &(a, b) in plan.bitrev_swaps() {
+        data.swap(a as usize, b as usize);
+    }
     let view = SharedData::new(data);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let cps = plan.codelets_per_stage();
-    let chunk = cps.div_ceil(threads);
-    for stage in 0..plan.stages() {
-        std::thread::scope(|s| {
-            for start in (0..cps).step_by(chunk) {
-                let view = &view;
-                s.spawn(move || {
-                    for idx in start..(start + chunk).min(cps) {
-                        // SAFETY: codelets of one stage own disjoint
-                        // elements; the scope join is the barrier.
-                        unsafe { execute_codelet_shared(plan, tw, view, stage, idx) };
-                    }
-                });
-            }
-        });
+    for id in 0..plan.fft_plan().total_codelets() {
+        // SAFETY: one thread, ids in stage order: every parent of `id` has
+        // completed on this thread before it runs.
+        unsafe { plan.run_codelet(&view, id) };
     }
 }
 
@@ -52,7 +40,11 @@ fn bench_versions(c: &mut Criterion) {
     group.throughput(Throughput::Elements(flops));
     group.sample_size(20);
 
-    let cfg = ExecConfig::default();
+    let runtime = Runtime::with_workers(
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    );
     for version in [
         Version::Coarse,
         Version::CoarseHash,
@@ -60,25 +52,25 @@ fn bench_versions(c: &mut Criterion) {
         Version::FineHash(SeedOrder::Natural),
         Version::FineGuided,
     ] {
+        let plan = Plan::build(PlanKey::new(n, version, version.layout()));
         group.bench_with_input(
             BenchmarkId::new("codelet", version.name()),
             &version,
-            |b, &v| {
+            |b, _| {
                 b.iter_batched(
                     || input.clone(),
-                    |mut data| fft_in_place(&mut data, v, &cfg),
+                    |mut data| plan.execute(&mut data, &runtime),
                     fgsupport::bench::BatchSize::LargeInput,
                 );
             },
         );
     }
 
-    let plan = FftPlan::new(N_LOG2, 6);
-    let tw = TwiddleTable::new(N_LOG2, TwiddleLayout::Linear);
-    group.bench_function("fork-join coarse baseline", |b| {
+    let plan = Plan::build(PlanKey::new(n, Version::Coarse, Version::Coarse.layout()));
+    group.bench_function("stage-order floor (no runtime)", |b| {
         b.iter_batched(
             || input.clone(),
-            |mut data| fork_join_coarse_fft(&mut data, &plan, &tw),
+            |mut data| stage_order_fft(&mut data, &plan),
             fgsupport::bench::BatchSize::LargeInput,
         );
     });

@@ -1,9 +1,7 @@
 //! Criterion: the high-level transform surfaces — real-input FFT vs
-//! promoting to complex, 2-D FFT, and the Stockham baseline vs the codelet
-//! FFT.
+//! promoting to complex, and the 2-D FFT.
 
-use fgfft::stockham::stockham_fft;
-use fgfft::{Complex64, Fft, Fft2d};
+use fgfft::{Complex64, Fft2d};
 use fgsupport::bench::{BenchmarkId, Criterion, Throughput};
 use fgsupport::{criterion_group, criterion_main};
 
@@ -50,39 +48,5 @@ fn bench_fft2d(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_stockham_vs_codelet(c: &mut Criterion) {
-    let n = 1usize << 14;
-    let data: Vec<Complex64> = (0..n)
-        .map(|i| Complex64::new((i as f64 * 0.19).sin(), (i as f64 * 0.07).cos()))
-        .collect();
-    let mut group = c.benchmark_group("fft_baselines_2e14");
-    group.sample_size(30);
-    group.throughput(Throughput::Elements(n as u64));
-    group.bench_function("stockham (serial, out-of-place)", |b| {
-        b.iter_batched(
-            || data.clone(),
-            stockham_fft,
-            fgsupport::bench::BatchSize::LargeInput,
-        );
-    });
-    let engine = Fft::new().with_workers(1);
-    group.bench_function("codelet (1 worker, in-place)", |b| {
-        b.iter_batched(
-            || data.clone(),
-            |mut d| {
-                engine.forward(&mut d);
-                d
-            },
-            fgsupport::bench::BatchSize::LargeInput,
-        );
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_rfft_vs_complex,
-    bench_fft2d,
-    bench_stockham_vs_codelet
-);
+criterion_group!(benches, bench_rfft_vs_complex, bench_fft2d);
 criterion_main!(benches);

@@ -7,7 +7,8 @@
 //!
 //! This ablation runs on the **host** (the overhead being ablated is real
 //! synchronization work, which the machine simulator does not charge for),
-//! executing the actual FFT with both counter schemes.
+//! executing the actual FFT — a plan's own tables through
+//! [`fgfft::Plan::run_codelet`] — with both counter schemes.
 //!
 //! Usage: `ablation_counters [--full] [--json PATH] [n_log2=20] [workers=8] [reps=5]`
 
@@ -15,9 +16,9 @@ use codelet::graph::{CodeletProgram, WithoutSharedGroups};
 use codelet::pool::PoolDiscipline;
 use codelet::runtime::{Runtime, RuntimeConfig};
 use fft_repro::{Cli, Figure, Series};
-use fgfft::exec::shared::{execute_codelet_shared, SharedData};
+use fgfft::exec::shared::SharedData;
 use fgfft::graph::FftGraph;
-use fgfft::{Complex64, FftPlan, TwiddleLayout, TwiddleTable};
+use fgfft::{Complex64, Plan, PlanKey, TwiddleLayout, Version};
 use std::time::Instant;
 
 fn main() {
@@ -35,11 +36,18 @@ fn main() {
     );
     let reps: usize = cli.get("reps", 5);
 
-    let plan = FftPlan::new(n_log2, radix_log2);
-    let twiddles = TwiddleTable::new(n_log2, TwiddleLayout::Linear);
-    let graph = FftGraph::new(plan);
+    // The harness supplies its own fine-grain graph below, so the plan's
+    // schedule is the cheap coarse one; its tables are version-independent.
+    let plan = Plan::build(PlanKey::with_radix(
+        1 << n_log2,
+        Version::Coarse,
+        TwiddleLayout::Linear,
+        radix_log2,
+    ));
+    let fft = *plan.fft_plan();
+    let graph = FftGraph::new(fft);
     let runtime = Runtime::new(RuntimeConfig::with_workers(workers));
-    let n = plan.n();
+    let n = fft.n();
 
     let mut fig = Figure::new(
         "ablation-counters",
@@ -52,7 +60,7 @@ fn main() {
     fig.note("workers", workers);
     fig.note(
         "signals_per_completion",
-        format!("shared: 1, private: {}", plan.radix()),
+        format!("shared: 1, private: {}", fft.radix()),
     );
 
     let mut signal: Vec<Complex64> = (0..n)
@@ -66,9 +74,9 @@ fn main() {
             let mut data = signal.clone();
             fgfft::bitrev::bit_reverse_permute(&mut data);
             let view = SharedData::new(&mut data);
-            let body = |id: usize| unsafe {
-                execute_codelet_shared(&plan, &twiddles, &view, plan.stage_of(id), plan.idx_of(id));
-            };
+            // SAFETY: the runtime fires `id` only after its parents, under
+            // either counter scheme.
+            let body = |id: usize| unsafe { plan.run_codelet(&view, id) };
             let seeds = graph.stage0_ids();
             let start = Instant::now();
             if use_shared {
@@ -95,7 +103,7 @@ fn main() {
     let mut private_signals: u64 = 0;
     let mut shared_signals: u64 = 0;
     let mut groups_seen = Vec::new();
-    for id in 0..plan.total_codelets() {
+    for id in 0..fft.total_codelets() {
         kids.clear();
         graph.dependents(id, &mut kids);
         private_signals += kids.len() as u64;
@@ -112,9 +120,9 @@ fn main() {
         }
         shared_signals += groups_seen.len() as u64;
     }
-    let private_slots = plan.total_codelets() as u64;
-    let shared_slots = plan.num_shared_groups() as u64
-        + (plan.total_codelets() - plan.num_shared_groups() * plan.radix()) as u64;
+    let private_slots = fft.total_codelets() as u64;
+    let shared_slots = fft.num_shared_groups() as u64
+        + (fft.total_codelets() - fft.num_shared_groups() * fft.radix()) as u64;
 
     cli.finish(&fig);
     println!(

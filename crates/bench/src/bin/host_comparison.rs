@@ -6,10 +6,16 @@
 //! identical, fine-grain versions avoid barrier stalls, and throughput
 //! scales with cores.
 //!
+//! Every rep builds its plan and runs it once (`Plan::build(key).execute`),
+//! so each point is the uncached plan-per-call cost: twiddle derivation,
+//! bit-reversal table, schedule and table materialization, then the
+//! transform.
+//!
 //! Usage: `host_comparison [--full] [--json PATH] [workers=N] [reps=3]`
 
+use codelet::runtime::Runtime;
 use fft_repro::{Cli, Figure, Series};
-use fgfft::{fft_in_place, Complex64, ExecConfig, SeedOrder, Version};
+use fgfft::{Complex64, Plan, PlanKey, SeedOrder, Version};
 use std::time::Instant;
 
 fn main() {
@@ -47,16 +53,14 @@ fn main() {
             .map(|i| Complex64::new((i as f64 * 0.17).sin(), (i as f64 * 0.05).cos()))
             .collect();
         let flops = 5.0 * n as f64 * n_log2 as f64;
+        let runtime = Runtime::with_workers(workers);
         for ((_, version), s) in versions.iter().zip(&mut series) {
-            let cfg = ExecConfig {
-                workers,
-                radix_log2: 6,
-            };
+            let key = PlanKey::new(n, *version, version.layout());
             let mut best = f64::INFINITY;
             for _ in 0..reps {
                 let mut data = input.clone();
                 let start = Instant::now();
-                fft_in_place(&mut data, *version, &cfg);
+                Plan::build(key).execute(&mut data, &runtime);
                 best = best.min(start.elapsed().as_secs_f64());
             }
             s.push(n_log2 as f64, flops / best / 1e9);

@@ -1,6 +1,7 @@
 //! Host schedule visualization: run the coarse and fine FFT schedules on
 //! this machine with span tracing and render worker Gantt charts — the
 //! host-side view of what barrier stalls look like vs dataflow execution.
+//! Each span is one [`fgfft::Plan::run_codelet`] over the plan's tables.
 //!
 //! Usage: `host_schedule_trace [n_log2=16] [workers=4]`
 
@@ -8,21 +9,26 @@ use codelet::pool::PoolDiscipline;
 use codelet::runtime::{Runtime, RuntimeConfig};
 use codelet::trace::SpanRecorder;
 use fft_repro::Cli;
-use fgfft::exec::shared::{execute_codelet_shared, SharedData};
+use fgfft::exec::shared::SharedData;
 use fgfft::graph::FftGraph;
-use fgfft::{Complex64, FftPlan, TwiddleLayout, TwiddleTable};
+use fgfft::{Complex64, Plan, PlanKey, TwiddleLayout, Version};
 
 fn main() {
     let cli = Cli::parse();
     let n_log2: u32 = cli.get("n_log2", 16);
     let workers: usize = cli.get("workers", 4);
-    let plan = FftPlan::new(n_log2, 6);
-    let twiddles = TwiddleTable::new(n_log2, TwiddleLayout::Linear);
+    // Both schedules below are built here; the plan supplies the tables.
+    let plan = Plan::build(PlanKey::new(
+        1 << n_log2,
+        Version::Coarse,
+        TwiddleLayout::Linear,
+    ));
+    let fft = *plan.fft_plan();
     let runtime = Runtime::new(RuntimeConfig::with_workers(workers));
-    let graph = FftGraph::new(plan);
+    let graph = FftGraph::new(fft);
 
     let make_data = || -> Vec<Complex64> {
-        let mut d: Vec<Complex64> = (0..plan.n())
+        let mut d: Vec<Complex64> = (0..fft.n())
             .map(|i| Complex64::new((i as f64 * 0.3).sin(), 0.0))
             .collect();
         fgfft::bitrev::bit_reverse_permute(&mut d);
@@ -31,8 +37,8 @@ fn main() {
 
     println!(
         "N = 2^{n_log2}: {} codelets x {} stages on {workers} workers\n",
-        plan.codelets_per_stage(),
-        plan.stages()
+        fft.codelets_per_stage(),
+        fft.stages()
     );
 
     // Coarse: one barrier per stage.
@@ -40,15 +46,14 @@ fn main() {
         let mut data = make_data();
         let view = SharedData::new(&mut data);
         let rec = SpanRecorder::new();
-        let cps = plan.codelets_per_stage();
-        let phases: Vec<Vec<usize>> = (0..plan.stages())
+        let cps = fft.codelets_per_stage();
+        let phases: Vec<Vec<usize>> = (0..fft.stages())
             .map(|s| (s * cps..(s + 1) * cps).collect())
             .collect();
         runtime.run_phased(
             &phases,
-            rec.wrap(|id| unsafe {
-                execute_codelet_shared(&plan, &twiddles, &view, plan.stage_of(id), plan.idx_of(id))
-            }),
+            // SAFETY: the runtime fires `id` only after its parents.
+            rec.wrap(|id| unsafe { plan.run_codelet(&view, id) }),
         );
         let trace = rec.finish();
         println!(
@@ -67,9 +72,8 @@ fn main() {
         runtime.run(
             &graph,
             PoolDiscipline::Lifo,
-            rec.wrap(|id| unsafe {
-                execute_codelet_shared(&plan, &twiddles, &view, plan.stage_of(id), plan.idx_of(id))
-            }),
+            // SAFETY: the runtime fires `id` only after its parents.
+            rec.wrap(|id| unsafe { plan.run_codelet(&view, id) }),
         );
         let trace = rec.finish();
         println!(

@@ -3,10 +3,10 @@
 //! Two phases over the same offered load (same transform size, same number
 //! of closed-loop clients, same worker budget):
 //!
-//! * **cold** — every request plans from scratch: the per-call
-//!   `fft_in_place` path (twiddle derivation, bit-reversal table, schedule
-//!   materialization per request). This is what serving without a plan
-//!   cache costs.
+//! * **cold** — every request plans from scratch: `Plan::build(key)
+//!   .execute(..)` per request (twiddle derivation, bit-reversal table,
+//!   schedule and table materialization, then the transform). This is what
+//!   serving without a plan cache costs.
 //! * **warm** — requests go through an [`FftService`]: wisdom-style plan
 //!   cache (one build per size, then hits), same-size batching, bounded
 //!   queue.
@@ -38,8 +38,8 @@
 //! `results/wire_latency.json` with the `wire_p50 / inproc_p50` ratio
 //! (target ≤ 1.5×).
 
-use fgfft::exec::{fft_in_place, ExecConfig, Version};
-use fgfft::Complex64;
+use codelet::runtime::Runtime;
+use fgfft::{Complex64, Plan, PlanKey, Version};
 use fgserve::{
     ClusterConfig, ClusterStats, FftCluster, FftService, QosConfig, Request, ServeConfig,
     ServeError, ServeStats, TenantId, Ticket,
@@ -57,8 +57,9 @@ fn signal(n: usize, phase: f64) -> Vec<Complex64> {
         .collect()
 }
 
-/// Closed-loop cold phase: each client repeatedly transforms its buffer via
-/// the uncached per-request-planning path. Returns requests completed.
+/// Closed-loop cold phase: each client repeatedly builds the plan and
+/// transforms its buffer with it, once per request. Returns requests
+/// completed.
 fn run_cold(n_log2: u32, clients: usize, workers: usize, duration: Duration) -> u64 {
     let n = 1usize << n_log2;
     let done = Arc::new(AtomicBool::new(false));
@@ -71,14 +72,13 @@ fn run_cold(n_log2: u32, clients: usize, workers: usize, duration: Duration) -> 
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let input = signal(n, c as f64);
-                let cfg = ExecConfig {
-                    workers,
-                    radix_log2: 6,
-                };
+                let version = Version::FineGuided;
+                let key = PlanKey::new(n, version, version.layout());
+                let runtime = Runtime::with_workers(workers);
                 barrier.wait();
                 while !done.load(Ordering::Relaxed) {
                     let mut data = input.clone();
-                    fft_in_place(&mut data, Version::FineGuided, &cfg);
+                    Plan::build(key).execute(&mut data, &runtime);
                     std::hint::black_box(&data);
                     count.fetch_add(1, Ordering::Relaxed);
                 }

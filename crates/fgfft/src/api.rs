@@ -1,8 +1,8 @@
 //! High-level user-facing API: forward/inverse transforms, spectra, and
-//! FFT-based convolution, built on the codelet executors.
+//! FFT-based convolution, built on cached plans.
 
 use crate::complex::Complex64;
-use crate::exec::{ExecConfig, ExecStats, Version};
+use crate::exec::{ExecStats, Version};
 use crate::planner::{PlanKey, Planner};
 use codelet::runtime::Runtime;
 use std::sync::Arc;
@@ -29,7 +29,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Fft {
     version: Version,
-    config: ExecConfig,
+    workers: usize,
+    radix_log2: u32,
     planner: Arc<Planner>,
 }
 
@@ -45,7 +46,8 @@ impl Fft {
     pub fn new() -> Self {
         Self {
             version: Version::FineGuided,
-            config: ExecConfig::default(),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            radix_log2: 6,
             planner: Planner::shared(),
         }
     }
@@ -58,13 +60,13 @@ impl Fft {
 
     /// Select a worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers.max(1);
+        self.workers = workers.max(1);
         self
     }
 
     /// Select the codelet radix (log2 of points per codelet, 1..=7).
     pub fn with_radix_log2(mut self, radix_log2: u32) -> Self {
-        self.config.radix_log2 = radix_log2;
+        self.radix_log2 = radix_log2;
         self
     }
 
@@ -97,13 +99,13 @@ impl Fft {
             n,
             self.version,
             self.version.layout(),
-            self.config.radix_log2,
+            self.radix_log2,
         ))
     }
 
     /// A runtime sized to this engine's worker count.
     pub(crate) fn runtime(&self) -> Runtime {
-        Runtime::with_workers(self.config.workers)
+        Runtime::with_workers(self.workers)
     }
 
     /// In-place forward transform. Length must be a power of two ≥ 2.
@@ -112,11 +114,9 @@ impl Fft {
             data.len(),
             self.version,
             self.version.layout(),
-            self.config.radix_log2,
+            self.radix_log2,
         );
-        self.planner
-            .plan_key(key)
-            .execute(data, &Runtime::with_workers(self.config.workers))
+        self.planner.plan_key(key).execute(data, &self.runtime())
     }
 
     /// In-place inverse transform (normalized by 1/N), via the conjugation

@@ -31,50 +31,6 @@ pub fn bit_reverse_permute<T>(data: &mut [T]) {
     }
 }
 
-/// Parallel in-place bit-reversal permutation, as the paper's
-/// "`Bit_reversal(D)` in parallel" first step.
-///
-/// Index range is partitioned into contiguous chunks; the worker owning the
-/// chunk of `i` performs the `(i, rev(i))` swap iff `i < rev(i)`, so every
-/// pair is swapped by exactly one worker and no element is touched twice —
-/// which is what makes the disjoint `&mut` access below sound.
-pub fn bit_reverse_permute_parallel(data: &mut [Complex64], workers: usize) {
-    let n = data.len();
-    if n <= 2 || workers <= 1 {
-        bit_reverse_permute(data);
-        return;
-    }
-    assert!(n.is_power_of_two(), "length must be a power of two");
-    let bits = n.trailing_zeros();
-    let workers = workers.min(n);
-    let chunk = n.div_ceil(workers);
-    let shared = SharedComplexSlice::new(data);
-    thread::scope(|scope| {
-        for w in 0..workers {
-            let shared = &shared;
-            scope.spawn(move || {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                for i in lo..hi {
-                    let j = bit_reverse(i, bits);
-                    if i < j {
-                        // SAFETY: the (i, j) pair with i < j is visited by
-                        // exactly one worker (the owner of i's chunk); the
-                        // mirrored pair (j, i) is skipped by the j-chunk
-                        // owner because rev(j) = i < j. Hence exclusive
-                        // access to both elements.
-                        unsafe {
-                            let a = shared.get(i);
-                            let b = shared.get(j);
-                            std::ptr::swap(a, b);
-                        }
-                    }
-                }
-            });
-        }
-    });
-}
-
 /// Precompute the transposition list of the bit-reversal permutation of a
 /// power-of-two length `n`: every pair `(i, rev(i))` with `i < rev(i)`,
 /// in ascending `i`. Applying the swaps (in any order — they are disjoint)
@@ -104,8 +60,9 @@ pub fn apply_swaps<T>(data: &mut [T], swaps: &[(u32, u32)]) {
     }
 }
 
-/// Apply a precomputed transposition list with `workers` workers, the
-/// calling thread being worker 0 (it takes the first chunk; one thread is
+/// Apply a precomputed transposition list with `workers` workers — the
+/// paper's "`Bit_reversal(D)` in parallel" first step — the calling thread
+/// being worker 0 (it takes the first chunk; one thread is
 /// spawned per remaining chunk). Sound for any list of pairwise-disjoint
 /// transpositions (which [`bit_reverse_swaps`] produces): partitioning the
 /// *list* partitions the touched elements, so no two workers access the
@@ -137,7 +94,7 @@ pub fn apply_swaps_parallel(data: &mut [Complex64], swaps: &[(u32, u32)], worker
     });
 }
 
-/// Minimal shared-mutable slice used by the parallel permutation. The
+/// Minimal shared-mutable slice used by the parallel swap application. The
 /// invariant (each index touched by exactly one worker) is established by
 /// the caller.
 struct SharedComplexSlice {
@@ -264,19 +221,21 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
+        // The plan's parallel path against the direct permutation, on
+        // sizes both below and above the parallel cut-off.
         for log_n in [2u32, 6, 10, 13] {
             let n = 1usize << log_n;
             let mut serial: Vec<Complex64> = (0..n)
                 .map(|i| Complex64::new(i as f64, -(i as f64)))
                 .collect();
-            let mut parallel = serial.clone();
+            let input = serial.clone();
             bit_reverse_permute(&mut serial);
+            let swaps = bit_reverse_swaps(n);
             for workers in [1, 2, 3, 8] {
-                let mut p = parallel.clone();
-                bit_reverse_permute_parallel(&mut p, workers);
+                let mut p = input.clone();
+                apply_swaps_parallel(&mut p, &swaps, workers);
                 assert_eq!(p, serial, "log_n={log_n} workers={workers}");
             }
-            parallel.clear();
         }
     }
 }

@@ -1,5 +1,7 @@
-//! Host-parallel FFT executors: the paper's five algorithm versions running
-//! natively on the machine you are on, through the `codelet` runtime.
+//! Execution vocabulary shared by every plan: the paper's five algorithm
+//! versions, the pool seed orders, what one execution did, and the shared
+//! data view the codelets run over. A [`crate::Plan`] is what actually runs
+//! a transform, through the `codelet` runtime.
 //!
 //! | version | synchronization | twiddle layout |
 //! |---------|-----------------|----------------|
@@ -17,9 +19,6 @@
 
 pub mod shared;
 
-use crate::complex::Complex64;
-use crate::planner::{Plan, PlanKey};
-use codelet::runtime::Runtime;
 use codelet::stats::RunStats;
 use std::time::Duration;
 
@@ -27,36 +26,6 @@ use std::time::Duration;
 // layer (the single authority for the decomposition) and re-exported here,
 // where they have always been part of the executor API.
 pub use crate::workload::{SeedOrder, Version};
-
-/// Executor configuration.
-#[derive(Debug, Clone)]
-pub struct ExecConfig {
-    /// Worker threads.
-    pub workers: usize,
-    /// Codelet radix exponent (6 = the paper's 64-point codelets).
-    pub radix_log2: u32,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        Self {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            radix_log2: 6,
-        }
-    }
-}
-
-impl ExecConfig {
-    /// Config with an explicit worker count.
-    pub fn with_workers(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-            ..Self::default()
-        }
-    }
-}
 
 /// What one execution did (beyond transforming the data).
 #[derive(Debug, Clone, Default)]
@@ -71,29 +40,34 @@ pub struct ExecStats {
     pub codelets: u64,
 }
 
-/// Compute the in-place forward FFT of `data` (length must be a power of
-/// two ≥ 2) with the chosen algorithm version.
-///
-/// This is the *uncached* path: the full [`Plan`] (twiddles, bit-reversal
-/// swaps, materialized schedule) is derived per call and dropped afterwards.
-/// Callers transforming the same size repeatedly should hold a
-/// [`crate::planner::Planner`] (or a [`crate::Fft`] engine, which embeds one)
-/// and amortize that derivation.
-pub fn fft_in_place(data: &mut [Complex64], version: Version, config: &ExecConfig) -> ExecStats {
-    let key = PlanKey::with_radix(data.len(), version, version.layout(), config.radix_log2);
-    Plan::build(key).execute(data, &Runtime::with_workers(config.workers))
+impl ExecStats {
+    /// Fold the counts and phases of a later execution into this one (the
+    /// elapsed time is the caller's to set).
+    pub(crate) fn merge(&mut self, other: ExecStats) {
+        self.codelets += other.codelets;
+        self.barriers += other.barriers;
+        self.phases.extend(other.phases);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::rms_error;
+    use crate::complex::{rms_error, Complex64};
+    use crate::planner::{Plan, PlanKey};
     use crate::reference::recursive_fft;
+    use codelet::runtime::Runtime;
 
     fn signal(n: usize) -> Vec<Complex64> {
         (0..n)
             .map(|i| Complex64::new((i as f64 * 0.37).sin(), (i as f64 * 0.23).cos() * 0.5))
             .collect()
+    }
+
+    /// One transform through a freshly built plan for `version`.
+    fn run(data: &mut [Complex64], version: Version, radix_log2: u32, workers: usize) -> ExecStats {
+        let key = PlanKey::with_radix(data.len(), version, version.layout(), radix_log2);
+        Plan::build(key).execute(data, &Runtime::with_workers(workers))
     }
 
     fn all_versions() -> Vec<Version> {
@@ -116,11 +90,7 @@ mod tests {
         for version in all_versions() {
             for workers in [1, 4] {
                 let mut data = input.clone();
-                let cfg = ExecConfig {
-                    workers,
-                    radix_log2: 6,
-                };
-                let stats = fft_in_place(&mut data, version, &cfg);
+                let stats = run(&mut data, version, 6, workers);
                 assert_eq!(stats.codelets, 3 * (n as u64 / 64));
                 let err = rms_error(&data, &expect);
                 assert!(
@@ -138,32 +108,25 @@ mod tests {
         // not merely close ones — the DAG fixes the arithmetic.
         let n = 1 << 12;
         let input = signal(n);
-        let cfg = ExecConfig {
-            workers: 4,
-            radix_log2: 6,
-        };
         let mut baseline = input.clone();
-        fft_in_place(&mut baseline, Version::Coarse, &cfg);
+        run(&mut baseline, Version::Coarse, 6, 4);
         for version in all_versions() {
             let mut data = input.clone();
-            fft_in_place(&mut data, version, &cfg);
+            run(&mut data, version, 6, 4);
             assert_eq!(data, baseline, "{}", version.name());
         }
     }
 
     #[test]
     fn coarse_uses_one_barrier_per_stage() {
-        let n = 1 << 13;
-        let mut data = signal(n);
-        let stats = fft_in_place(&mut data, Version::Coarse, &ExecConfig::with_workers(2));
-        assert_eq!(stats.barriers, 3);
+        let mut data = signal(1 << 13);
+        assert_eq!(run(&mut data, Version::Coarse, 6, 2).barriers, 3);
     }
 
     #[test]
     fn guided_runs_two_phases() {
-        let n = 1 << 13;
-        let mut data = signal(n);
-        let stats = fft_in_place(&mut data, Version::FineGuided, &ExecConfig::with_workers(2));
+        let mut data = signal(1 << 13);
+        let stats = run(&mut data, Version::FineGuided, 6, 2);
         assert_eq!(stats.phases.len(), 2);
         assert_eq!(stats.barriers, 1);
         assert_eq!(
@@ -175,27 +138,21 @@ mod tests {
 
     #[test]
     fn guided_falls_back_for_small_transforms() {
-        let n = 1 << 7; // 2 stages at radix 64
-        let input = signal(n);
+        let input = signal(1 << 7); // 2 stages at radix 64
         let expect = recursive_fft(&input);
         let mut data = input;
-        let stats = fft_in_place(&mut data, Version::FineGuided, &ExecConfig::with_workers(2));
+        let stats = run(&mut data, Version::FineGuided, 6, 2);
         assert_eq!(stats.phases.len(), 1);
         assert!(rms_error(&data, &expect) < 1e-10);
     }
 
     #[test]
     fn small_radix_works() {
-        let n = 1 << 10;
-        let input = signal(n);
+        let input = signal(1 << 10);
         let expect = recursive_fft(&input);
         for radix_log2 in [1u32, 3, 5] {
             let mut data = input.clone();
-            let cfg = ExecConfig {
-                workers: 3,
-                radix_log2,
-            };
-            fft_in_place(&mut data, Version::Fine(SeedOrder::Natural), &cfg);
+            run(&mut data, Version::Fine(SeedOrder::Natural), radix_log2, 3);
             assert!(rms_error(&data, &expect) < 1e-9, "radix 2^{radix_log2}");
         }
     }
@@ -205,15 +162,14 @@ mod tests {
         let input = signal(2);
         let expect = recursive_fft(&input);
         let mut data = input;
-        fft_in_place(&mut data, Version::Coarse, &ExecConfig::with_workers(2));
+        run(&mut data, Version::Coarse, 6, 2);
         assert!(rms_error(&data, &expect) < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
-        let mut data = signal(12);
-        fft_in_place(&mut data, Version::Coarse, &ExecConfig::default());
+        run(&mut signal(12), Version::Coarse, 6, 1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A shared-mutable view of the data array for dataflow-disciplined access.
 //!
-//! The FFT executors run codelets from many threads over one `&mut
+//! A plan's dispatch runs codelets from many threads over one `&mut
 //! [Complex64]`. Rust cannot see that the dataflow discipline makes those
-//! accesses exclusive, so the executors go through this raw view. The
+//! accesses exclusive, so every codelet goes through this raw view. The
 //! safety argument, once, in full:
 //!
 //! * Within one stage, codelets own **disjoint** element sets (the plan's
@@ -22,8 +22,7 @@
 
 use crate::complex::Complex64;
 use crate::kernel;
-use crate::plan::{FftPlan, MAX_RADIX_LOG2};
-use crate::twiddle::TwiddleTable;
+use crate::plan::MAX_RADIX_LOG2;
 use std::marker::PhantomData;
 
 /// Raw shared view over the FFT data array. See the module docs for the
@@ -81,38 +80,9 @@ impl<'a> SharedData<'a> {
     }
 }
 
-/// Execute one codelet against the shared view: gather → compute → scatter.
-///
-/// # Safety
-/// The caller must uphold the dataflow discipline of the module docs for
-/// the elements of codelet `(stage, idx)` — i.e. all parents have completed
-/// (with proper synchronization edges) and no concurrent codelet shares any
-/// element.
-pub unsafe fn execute_codelet_shared(
-    plan: &FftPlan,
-    twiddles: &TwiddleTable,
-    data: &SharedData<'_>,
-    stage: usize,
-    idx: usize,
-) {
-    debug_assert_eq!(data.len(), plan.n());
-    let mut buf = [Complex64::ZERO; 1 << MAX_RADIX_LOG2];
-    plan.for_each_element(stage, idx, |slot, e| {
-        // SAFETY: per the function contract, this codelet has exclusive
-        // access to its elements.
-        buf[slot] = unsafe { data.read(e) };
-    });
-    kernel::compute_in_buffer(plan, twiddles, &mut buf, stage, idx);
-    plan.for_each_element(stage, idx, |slot, e| {
-        // SAFETY: as above.
-        unsafe { data.write(e, buf[slot]) };
-    });
-}
-
 /// Execute one codelet from *precomputed* plan tables: gather through a flat
 /// element-index slice, replay the stage's butterfly pattern against a
-/// per-codelet twiddle run, scatter back. Bitwise-identical to
-/// [`execute_codelet_shared`], but with zero per-call index algebra — the
+/// per-codelet twiddle run, scatter back. No per-call index algebra: the
 /// tables are materialized once at plan-build time (see
 /// [`crate::planner::Plan`]).
 ///
@@ -122,9 +92,10 @@ pub unsafe fn execute_codelet_shared(
 /// twiddles.len()`).
 ///
 /// # Safety
-/// Same contract as [`execute_codelet_shared`]: the caller upholds the
-/// dataflow discipline for the elements listed in `gather`, and every index
-/// in `gather` is within `data`.
+/// The caller upholds the dataflow discipline of the module docs for the
+/// elements listed in `gather` — all parents of the codelet have completed
+/// (with proper synchronization edges) and no concurrent codelet shares any
+/// element — and every index in `gather` is within `data`.
 pub unsafe fn execute_codelet_tabled(
     gather: &[u32],
     pairs: &[(u32, u32)],
@@ -153,7 +124,8 @@ pub unsafe fn execute_codelet_tabled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::rms_error;
+    use crate::exec::Version;
+    use crate::planner::{Plan, PlanKey};
     use crate::twiddle::TwiddleLayout;
 
     #[test]
@@ -171,22 +143,35 @@ mod tests {
 
     #[test]
     fn shared_codelet_matches_safe_kernel() {
-        let plan = FftPlan::new(9, 6);
-        let tw = TwiddleTable::new(9, TwiddleLayout::Linear);
+        // The flattened tables streamed through the shared view compute
+        // bitwise what the index-algebra kernel computes on a safe slice.
+        let plan = Plan::build(PlanKey::new(512, Version::Coarse, TwiddleLayout::Linear));
+        let (fft, tw) = (plan.fft_plan(), plan.twiddles());
+        let table = plan.stage_table(0);
+        let (radix, run) = (fft.radix(), table.pairs.len());
         let input: Vec<Complex64> = (0..512)
             .map(|i| Complex64::new((i as f64 * 0.3).sin(), (i as f64 * 0.11).cos()))
             .collect();
         let mut a = input.clone();
         let mut b = input;
-        for idx in 0..plan.codelets_per_stage() {
-            kernel::execute_codelet(&plan, &tw, &mut a, 0, idx);
+        for idx in 0..fft.codelets_per_stage() {
+            kernel::execute_codelet(fft, tw, &mut a, 0, idx);
         }
         {
             let view = SharedData::new(&mut b);
-            for idx in 0..plan.codelets_per_stage() {
-                unsafe { execute_codelet_shared(&plan, &tw, &view, 0, idx) };
+            for idx in 0..fft.codelets_per_stage() {
+                // SAFETY: one thread, stage 0 only: no codelet has parents
+                // and none runs concurrently with another.
+                unsafe {
+                    execute_codelet_tabled(
+                        &table.gather[idx * radix..(idx + 1) * radix],
+                        table.pairs,
+                        &table.twiddles[idx * run..(idx + 1) * run],
+                        &view,
+                    )
+                };
             }
         }
-        assert!(rms_error(&a, &b) < 1e-15);
+        assert_eq!(a, b);
     }
 }

@@ -6,11 +6,19 @@
 //! in place. Twiddle factors are looked up by *logical* index; the table's
 //! layout (linear vs hashed) decides which memory location that touches,
 //! which matters to the machine but not to the arithmetic.
+//!
+//! On the host a [`crate::Plan`] performs those lookups once at build time
+//! and streams the results ([`crate::exec::shared::execute_codelet_tabled`]);
+//! this module keeps the [`butterfly`] both paths share, and, for tests,
+//! the index-algebra kernel the flattened tables are checked against.
 
 use crate::complex::Complex64;
-use crate::plan::{FftPlan, MAX_RADIX_LOG2};
-use crate::twiddle::TwiddleTable;
-use crate::workload::low_mask;
+#[cfg(test)]
+use crate::{
+    plan::{FftPlan, MAX_RADIX_LOG2},
+    twiddle::TwiddleTable,
+    workload::low_mask,
+};
 
 // The index-algebra tables the kernel's arithmetic is replayed from live in
 // the workload layer (the single authority); re-exported here because they
@@ -18,6 +26,7 @@ use crate::workload::low_mask;
 pub use crate::workload::{for_each_twiddle_index, twiddle_loads};
 
 /// Local buffer size: the largest supported codelet.
+#[cfg(test)]
 const BUF: usize = 1 << MAX_RADIX_LOG2;
 
 /// One radix-2 butterfly: `(a, b) ← (a + w·b, a − w·b)`.
@@ -27,12 +36,15 @@ pub fn butterfly(a: Complex64, b: Complex64, w: Complex64) -> (Complex64, Comple
     (a + t, a - t)
 }
 
-/// Execute codelet `(stage, idx)` of `plan` on `data` in place.
+/// Execute codelet `(stage, idx)` of `plan` on `data` in place by index
+/// algebra — the test oracle the plan's flattened tables are checked
+/// against bit for bit.
 ///
 /// `data` must be the full `plan.n()`-element array *after* bit-reversal
 /// permutation, with stages `0..stage` already applied to this codelet's
 /// elements.
-pub fn execute_codelet(
+#[cfg(test)]
+pub(crate) fn execute_codelet(
     plan: &FftPlan,
     twiddles: &TwiddleTable,
     data: &mut [Complex64],
@@ -48,9 +60,9 @@ pub fn execute_codelet(
     plan.for_each_element(stage, idx, |slot, e| data[e] = buf[slot]);
 }
 
-/// The arithmetic core, operating on the gathered local buffer. Exposed so
-/// the shared-memory executors can run it on raw views; see
-/// [`crate::exec::shared`].
+/// The arithmetic core of [`execute_codelet`], operating on the gathered
+/// local buffer.
+#[cfg(test)]
 pub(crate) fn compute_in_buffer(
     plan: &FftPlan,
     twiddles: &TwiddleTable,
@@ -94,34 +106,25 @@ pub(crate) fn compute_in_buffer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitrev::bit_reverse_permute;
     use crate::complex::rms_error;
+    use crate::exec::Version;
+    use crate::planner::{Plan, PlanKey};
     use crate::reference::naive_dft;
     use crate::twiddle::TwiddleLayout;
+    use codelet::runtime::Runtime;
 
-    /// Run the whole FFT single-threaded, stage by stage, codelet by
-    /// codelet. This is the semantic ground truth for every executor.
-    pub(crate) fn serial_codelet_fft(
-        data: &mut [Complex64],
-        radix_log2: u32,
-        layout: TwiddleLayout,
-    ) {
-        let n_log2 = data.len().trailing_zeros();
-        let plan = FftPlan::new(n_log2, radix_log2);
-        let tw = TwiddleTable::new(n_log2, layout);
-        bit_reverse_permute(data);
-        for stage in 0..plan.stages() {
-            for idx in 0..plan.codelets_per_stage() {
-                execute_codelet(&plan, &tw, data, stage, idx);
-            }
-        }
+    /// The whole FFT through a freshly built plan on one worker — the
+    /// production path, with the schedule's order fixed by the runtime.
+    fn plan_fft(data: &mut [Complex64], radix_log2: u32, layout: TwiddleLayout) {
+        let key = PlanKey::with_radix(data.len(), Version::Coarse, layout, radix_log2);
+        Plan::build(key).execute(data, &Runtime::with_workers(1));
     }
 
     fn impulse_response(n: usize) {
         // FFT of a unit impulse is all-ones.
         let mut data = vec![Complex64::ZERO; n];
         data[0] = Complex64::ONE;
-        serial_codelet_fft(&mut data, 6, TwiddleLayout::Linear);
+        plan_fft(&mut data, 6, TwiddleLayout::Linear);
         for (i, &v) in data.iter().enumerate() {
             assert!(v.dist(Complex64::ONE) < 1e-12, "bin {i} = {v}");
         }
@@ -149,7 +152,7 @@ mod tests {
             let expect = naive_dft(&input);
             for radix_log2 in 1..=MAX_RADIX_LOG2 {
                 let mut data = input.clone();
-                serial_codelet_fft(&mut data, radix_log2, TwiddleLayout::Linear);
+                plan_fft(&mut data, radix_log2, TwiddleLayout::Linear);
                 let err = rms_error(&data, &expect);
                 assert!(err < 1e-9, "n=2^{n_log2} radix=2^{radix_log2}: rms {err}");
             }
@@ -162,15 +165,17 @@ mod tests {
         let input: Vec<Complex64> = (0..n)
             .map(|i| Complex64::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
             .collect();
+        let expect = naive_dft(&input);
         let mut lin = input.clone();
-        serial_codelet_fft(&mut lin, 6, TwiddleLayout::Linear);
+        plan_fft(&mut lin, 6, TwiddleLayout::Linear);
+        assert!(rms_error(&lin, &expect) < 1e-9);
         for layout in [
             TwiddleLayout::BitReversedHash,
             TwiddleLayout::MultiplicativeHash,
         ] {
             let mut h = input.clone();
-            serial_codelet_fft(&mut h, 6, layout);
-            assert!(rms_error(&h, &lin) < 1e-12, "layout {layout:?}");
+            plan_fft(&mut h, 6, layout);
+            assert_eq!(h, lin, "layout {layout:?}");
         }
     }
 

@@ -23,12 +23,15 @@
 //! * [`kernel`] — the 2^p-point butterfly work unit.
 //! * [`graph`] — the FFT as a `codelet::CodeletProgram` (full, and the
 //!   guided algorithm's early/late slices).
-//! * [`exec`] — host-parallel executors for all five algorithm versions of
-//!   the paper's Table I, scheduled by the workload layer's spec.
-//! * [`planner`] — reusable execution plans ([`Plan`]: twiddles, bit-reversal
-//!   swaps, the workload layer's schedule and tables materialized into flat
+//! * [`exec`] — the execution vocabulary: the five algorithm versions of
+//!   the paper's Table I, pool seed orders, [`ExecStats`], and the shared
+//!   data view codelets run over.
+//! * [`planner`] — execution plans ([`Plan`]: twiddles, bit-reversal swaps,
+//!   the workload layer's schedule and tables materialized into flat
 //!   arrays) and the wisdom-style single-flight plan cache ([`Planner`])
-//!   that the `fgserve` serving layer builds on.
+//!   that the `fgserve` serving layer builds on. A plan is the only way the
+//!   host runs a transform: one buffer or a batch, every kind, one dispatch
+//!   over its certified schedule.
 //! * [`wisdom`] — persistent, machine-scoped autotuning results (FFTW-style
 //!   wisdom): which pool order / guided split / runtime parameters the
 //!   `fgtune` tuner measured fastest per [`PlanKey`], consulted by the
@@ -83,7 +86,6 @@ pub mod reference;
 pub mod rfft;
 pub mod simwork;
 pub mod stft;
-pub mod stockham;
 pub mod twiddle;
 pub mod window;
 pub mod wisdom;
@@ -96,7 +98,7 @@ pub use backend::{
 pub use bluestein::{dft, idft};
 pub use cert::{CertError, CertPolicy, Certificate, WORKLOAD_REVISION};
 pub use complex::{rms_error, Complex64};
-pub use exec::{fft_in_place, ExecConfig, ExecStats, SeedOrder, Version};
+pub use exec::{ExecStats, SeedOrder, Version};
 pub use fft2d::Fft2d;
 pub use plan::FftPlan;
 pub use planner::{Plan, PlanKey, Planner, PlannerStats};

@@ -1,11 +1,8 @@
 //! Reusable execution plans and the wisdom-style plan cache.
 //!
-//! [`crate::exec::fft_in_place`] derives everything a transform needs —
-//! twiddle table, bit-reversal permutation, codelet-graph schedule — on
-//! every call. That is the right shape for a one-shot API and the wrong
-//! shape for a service: under sustained traffic the same `(N, version,
-//! layout)` triple recurs millions of times. This module splits the two
-//! concerns:
+//! A [`Plan`] is the only way the host runs a transform. Everything a
+//! transform needs is derived once from its [`PlanKey`]; the hot path then
+//! only streams those flat arrays. This module splits the two concerns:
 //!
 //! * [`Plan`] — everything derivable from a [`PlanKey`], computed once:
 //!   the twiddle table, the bit-reversal transposition list, the
@@ -13,15 +10,17 @@
 //!   ([`codelet::CsrProgram`]), and per-stage execution tables (gather
 //!   indices, butterfly pair pattern, per-codelet twiddle runs) so the hot
 //!   path streams flat arrays instead of redoing index algebra and twiddle
-//!   lookups per call. `Plan::execute` runs one transform;
-//!   `Plan::execute_batch` runs many same-plan transforms through a single
-//!   runtime dispatch ([`codelet::BatchProgram`]).
+//!   lookups per call. `Plan::execute` runs one transform as a batch of
+//!   one; `Plan::execute_batch` runs many same-plan transforms through a
+//!   single runtime dispatch ([`codelet::BatchProgram`]). Both go through
+//!   one dispatch over the schedule. [`Plan::run_codelet`] exposes the unit
+//!   of work itself for harnesses that drive their own schedule.
 //! * [`Planner`] — a sharded, single-flight cache of `Arc<Plan>` keyed by
 //!   [`PlanKey`] (FFTW calls the same idea *wisdom*). Concurrent requests
 //!   for one key build the plan exactly once: the first thread computes
 //!   while the others block on the slot and share the result.
 //!
-//! Execution through a plan is bit-identical to the uncached path: the
+//! A cached plan computes exactly what a freshly built one does: the
 //! codelet DAG fixes the arithmetic, and the plan merely caches the DAG.
 
 use crate::backend::{CodeletKernel, ScalarKernel};
@@ -40,6 +39,7 @@ use crate::workload::{
 use codelet::graph::{BatchProgram, CodeletId, CsrProgram};
 use codelet::pool::PoolDiscipline;
 use codelet::runtime::Runtime;
+use codelet::stats::RunStats;
 use fgsupport::sync::Mutex;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -274,7 +274,7 @@ pub struct Plan {
 
 impl Plan {
     /// Derive the complete plan for `key`. This is the *cold path* a cache
-    /// miss pays once — and the per-call path `fft_in_place` pays always.
+    /// miss pays once — and a caller that builds per call pays always.
     pub fn build(key: PlanKey) -> Self {
         Self::build_tuned(key, None)
     }
@@ -360,15 +360,25 @@ impl Plan {
         }
     }
 
-    /// Run one codelet of one copy through the precomputed stage tables.
+    /// Run codelet `id` (`0..fft_plan().total_codelets()`, stage-major) of
+    /// the inner complex FFT over `view` through the precomputed stage
+    /// tables, with the scalar kernel — the unit of work every schedule
+    /// fires. Harnesses that need their own body around it (span tracing,
+    /// private-counter ablations, kernel micro-benchmarks) drive this over
+    /// their own schedule and so time the tables production streams.
+    /// `view` must hold the bit-reversed input of the inner transform
+    /// ([`FftPlan::n`] elements; apply [`Plan::bitrev_swaps`] first).
     ///
     /// # Safety
     /// The caller upholds the dataflow discipline documented in
-    /// [`crate::exec::shared`] for codelet `local` over `view`.
+    /// [`crate::exec::shared`] for codelet `id` over `view`: all of its
+    /// parents have completed, with proper synchronization edges, and no
+    /// concurrent codelet shares any of its elements; `view` spans at least
+    /// [`FftPlan::n`] elements.
     #[inline]
-    unsafe fn run_codelet(&self, view: &SharedData<'_>, local: usize) {
+    pub unsafe fn run_codelet(&self, view: &SharedData<'_>, id: usize) {
         // SAFETY: forwarded from the caller's contract.
-        unsafe { self.run_codelet_with(&ScalarKernel, view, local) }
+        unsafe { self.run_codelet_with(&ScalarKernel, view, id) }
     }
 
     /// As [`Plan::run_codelet`], but through an arbitrary
@@ -378,16 +388,17 @@ impl Plan {
     ///
     /// # Safety
     /// The caller upholds the dataflow discipline documented in
-    /// [`crate::exec::shared`] for codelet `local` over `view`.
+    /// [`crate::exec::shared`] for codelet `id` over `view`.
     #[inline]
     pub(crate) unsafe fn run_codelet_with<K: CodeletKernel + ?Sized>(
         &self,
         kernel: &K,
         view: &SharedData<'_>,
-        local: usize,
+        id: usize,
     ) {
-        let stage = self.fft.stage_of(local);
-        let idx = self.fft.idx_of(local);
+        debug_assert!(view.len() >= self.fft.n());
+        let stage = self.fft.stage_of(id);
+        let idx = self.fft.idx_of(id);
         let table = &self.tables[stage];
         let radix = 1usize << self.fft.radix_log2();
         let run = table.pairs.len();
@@ -512,8 +523,7 @@ impl Plan {
     }
 
     /// In-place forward transform of one buffer (`data.len()` must equal
-    /// [`Plan::n`]) on `runtime`. Bit-identical to
-    /// [`crate::exec::fft_in_place`] with the same key.
+    /// [`Plan::buffer_len`]) on `runtime`: a batch of one.
     pub fn execute(&self, data: &mut [Complex64], runtime: &Runtime) -> ExecStats {
         self.execute_with(&ScalarKernel, data, runtime)
     }
@@ -527,92 +537,169 @@ impl Plan {
         data: &mut [Complex64],
         runtime: &Runtime,
     ) -> ExecStats {
-        assert_eq!(
-            data.len(),
-            self.buffer_len(),
-            "buffer length must match the plan"
-        );
+        self.execute_batch_with(kernel, &mut [data], runtime)
+    }
+
+    /// In-place forward transform of a whole **batch** of same-plan buffers
+    /// through one runtime dispatch per schedule phase: worker-scope setup
+    /// and dependence-counter allocation are paid once for the batch, not
+    /// once per request. Every buffer receives exactly the result
+    /// [`Plan::execute`] would produce.
+    pub fn execute_batch(&self, buffers: &mut [&mut [Complex64]], runtime: &Runtime) -> ExecStats {
+        self.execute_batch_with(&ScalarKernel, buffers, runtime)
+    }
+
+    /// As [`Plan::execute_batch`], but with the butterfly arithmetic
+    /// supplied by `kernel` (see [`Plan::execute_with`]). The one place
+    /// the transform kind wraps the inner complex wave.
+    pub(crate) fn execute_batch_with<K: CodeletKernel + ?Sized>(
+        &self,
+        kernel: &K,
+        buffers: &mut [&mut [Complex64]],
+        runtime: &Runtime,
+    ) -> ExecStats {
+        for buf in buffers.iter() {
+            assert_eq!(
+                buf.len(),
+                self.buffer_len(),
+                "buffer length must match the plan"
+            );
+        }
         let start = Instant::now();
         let mut stats = match self.ext.as_deref() {
-            None => self.execute_c2c_with(kernel, data, runtime),
+            None => self.execute_c2c_batch_with(kernel, buffers, runtime),
             Some(KindExt::Real { untangle, inverse }) => {
                 if *inverse {
-                    tangle_span(data, untangle, 0, untangle.len());
-                    let stats = self.execute_c2c_with(kernel, data, runtime);
-                    finalize_span(data, 0, data.len());
-                    stats
-                } else {
-                    let stats = self.execute_c2c_with(kernel, data, runtime);
-                    untangle_span(data, untangle, 0, untangle.len());
-                    stats
+                    for buf in buffers.iter_mut() {
+                        tangle_span(buf, untangle, 0, untangle.len());
+                    }
                 }
+                let stats = self.execute_c2c_batch_with(kernel, buffers, runtime);
+                for buf in buffers.iter_mut() {
+                    if *inverse {
+                        finalize_span(buf, 0, buf.len());
+                    } else {
+                        untangle_span(buf, untangle, 0, untangle.len());
+                    }
+                }
+                stats
             }
             Some(KindExt::TwoD {
                 rows_log2,
                 cols_log2,
                 block_log2,
                 col_plan,
-            }) => self.execute_2d(
-                kernel,
-                data,
-                runtime,
-                1usize << rows_log2,
-                1usize << cols_log2,
-                1usize << block_log2,
-                col_plan,
-            ),
+            }) => {
+                // Per member: row wave → blocked transpose → column wave →
+                // transpose back. Both waves run as batches over the
+                // plane's rows; the transposes move `block × block` tiles,
+                // the granularity the workload layer footprints.
+                let (rows, cols) = (1usize << rows_log2, 1usize << cols_log2);
+                let block = 1usize << block_log2;
+                let mut stats = ExecStats::default();
+                let mut scratch = vec![Complex64::ZERO; rows * cols];
+                for buf in buffers.iter_mut() {
+                    let mut row_views: Vec<&mut [Complex64]> = buf.chunks_exact_mut(cols).collect();
+                    stats.merge(self.execute_c2c_batch_with(kernel, &mut row_views, runtime));
+                    transpose_blocked(buf, &mut scratch, rows, cols, block);
+                    let mut col_views: Vec<&mut [Complex64]> =
+                        scratch.chunks_exact_mut(rows).collect();
+                    stats.merge(col_plan.execute_c2c_batch_with(kernel, &mut col_views, runtime));
+                    transpose_blocked(&scratch, buf, cols, rows, block);
+                    stats.barriers += 2;
+                }
+                stats
+            }
         };
         stats.elapsed = start.elapsed();
         stats
     }
 
-    /// The inner complex wave of one buffer — the historical C2C hot path.
-    fn execute_c2c_with<K: CodeletKernel + ?Sized>(
+    /// The inner complex wave of a batch: bit reversal of every buffer,
+    /// then one dispatch of the schedule over all of them.
+    fn execute_c2c_batch_with<K: CodeletKernel + ?Sized>(
         &self,
         kernel: &K,
-        data: &mut [Complex64],
+        buffers: &mut [&mut [Complex64]],
         runtime: &Runtime,
     ) -> ExecStats {
-        debug_assert_eq!(data.len(), self.fft.n());
-        apply_swaps_parallel(data, &self.bitrev_swaps, runtime.workers());
-        let view = SharedData::new(data);
-        // SAFETY: every schedule below upholds the dataflow discipline
-        // documented in `exec::shared`.
-        let body = |id: usize| unsafe { self.run_codelet_with(kernel, &view, id) };
-        let stats = self.dispatch(runtime, body);
-        debug_assert_eq!(stats.codelets, self.fft.total_codelets() as u64);
-        stats
+        for buf in buffers.iter_mut() {
+            debug_assert_eq!(buf.len(), self.fft.n());
+            apply_swaps_parallel(buf, &self.bitrev_swaps, runtime.workers());
+        }
+        let views: Vec<SharedData<'_>> = buffers.iter_mut().map(|b| SharedData::new(b)).collect();
+        // SAFETY: copies address disjoint buffers; within a copy the
+        // schedule upholds the dataflow discipline of `exec::shared`.
+        self.dispatch(runtime, views.len(), |copy, id| unsafe {
+            self.run_codelet_with(kernel, &views[copy], id)
+        })
     }
 
-    /// Row wave → blocked transpose → column wave → transpose back. Both
-    /// waves run as batches over the plane's rows through the standard
-    /// batched dispatch; the transposes move `block × block` tiles, the
-    /// granularity the workload layer footprints.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_2d<K: CodeletKernel + ?Sized>(
+    /// The one dispatch of this plan's schedule: fire every codelet of
+    /// `copies` same-plan buffers through `runtime`, calling `body(copy,
+    /// id)` for codelet `id` of buffer `copy`. One copy runs the
+    /// materialized schedule itself; a batch views it as one
+    /// [`BatchProgram`], so setup is paid once for the whole batch.
+    fn dispatch(
         &self,
-        kernel: &K,
-        data: &mut [Complex64],
         runtime: &Runtime,
-        rows: usize,
-        cols: usize,
-        block: usize,
-        col_plan: &Plan,
+        copies: usize,
+        body: impl Fn(usize, usize) + Sync,
     ) -> ExecStats {
-        let mut stats = {
-            let mut row_views: Vec<&mut [Complex64]> = data.chunks_exact_mut(cols).collect();
-            self.execute_c2c_batch_with(kernel, &mut row_views, runtime)
+        let mut stats = ExecStats::default();
+        if copies == 0 {
+            return stats;
+        }
+        let total = self.fft.total_codelets();
+        let body = |id: usize| {
+            if copies == 1 {
+                body(0, id)
+            } else {
+                body(id / total, id % total)
+            }
         };
-        let mut scratch = vec![Complex64::ZERO; data.len()];
-        transpose_blocked(data, &mut scratch, rows, cols, block);
-        let col_stats = {
-            let mut col_views: Vec<&mut [Complex64]> = scratch.chunks_exact_mut(rows).collect();
-            col_plan.execute_c2c_batch_with(kernel, &mut col_views, runtime)
-        };
-        transpose_blocked(&scratch, data, cols, rows, block);
-        stats.codelets += col_stats.codelets;
-        stats.barriers += col_stats.barriers + 2;
-        stats.phases.extend(col_stats.phases);
+        match &self.schedule {
+            Schedule::Phased(phases) => {
+                let rs = if copies == 1 {
+                    runtime.run_phased(phases, body)
+                } else {
+                    // Stage s of every copy forms one barrier phase.
+                    let batched: Vec<Vec<CodeletId>> = phases
+                        .iter()
+                        .map(|p| {
+                            (0..copies)
+                                .flat_map(|k| p.iter().map(move |&c| k * total + c))
+                                .collect()
+                        })
+                        .collect();
+                    runtime.run_phased(&batched, body)
+                };
+                stats.barriers = rs.barriers;
+                stats.phases.push(rs);
+            }
+            Schedule::Fine { graph, seeds } => {
+                stats
+                    .phases
+                    .push(run_slice(runtime, graph, seeds, total, copies, &body));
+            }
+            Schedule::Guided {
+                early,
+                early_seeds,
+                early_expected,
+                late,
+                late_seeds,
+                late_expected,
+            } => {
+                let rs1 = run_slice(runtime, early, early_seeds, *early_expected, copies, &body);
+                // The join of the early phase's worker scope is the barrier.
+                let rs2 = run_slice(runtime, late, late_seeds, *late_expected, copies, &body);
+                stats.barriers = 1;
+                stats.phases.push(rs1);
+                stats.phases.push(rs2);
+            }
+        }
+        stats.codelets = stats.phases.iter().map(|rs| rs.total_fired).sum();
+        debug_assert_eq!(stats.codelets, (total * copies) as u64);
         stats
     }
 
@@ -639,18 +726,22 @@ impl Plan {
         let mut stats = match self.ext.as_deref() {
             None => self.record_c2c_into(data, runtime, 0, &mut records),
             Some(KindExt::Real { untangle, inverse }) => {
+                // The (un)tangle runs as radix-sized pair tasks over bins
+                // `0..=N/4`, the c2r epilogue as radix-sized spans.
                 let radix = self.fft.radix();
-                let quarter = untangle.len() - 1;
-                let pair_tasks = (quarter + 1).div_ceil(radix);
-                if *inverse {
-                    for u in 0..pair_tasks {
-                        let (lo, hi) = (u * radix, ((u + 1) * radix).min(quarter + 1));
-                        records.push(record_pair_task(data, untangle, lo, hi, true));
+                let pair_tasks = |data: &mut [Complex64], records: &mut Vec<TouchRecord>| {
+                    for lo in (0..untangle.len()).step_by(radix) {
+                        let hi = (lo + radix).min(untangle.len());
+                        records.push(record_pair_task(data, untangle, lo, hi, *inverse));
                     }
-                    let stats = self.record_c2c_into(data, runtime, 0, &mut records);
-                    let final_tasks = data.len().div_ceil(radix);
-                    for u in 0..final_tasks {
-                        let (lo, hi) = (u * radix, ((u + 1) * radix).min(data.len()));
+                };
+                if *inverse {
+                    pair_tasks(data, &mut records);
+                }
+                let stats = self.record_c2c_into(data, runtime, 0, &mut records);
+                if *inverse {
+                    for lo in (0..data.len()).step_by(radix) {
+                        let hi = (lo + radix).min(data.len());
                         finalize_span(data, lo, hi);
                         records.push(TouchRecord {
                             reads: (lo as u32..hi as u32).collect(),
@@ -658,15 +749,10 @@ impl Plan {
                             twiddles: Vec::new(),
                         });
                     }
-                    stats
                 } else {
-                    let stats = self.record_c2c_into(data, runtime, 0, &mut records);
-                    for u in 0..pair_tasks {
-                        let (lo, hi) = (u * radix, ((u + 1) * radix).min(quarter + 1));
-                        records.push(record_pair_task(data, untangle, lo, hi, false));
-                    }
-                    stats
+                    pair_tasks(data, &mut records);
                 }
+                stats
             }
             Some(KindExt::TwoD {
                 rows_log2,
@@ -678,9 +764,8 @@ impl Plan {
                 let (b, len) = (1usize << block_log2, data.len());
                 let mut stats = ExecStats::default();
                 for (r, row) in data.chunks_exact_mut(cols).enumerate() {
-                    let s = self.record_c2c_into(row, runtime, (r * cols) as u32, &mut records);
-                    stats.codelets += s.codelets;
-                    stats.barriers += s.barriers;
+                    let shift = (r * cols) as u32;
+                    stats.merge(self.record_c2c_into(row, runtime, shift, &mut records));
                 }
                 let mut scratch = vec![Complex64::ZERO; len];
                 record_transpose(
@@ -695,9 +780,7 @@ impl Plan {
                 );
                 for (c, col) in scratch.chunks_exact_mut(rows).enumerate() {
                     let shift = (len + c * rows) as u32;
-                    let s = col_plan.record_c2c_into(col, runtime, shift, &mut records);
-                    stats.codelets += s.codelets;
-                    stats.barriers += s.barriers;
+                    stats.merge(col_plan.record_c2c_into(col, runtime, shift, &mut records));
                 }
                 record_transpose(&scratch, data, cols, rows, b, len as u32, 0, &mut records);
                 stats
@@ -724,7 +807,7 @@ impl Plan {
         let slots: Vec<OnceLock<TouchRecord>> = (0..self.fft.total_codelets())
             .map(|_| OnceLock::new())
             .collect();
-        let body = |id: usize| {
+        let stats = self.dispatch(runtime, 1, |_, id| {
             let stage = self.fft.stage_of(id);
             let idx = self.fft.idx_of(id);
             let table = &self.tables[stage];
@@ -743,215 +826,38 @@ impl Plan {
             // SAFETY: the schedule upholds the dataflow discipline
             // documented in `exec::shared`, exactly as in `execute`.
             unsafe { self.run_codelet(&view, id) };
-        };
-        let stats = self.dispatch(runtime, body);
+        });
         out.extend(slots.into_iter().enumerate().map(|(id, slot)| {
             slot.into_inner()
                 .unwrap_or_else(|| panic!("codelet {id} never fired"))
         }));
         stats
     }
+}
 
-    /// In-place forward transform of a whole **batch** of same-plan buffers
-    /// through one runtime dispatch per schedule phase: worker-scope setup
-    /// and dependence-counter allocation are paid once for the batch, not
-    /// once per request. Every buffer receives exactly the result
-    /// [`Plan::execute`] would produce.
-    pub fn execute_batch(&self, buffers: &mut [&mut [Complex64]], runtime: &Runtime) -> ExecStats {
-        self.execute_batch_with(&ScalarKernel, buffers, runtime)
+/// Fire one materialized slice of a plan's schedule — `expected` codelets
+/// grown from `seeds` — over `copies` buffers. One copy runs `program`
+/// itself, with no per-edge copy arithmetic and no seed copy; a batch runs
+/// it as a [`BatchProgram`] with every copy's seeds in per-copy order.
+fn run_slice(
+    runtime: &Runtime,
+    program: &CsrProgram,
+    seeds: &[CodeletId],
+    expected: usize,
+    copies: usize,
+    body: &(impl Fn(CodeletId) + Sync),
+) -> RunStats {
+    if copies == 1 {
+        return runtime.run_partial(program, PoolDiscipline::Lifo, seeds, expected, body);
     }
-
-    /// As [`Plan::execute_batch`], but with the butterfly arithmetic
-    /// supplied by `kernel` (see [`Plan::execute_with`]).
-    pub(crate) fn execute_batch_with<K: CodeletKernel + ?Sized>(
-        &self,
-        kernel: &K,
-        buffers: &mut [&mut [Complex64]],
-        runtime: &Runtime,
-    ) -> ExecStats {
-        match self.ext.as_deref() {
-            None => self.execute_c2c_batch_with(kernel, buffers, runtime),
-            Some(KindExt::Real { untangle, inverse }) => {
-                let start = Instant::now();
-                for buf in buffers.iter_mut() {
-                    assert_eq!(
-                        buf.len(),
-                        self.buffer_len(),
-                        "buffer length must match the plan"
-                    );
-                }
-                let mut stats;
-                if *inverse {
-                    for buf in buffers.iter_mut() {
-                        tangle_span(buf, untangle, 0, untangle.len());
-                    }
-                    stats = self.execute_c2c_batch_with(kernel, buffers, runtime);
-                    for buf in buffers.iter_mut() {
-                        finalize_span(buf, 0, buf.len());
-                    }
-                } else {
-                    stats = self.execute_c2c_batch_with(kernel, buffers, runtime);
-                    for buf in buffers.iter_mut() {
-                        untangle_span(buf, untangle, 0, untangle.len());
-                    }
-                }
-                stats.elapsed = start.elapsed();
-                stats
-            }
-            Some(KindExt::TwoD { .. }) => {
-                // Each 2D member is already a batched row/column wave; run
-                // the members back to back.
-                let start = Instant::now();
-                let mut stats = ExecStats::default();
-                for buf in buffers.iter_mut() {
-                    let s = self.execute_with(kernel, buf, runtime);
-                    stats.codelets += s.codelets;
-                    stats.barriers += s.barriers;
-                    stats.phases.extend(s.phases);
-                }
-                stats.elapsed = start.elapsed();
-                stats
-            }
-        }
-    }
-
-    /// Batched inner complex wave — the historical C2C batch hot path.
-    fn execute_c2c_batch_with<K: CodeletKernel + ?Sized>(
-        &self,
-        kernel: &K,
-        buffers: &mut [&mut [Complex64]],
-        runtime: &Runtime,
-    ) -> ExecStats {
-        let copies = buffers.len();
-        if copies == 1 {
-            let start = Instant::now();
-            let mut stats = self.execute_c2c_with(kernel, buffers[0], runtime);
-            stats.elapsed = start.elapsed();
-            return stats;
-        }
-        let start = Instant::now();
-        let mut stats = ExecStats::default();
-        if copies == 0 {
-            stats.elapsed = start.elapsed();
-            return stats;
-        }
-        for buf in buffers.iter_mut() {
-            assert_eq!(buf.len(), self.fft.n(), "buffer length must match the plan");
-            apply_swaps_parallel(buf, &self.bitrev_swaps, runtime.workers());
-        }
-        let views: Vec<SharedData<'_>> = buffers.iter_mut().map(|b| SharedData::new(b)).collect();
-        let total = self.fft.total_codelets();
-        // SAFETY: ids of different copies address disjoint buffers; within a
-        // copy the schedule upholds the usual dataflow discipline.
-        let body =
-            |id: usize| unsafe { self.run_codelet_with(kernel, &views[id / total], id % total) };
-        match &self.schedule {
-            Schedule::Phased(phases) => {
-                // Stage s of every copy forms one barrier phase.
-                let batched: Vec<Vec<CodeletId>> = phases
-                    .iter()
-                    .map(|p| {
-                        let mut ids = Vec::with_capacity(p.len() * copies);
-                        for k in 0..copies {
-                            ids.extend(p.iter().map(|&c| k * total + c));
-                        }
-                        ids
-                    })
-                    .collect();
-                let rs = runtime.run_phased(&batched, body);
-                stats.barriers = rs.barriers;
-                stats.codelets = rs.total_fired;
-                stats.phases.push(rs);
-            }
-            Schedule::Fine { graph, seeds } => {
-                let batch = BatchProgram::new(graph, copies);
-                let batched_seeds = batch.batched_seeds(seeds);
-                let rs =
-                    runtime.run_with_seed_order(&batch, PoolDiscipline::Lifo, &batched_seeds, body);
-                stats.codelets = rs.total_fired;
-                stats.phases.push(rs);
-            }
-            Schedule::Guided {
-                early,
-                early_seeds,
-                early_expected,
-                late,
-                late_seeds,
-                late_expected,
-            } => {
-                let early_batch = BatchProgram::new(early, copies);
-                let rs1 = runtime.run_partial(
-                    &early_batch,
-                    PoolDiscipline::Lifo,
-                    &early_batch.batched_seeds(early_seeds),
-                    early_expected * copies,
-                    body,
-                );
-                let late_batch = BatchProgram::new(late, copies);
-                let rs2 = runtime.run_partial(
-                    &late_batch,
-                    PoolDiscipline::Lifo,
-                    &late_batch.batched_seeds(late_seeds),
-                    late_expected * copies,
-                    body,
-                );
-                stats.barriers = 1;
-                stats.codelets = rs1.total_fired + rs2.total_fired;
-                stats.phases.push(rs1);
-                stats.phases.push(rs2);
-            }
-        }
-        stats.elapsed = start.elapsed();
-        debug_assert_eq!(stats.codelets, (total * copies) as u64);
-        stats
-    }
-
-    /// Single-buffer dispatch over the precomputed schedule.
-    fn dispatch(&self, runtime: &Runtime, body: impl Fn(usize) + Sync) -> ExecStats {
-        let mut stats = ExecStats::default();
-        match &self.schedule {
-            Schedule::Phased(phases) => {
-                let rs = runtime.run_phased(phases, body);
-                stats.barriers = rs.barriers;
-                stats.codelets = rs.total_fired;
-                stats.phases.push(rs);
-            }
-            Schedule::Fine { graph, seeds } => {
-                let rs = runtime.run_with_seed_order(graph, PoolDiscipline::Lifo, seeds, body);
-                stats.codelets = rs.total_fired;
-                stats.phases.push(rs);
-            }
-            Schedule::Guided {
-                early,
-                early_seeds,
-                early_expected,
-                late,
-                late_seeds,
-                late_expected,
-            } => {
-                let rs1 = runtime.run_partial(
-                    early,
-                    PoolDiscipline::Lifo,
-                    early_seeds,
-                    *early_expected,
-                    &body,
-                );
-                // The join of the early phase's worker scope is the barrier.
-                let rs2 = runtime.run_partial(
-                    late,
-                    PoolDiscipline::Lifo,
-                    late_seeds,
-                    *late_expected,
-                    body,
-                );
-                stats.barriers = 1;
-                stats.codelets = rs1.total_fired + rs2.total_fired;
-                stats.phases.push(rs1);
-                stats.phases.push(rs2);
-            }
-        }
-        stats
-    }
+    let batch = BatchProgram::new(program, copies);
+    runtime.run_partial(
+        &batch,
+        PoolDiscipline::Lifo,
+        &batch.batched_seeds(seeds),
+        expected * copies,
+        body,
+    )
 }
 
 /// Untangle bins `lo..hi` of a packed half-complex forward result, in
@@ -1471,7 +1377,7 @@ impl Planner {
 mod tests {
     use super::*;
     use crate::complex::rms_error;
-    use crate::exec::{fft_in_place, ExecConfig, SeedOrder};
+    use crate::exec::SeedOrder;
     use crate::reference::recursive_fft;
 
     fn signal(n: usize) -> Vec<Complex64> {
@@ -1492,23 +1398,73 @@ mod tests {
 
     #[test]
     fn plan_execution_is_bit_identical_to_uncached_path() {
+        // The uncached path builds a plan per call; a plan cached by a
+        // planner and reused across calls must compute the same bits.
         let n = 1 << 13; // 3 stages at radix 64: guided split exercised
         let input = signal(n);
+        let planner = Planner::new();
+        let rt = Runtime::with_workers(4);
         for version in all_versions() {
+            let key = PlanKey::new(n, version, version.layout());
             let mut uncached = input.clone();
-            fft_in_place(
-                &mut uncached,
-                version,
-                &ExecConfig {
-                    workers: 4,
-                    radix_log2: 6,
-                },
-            );
+            Plan::build(key).execute(&mut uncached, &rt);
+            for _ in 0..2 {
+                let plan = planner.plan_key(key);
+                let mut cached = input.clone();
+                let stats = plan.execute(&mut cached, &rt);
+                assert_eq!(cached, uncached, "{}", version.name());
+                assert_eq!(stats.codelets, plan.fft_plan().total_codelets() as u64);
+            }
+        }
+        assert_eq!(planner.stats().built, all_versions().len() as u64);
+    }
+
+    #[test]
+    fn run_codelet_over_the_plan_schedule_matches_execute() {
+        // The public unit of work, fired by a caller's own body over the
+        // schedule the plan was built from, computes what `execute` does.
+        let n = 1 << 13;
+        let input = signal(n);
+        let rt = Runtime::with_workers(3);
+        for version in all_versions() {
             let plan = Plan::build(PlanKey::new(n, version, version.layout()));
-            let mut cached = input.clone();
-            let stats = plan.execute(&mut cached, &Runtime::with_workers(4));
-            assert_eq!(cached, uncached, "{}", version.name());
-            assert_eq!(stats.codelets, plan.fft_plan().total_codelets() as u64);
+            let mut want = input.clone();
+            plan.execute(&mut want, &rt);
+            let mut got = input.clone();
+            for &(a, b) in plan.bitrev_swaps() {
+                got.swap(a as usize, b as usize);
+            }
+            let fired = AtomicU64::new(0);
+            {
+                let view = SharedData::new(&mut got);
+                let body = |id: usize| {
+                    fired.fetch_add(1, Ordering::Relaxed);
+                    // SAFETY: the runtime fires `id` only once the schedule
+                    // lets it, as in `Plan::execute`.
+                    unsafe { plan.run_codelet(&view, id) }
+                };
+                use PoolDiscipline::Lifo;
+                match ScheduleSpec::of(*plan.fft_plan(), version) {
+                    ScheduleSpec::Phased { phases } => {
+                        rt.run_phased(&phases, body);
+                    }
+                    ScheduleSpec::Fine { graph, seeds } => {
+                        rt.run_with_seed_order(&graph, Lifo, &seeds, body);
+                    }
+                    ScheduleSpec::Guided {
+                        early,
+                        early_seeds,
+                        late,
+                        late_seeds,
+                    } => {
+                        rt.run_partial(&early, Lifo, &early_seeds, early.expected(), body);
+                        rt.run_partial(&late, Lifo, &late_seeds, late.expected(), body);
+                    }
+                }
+            }
+            let total = plan.fft_plan().total_codelets() as u64;
+            assert_eq!(fired.into_inner(), total, "{}", version.name());
+            assert_eq!(got, want, "{}", version.name());
         }
     }
 

@@ -1,8 +1,15 @@
-//! End-to-end numerical correctness of every executor against the
+//! End-to-end numerical correctness of every version's plan against the
 //! reference oracles, across sizes, radices, worker counts, and versions.
 
+use codelet::runtime::Runtime;
 use fgfft::reference::{naive_dft, recursive_fft};
-use fgfft::{fft_in_place, rms_error, Complex64, ExecConfig, Fft, SeedOrder, Version};
+use fgfft::{rms_error, Complex64, Fft, Plan, PlanKey, SeedOrder, Version};
+
+/// One forward transform through a freshly built plan.
+fn transform(data: &mut [Complex64], version: Version, radix_log2: u32, workers: usize) {
+    let key = PlanKey::with_radix(data.len(), version, version.layout(), radix_log2);
+    Plan::build(key).execute(data, &Runtime::with_workers(workers));
+}
 
 fn signal(n: usize, phase: f64) -> Vec<Complex64> {
     (0..n)
@@ -35,7 +42,7 @@ fn all_versions_match_dft_small() {
     let expect = naive_dft(&input);
     for version in all_versions() {
         let mut data = input.clone();
-        fft_in_place(&mut data, version, &ExecConfig::with_workers(3));
+        transform(&mut data, version, 6, 3);
         let err = rms_error(&data, &expect);
         assert!(err < 1e-9, "{}: rms {err}", version.name());
     }
@@ -49,7 +56,7 @@ fn all_versions_match_recursive_fft_large() {
     let expect = recursive_fft(&input);
     for version in all_versions() {
         let mut data = input.clone();
-        fft_in_place(&mut data, version, &ExecConfig::with_workers(8));
+        transform(&mut data, version, 6, 8);
         let err = rms_error(&data, &expect);
         assert!(err < 1e-8, "{}: rms {err}", version.name());
     }
@@ -60,15 +67,11 @@ fn worker_counts_do_not_change_results() {
     let n = 1 << 13;
     let input = signal(n, 0.3);
     let mut reference = input.clone();
-    fft_in_place(
-        &mut reference,
-        Version::Fine(SeedOrder::Natural),
-        &ExecConfig::with_workers(1),
-    );
+    transform(&mut reference, Version::Fine(SeedOrder::Natural), 6, 1);
     for workers in [2, 3, 5, 8, 16] {
         for version in [Version::Fine(SeedOrder::Natural), Version::FineGuided] {
             let mut data = input.clone();
-            fft_in_place(&mut data, version, &ExecConfig::with_workers(workers));
+            transform(&mut data, version, 6, workers);
             assert_eq!(
                 data,
                 reference,
@@ -91,11 +94,7 @@ fn every_radix_agrees_with_every_version() {
             Version::FineGuided,
         ] {
             let mut data = input.clone();
-            let cfg = ExecConfig {
-                workers: 4,
-                radix_log2,
-            };
-            fft_in_place(&mut data, version, &cfg);
+            transform(&mut data, version, radix_log2, 4);
             let err = rms_error(&data, &expect);
             assert!(
                 err < 1e-9,

@@ -18,8 +18,7 @@
 use codelet::runtime::Runtime;
 use fgfft::reference::recursive_fft;
 use fgfft::{
-    fft_in_place, rms_error, Backend, BackendSel, Complex64, ExecConfig, HostSimd, Plan, PlanKey,
-    SeedOrder, Version,
+    rms_error, Backend, BackendSel, Complex64, HostSimd, Plan, PlanKey, SeedOrder, Version,
 };
 use std::sync::Arc;
 
@@ -140,9 +139,10 @@ fn paper_versions_are_bit_exact_across_workers() {
         let oracle = recursive_fft(&input);
         let mut baseline: Option<Vec<(u64, u64)>> = None;
         for version in Version::paper_set(SeedOrder::Natural) {
+            let plan = Plan::build(PlanKey::new(n, version, version.layout()));
             for workers in [1usize, 2, 8] {
                 let mut data = input.clone();
-                fft_in_place(&mut data, version, &ExecConfig::with_workers(workers));
+                plan.execute(&mut data, &Runtime::with_workers(workers));
                 let err = rms_error(&data, &oracle);
                 // Round-off grows like sqrt(log N); 1e-12·n is far above
                 // that but far below any algorithmic error.

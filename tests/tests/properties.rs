@@ -2,9 +2,10 @@
 //! structural invariants of random FFT plans. Inputs are drawn from a
 //! seeded PRNG so every run checks the same cases deterministically.
 
+use codelet::runtime::Runtime;
 use fgfft::plan::FftPlan;
 use fgfft::reference::{energy, recursive_fft};
-use fgfft::{fft_in_place, rms_error, Complex64, ExecConfig, SeedOrder, Version};
+use fgfft::{rms_error, Complex64, Plan, PlanKey, SeedOrder, TwiddleLayout, Version};
 use fgsupport::rng::Rng64;
 
 fn complex_vec(rng: &mut Rng64, n: usize) -> Vec<Complex64> {
@@ -15,11 +16,12 @@ fn complex_vec(rng: &mut Rng64, n: usize) -> Vec<Complex64> {
 
 fn fft(data: &[Complex64]) -> Vec<Complex64> {
     let mut out = data.to_vec();
-    fft_in_place(
-        &mut out,
+    let key = PlanKey::new(
+        out.len(),
         Version::Fine(SeedOrder::Natural),
-        &ExecConfig::with_workers(4),
+        TwiddleLayout::Linear,
     );
+    Plan::build(key).execute(&mut out, &Runtime::with_workers(4));
     out
 }
 

@@ -185,12 +185,13 @@ fn saturated_service_rejects_with_overloaded() {
 fn concurrent_clients_get_exact_results() {
     const CLIENTS: usize = 8;
     const PER_CLIENT: usize = 6;
+    const DISPATCHERS: usize = 2;
     let n = 1 << 11;
     let service = Arc::new(FftService::start(ServeConfig {
         queue_capacity: 128,
         max_batch: 8,
         workers: 2,
-        dispatchers: 2,
+        dispatchers: DISPATCHERS,
         ..ServeConfig::default()
     }));
     // Reference results computed through the uncached path.
@@ -238,10 +239,13 @@ fn concurrent_clients_get_exact_results() {
     assert_eq!(stats.completed, (CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.planner.built, 1, "one size ⇒ one plan");
+    // Single flight: a dispatcher that misses blocks on the one in-flight
+    // build and hits from then on, so each dispatcher misses at most once
+    // however the clients' requests happen to batch.
     assert!(
-        stats.planner.hit_rate() > 0.9,
-        "steady same-size traffic must be nearly all cache hits (got {})",
-        stats.planner.hit_rate()
+        stats.planner.misses <= DISPATCHERS as u64,
+        "at most one miss per dispatcher (got {} misses)",
+        stats.planner.misses
     );
 }
 

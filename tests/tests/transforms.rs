@@ -1,11 +1,10 @@
 //! Integration and randomized tests for the extended transform surface:
-//! real-input FFT, arbitrary-length Bluestein DFT, 2-D FFT, STFT, and the
-//! Stockham baseline — all validated against each other and the naive
-//! oracles. Random inputs come from a seeded PRNG.
+//! real-input FFT, arbitrary-length Bluestein DFT, 2-D FFT and STFT — all
+//! validated against each other and the naive oracles. Random inputs come
+//! from a seeded PRNG.
 
 use fgfft::fft2d::{naive_dft2d, Fft2d};
 use fgfft::reference::naive_dft;
-use fgfft::stockham::stockham_fft;
 use fgfft::{rms_error, Complex64, StftConfig, Window};
 use fgsupport::rng::Rng64;
 
@@ -60,19 +59,6 @@ fn rfft_matches_complex_path() {
         for k in 0..=n / 2 {
             assert!(spec[k].dist(full[k]) < 1e-8, "case {case} bin {k}");
         }
-    }
-}
-
-/// Stockham agrees with the codelet FFT on random inputs.
-#[test]
-fn stockham_matches_codelet() {
-    for case in 0..8u64 {
-        let mut rng = Rng64::seed_from_u64(1400 + case);
-        let x = complex_vec(&mut rng, 256);
-        let a = stockham_fft(x.clone());
-        let mut b = x;
-        fgfft::forward(&mut b);
-        assert!(rms_error(&a, &b) < 1e-9, "case {case}");
     }
 }
 
