@@ -14,7 +14,7 @@
 
 use codelet::graph::{CodeletProgram, WithoutSharedGroups};
 use codelet::pool::PoolDiscipline;
-use codelet::runtime::{Runtime, RuntimeConfig};
+use codelet::runtime::Runtime;
 use fft_repro::{Cli, Figure, Series};
 use fgfft::exec::shared::SharedData;
 use fgfft::graph::FftGraph;
@@ -46,7 +46,7 @@ fn main() {
     ));
     let fft = *plan.fft_plan();
     let graph = FftGraph::new(fft);
-    let runtime = Runtime::new(RuntimeConfig::with_workers(workers));
+    let runtime = Runtime::with_workers(workers);
     let n = fft.n();
 
     let mut fig = Figure::new(

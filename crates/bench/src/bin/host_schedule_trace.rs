@@ -6,7 +6,7 @@
 //! Usage: `host_schedule_trace [n_log2=16] [workers=4]`
 
 use codelet::pool::PoolDiscipline;
-use codelet::runtime::{Runtime, RuntimeConfig};
+use codelet::runtime::Runtime;
 use codelet::trace::SpanRecorder;
 use fft_repro::Cli;
 use fgfft::exec::shared::SharedData;
@@ -24,7 +24,7 @@ fn main() {
         TwiddleLayout::Linear,
     ));
     let fft = *plan.fft_plan();
-    let runtime = Runtime::new(RuntimeConfig::with_workers(workers));
+    let runtime = Runtime::with_workers(workers);
     let graph = FftGraph::new(fft);
 
     let make_data = || -> Vec<Complex64> {

@@ -24,8 +24,8 @@
 //! * [`counter`] — synchronization slots: plain per-codelet dependence
 //!   counters and *shared* counter groups (the paper's optimization where 64
 //!   sibling codelets that share the same 64 parents share one counter).
-//! * [`pool`] — concurrent ready pools: FIFO, LIFO, bounded-priority and
-//!   work-stealing disciplines, all behind the [`ReadyPool`] trait.
+//! * [`pool`] — the concurrent ready pool: the paper's LIFO codelet pool,
+//!   the only discipline the runtime fires from.
 //! * [`runtime`] — the host executor: a pool of worker threads that fire
 //!   ready codelets, update sync slots, and detect termination. Supports both
 //!   pure dataflow execution and *phased* (barrier) execution so that
@@ -45,7 +45,7 @@
 //!
 //! ```
 //! use codelet::graph::ExplicitGraph;
-//! use codelet::runtime::{Runtime, RuntimeConfig};
+//! use codelet::runtime::Runtime;
 //! use codelet::pool::PoolDiscipline;
 //! use std::sync::atomic::{AtomicUsize, Ordering};
 //!
@@ -57,8 +57,8 @@
 //! g.add_edge(2, 3);
 //!
 //! let fired = AtomicUsize::new(0);
-//! let rt = Runtime::new(RuntimeConfig::with_workers(2));
-//! rt.run(&g, PoolDiscipline::Fifo, |_id| {
+//! let rt = Runtime::with_workers(2);
+//! rt.run(&g, PoolDiscipline::Lifo, |_id| {
 //!     fired.fetch_add(1, Ordering::Relaxed);
 //! });
 //! assert_eq!(fired.load(Ordering::Relaxed), 4);
@@ -78,7 +78,7 @@ pub mod verify;
 
 pub use counter::{DepCounters, SharedCounters, SyncSlot};
 pub use graph::{BatchProgram, CodeletId, CodeletProgram, CsrProgram};
-pub use pool::{PoolDiscipline, ReadyPool};
-pub use runtime::{Runtime, RuntimeConfig};
+pub use pool::PoolDiscipline;
+pub use runtime::Runtime;
 pub use trace::{Span, SpanRecorder, Trace};
 pub use verify::{Diagnostic, Severity};

@@ -1,289 +1,66 @@
-//! Concurrent ready pools.
+//! The concurrent ready pool.
 //!
 //! A ready pool holds enabled codelets until a compute unit fires them. The
-//! *discipline* of the pool (which ready codelet a free worker receives)
-//! does not affect the result of a well-behaved codelet graph — but it does
-//! affect performance, and for the FFT of the paper it changes the temporal
-//! distribution of memory-bank traffic. The paper's pool is a "concurrent
-//! LIFO codelet pool"; we provide FIFO, LIFO, priority, and work-stealing
-//! disciplines behind one trait so schedulers can be swapped and ablated.
+//! order in which a well-behaved codelet graph's ready codelets fire does
+//! not affect its result — but it does affect performance, and for the FFT
+//! of the paper it changes the temporal distribution of memory-bank
+//! traffic. The runtime fires from one pool, the paper's "concurrent LIFO
+//! codelet pool" (Alg. 2). The FIFO, random-bag and seed-order comparisons
+//! of the paper are reproduced in `c64sim`'s simulated schedulers.
 
 use crate::graph::CodeletId;
-use fgsupport::deque::{Injector, Steal, StealOrder, Stealer, Worker};
-use fgsupport::queue::SegQueue;
 use fgsupport::sync::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-/// A concurrent pool of ready codelets.
+/// Names the ready-pool discipline of a run.
 ///
-/// `worker` is the dense index of the calling worker thread; disciplines
-/// without per-worker structure ignore it.
-pub trait ReadyPool: Sync + Send {
-    /// Insert one ready codelet.
-    fn push(&self, worker: usize, id: CodeletId);
-
-    /// Remove one ready codelet, or `None` if none is visible. A `None` does
-    /// **not** mean the program is finished — the runtime combines it with a
-    /// completion count for termination detection.
-    fn pop(&self, worker: usize) -> Option<CodeletId>;
-
-    /// Seed the pool with the initially-ready codelets, preserving `ids`
-    /// order semantics of the discipline (a LIFO pool will pop the *last*
-    /// seeded codelet first).
-    fn seed(&self, ids: &[CodeletId]) {
-        for &id in ids {
-            self.push(0, id);
-        }
-    }
-
-    /// Insert a batch of ready codelets (e.g. a shared-counter group that
-    /// just fired). Disciplines with a lock take it once for the whole
-    /// batch.
-    fn push_many(&self, worker: usize, ids: &[CodeletId]) {
-        for &id in ids {
-            self.push(worker, id);
-        }
-    }
-
-    /// Approximate number of queued codelets (diagnostics only).
-    fn approx_len(&self) -> usize;
-}
-
-/// Pool discipline selector.
+/// The runtime has exactly one discipline, the paper's concurrent LIFO
+/// pool, so this selects nothing: it is kept so call sites name the pool
+/// they fire from.
 #[derive(Debug, Clone)]
 pub enum PoolDiscipline {
-    /// First-in first-out: codelets fire roughly in enable order (breadth
-    /// first across the codelet graph).
-    Fifo,
-    /// Last-in first-out: the paper's discipline; freshly-enabled codelets
-    /// fire first (depth first), which lets late-stage FFT codelets overtake
-    /// early-stage ones.
+    /// Last-in first-out: freshly-enabled codelets fire first (depth
+    /// first), which lets late-stage FFT codelets overtake early-stage ones.
     Lifo,
-    /// Smallest-key-first by a static per-codelet priority; ties broken by
-    /// codelet id. Used by guided schedules that want an explicit order.
-    Priority(Arc<Vec<u64>>),
-    /// Per-worker LIFO deques with FIFO stealing (Cilk/rayon style).
-    WorkSteal,
 }
 
-impl PoolDiscipline {
-    /// Build a pool of this discipline for `n_workers` workers.
-    pub fn build(&self, n_workers: usize) -> Box<dyn ReadyPool> {
-        match self {
-            PoolDiscipline::Fifo => Box::new(FifoPool::new()),
-            PoolDiscipline::Lifo => Box::new(LifoPool::new()),
-            PoolDiscipline::Priority(keys) => Box::new(PriorityPool::new(Arc::clone(keys))),
-            PoolDiscipline::WorkSteal => Box::new(StealPool::new(n_workers.max(1))),
-        }
-    }
-}
-
-/// FIFO pool over a lock-free Michael-Scott style segment queue.
+/// The paper's "concurrent LIFO codelet pool". A mutex-guarded vector is
+/// used rather than a Treiber stack: pushes come in bursts of ≤64 and the
+/// critical section is a handful of instructions, so an uncontended
+/// parking-lot lock wins over per-node allocation.
 #[derive(Debug, Default)]
-pub struct FifoPool {
-    queue: SegQueue<CodeletId>,
-    len: AtomicUsize,
-}
-
-impl FifoPool {
-    /// New empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ReadyPool for FifoPool {
-    fn push(&self, _worker: usize, id: CodeletId) {
-        self.queue.push(id);
-        self.len.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn pop(&self, _worker: usize) -> Option<CodeletId> {
-        let id = self.queue.pop()?;
-        self.len.fetch_sub(1, Ordering::Relaxed);
-        Some(id)
-    }
-
-    fn approx_len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-}
-
-/// LIFO pool (a concurrent stack). This is the paper's "concurrent LIFO
-/// codelet pool". A mutex-guarded vector is used rather than a Treiber stack:
-/// pushes come in bursts of ≤64 and the critical section is a handful of
-/// instructions, so an uncontended parking-lot lock wins over per-node
-/// allocation.
-#[derive(Debug, Default)]
-pub struct LifoPool {
+pub(crate) struct LifoPool {
     stack: Mutex<Vec<CodeletId>>,
 }
 
 impl LifoPool {
     /// New empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
-}
 
-impl ReadyPool for LifoPool {
-    fn push(&self, _worker: usize, id: CodeletId) {
+    /// Insert one ready codelet.
+    pub(crate) fn push(&self, id: CodeletId) {
         self.stack.lock().push(id);
     }
 
-    fn push_many(&self, _worker: usize, ids: &[CodeletId]) {
+    /// Insert a batch of ready codelets (e.g. a shared-counter group that
+    /// just fired) under one lock acquisition.
+    pub(crate) fn push_many(&self, ids: &[CodeletId]) {
         self.stack.lock().extend_from_slice(ids);
     }
 
-    fn pop(&self, _worker: usize) -> Option<CodeletId> {
+    /// Remove the most recently pushed codelet, or `None` if the pool is
+    /// empty. A `None` does **not** mean the program is finished — the
+    /// runtime combines it with a completion count for termination
+    /// detection.
+    pub(crate) fn pop(&self) -> Option<CodeletId> {
         self.stack.lock().pop()
     }
 
-    fn seed(&self, ids: &[CodeletId]) {
-        self.stack.lock().extend_from_slice(ids);
-    }
-
-    fn approx_len(&self) -> usize {
-        self.stack.lock().len()
-    }
-}
-
-/// Priority pool: pops the ready codelet with the smallest static key.
-#[derive(Debug)]
-pub struct PriorityPool {
-    keys: Arc<Vec<u64>>,
-    heap: Mutex<BinaryHeap<Reverse<(u64, CodeletId)>>>,
-}
-
-impl PriorityPool {
-    /// `keys[id]` is the priority of codelet `id` (smaller pops first).
-    pub fn new(keys: Arc<Vec<u64>>) -> Self {
-        Self {
-            keys,
-            heap: Mutex::new(BinaryHeap::new()),
-        }
-    }
-}
-
-impl ReadyPool for PriorityPool {
-    fn push(&self, _worker: usize, id: CodeletId) {
-        let key = self.keys.get(id).copied().unwrap_or(u64::MAX);
-        self.heap.lock().push(Reverse((key, id)));
-    }
-
-    fn pop(&self, _worker: usize) -> Option<CodeletId> {
-        self.heap.lock().pop().map(|Reverse((_, id))| id)
-    }
-
-    fn approx_len(&self) -> usize {
-        self.heap.lock().len()
-    }
-}
-
-/// Work-stealing pool: per-worker LIFO deques, FIFO steals, plus a global
-/// injector for seeds and for pushes from outside any worker.
-pub struct StealPool {
-    injector: Injector<CodeletId>,
-    workers: Vec<Mutex<Worker<CodeletId>>>,
-    stealers: Vec<Stealer<CodeletId>>,
-    steal_order: StealOrder,
-}
-
-impl StealPool {
-    /// Build a pool with `n_workers` local deques.
-    pub fn new(n_workers: usize) -> Self {
-        let locals: Vec<Worker<CodeletId>> = (0..n_workers).map(|_| Worker::new_lifo()).collect();
-        let stealers = locals.iter().map(|w| w.stealer()).collect();
-        Self {
-            steal_order: StealOrder::new(),
-            injector: Injector::new(),
-            workers: locals.into_iter().map(Mutex::new).collect(),
-            stealers,
-        }
-    }
-}
-
-impl std::fmt::Debug for StealPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StealPool")
-            .field("workers", &self.workers.len())
-            .finish()
-    }
-}
-
-impl ReadyPool for StealPool {
-    fn push(&self, worker: usize, id: CodeletId) {
-        match self.workers.get(worker) {
-            Some(w) => w.lock().push(id),
-            None => self.injector.push(id),
-        }
-    }
-
-    fn push_many(&self, worker: usize, ids: &[CodeletId]) {
-        match self.workers.get(worker) {
-            Some(w) => {
-                let w = w.lock();
-                for &id in ids {
-                    w.push(id);
-                }
-            }
-            None => {
-                for &id in ids {
-                    self.injector.push(id);
-                }
-            }
-        }
-    }
-
-    fn pop(&self, worker: usize) -> Option<CodeletId> {
-        if let Some(w) = self.workers.get(worker) {
-            if let Some(id) = w.lock().pop() {
-                return Some(id);
-            }
-        }
-        // Drain the injector next, then steal round-robin from peers.
-        loop {
-            match self.injector.steal() {
-                Steal::Success(id) => return Some(id),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-        // Steal from peers, starting at a randomized victim: a fixed
-        // `worker+1, worker+2, …` rotation drains low-offset victims first
-        // and starves the high-offset ones under contention.
-        let n = self.stealers.len();
-        if n == 0 {
-            return None;
-        }
-        let start = self.steal_order.start(n);
-        for off in 0..n {
-            let victim = (start + off) % n;
-            if victim == worker {
-                continue;
-            }
-            loop {
-                match self.stealers[victim].steal() {
-                    Steal::Success(id) => return Some(id),
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                }
-            }
-        }
-        None
-    }
-
-    fn seed(&self, ids: &[CodeletId]) {
-        for &id in ids {
-            self.injector.push(id);
-        }
-    }
-
-    fn approx_len(&self) -> usize {
-        self.injector.len() + self.stealers.iter().map(|s| s.len()).sum::<usize>()
+    /// Seed the pool with the initially-ready codelets: the *last* seeded
+    /// codelet pops first.
+    pub(crate) fn seed(&self, ids: &[CodeletId]) {
+        self.push_many(ids);
     }
 }
 
@@ -293,167 +70,40 @@ mod tests {
     use std::collections::HashSet;
     use std::thread;
 
-    fn drain(pool: &dyn ReadyPool, worker: usize) -> Vec<CodeletId> {
-        std::iter::from_fn(|| pool.pop(worker)).collect()
-    }
-
-    #[test]
-    fn fifo_order() {
-        let p = FifoPool::new();
-        p.seed(&[1, 2, 3]);
-        assert_eq!(drain(&p, 0), vec![1, 2, 3]);
-    }
-
     #[test]
     fn lifo_order() {
         let p = LifoPool::new();
         p.seed(&[1, 2, 3]);
-        assert_eq!(drain(&p, 0), vec![3, 2, 1]);
-    }
-
-    #[test]
-    fn priority_order() {
-        let keys = Arc::new(vec![30u64, 10, 20]);
-        let p = PriorityPool::new(keys);
-        p.seed(&[0, 1, 2]);
-        assert_eq!(drain(&p, 0), vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn priority_ties_break_by_id() {
-        let keys = Arc::new(vec![5u64, 5, 5]);
-        let p = PriorityPool::new(keys);
-        p.seed(&[2, 0, 1]);
-        assert_eq!(drain(&p, 0), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn steal_pool_local_lifo() {
-        let p = StealPool::new(2);
-        p.push(0, 1);
-        p.push(0, 2);
-        assert_eq!(p.pop(0), Some(2));
-        assert_eq!(p.pop(0), Some(1));
-        assert_eq!(p.pop(0), None);
-    }
-
-    #[test]
-    fn steal_pool_steals_across_workers() {
-        let p = StealPool::new(2);
-        p.push(0, 7);
-        assert_eq!(p.pop(1), Some(7));
-    }
-
-    #[test]
-    fn steal_pool_seed_goes_to_injector() {
-        let p = StealPool::new(2);
-        p.seed(&[4, 5]);
-        let mut got: Vec<_> = drain(&p, 1);
-        got.sort_unstable();
-        assert_eq!(got, vec![4, 5]);
-    }
-
-    #[test]
-    fn approx_len_tracks_contents() {
-        for d in [
-            PoolDiscipline::Fifo,
-            PoolDiscipline::Lifo,
-            PoolDiscipline::WorkSteal,
-        ] {
-            let p = d.build(2);
-            assert_eq!(p.approx_len(), 0);
-            p.seed(&[1, 2, 3]);
-            assert_eq!(p.approx_len(), 3);
-            p.pop(0);
-            assert_eq!(p.approx_len(), 2);
-        }
-    }
-
-    #[test]
-    fn steal_scan_start_is_not_biased_toward_the_next_victim() {
-        // Worker 0 steals repeatedly from a pool where victims 1, 2 and 3
-        // all hold deep backlogs. The old deterministic scan (`worker+1`
-        // first, always) would source every single steal from victim 1
-        // until it ran dry; the randomized start must mix victims well
-        // before that.
-        let p = StealPool::new(4);
-        const PER: usize = 100;
-        for v in 1..4 {
-            for i in 0..PER {
-                p.push(v, v * 1000 + i);
-            }
-        }
-        let mut sources = HashSet::new();
-        for _ in 0..30 {
-            let id = p.pop(0).expect("backlogs are deep");
-            sources.insert(id / 1000);
-        }
-        assert!(
-            sources.len() >= 2,
-            "30 steals all came from victim {sources:?}: scan start is biased"
+        assert_eq!(
+            std::iter::from_fn(|| p.pop()).collect::<Vec<_>>(),
+            vec![3, 2, 1]
         );
     }
 
     #[test]
-    fn competing_stealers_drain_one_victim_without_loss() {
-        // All work sits in victim 0's deque; three starving workers
-        // compete to steal it. Every item must surface exactly once.
-        let p = StealPool::new(4);
-        const ITEMS: usize = 3000;
-        for i in 0..ITEMS {
-            p.push(0, i);
-        }
-        let seen: Mutex<Vec<CodeletId>> = Mutex::new(Vec::new());
+    fn concurrent_push_pop_loses_nothing() {
+        let pool = LifoPool::new();
+        const PER: usize = 1000;
+        let seen: Mutex<HashSet<CodeletId>> = Mutex::new(HashSet::new());
         thread::scope(|s| {
-            for w in 1..4 {
-                let p = &p;
-                let seen = &seen;
+            for w in 0..4 {
+                let (pool, seen) = (&pool, &seen);
                 s.spawn(move || {
+                    for i in 0..PER {
+                        pool.push(w * PER + i);
+                    }
                     let mut mine = Vec::new();
-                    while let Some(id) = p.pop(w) {
-                        mine.push(id);
+                    while mine.len() < PER {
+                        if let Some(id) = pool.pop() {
+                            mine.push(id);
+                        } else {
+                            thread::yield_now();
+                        }
                     }
                     seen.lock().extend(mine);
                 });
             }
         });
-        let mut all = seen.lock().clone();
-        all.sort_unstable();
-        let expect: Vec<CodeletId> = (0..ITEMS).collect();
-        assert_eq!(all, expect, "competing stealers lost or duplicated work");
-    }
-
-    #[test]
-    fn concurrent_push_pop_loses_nothing() {
-        for disc in [
-            PoolDiscipline::Fifo,
-            PoolDiscipline::Lifo,
-            PoolDiscipline::WorkSteal,
-        ] {
-            let pool = disc.build(4);
-            let pool = &*pool;
-            const PER: usize = 1000;
-            let seen: Mutex<HashSet<CodeletId>> = Mutex::new(HashSet::new());
-            thread::scope(|s| {
-                for w in 0..4 {
-                    let seen = &seen;
-                    s.spawn(move || {
-                        for i in 0..PER {
-                            pool.push(w, w * PER + i);
-                        }
-                        let mut mine = Vec::new();
-                        while mine.len() < PER {
-                            if let Some(id) = pool.pop(w) {
-                                mine.push(id);
-                            } else {
-                                thread::yield_now();
-                            }
-                        }
-                        seen.lock().extend(mine);
-                    });
-                }
-            });
-            assert_eq!(seen.lock().len(), 4 * PER, "discipline {disc:?}");
-        }
+        assert_eq!(seen.lock().len(), 4 * PER);
     }
 }

@@ -37,7 +37,7 @@
 
 use crate::counter::{DepCounters, SharedCounters};
 use crate::graph::{CodeletId, CodeletProgram};
-use crate::pool::{PoolDiscipline, ReadyPool};
+use crate::pool::{LifoPool, PoolDiscipline};
 use crate::stats::RunStats;
 use fgsupport::backoff::Backoff;
 use std::panic::AssertUnwindSafe;
@@ -45,58 +45,37 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
-/// Runtime configuration.
+/// A reusable codelet runtime. Each `run*` call spawns `workers − 1` scoped
+/// threads and runs worker 0 on the calling thread (none spawned at one
+/// worker): the runtime itself is just a worker count, so it is cheap to
+/// construct and freely shareable.
 #[derive(Debug, Clone)]
-pub struct RuntimeConfig {
-    /// Number of worker threads (compute units). Defaults to the host's
-    /// available parallelism.
-    pub workers: usize,
+pub struct Runtime {
+    workers: usize,
 }
 
-impl Default for RuntimeConfig {
+/// A runtime with one worker per available core.
+impl Default for Runtime {
     fn default() -> Self {
-        Self {
-            workers: std::thread::available_parallelism()
+        Self::with_workers(
+            std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-        }
+        )
     }
 }
 
-impl RuntimeConfig {
-    /// Configuration with an explicit worker count (min 1).
+impl Runtime {
+    /// Runtime with an explicit worker count (min 1).
     pub fn with_workers(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
         }
     }
-}
-
-/// A reusable codelet runtime. Each `run*` call spawns `workers − 1` scoped
-/// threads and runs worker 0 on the calling thread (none spawned at one
-/// worker): the runtime itself is just configuration, so it is cheap to
-/// construct and freely shareable.
-#[derive(Debug, Clone, Default)]
-pub struct Runtime {
-    config: RuntimeConfig,
-}
-
-impl Runtime {
-    /// Build a runtime from a configuration.
-    pub fn new(config: RuntimeConfig) -> Self {
-        Self { config }
-    }
-
-    /// Runtime with an explicit worker count (min 1) — shorthand for
-    /// long-lived holders (services) that reuse one runtime across many
-    /// dispatches.
-    pub fn with_workers(workers: usize) -> Self {
-        Self::new(RuntimeConfig::with_workers(workers))
-    }
 
     /// Number of workers this runtime uses.
     pub fn workers(&self) -> usize {
-        self.config.workers
+        self.workers
     }
 
     /// Fine-grain execution with the program's default initial-ready order.
@@ -163,9 +142,10 @@ impl Runtime {
                 crate::verify::render(&diags)
             );
         }
-        let n_workers = self.config.workers;
+        let n_workers = self.workers;
         let total = expected;
-        let pool = discipline.build(n_workers);
+        let PoolDiscipline::Lifo = discipline;
+        let pool = LifoPool::new();
         pool.seed(seeds);
 
         let counters = DepCounters::for_program(program);
@@ -177,17 +157,13 @@ impl Runtime {
         let fired = (0..n_workers)
             .map(|_| AtomicU64::new(0))
             .collect::<Vec<_>>();
-        let empty = (0..n_workers)
-            .map(|_| AtomicU64::new(0))
-            .collect::<Vec<_>>();
 
         let start = Instant::now();
         let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
         let worker = |w: usize| {
             worker_loop(
-                w,
                 program,
-                &*pool,
+                &pool,
                 &counters,
                 shared.as_ref(),
                 &completed,
@@ -195,7 +171,6 @@ impl Runtime {
                 total,
                 &body,
                 &fired[w],
-                &empty[w],
             )
         };
         std::thread::scope(|scope| {
@@ -226,7 +201,6 @@ impl Runtime {
         RunStats {
             total_fired: fired_per_worker.iter().sum(),
             fired_per_worker,
-            empty_pops_per_worker: empty.iter().map(|f| f.load(Ordering::Relaxed)).collect(),
             elapsed,
             barriers: 0,
         }
@@ -262,7 +236,7 @@ impl Runtime {
         phases: &[Vec<CodeletId>],
         body: impl Fn(CodeletId) + Sync,
     ) -> RunStats {
-        let n_workers = self.config.workers;
+        let n_workers = self.workers;
         let fired = (0..n_workers)
             .map(|_| AtomicU64::new(0))
             .collect::<Vec<_>>();
@@ -325,7 +299,6 @@ impl Runtime {
         RunStats {
             total_fired: fired_per_worker.iter().sum(),
             fired_per_worker,
-            empty_pops_per_worker: vec![0; n_workers],
             elapsed,
             barriers: phases.len() as u64,
         }
@@ -337,9 +310,8 @@ impl Runtime {
 /// a panic elsewhere drains the loop via the poison flag.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<P>(
-    worker: usize,
     program: &P,
-    pool: &dyn ReadyPool,
+    pool: &LifoPool,
     counters: &DepCounters,
     shared: Option<&SharedCounters>,
     completed: &AtomicUsize,
@@ -347,7 +319,6 @@ fn worker_loop<P>(
     total: usize,
     body: &(impl Fn(CodeletId) + Sync),
     fired: &AtomicU64,
-    empty: &AtomicU64,
 ) -> Result<(), Box<dyn std::any::Any + Send>>
 where
     P: CodeletProgram + ?Sized,
@@ -360,7 +331,7 @@ where
         if poisoned.load(Ordering::Acquire) {
             return Ok(());
         }
-        match pool.pop(worker) {
+        match pool.pop() {
             Some(id) => {
                 backoff.reset();
                 if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| body(id))) {
@@ -386,7 +357,7 @@ where
                             }
                             None => {
                                 if counters.signal(child) {
-                                    pool.push(worker, child);
+                                    pool.push(child);
                                 }
                             }
                         }
@@ -395,13 +366,13 @@ where
                         if shared.signal(g) {
                             members.clear();
                             program.shared_group_members(g, &mut members);
-                            pool.push_many(worker, &members);
+                            pool.push_many(&members);
                         }
                     }
                 } else {
                     for &child in &children {
                         if counters.signal(child) {
-                            pool.push(worker, child);
+                            pool.push(child);
                         }
                     }
                 }
@@ -412,7 +383,6 @@ where
                 if completed.load(Ordering::Acquire) >= total {
                     return Ok(());
                 }
-                empty.fetch_add(1, Ordering::Relaxed);
                 backoff.snooze();
             }
         }
@@ -444,7 +414,7 @@ mod tests {
     fn runs_all_codelets_once() {
         let g = layered_graph(4, 8);
         let counts: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-        let rt = Runtime::new(RuntimeConfig::with_workers(4));
+        let rt = Runtime::with_workers(4);
         let stats = rt.run(&g, PoolDiscipline::Lifo, |id| {
             counts[id].fetch_add(1, Ordering::Relaxed);
         });
@@ -459,14 +429,9 @@ mod tests {
         let g = layered_graph(5, 7);
         let clock = AtomicU32::new(0);
         let times: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-        let rt = Runtime::new(RuntimeConfig::with_workers(8));
-        for discipline in [
-            PoolDiscipline::Fifo,
-            PoolDiscipline::Lifo,
-            PoolDiscipline::WorkSteal,
-        ] {
+        for workers in [1, 2, 8] {
             clock.store(0, Ordering::Relaxed);
-            rt.run(&g, discipline, |id| {
+            Runtime::with_workers(workers).run(&g, PoolDiscipline::Lifo, |id| {
                 times[id].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
             });
             for l in 1..5 {
@@ -480,7 +445,7 @@ mod tests {
                     .unwrap();
                 assert!(
                     cur_min > prev_max,
-                    "layer {l} fired before layer {} finished",
+                    "{workers} workers: layer {l} fired before layer {} finished",
                     l - 1
                 );
             }
@@ -493,7 +458,7 @@ mod tests {
         // reverse of the seed order.
         let g = ExplicitGraph::new(4);
         let order = Mutex::new(Vec::new());
-        let rt = Runtime::new(RuntimeConfig::with_workers(1));
+        let rt = Runtime::with_workers(1);
         rt.run_with_seed_order(&g, PoolDiscipline::Lifo, &[0, 1, 2, 3], |id| {
             order.lock().push(id);
         });
@@ -504,7 +469,7 @@ mod tests {
     fn phased_execution_keeps_phase_order() {
         let clock = AtomicU32::new(0);
         let times: Vec<AtomicU32> = (0..6).map(|_| AtomicU32::new(0)).collect();
-        let rt = Runtime::new(RuntimeConfig::with_workers(3));
+        let rt = Runtime::with_workers(3);
         let stats = rt.run_phased(&[vec![0, 1, 2], vec![3, 4, 5]], |id| {
             times[id].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
         });
@@ -524,8 +489,8 @@ mod tests {
     #[test]
     fn empty_program_terminates() {
         let g = ExplicitGraph::new(0);
-        let rt = Runtime::new(RuntimeConfig::with_workers(2));
-        let stats = rt.run(&g, PoolDiscipline::Fifo, |_| {});
+        let rt = Runtime::with_workers(2);
+        let stats = rt.run(&g, PoolDiscipline::Lifo, |_| {});
         assert_eq!(stats.total_fired, 0);
     }
 
@@ -533,8 +498,8 @@ mod tests {
     fn single_worker_matches_sequential_semantics() {
         let g = layered_graph(3, 4);
         let fired = Mutex::new(Vec::new());
-        let rt = Runtime::new(RuntimeConfig::with_workers(1));
-        rt.run(&g, PoolDiscipline::Fifo, |id| fired.lock().push(id));
+        let rt = Runtime::with_workers(1);
+        rt.run(&g, PoolDiscipline::Lifo, |id| fired.lock().push(id));
         assert_eq!(fired.lock().len(), 12);
     }
 
@@ -573,7 +538,7 @@ mod tests {
     #[test]
     fn shared_counters_enable_whole_group() {
         let counts: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
-        let rt = Runtime::new(RuntimeConfig::with_workers(4));
+        let rt = Runtime::with_workers(4);
         let stats = rt.run(&SharedProg, PoolDiscipline::Lifo, |id| {
             counts[id].fetch_add(1, Ordering::Relaxed);
         });
@@ -584,8 +549,8 @@ mod tests {
     #[test]
     fn stats_track_workers() {
         let g = layered_graph(2, 16);
-        let rt = Runtime::new(RuntimeConfig::with_workers(4));
-        let stats = rt.run(&g, PoolDiscipline::WorkSteal, |_| {
+        let rt = Runtime::with_workers(4);
+        let stats = rt.run(&g, PoolDiscipline::Lifo, |_| {
             std::hint::black_box(0u64);
         });
         assert_eq!(stats.fired_per_worker.len(), 4);
@@ -602,10 +567,7 @@ mod tests {
         };
         let g = layered_graph(3, 4);
         let rt = Runtime::with_workers(1);
-        assert_eq!(
-            rt.run(&g, PoolDiscipline::WorkSteal, on_caller).total_fired,
-            12
-        );
+        assert_eq!(rt.run(&g, PoolDiscipline::Lifo, on_caller).total_fired, 12);
         let partial = rt.run_partial(&g, PoolDiscipline::Lifo, &[0, 1, 2, 3], 12, on_caller);
         assert_eq!(partial.total_fired, 12);
         let phases: Vec<Vec<usize>> = vec![(0..4).collect(), (4..12).collect()];
@@ -618,9 +580,9 @@ mod tests {
         // on a completion count that can no longer be reached.
         let g = layered_graph(2, 32);
         for workers in [1, 4] {
-            let rt = Runtime::new(RuntimeConfig::with_workers(workers));
+            let rt = Runtime::with_workers(workers);
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                rt.run(&g, PoolDiscipline::WorkSteal, |id| {
+                rt.run(&g, PoolDiscipline::Lifo, |id| {
                     if id == 7 {
                         panic!("codelet 7 exploded");
                     }
@@ -639,7 +601,7 @@ mod tests {
     fn panicking_body_in_phase_does_not_hang() {
         let phases: Vec<Vec<usize>> = vec![(0..16).collect(), (16..32).collect()];
         for workers in [1, 4] {
-            let rt = Runtime::new(RuntimeConfig::with_workers(workers));
+            let rt = Runtime::with_workers(workers);
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 rt.run_phased(&phases, |id| {
                     if id == 3 {
@@ -661,7 +623,7 @@ mod tests {
     fn run_checked_runs_sound_programs() {
         let g = layered_graph(3, 4);
         let fired = AtomicU32::new(0);
-        let rt = Runtime::new(RuntimeConfig::with_workers(2));
+        let rt = Runtime::with_workers(2);
         let stats = rt
             .run_checked(&g, PoolDiscipline::Lifo, |_| {
                 fired.fetch_add(1, Ordering::Relaxed);
@@ -690,9 +652,9 @@ mod tests {
             }
         }
         let fired = AtomicU32::new(0);
-        let rt = Runtime::new(RuntimeConfig::with_workers(2));
+        let rt = Runtime::with_workers(2);
         let diags = rt
-            .run_checked(&Starved, PoolDiscipline::Fifo, |_| {
+            .run_checked(&Starved, PoolDiscipline::Lifo, |_| {
                 fired.fetch_add(1, Ordering::Relaxed);
             })
             .expect_err("broken graph must be rejected");

@@ -7,9 +7,6 @@ use std::time::Duration;
 pub struct RunStats {
     /// Number of codelets fired by each worker.
     pub fired_per_worker: Vec<u64>,
-    /// Number of pool `pop` calls that returned nothing, per worker — a
-    /// proxy for idle time / starvation.
-    pub empty_pops_per_worker: Vec<u64>,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
     /// Total codelets fired (sum over workers).

@@ -5,12 +5,12 @@
 //! ```
 //! use codelet::graph::ExplicitGraph;
 //! use codelet::pool::PoolDiscipline;
-//! use codelet::runtime::{Runtime, RuntimeConfig};
+//! use codelet::runtime::Runtime;
 //! use codelet::trace::SpanRecorder;
 //!
 //! let g = ExplicitGraph::new(8);
 //! let recorder = SpanRecorder::new();
-//! let rt = Runtime::new(RuntimeConfig::with_workers(2));
+//! let rt = Runtime::with_workers(2);
 //! rt.run(&g, PoolDiscipline::Lifo, recorder.wrap(|_id| { /* work */ }));
 //! let trace = recorder.finish();
 //! assert_eq!(trace.spans.len(), 8);
@@ -203,16 +203,16 @@ mod tests {
     use super::*;
     use crate::graph::ExplicitGraph;
     use crate::pool::PoolDiscipline;
-    use crate::runtime::{Runtime, RuntimeConfig};
+    use crate::runtime::Runtime;
 
     #[test]
     fn records_one_span_per_codelet() {
         let g = ExplicitGraph::new(32);
         let rec = SpanRecorder::new();
-        let rt = Runtime::new(RuntimeConfig::with_workers(4));
+        let rt = Runtime::with_workers(4);
         rt.run(
             &g,
-            PoolDiscipline::WorkSteal,
+            PoolDiscipline::Lifo,
             rec.wrap(|_| {
                 std::hint::black_box(0u64);
             }),
@@ -229,7 +229,7 @@ mod tests {
     fn spans_are_well_formed_and_sorted() {
         let g = ExplicitGraph::new(16);
         let rec = SpanRecorder::new();
-        let rt = Runtime::new(RuntimeConfig::with_workers(2));
+        let rt = Runtime::with_workers(2);
         rt.run(&g, PoolDiscipline::Lifo, rec.wrap(|_| {}));
         let trace = rec.finish();
         for s in &trace.spans {
@@ -247,10 +247,10 @@ mod tests {
         let mut g = ExplicitGraph::new(2);
         g.add_edge(0, 1);
         let rec = SpanRecorder::new();
-        let rt = Runtime::new(RuntimeConfig::with_workers(2));
+        let rt = Runtime::with_workers(2);
         rt.run(
             &g,
-            PoolDiscipline::Fifo,
+            PoolDiscipline::Lifo,
             rec.wrap(|_| {
                 std::thread::sleep(std::time::Duration::from_micros(100));
             }),
@@ -265,7 +265,7 @@ mod tests {
     fn utilization_and_busy_accounting() {
         let g = ExplicitGraph::new(8);
         let rec = SpanRecorder::new();
-        let rt = Runtime::new(RuntimeConfig::with_workers(2));
+        let rt = Runtime::with_workers(2);
         rt.run(
             &g,
             PoolDiscipline::Lifo,
@@ -283,7 +283,7 @@ mod tests {
     fn gantt_renders_rows() {
         let g = ExplicitGraph::new(8);
         let rec = SpanRecorder::new();
-        let rt = Runtime::new(RuntimeConfig::with_workers(2));
+        let rt = Runtime::with_workers(2);
         rt.run(
             &g,
             PoolDiscipline::Lifo,

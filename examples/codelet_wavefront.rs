@@ -9,7 +9,7 @@
 
 use codelet::graph::{CodeletId, CodeletProgram};
 use codelet::pool::PoolDiscipline;
-use codelet::runtime::{Runtime, RuntimeConfig};
+use codelet::runtime::Runtime;
 use fgsupport::rng::Rng64;
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -94,8 +94,8 @@ fn main() {
     };
 
     // Parallel dataflow execution.
-    let runtime = Runtime::new(RuntimeConfig::default());
-    let stats = runtime.run(&program, PoolDiscipline::WorkSteal, score_tile);
+    let runtime = Runtime::default();
+    let stats = runtime.run(&program, PoolDiscipline::Lifo, score_tile);
     let parallel_score = grid[height * width - 1].load(Ordering::SeqCst);
     println!(
         "parallel: {} codelets on {} workers in {:.2?} (load-imbalance CV {:.3})",

@@ -1,10 +1,10 @@
 //! Stress tests of the codelet runtime on randomized DAGs: every codelet
 //! fires exactly once, dependencies are respected under heavy parallelism,
-//! and all pool disciplines agree.
+//! and every worker count agrees.
 
 use codelet::graph::{CodeletProgram, ExplicitGraph};
 use codelet::pool::PoolDiscipline;
-use codelet::runtime::{Runtime, RuntimeConfig};
+use codelet::runtime::Runtime;
 use fgsupport::rng::Rng64;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
@@ -36,14 +36,9 @@ fn random_dags_fire_every_codelet_once() {
     for seed in 0..6 {
         let g = random_dag(seed, 8, 50);
         let counts: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-        let rt = Runtime::new(RuntimeConfig::with_workers(8));
-        for discipline in [
-            PoolDiscipline::Fifo,
-            PoolDiscipline::Lifo,
-            PoolDiscipline::WorkSteal,
-        ] {
+        for workers in [1, 2, 8] {
             counts.iter().for_each(|c| c.store(0, Ordering::Relaxed));
-            let stats = rt.run(&g, discipline, |id| {
+            let stats = Runtime::with_workers(workers).run(&g, PoolDiscipline::Lifo, |id| {
                 counts[id].fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(stats.total_fired as usize, g.len());
@@ -57,8 +52,8 @@ fn dependencies_hold_under_contention() {
     let g = random_dag(99, 6, 64);
     let clock = AtomicU32::new(1);
     let stamp: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-    let rt = Runtime::new(RuntimeConfig::with_workers(16));
-    rt.run(&g, PoolDiscipline::WorkSteal, |id| {
+    let rt = Runtime::with_workers(16);
+    rt.run(&g, PoolDiscipline::Lifo, |id| {
         stamp[id].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
     });
     // Every edge u -> v must satisfy stamp[u] < stamp[v].
@@ -76,23 +71,6 @@ fn dependencies_hold_under_contention() {
 }
 
 #[test]
-fn priority_pool_respects_keys_when_single_threaded() {
-    // 100 independent codelets with explicit priorities; 1 worker must fire
-    // them in key order.
-    let g = ExplicitGraph::new(100);
-    let keys: Vec<u64> = (0..100u64).map(|i| 99 - i).collect();
-    let order = std::sync::Mutex::new(Vec::new());
-    let rt = Runtime::new(RuntimeConfig::with_workers(1));
-    rt.run(
-        &g,
-        PoolDiscipline::Priority(std::sync::Arc::new(keys)),
-        |id| order.lock().unwrap().push(id),
-    );
-    let order = order.into_inner().unwrap();
-    assert_eq!(order, (0..100).rev().collect::<Vec<_>>());
-}
-
-#[test]
 fn run_partial_executes_exact_subset() {
     // Two disjoint chains; seeds only reach one of them.
     let mut g = ExplicitGraph::new(20);
@@ -101,7 +79,7 @@ fn run_partial_executes_exact_subset() {
         g.add_edge(10 + i, 11 + i); // chain B: 10..20
     }
     let fired = AtomicUsize::new(0);
-    let rt = Runtime::new(RuntimeConfig::with_workers(4));
+    let rt = Runtime::with_workers(4);
     let stats = rt.run_partial(&g, PoolDiscipline::Lifo, &[0], 10, |_| {
         fired.fetch_add(1, Ordering::Relaxed);
     });
@@ -118,7 +96,7 @@ fn phased_execution_over_random_layers() {
         .collect();
     let clock = AtomicU32::new(0);
     let stamp: Vec<AtomicU32> = (0..layers * width).map(|_| AtomicU32::new(0)).collect();
-    let rt = Runtime::new(RuntimeConfig::with_workers(8));
+    let rt = Runtime::with_workers(8);
     let stats = rt.run_phased(&phases, |id| {
         stamp[id].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
     });
@@ -145,8 +123,8 @@ fn wide_fanout_graph() {
         g.add_edge(0, i);
     }
     let fired = AtomicUsize::new(0);
-    let rt = Runtime::new(RuntimeConfig::with_workers(8));
-    rt.run(&g, PoolDiscipline::WorkSteal, |_| {
+    let rt = Runtime::with_workers(8);
+    rt.run(&g, PoolDiscipline::Lifo, |_| {
         fired.fetch_add(1, Ordering::Relaxed);
     });
     assert_eq!(fired.load(Ordering::Relaxed), 2001);
@@ -160,7 +138,7 @@ fn deep_chain_does_not_stack_overflow_or_deadlock() {
         g.add_edge(i, i + 1);
     }
     let fired = AtomicUsize::new(0);
-    let rt = Runtime::new(RuntimeConfig::with_workers(4));
+    let rt = Runtime::with_workers(4);
     let stats = rt.run(&g, PoolDiscipline::Lifo, |_| {
         fired.fetch_add(1, Ordering::Relaxed);
     });
