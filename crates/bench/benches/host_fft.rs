@@ -1,16 +1,21 @@
-//! Criterion: host wall-clock of the five algorithm versions on one input
-//! size, each running its cached plan on the codelet runtime, plus a
+//! Criterion: host wall-clock of the fine-guided plan at 2^10, 2^14 and
+//! 2^18 points, on one runtime worker and on every core, beside a
 //! runtime-free floor: the same plan's codelets fired stage by stage on the
-//! calling thread. The gap between the floor and a version is what its
-//! schedule and dispatch cost on this host.
+//! calling thread. The gap between the floor and a row is what the plan's
+//! schedule, dispatch and memory order cost on this host; the gap between
+//! the two worker counts is what threading buys.
+//!
+//! ```text
+//! cargo bench -p fft-repro --bench host_fft
+//! ```
 
 use codelet::runtime::Runtime;
 use fgfft::exec::shared::SharedData;
-use fgfft::{Complex64, Plan, PlanKey, SeedOrder, Version};
-use fgsupport::bench::{BenchmarkId, Criterion, Throughput};
+use fgfft::{Complex64, Plan, PlanKey, Version};
+use fgsupport::bench::{BatchSize, Criterion, Throughput};
 use fgsupport::{criterion_group, criterion_main};
 
-const N_LOG2: u32 = 16;
+const SIZES_LOG2: [u32; 3] = [10, 14, 18];
 
 fn signal(n: usize) -> Vec<Complex64> {
     (0..n)
@@ -32,50 +37,38 @@ fn stage_order_fft(data: &mut [Complex64], plan: &Plan) {
     }
 }
 
-fn bench_versions(c: &mut Criterion) {
-    let n = 1usize << N_LOG2;
-    let input = signal(n);
-    let flops = 5 * n as u64 * N_LOG2 as u64;
-    let mut group = c.benchmark_group("host_fft_2e16");
-    group.throughput(Throughput::Elements(flops));
-    group.sample_size(20);
-
-    let runtime = Runtime::with_workers(
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    );
-    for version in [
-        Version::Coarse,
-        Version::CoarseHash,
-        Version::Fine(SeedOrder::Natural),
-        Version::FineHash(SeedOrder::Natural),
-        Version::FineGuided,
-    ] {
+fn bench_sizes(c: &mut Criterion) {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let version = Version::FineGuided;
+    for n_log2 in SIZES_LOG2 {
+        let n = 1usize << n_log2;
+        let input = signal(n);
         let plan = Plan::build(PlanKey::new(n, version, version.layout()));
-        group.bench_with_input(
-            BenchmarkId::new("codelet", version.name()),
-            &version,
-            |b, _| {
+        let mut group = c.benchmark_group(format!("host_fft_2e{n_log2}"));
+        group.throughput(Throughput::Elements(5 * n as u64 * n_log2 as u64));
+        group.sample_size(if n_log2 >= 18 { 30 } else { 200 });
+        for workers in [1, cores] {
+            let runtime = Runtime::with_workers(workers);
+            group.bench_function(format!("{} @ {workers}w", version.name()), |b| {
                 b.iter_batched(
                     || input.clone(),
                     |mut data| plan.execute(&mut data, &runtime),
-                    fgsupport::bench::BatchSize::LargeInput,
+                    BatchSize::LargeInput,
                 );
-            },
-        );
+            });
+        }
+        group.bench_function("stage-order floor (no runtime)", |b| {
+            b.iter_batched(
+                || input.clone(),
+                |mut data| stage_order_fft(&mut data, &plan),
+                BatchSize::LargeInput,
+            );
+        });
+        group.finish();
     }
-
-    let plan = Plan::build(PlanKey::new(n, Version::Coarse, Version::Coarse.layout()));
-    group.bench_function("stage-order floor (no runtime)", |b| {
-        b.iter_batched(
-            || input.clone(),
-            |mut data| stage_order_fft(&mut data, &plan),
-            fgsupport::bench::BatchSize::LargeInput,
-        );
-    });
-    group.finish();
 }
 
-criterion_group!(benches, bench_versions);
+criterion_group!(benches, bench_sizes);
 criterion_main!(benches);

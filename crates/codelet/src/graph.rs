@@ -195,63 +195,77 @@ impl<P: CodeletProgram> CodeletProgram for WithoutSharedGroups<P> {
     }
 }
 
-/// A fully materialized (CSR) snapshot of any [`CodeletProgram`].
+/// A materialized (CSR) quotient of any [`CodeletProgram`].
 ///
 /// Implicit programs recompute their arcs by index algebra on every
 /// `dependents` call — cheap once, but a measurable cost when the same graph
-/// is dispatched over and over (a *serving* workload). `CsrProgram`
-/// materializes children, dependence counts, shared groups, and the initial
-/// ready order into flat arrays once, trading memory for a branch-free hot
-/// dispatch path. This is the "codelet-graph metadata" a cached plan holds.
+/// is dispatched over and over (a *serving* workload). `CsrProgram` stores
+/// children, dependence counts and the initial ready order in flat arrays
+/// once, trading memory for a branch-free hot dispatch path. It is built as
+/// a quotient ([`CsrProgram::quotient`]): blocks of consecutive codelets
+/// become single nodes, and a block of one keeps the program's own arcs.
+/// This is the "codelet-graph metadata" a cached plan holds.
 #[derive(Debug, Clone, Default)]
 pub struct CsrProgram {
     dep_counts: Vec<u32>,
     child_offsets: Vec<u32>,
     child_data: Vec<u32>,
-    groups: Vec<Option<SharedGroup>>,
-    num_groups: usize,
-    member_offsets: Vec<u32>,
-    member_data: Vec<u32>,
     seeds: Vec<CodeletId>,
 }
 
 impl CsrProgram {
-    /// Materialize `program` into flat arrays. O(V + E) time and space.
-    pub fn materialize<P: CodeletProgram + ?Sized>(program: &P) -> Self {
+    /// The quotient of `program` under blocks of `2^block_log2` consecutive
+    /// ids: node `t` stands for codelets `t·2^block_log2 ..
+    /// (t+1)·2^block_log2`, which must be mutually independent. Its
+    /// children are the deduplicated images of its members' children, in
+    /// first-appearance order; its dependence count is its number of
+    /// distinct parent blocks; its seeds are the images of the program's
+    /// initial-ready order ([`quotient_order`]). Shared groups do not
+    /// survive: every node has a private counter.
+    ///
+    /// Firing the quotient fires each member after all of its parents,
+    /// because every codelet edge `a → b` has an image edge from `a`'s
+    /// block to `b`'s. O(V + E) time; only the quotient's edges are stored.
+    ///
+    /// # Panics
+    /// When the block size does not divide the codelet count, or an edge
+    /// joins two members of one block (the block could never fire).
+    pub fn quotient<P: CodeletProgram + ?Sized>(program: &P, block_log2: u32) -> Self {
         let n = program.num_codelets();
-        let mut dep_counts = Vec::with_capacity(n);
-        let mut child_offsets = Vec::with_capacity(n + 1);
+        assert!(
+            n.is_multiple_of(1 << block_log2),
+            "blocks of 2^{block_log2} must divide the {n} codelets"
+        );
+        let nodes = n >> block_log2;
+        let mut dep_counts = vec![0u32; nodes];
+        let mut child_offsets = Vec::with_capacity(nodes + 1);
         let mut child_data = Vec::new();
-        let mut groups = Vec::with_capacity(n);
+        // `last_parent[c]` is the last node that emitted an edge to `c`:
+        // one stamp per target deduplicates without sorting.
+        let mut last_parent = vec![usize::MAX; nodes];
         let mut scratch = Vec::new();
         child_offsets.push(0);
-        for id in 0..n {
-            dep_counts.push(program.dep_count(id));
-            groups.push(program.shared_group(id));
-            scratch.clear();
-            program.dependents(id, &mut scratch);
-            child_data.extend(scratch.iter().map(|&c| c as u32));
+        for node in 0..nodes {
+            for id in node << block_log2..(node + 1) << block_log2 {
+                scratch.clear();
+                program.dependents(id, &mut scratch);
+                for &child in &scratch {
+                    let to = child >> block_log2;
+                    assert_ne!(to, node, "edge {id} -> {child} stays inside block {node}");
+                    if last_parent[to] != node {
+                        last_parent[to] = node;
+                        dep_counts[to] += 1;
+                        child_data.push(to as u32);
+                    }
+                }
+            }
             child_offsets.push(child_data.len() as u32);
-        }
-        let num_groups = program.num_shared_groups();
-        let mut member_offsets = Vec::with_capacity(num_groups + 1);
-        let mut member_data = Vec::new();
-        member_offsets.push(0);
-        for g in 0..num_groups {
-            scratch.clear();
-            program.shared_group_members(g, &mut scratch);
-            member_data.extend(scratch.iter().map(|&c| c as u32));
-            member_offsets.push(member_data.len() as u32);
         }
         Self {
             dep_counts,
             child_offsets,
             child_data,
-            groups,
-            num_groups,
-            member_offsets,
-            member_data,
-            seeds: program.initial_ready(),
+            seeds: quotient_order(&program.initial_ready(), block_log2),
         }
     }
 
@@ -272,9 +286,6 @@ impl CsrProgram {
         (self.dep_counts.len() * 4
             + self.child_offsets.len() * 4
             + self.child_data.len() * 4
-            + self.groups.len() * std::mem::size_of::<Option<SharedGroup>>()
-            + self.member_offsets.len() * 4
-            + self.member_data.len() * 4
             + self.seeds.len() * std::mem::size_of::<CodeletId>()) as u64
     }
 }
@@ -295,20 +306,22 @@ impl CodeletProgram for CsrProgram {
     fn initial_ready(&self) -> Vec<CodeletId> {
         self.seeds.clone()
     }
+}
 
-    fn shared_group(&self, id: CodeletId) -> Option<SharedGroup> {
-        self.groups[id]
+/// The blocks of `2^block_log2` consecutive ids that `ids` touch, in order
+/// of first appearance: the image of a seed list or a phase under
+/// [`CsrProgram::quotient`]. The identity when `block_log2` is 0.
+pub fn quotient_order(ids: &[CodeletId], block_log2: u32) -> Vec<CodeletId> {
+    let bound = ids.iter().max().map_or(0, |&m| (m >> block_log2) + 1);
+    let mut seen = vec![false; bound];
+    let mut out = Vec::with_capacity(ids.len() >> block_log2);
+    for &id in ids {
+        let node = id >> block_log2;
+        if !std::mem::replace(&mut seen[node], true) {
+            out.push(node);
+        }
     }
-
-    fn num_shared_groups(&self) -> usize {
-        self.num_groups
-    }
-
-    fn shared_group_members(&self, group: usize, out: &mut Vec<CodeletId>) {
-        let lo = self.member_offsets[group] as usize;
-        let hi = self.member_offsets[group + 1] as usize;
-        out.extend(self.member_data[lo..hi].iter().map(|&c| c as CodeletId));
-    }
+    out
 }
 
 /// `copies` disjoint instances of one program, addressed as a single graph —
@@ -590,7 +603,7 @@ mod tests {
         assert!(order.is_empty());
     }
 
-    /// A small program with shared groups, for materialization tests.
+    /// A small program with shared groups, for quotient tests.
     struct GroupedProg;
     impl CodeletProgram for GroupedProg {
         fn num_codelets(&self) -> usize {
@@ -627,7 +640,9 @@ mod tests {
 
     #[test]
     fn csr_matches_source_program() {
-        let csr = CsrProgram::materialize(&GroupedProg);
+        // Blocks of one keep every arc; the shared groups become private
+        // counters over the same parents.
+        let csr = CsrProgram::quotient(&GroupedProg, 0);
         assert_eq!(csr.num_codelets(), 6);
         assert_eq!(csr.initial_ready(), vec![1, 0]);
         assert!(csr.resident_bytes() > 0);
@@ -635,21 +650,14 @@ mod tests {
         let mut b = Vec::new();
         for id in 0..6 {
             assert_eq!(csr.dep_count(id), GroupedProg.dep_count(id));
-            assert_eq!(csr.shared_group(id), GroupedProg.shared_group(id));
+            assert!(csr.shared_group(id).is_none());
             a.clear();
             b.clear();
             csr.dependents(id, &mut a);
             GroupedProg.dependents(id, &mut b);
             assert_eq!(a, b, "children of {id}");
         }
-        assert_eq!(csr.num_shared_groups(), 2);
-        for g in 0..2 {
-            a.clear();
-            b.clear();
-            csr.shared_group_members(g, &mut a);
-            GroupedProg.shared_group_members(g, &mut b);
-            assert_eq!(a, b, "members of group {g}");
-        }
+        assert_eq!(csr.num_shared_groups(), 0);
         let order = execute_sequential(&csr, |_| {});
         assert_eq!(order.len(), 6);
     }
@@ -661,11 +669,60 @@ mod tests {
         g.add_edge(1, 2);
         g.add_edge(2, 3);
         g.add_edge(2, 4);
-        let csr = CsrProgram::materialize(&g);
+        let csr = CsrProgram::quotient(&g, 0);
         assert_eq!(
             execute_sequential(&csr, |_| {}),
             execute_sequential(&g, |_| {})
         );
+    }
+
+    #[test]
+    fn quotient_merges_blocks_and_deduplicates_edges() {
+        // Two layers of four: 0..4 feed 4..8 pairwise (i -> 4 + i) and
+        // codelet 0 also feeds 7. Blocks of two: {0,1} {2,3} {4,5} {6,7}.
+        let mut g = ExplicitGraph::new(8);
+        for i in 0..4 {
+            g.add_edge(i, 4 + i);
+        }
+        g.add_edge(0, 7);
+        let q = CsrProgram::quotient(&g, 1);
+        assert_eq!(q.num_codelets(), 4);
+        assert_eq!(q.children(0), &[2, 3], "0->4, 1->5 merge; 0->7 adds 3");
+        assert_eq!(q.children(1), &[3]);
+        assert_eq!((q.dep_count(2), q.dep_count(3)), (1, 2));
+        assert_eq!(q.initial_ready(), vec![0, 1]);
+        assert_eq!(q.num_shared_groups(), 0);
+        assert!(q.shared_group(3).is_none());
+        assert_eq!(execute_sequential(&q, |_| {}).len(), 4);
+        // Blocks of one keep every distinct edge.
+        let unit = CsrProgram::quotient(&g, 0);
+        assert_eq!(unit.children(0), &[4, 7]);
+        assert_eq!(unit.dep_count(7), 2);
+    }
+
+    #[test]
+    fn quotient_drops_groups_but_keeps_the_order() {
+        // Every grouped child is ordered after every parent through a
+        // private counter on the quotient.
+        let q = CsrProgram::quotient(&GroupedProg, 1);
+        assert_eq!(q.initial_ready(), vec![0], "seeds [1, 0] share block 0");
+        assert_eq!(q.children(0), &[1, 2]);
+        assert_eq!((q.dep_count(1), q.dep_count(2)), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "stays inside block")]
+    fn quotient_rejects_edges_inside_a_block() {
+        let mut g = ExplicitGraph::new(2);
+        g.add_edge(0, 1);
+        CsrProgram::quotient(&g, 1);
+    }
+
+    #[test]
+    fn quotient_order_keeps_first_appearance() {
+        assert_eq!(quotient_order(&[5, 0, 4, 1, 7], 1), vec![2, 0, 3]);
+        assert_eq!(quotient_order(&[3, 1, 2], 0), vec![3, 1, 2]);
+        assert!(quotient_order(&[], 2).is_empty());
     }
 
     #[test]

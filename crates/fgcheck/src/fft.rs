@@ -8,7 +8,9 @@
 //! checks it without running it:
 //!
 //! 1. the graph contract (`codelet::verify`, codes FG001–FG008),
-//! 2. happens-before races over task footprints (FG101/FG201),
+//! 2. happens-before races over task footprints (FG101/FG201), on the
+//!    codelet schedule and again on its host lowering — the tiles
+//!    `Plan::execute` fires ([`crate::tiles`]),
 //! 3. bank-pressure imbalance under the C64 interleave (FG301).
 //!
 //! A report is *clean* when it contains no errors; bank-pressure findings
@@ -19,10 +21,12 @@ use crate::bank::BankPressure;
 use crate::hb::{HbOrder, Segment};
 use crate::race::{find_races, RaceReport};
 use crate::tables;
+use crate::tiles::{self, TileCheck};
 use codelet::verify::{self, Diagnostic};
 use fgfft::cert::{self, Digest};
 use fgfft::graph::FftGraph;
 use fgfft::planner::PlanKey;
+use fgfft::tiles::TileProgram;
 use fgfft::workload::{self, KindWorkload, ScheduleSpec, TransformKind, Workload};
 use fgfft::{FftPlan, Plan, SimVersion, TwiddleLayout};
 use fgsupport::json::Value;
@@ -93,6 +97,9 @@ pub struct FftCheckReport {
     pub contract: Vec<Diagnostic>,
     /// Pass-2 race scan.
     pub races: RaceReport,
+    /// Pass 2 over the host lowering: the schedule quotiented onto the
+    /// tiles `Plan` fires (one check per inner complex wave).
+    pub host: Vec<TileCheck>,
     /// Pass-3 histograms (kept for reporting; per-level imbalance).
     pub bank: BankPressure,
     /// Pass-3 lint findings (warnings).
@@ -118,6 +125,9 @@ impl FftCheckReport {
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
         let mut out = self.contract.clone();
         out.extend(self.races.diagnostics());
+        for host in &self.host {
+            out.extend(host.diagnostics());
+        }
         out.extend(self.tables.iter().cloned());
         out.extend(self.bank_lint.iter().cloned());
         out
@@ -155,6 +165,17 @@ impl FftCheckReport {
             },
             self.races.checked
         ));
+        for host in &self.host {
+            out.push_str(&format!(
+                "  host tiles: {} tiles, races: {}\n",
+                host.tiles,
+                if host.races.is_clean() {
+                    "none".to_string()
+                } else {
+                    format!("{} racing pairs", host.races.total)
+                }
+            ));
+        }
         let imb: Vec<String> = (0..self.bank.hist.len())
             .map(|l| match self.bank.imbalance(l) {
                 Some(r) => format!("{r:.2}"),
@@ -225,6 +246,20 @@ impl FftCheckReport {
                     ("total", Value::Num(self.races.total as f64)),
                     ("checked", Value::Num(self.races.checked as f64)),
                 ]),
+            ),
+            (
+                "host",
+                Value::Arr(
+                    self.host
+                        .iter()
+                        .map(|h| {
+                            Value::obj(vec![
+                                ("tiles", Value::Num(h.tiles as f64)),
+                                ("races", Value::Num(h.races.total as f64)),
+                            ])
+                        })
+                        .collect(),
+                ),
             ),
             (
                 "bank",
@@ -333,6 +368,11 @@ pub fn check_fft_tuned(
     contract.extend(coverage);
 
     let races = find_races(n_tasks, |t| workload.footprint(t), &hb);
+    let host = vec![tiles::check_lowering(
+        &TileProgram::lower(&plan, &spec),
+        n_tasks,
+        |t| workload.footprint(t),
+    )];
     let bank = BankPressure::collect(
         n_tasks,
         |t| workload.footprint(t),
@@ -341,18 +381,9 @@ pub fn check_fft_tuned(
     );
     let bank_lint = bank.lint(opts.threshold);
 
-    // Certificate ingredients. The HB witness digests the level cover pass
+    // Certificate ingredients. The HB witness digests the level covers pass
     // 2 established; the bank bound is pass 3's worst per-level ratio.
-    let mut witness = Digest::new_tagged(0x4842_5749); // "HBWI"
-    witness.write_usize(n_tasks);
-    witness.write_usize(hb.num_levels());
-    for t in 0..n_tasks {
-        match hb.level(t) {
-            Some(l) => witness.write_u32(l),
-            None => witness.write_u64(u64::MAX),
-        }
-    }
-    let hb_witness = witness.finish();
+    let hb_witness = hb_witness(n_tasks, &hb, &host);
     let bank_bound_milli = (0..bank.hist.len())
         .filter_map(|l| bank.imbalance(l))
         .fold(0u64, |acc, r| acc.max((r * 1000.0).ceil() as u64));
@@ -377,6 +408,7 @@ pub fn check_fft_tuned(
         tasks: n_tasks,
         contract,
         races,
+        host,
         bank,
         bank_lint,
         tables,
@@ -416,19 +448,25 @@ fn check_fft_kind(
     contract.extend(coverage);
 
     let races = find_races(n_tasks, |t| kw.footprint(t), &hb);
+    // The inner waves run their own plans' tile lowerings: the primary wave
+    // under the tuning, the 2D column wave on its seed schedule.
+    let wave = |inner: &Workload, tuning| {
+        let fft = *inner.plan();
+        let spec = ScheduleSpec::of_tuned(fft, opts.version, tuning);
+        tiles::check_lowering(
+            &TileProgram::lower(&fft, &spec),
+            fft.total_codelets(),
+            |t| inner.footprint(t),
+        )
+    };
+    let mut host = vec![wave(kw.inner(), tuning)];
+    if let Some(col) = kw.col_inner() {
+        host.push(wave(col, None));
+    }
     let bank = BankPressure::collect(n_tasks, |t| kw.footprint(t), &hb, workload::interleave());
     let bank_lint = bank.lint(opts.threshold);
 
-    let mut witness = Digest::new_tagged(0x4842_5749); // "HBWI"
-    witness.write_usize(n_tasks);
-    witness.write_usize(hb.num_levels());
-    for t in 0..n_tasks {
-        match hb.level(t) {
-            Some(l) => witness.write_u32(l),
-            None => witness.write_u64(u64::MAX),
-        }
-    }
-    let hb_witness = witness.finish();
+    let hb_witness = hb_witness(n_tasks, &hb, &host);
     let bank_bound_milli = (0..bank.hist.len())
         .filter_map(|l| bank.imbalance(l))
         .fold(0u64, |acc, r| acc.max((r * 1000.0).ceil() as u64));
@@ -452,6 +490,7 @@ fn check_fft_kind(
         tasks: n_tasks,
         contract,
         races,
+        host,
         bank,
         bank_lint,
         tables,
@@ -461,4 +500,25 @@ fn check_fft_kind(
         table_digest,
         bank_bound_milli,
     }
+}
+
+/// The certificate's happens-before witness: a digest of the level cover
+/// of the codelet schedule, then of every host tile lowering.
+fn hb_witness(n_tasks: usize, hb: &HbOrder, host: &[TileCheck]) -> u64 {
+    let mut witness = Digest::new_tagged(0x4842_5749); // "HBWI"
+    let mut cover = |n: usize, hb: &HbOrder| {
+        witness.write_usize(n);
+        witness.write_usize(hb.num_levels());
+        for t in 0..n {
+            match hb.level(t) {
+                Some(l) => witness.write_u32(l),
+                None => witness.write_u64(u64::MAX),
+            }
+        }
+    };
+    cover(n_tasks, hb);
+    for check in host {
+        cover(check.tiles, &check.hb);
+    }
+    witness.finish()
 }

@@ -13,7 +13,10 @@
 //! * **Pass 2 — happens-before races** ([`hb`], [`race`]): a schedule is
 //!   modeled as barrier-separated [`hb::Segment`]s; tasks with overlapping
 //!   footprints (at least one writing) that the model leaves unordered are
-//!   reported as FG201 errors. Schedule-coverage holes are FG101.
+//!   reported as FG201 errors. Schedule-coverage holes are FG101. The
+//!   same check runs again over the host lowering ([`tiles`]): the tile
+//!   program `fgfft::Plan` actually fires, where a tile's footprint is the
+//!   union of its member codelets'.
 //! * **Pass 3 — bank pressure** ([`bank`]): per-stage per-bank histograms
 //!   of every footprint under the Cyclops-64 interleave; a stage whose peak
 //!   bank exceeds `threshold ×` the mean draws an FG301 warning. This is
@@ -42,6 +45,7 @@ pub mod fft;
 pub mod hb;
 pub mod race;
 pub mod tables;
+pub mod tiles;
 
 pub use bank::{BankPressure, CODE_BANK_IMBALANCE, DEFAULT_THRESHOLD};
 pub use certify::{certify, check_certificate, CODE_CERT};
@@ -54,3 +58,4 @@ pub use tables::{
     CODE_KIND_DRIFT, CODE_PAIR_BOUNDS, CODE_STAGE_ALIASING, CODE_TABLE_DRIFT, CODE_TABLE_SHAPE,
     CODE_TWIDDLE_DRIFT,
 };
+pub use tiles::{check_lowering, check_tiles, TileCheck};

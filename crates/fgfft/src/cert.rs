@@ -49,7 +49,12 @@ use fgsupport::json::Value;
 /// Revision 2: transform kinds (R2C / C2R / 2-D) became part of the plan
 /// identity — the schedule digest streams the kind and the transpose block
 /// size, and the table digest covers the column plan and untangle table.
-pub const WORKLOAD_REVISION: u64 = 2;
+///
+/// Revision 3: plans fire their schedule lowered onto tiles of consecutive
+/// codelets ([`crate::tiles`]) instead of codelet by codelet, and the
+/// happens-before witness now also covers that tile program. A revision-2
+/// certificate vouches for a codelet-level dispatch that no longer runs.
+pub const WORKLOAD_REVISION: u64 = 3;
 
 /// Multi-lane FNV-style digest (keyless, dependency-free).
 ///
@@ -519,8 +524,9 @@ pub struct Certificate {
     pub schedule: u64,
     /// [`table_digest`] of the plan built from that pair.
     pub tables: u64,
-    /// Witness of the happens-before cover fgcheck computed (digest of the
-    /// per-task level assignment): opaque here, re-derivable only by
+    /// Witness of the happens-before covers fgcheck computed (digest of the
+    /// per-task level assignment of the codelet schedule and of the per-tile
+    /// levels of its host lowering): opaque here, re-derivable only by
     /// re-running pass 2 — which the CI `fgcheck --all` sweep does. Zero
     /// for structural certificates issued without the static passes.
     pub hb_witness: u64,

@@ -32,6 +32,8 @@
 //!   that the `fgserve` serving layer builds on. A plan is the only way the
 //!   host runs a transform: one buffer or a batch, every kind, one dispatch
 //!   over its certified schedule.
+//! * [`tiles`] — the host lowering: a plan's schedule quotiented onto tiles
+//!   of consecutive codelets, which the runtime fires as single tasks.
 //! * [`wisdom`] — persistent, machine-scoped autotuning results (FFTW-style
 //!   wisdom): which pool order / guided split / runtime parameters the
 //!   `fgtune` tuner measured fastest per [`PlanKey`], consulted by the
@@ -86,6 +88,7 @@ pub mod reference;
 pub mod rfft;
 pub mod simwork;
 pub mod stft;
+pub mod tiles;
 pub mod twiddle;
 pub mod window;
 pub mod wisdom;

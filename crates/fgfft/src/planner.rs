@@ -6,14 +6,14 @@
 //!
 //! * [`Plan`] — everything derivable from a [`PlanKey`], computed once:
 //!   the twiddle table, the bit-reversal transposition list, the
-//!   codelet-graph schedule **materialized** into flat CSR arrays
-//!   ([`codelet::CsrProgram`]), and per-stage execution tables (gather
+//!   codelet-graph schedule **lowered onto tiles** of consecutive codelets
+//!   ([`TileProgram`], flat CSR arrays), and per-stage execution tables (gather
 //!   indices, butterfly pair pattern, per-codelet twiddle runs) so the hot
 //!   path streams flat arrays instead of redoing index algebra and twiddle
 //!   lookups per call. `Plan::execute` runs one transform as a batch of
 //!   one; `Plan::execute_batch` runs many same-plan transforms through a
 //!   single runtime dispatch ([`codelet::BatchProgram`]). Both go through
-//!   one dispatch over the schedule. [`Plan::run_codelet`] exposes the unit
+//!   one dispatch that fires the tiles. [`Plan::run_codelet`] exposes the unit
 //!   of work itself for harnesses that drive their own schedule.
 //! * [`Planner`] — a sharded, single-flight cache of `Arc<Plan>` keyed by
 //!   [`PlanKey`] (FFTW calls the same idea *wisdom*). Concurrent requests
@@ -30,6 +30,7 @@ use crate::complex::Complex64;
 use crate::exec::shared::SharedData;
 use crate::exec::{ExecStats, Version};
 use crate::plan::{FftPlan, MAX_RADIX_LOG2};
+use crate::tiles::{TileProgram, TileSlice};
 use crate::twiddle::{TwiddleLayout, TwiddleTable};
 use crate::wisdom::{Wisdom, WisdomEntry, WisdomStatus};
 use crate::workload::{
@@ -129,30 +130,6 @@ impl PlanKey {
     pub fn buffer_len(&self) -> usize {
         self.kind.buffer_len(self.n_log2)
     }
-}
-
-/// The version-specific precomputed schedule of a plan.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)] // exactly one per Plan; boxing would cost an indirection on the hot path
-enum Schedule {
-    /// Coarse-grain: the per-stage codelet-id lists fed to barrier phases.
-    Phased(Vec<Vec<CodeletId>>),
-    /// Fine-grain dataflow: the materialized graph and the seed order.
-    Fine {
-        graph: CsrProgram,
-        seeds: Vec<CodeletId>,
-    },
-    /// Guided: early slice, barrier, late slice (each materialized), with
-    /// the spec's seed orders carried explicitly — the materialized CSR
-    /// embeds the graph's *default* seeds, which a tuned plan overrides.
-    Guided {
-        early: CsrProgram,
-        early_seeds: Vec<CodeletId>,
-        early_expected: usize,
-        late: CsrProgram,
-        late_seeds: Vec<CodeletId>,
-        late_expected: usize,
-    },
 }
 
 /// Per-stage execution tables, FFTW-style: everything a codelet's inner loop
@@ -267,7 +244,7 @@ pub struct Plan {
     fft: FftPlan,
     twiddles: TwiddleTable,
     bitrev_swaps: Vec<(u32, u32)>,
-    schedule: Schedule,
+    tiles: TileProgram,
     tables: Vec<StageTable>,
     ext: Option<Box<KindExt>>,
 }
@@ -323,28 +300,9 @@ impl Plan {
                 }))
             }
         };
-        // Materialize the workload layer's schedule spec — the same spec the
-        // simulator runs and `fgcheck` verifies — into flat CSR arrays.
-        let schedule = match ScheduleSpec::of_tuned(fft, key.version, tuning) {
-            ScheduleSpec::Phased { phases } => Schedule::Phased(phases),
-            ScheduleSpec::Fine { graph, seeds } => Schedule::Fine {
-                graph: CsrProgram::materialize(&graph),
-                seeds,
-            },
-            ScheduleSpec::Guided {
-                early,
-                early_seeds,
-                late,
-                late_seeds,
-            } => Schedule::Guided {
-                early_expected: early.expected(),
-                early: CsrProgram::materialize(&early),
-                early_seeds,
-                late_expected: late.expected(),
-                late: CsrProgram::materialize(&late),
-                late_seeds,
-            },
-        };
+        // Lower the workload layer's schedule spec — the same spec the
+        // simulator runs and `fgcheck` verifies — onto tiles.
+        let tiles = TileProgram::lower(&fft, &ScheduleSpec::of_tuned(fft, key.version, tuning));
         let tables = (0..fft.stages())
             .map(|stage| StageTable::build(&fft, &twiddles, stage))
             .collect();
@@ -354,7 +312,7 @@ impl Plan {
             fft,
             twiddles,
             bitrev_swaps,
-            schedule,
+            tiles,
             tables,
             ext,
         }
@@ -498,19 +456,16 @@ impl Plan {
         &self.bitrev_swaps
     }
 
+    /// The host lowering this plan fires: its certified schedule over
+    /// tiles of consecutive codelets ([`crate::tiles`]).
+    pub fn tiles(&self) -> &TileProgram {
+        &self.tiles
+    }
+
     /// Approximate bytes this plan keeps resident (twiddles, swap table,
-    /// materialized schedule) — what a cache eviction would reclaim.
+    /// tile program, stage tables) — what a cache eviction would reclaim.
     pub fn resident_bytes(&self) -> u64 {
-        let schedule = match &self.schedule {
-            Schedule::Phased(phases) => phases
-                .iter()
-                .map(|p| (p.len() * std::mem::size_of::<CodeletId>()) as u64)
-                .sum(),
-            Schedule::Fine { graph, seeds } => {
-                graph.resident_bytes() + (seeds.len() * std::mem::size_of::<CodeletId>()) as u64
-            }
-            Schedule::Guided { early, late, .. } => early.resident_bytes() + late.resident_bytes(),
-        };
+        let schedule = self.tiles.resident_bytes();
         let tables: u64 = self.tables.iter().map(StageTable::bytes).sum();
         let ext = match self.ext.as_deref() {
             None => 0,
@@ -637,9 +592,11 @@ impl Plan {
 
     /// The one dispatch of this plan's schedule: fire every codelet of
     /// `copies` same-plan buffers through `runtime`, calling `body(copy,
-    /// id)` for codelet `id` of buffer `copy`. One copy runs the
-    /// materialized schedule itself; a batch views it as one
-    /// [`BatchProgram`], so setup is paid once for the whole batch.
+    /// id)` for codelet `id` of buffer `copy`. The runtime fires tiles of
+    /// the [`TileProgram`]; a tile runs its members in id order (they are
+    /// one stage's, so independent). One copy runs the tile program
+    /// itself; a batch views it as one [`BatchProgram`], so setup is paid
+    /// once for the whole batch. The returned counts are codelets.
     fn dispatch(
         &self,
         runtime: &Runtime,
@@ -650,56 +607,51 @@ impl Plan {
         if copies == 0 {
             return stats;
         }
-        let total = self.fft.total_codelets();
-        let body = |id: usize| {
-            if copies == 1 {
-                body(0, id)
+        let tiles = self.tiles.num_tiles();
+        let body = |task: usize| {
+            let (copy, tile) = if copies == 1 {
+                (0, task)
             } else {
-                body(id / total, id % total)
+                (task / tiles, task % tiles)
+            };
+            for id in self.tiles.members(tile) {
+                body(copy, id);
             }
         };
-        match &self.schedule {
-            Schedule::Phased(phases) => {
-                let rs = if copies == 1 {
-                    runtime.run_phased(phases, body)
-                } else {
-                    // Stage s of every copy forms one barrier phase.
+        let tile_len = self.tiles.tile_len() as u64;
+        for slice in self.tiles.slices() {
+            let mut rs = match slice {
+                TileSlice::Phased(phases) if copies == 1 => runtime.run_phased(phases, body),
+                TileSlice::Phased(phases) => {
+                    // Phase s of every copy forms one barrier phase.
                     let batched: Vec<Vec<CodeletId>> = phases
                         .iter()
                         .map(|p| {
                             (0..copies)
-                                .flat_map(|k| p.iter().map(move |&c| k * total + c))
+                                .flat_map(|k| p.iter().map(move |&t| k * tiles + t))
                                 .collect()
                         })
                         .collect();
                     runtime.run_phased(&batched, body)
-                };
-                stats.barriers = rs.barriers;
-                stats.phases.push(rs);
+                }
+                TileSlice::Dataflow {
+                    program,
+                    seeds,
+                    expected,
+                } => run_slice(runtime, program, seeds, *expected, copies, &body),
+            };
+            // The runtime counted tiles; each is exactly `T` codelets.
+            rs.total_fired *= tile_len;
+            for fired in &mut rs.fired_per_worker {
+                *fired *= tile_len;
             }
-            Schedule::Fine { graph, seeds } => {
-                stats
-                    .phases
-                    .push(run_slice(runtime, graph, seeds, total, copies, &body));
-            }
-            Schedule::Guided {
-                early,
-                early_seeds,
-                early_expected,
-                late,
-                late_seeds,
-                late_expected,
-            } => {
-                let rs1 = run_slice(runtime, early, early_seeds, *early_expected, copies, &body);
-                // The join of the early phase's worker scope is the barrier.
-                let rs2 = run_slice(runtime, late, late_seeds, *late_expected, copies, &body);
-                stats.barriers = 1;
-                stats.phases.push(rs1);
-                stats.phases.push(rs2);
-            }
+            stats.barriers += rs.barriers;
+            stats.phases.push(rs);
         }
+        // The join of each slice's worker scope is a barrier.
+        stats.barriers += self.tiles.slices().len() as u64 - 1;
         stats.codelets = stats.phases.iter().map(|rs| rs.total_fired).sum();
-        debug_assert_eq!(stats.codelets, (total * copies) as u64);
+        debug_assert_eq!(stats.codelets, (self.fft.total_codelets() * copies) as u64);
         stats
     }
 
@@ -835,7 +787,7 @@ impl Plan {
     }
 }
 
-/// Fire one materialized slice of a plan's schedule — `expected` codelets
+/// Fire one dataflow slice of a plan's tile program — `expected` tiles
 /// grown from `seeds` — over `copies` buffers. One copy runs `program`
 /// itself, with no per-edge copy arithmetic and no seed copy; a batch runs
 /// it as a [`BatchProgram`] with every copy's seeds in per-copy order.
@@ -1379,6 +1331,7 @@ mod tests {
     use crate::complex::rms_error;
     use crate::exec::SeedOrder;
     use crate::reference::recursive_fft;
+    use codelet::graph::CodeletProgram;
 
     fn signal(n: usize) -> Vec<Complex64> {
         (0..n)
@@ -1391,9 +1344,18 @@ mod tests {
             Version::Coarse,
             Version::CoarseHash,
             Version::Fine(SeedOrder::Natural),
+            Version::Fine(SeedOrder::Reversed),
+            Version::Fine(SeedOrder::Random(42)),
+            Version::FineHash(SeedOrder::Natural),
             Version::FineHash(SeedOrder::Reversed),
             Version::FineGuided,
         ]
+    }
+
+    /// One transform through a freshly built plan for `version`.
+    fn run(data: &mut [Complex64], version: Version, radix_log2: u32, workers: usize) -> ExecStats {
+        let key = PlanKey::with_radix(data.len(), version, version.layout(), radix_log2);
+        Plan::build(key).execute(data, &Runtime::with_workers(workers))
     }
 
     #[test]
@@ -1847,6 +1809,59 @@ mod tests {
         }
     }
 
+    /// The invariants the tile dispatch's `unsafe` calls rest on, at tiny
+    /// sizes for Miri: every codelet is in exactly one tile, member ids are
+    /// in bounds and of one stage, the tiles of a stage touch disjoint
+    /// elements, and the slices fire every tile.
+    #[test]
+    fn miri_tile_lowering_partitions_codelets_into_disjoint_tiles() {
+        for (n_log2, radix_log2) in [(4u32, 2u32), (6, 2), (8, 3), (8, 6)] {
+            for version in [Version::Coarse, Version::FineGuided] {
+                let key = PlanKey::with_radix(1 << n_log2, version, version.layout(), radix_log2);
+                let plan = Plan::build(key);
+                let (fft, tiles) = (plan.fft_plan(), plan.tiles());
+                let total = fft.total_codelets();
+                assert_eq!(tiles.num_tiles() * tiles.tile_len(), total);
+                let mut owner = vec![usize::MAX; total];
+                let mut toucher = vec![vec![usize::MAX; fft.n()]; fft.stages()];
+                for tile in 0..tiles.num_tiles() {
+                    let members = tiles.members(tile);
+                    let stage = fft.stage_of(members.start);
+                    for id in members {
+                        assert!(id < total, "tile {tile} member {id} out of bounds");
+                        assert_eq!(owner[id], usize::MAX, "codelet {id} in two tiles");
+                        owner[id] = tile;
+                        assert_eq!(fft.stage_of(id), stage, "tile {tile} spans stages");
+                        let idx = fft.idx_of(id);
+                        let gather = plan.stage_table(stage).gather;
+                        for &e in &gather[idx * fft.radix()..(idx + 1) * fft.radix()] {
+                            let seen = &mut toucher[stage][e as usize];
+                            assert!(*seen == usize::MAX || *seen == tile, "element {e}");
+                            *seen = tile;
+                        }
+                    }
+                }
+                assert!(owner.iter().all(|&t| t != usize::MAX), "codelet in no tile");
+                let fired: usize = tiles
+                    .slices()
+                    .iter()
+                    .map(|slice| match slice {
+                        TileSlice::Phased(phases) => phases.iter().map(Vec::len).sum(),
+                        TileSlice::Dataflow {
+                            program,
+                            seeds,
+                            expected,
+                        } => {
+                            assert!(seeds.iter().all(|&s| s < program.num_codelets()));
+                            *expected
+                        }
+                    })
+                    .sum();
+                assert_eq!(fired, tiles.num_tiles(), "{}", version.name());
+            }
+        }
+    }
+
     #[test]
     fn miri_certificate_digests_are_stable_across_rebuilds() {
         let key = PlanKey::with_radix(1 << 6, Version::Coarse, TwiddleLayout::Linear, 3);
@@ -2088,5 +2103,122 @@ mod tests {
         let plan = Plan::build(PlanKey::new(8, Version::Coarse, TwiddleLayout::Linear));
         let mut data = signal(16);
         plan.execute(&mut data, &Runtime::with_workers(1));
+    }
+
+    #[test]
+    fn every_version_matches_reference() {
+        let n = 1 << 13; // 3 stages at radix 64 → guided is exercised
+        let input = signal(n);
+        let expect = recursive_fft(&input);
+        for version in all_versions() {
+            for workers in [1, 4] {
+                let mut data = input.clone();
+                let stats = run(&mut data, version, 6, workers);
+                assert_eq!(stats.codelets, 3 * (n as u64 / 64));
+                let err = rms_error(&data, &expect);
+                assert!(
+                    err < 1e-9,
+                    "{} workers={workers}: rms {err}",
+                    version.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn versions_agree_bitwise() {
+        // Determinacy: all schedules produce the same floating-point values,
+        // not merely close ones — the DAG fixes the arithmetic.
+        let n = 1 << 12;
+        let input = signal(n);
+        let mut baseline = input.clone();
+        run(&mut baseline, Version::Coarse, 6, 4);
+        for version in all_versions() {
+            let mut data = input.clone();
+            run(&mut data, version, 6, 4);
+            assert_eq!(data, baseline, "{}", version.name());
+        }
+    }
+
+    #[test]
+    fn coarse_uses_one_barrier_per_stage() {
+        let mut data = signal(1 << 13);
+        assert_eq!(run(&mut data, Version::Coarse, 6, 2).barriers, 3);
+    }
+
+    #[test]
+    fn guided_runs_two_phases() {
+        let mut data = signal(1 << 13);
+        let stats = run(&mut data, Version::FineGuided, 6, 2);
+        assert_eq!(stats.phases.len(), 2);
+        assert_eq!(stats.barriers, 1);
+        assert_eq!(
+            stats.phases[0].total_fired, 128,
+            "early phase = stage 0 only for 3 stages"
+        );
+        assert_eq!(stats.phases[1].total_fired, 256);
+    }
+
+    #[test]
+    fn guided_falls_back_for_small_transforms() {
+        let input = signal(1 << 7); // 2 stages at radix 64
+        let expect = recursive_fft(&input);
+        let mut data = input;
+        let stats = run(&mut data, Version::FineGuided, 6, 2);
+        assert_eq!(stats.phases.len(), 1);
+        assert!(rms_error(&data, &expect) < 1e-10);
+    }
+
+    #[test]
+    fn small_radix_works() {
+        let input = signal(1 << 10);
+        let expect = recursive_fft(&input);
+        for radix_log2 in [1u32, 3, 5] {
+            let mut data = input.clone();
+            run(&mut data, Version::Fine(SeedOrder::Natural), radix_log2, 3);
+            assert!(rms_error(&data, &expect) < 1e-9, "radix 2^{radix_log2}");
+        }
+    }
+
+    #[test]
+    fn tiny_transform() {
+        let input = signal(2);
+        let expect = recursive_fft(&input);
+        let mut data = input;
+        run(&mut data, Version::Coarse, 6, 2);
+        assert!(rms_error(&data, &expect) < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn rejects_non_power_of_two() {
+        run(&mut signal(12), Version::Coarse, 6, 1);
+    }
+
+    #[test]
+    fn seed_orders_are_permutations() {
+        for order in [
+            SeedOrder::Natural,
+            SeedOrder::Reversed,
+            SeedOrder::EvenOdd,
+            SeedOrder::Random(7),
+        ] {
+            let v = order.order(100);
+            let mut sorted = v.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..100).collect::<Vec<_>>(), "{order:?}");
+        }
+    }
+
+    #[test]
+    fn random_order_is_deterministic_per_seed() {
+        assert_eq!(
+            SeedOrder::Random(3).order(50),
+            SeedOrder::Random(3).order(50)
+        );
+        assert_ne!(
+            SeedOrder::Random(3).order(50),
+            SeedOrder::Random(4).order(50)
+        );
     }
 }

@@ -11,8 +11,8 @@
 //!   [`fgfft::planner`]): a sharded, single-flight, wisdom-style cache of
 //!   [`Plan`]s. A plan precomputes everything derivable from
 //!   `(size, version, layout)`: the twiddle table, the bit-reversal
-//!   transposition list, and the codelet dependence graph materialized into
-//!   flat CSR arrays. Concurrent first requests for one key build it exactly
+//!   transposition list, and the codelet dependence graph lowered onto
+//!   tiles in flat CSR arrays. Concurrent first requests for one key build it exactly
 //!   once.
 //! * **Request pipeline** — [`FftService`]: a bounded submission queue with
 //!   admission control (full queue ⇒ [`ServeError::Overloaded`], never

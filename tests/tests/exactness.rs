@@ -16,10 +16,13 @@
 //! scheduling bug, not round-off.
 
 use codelet::runtime::Runtime;
+use fgfft::exec::shared::SharedData;
 use fgfft::reference::recursive_fft;
 use fgfft::{
-    rms_error, Backend, BackendSel, Complex64, HostSimd, Plan, PlanKey, SeedOrder, Version,
+    rms_error, Backend, BackendSel, Complex64, FftPlan, HostSimd, Plan, PlanKey, ScheduleTuning,
+    SeedOrder, Version,
 };
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn signal(n: usize) -> Vec<Complex64> {
@@ -38,6 +41,25 @@ fn bits(data: &[Complex64]) -> Vec<(u64, u64)> {
     data.iter()
         .map(|c| (c.re.to_bits(), c.im.to_bits()))
         .collect()
+}
+
+/// Every codelet of `plan` in stage order on the calling thread, through
+/// [`Plan::run_codelet`]: the schedule-free oracle every lowering must
+/// match bit for bit.
+fn stage_order_oracle(plan: &Plan, input: &[Complex64]) -> Vec<(u64, u64)> {
+    let mut data = input.to_vec();
+    for &(a, b) in plan.bitrev_swaps() {
+        data.swap(a as usize, b as usize);
+    }
+    {
+        let view = SharedData::new(&mut data);
+        for id in 0..plan.fft_plan().total_codelets() {
+            // SAFETY: one thread, ids in stage order: every parent of `id`
+            // has completed on this thread before it runs.
+            unsafe { plan.run_codelet(&view, id) };
+        }
+    }
+    bits(&data)
 }
 
 /// The kernel × worker-count rows every exactness case runs: the scalar,
@@ -224,5 +246,77 @@ fn backends_are_bit_exact_for_composite_kinds() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn tile_lowering_is_bit_exact_against_the_stage_order_oracle() {
+    // Radix 6 at every tile size T = 2^min(6, n - 8) from 1 to 64, then
+    // radix 3 and radix 7 with a partial last stage.
+    let shapes = [
+        (7u32, 6u32),
+        (8, 6),
+        (9, 6),
+        (10, 6),
+        (11, 6),
+        (12, 6),
+        (13, 6),
+        (14, 6),
+        (13, 3),
+        (12, 7),
+        (16, 7),
+    ];
+    let mut versions = Version::paper_set(SeedOrder::Natural).to_vec();
+    versions.extend([
+        Version::Fine(SeedOrder::Reversed),
+        Version::Fine(SeedOrder::EvenOdd),
+        Version::FineHash(SeedOrder::Random(7)),
+    ]);
+    let runtimes = [1usize, 2, 4].map(Runtime::with_workers);
+    let mut tile_sizes = BTreeSet::new();
+    for (n_log2, radix_log2) in shapes {
+        let n = 1usize << n_log2;
+        let input = signal(n);
+        let fft = FftPlan::new(n_log2, radix_log2);
+        let reversed = ScheduleTuning {
+            pool_order: Some((0..fft.codelets_per_stage()).rev().collect()),
+            ..ScheduleTuning::identity()
+        };
+        let mut variants: Vec<(Version, Option<ScheduleTuning>)> = versions
+            .iter()
+            .flat_map(|&v| [(v, None), (v, Some(reversed.clone()))])
+            .collect();
+        if fft.stages() >= 3 {
+            let paper = fft.stages() - 3;
+            let moved = ScheduleTuning {
+                last_early: Some(if paper > 0 { 0 } else { 1 }),
+                ..ScheduleTuning::identity()
+            };
+            variants.push((Version::FineGuided, Some(moved)));
+        }
+        for (version, tuning) in variants {
+            let key = PlanKey::with_radix(n, version, version.layout(), radix_log2);
+            let plan = Plan::build_tuned(key, tuning.as_ref());
+            tile_sizes.insert(plan.tiles().tile_len());
+            let want = stage_order_oracle(&plan, &input);
+            for runtime in &runtimes {
+                let mut data = input.clone();
+                let stats = plan.execute(&mut data, runtime);
+                assert_eq!(stats.codelets, fft.total_codelets() as u64);
+                assert!(
+                    bits(&data) == want,
+                    "{} {tuning:?} N=2^{n_log2} radix 2^{radix_log2} @ {}w: bitwise drift \
+                     from the stage-order oracle",
+                    version.name(),
+                    runtime.workers()
+                );
+            }
+        }
+    }
+    for t in [1, 2, 4, 8, 16, 32, 64] {
+        assert!(
+            tile_sizes.contains(&t),
+            "tile size {t} not covered: {tile_sizes:?}"
+        );
     }
 }

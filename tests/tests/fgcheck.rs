@@ -6,11 +6,16 @@
 use c64sim::ChipConfig;
 use codelet::graph::{CodeletId, CodeletProgram, WithoutSharedGroups};
 use codelet::verify;
+use fgcheck::tiles::{members, segments};
 use fgcheck::{
-    check_fft, find_races, FftCheckOptions, HbOrder, Segment, CODE_BANK_IMBALANCE, CODE_RACE,
+    check_fft, check_lowering, check_tiles, find_races, FftCheckOptions, HbOrder, Segment,
+    CODE_BANK_IMBALANCE, CODE_COVERAGE, CODE_RACE,
 };
 use fgfft::graph::FftGraph;
-use fgfft::{FftPlan, FftWorkload, SeedOrder, SimVersion, TwiddleLayout};
+use fgfft::tiles::TileSlice;
+use fgfft::{
+    FftPlan, FftWorkload, Plan, PlanKey, SeedOrder, SimVersion, TwiddleLayout, Version, Workload,
+};
 
 const N_LOG2: u32 = 15;
 
@@ -177,6 +182,100 @@ fn dropped_arc_passes_the_contract_but_is_flagged_as_a_race() {
         races.pairs
     );
     assert!(races.diagnostics().iter().all(|d| d.code == CODE_RACE));
+}
+
+/// The host lowering of a 2^12 fine-guided plan: two stages, so guided
+/// degrades to one dataflow slice, over 8 tiles of 16 codelets.
+fn host_plan() -> (Plan, Workload) {
+    let plan = Plan::build(PlanKey::new(
+        1 << 12,
+        Version::FineGuided,
+        TwiddleLayout::Linear,
+    ));
+    let workload = Workload::new(*plan.fft_plan(), TwiddleLayout::Linear);
+    (plan, workload)
+}
+
+#[test]
+fn dropped_tile_edge_passes_the_contract_but_races() {
+    let (plan, workload) = host_plan();
+    let (tiles, n) = (plan.tiles(), plan.fft_plan().total_codelets());
+    assert_eq!((tiles.num_tiles(), tiles.tile_len()), (8, 16));
+    let sane = check_lowering(tiles, n, |c| workload.footprint(c));
+    assert!(
+        sane.diagnostics().is_empty(),
+        "{}",
+        verify::render(&sane.diagnostics())
+    );
+
+    let [TileSlice::Dataflow {
+        program,
+        seeds,
+        expected,
+    }] = tiles.slices()
+    else {
+        panic!("a two-stage guided plan lowers to one dataflow slice");
+    };
+    let from = seeds[0];
+    let to = program.children(from)[0] as usize;
+    let mutated = DropEdge {
+        inner: program.clone(),
+        from,
+        to,
+    };
+    let contract = verify::check_partial(&mutated, seeds, *expected);
+    assert!(
+        !verify::has_errors(&contract),
+        "mutation must be contract-clean:\n{}",
+        verify::render(&contract)
+    );
+    let check = check_tiles(
+        n,
+        &members(tiles),
+        &[Segment::Graph {
+            program: &mutated,
+            seeds: seeds.clone(),
+        }],
+        |c| workload.footprint(c),
+    );
+    assert!(check.contract.is_empty());
+    assert!(
+        check
+            .races
+            .pairs
+            .iter()
+            .any(|&(a, b, _)| (a, b) == (from, to)),
+        "the racing pair must be the severed tile edge {from}->{to}, got {:?}",
+        check.races.pairs
+    );
+    assert!(check.diagnostics().iter().all(|d| d.code == CODE_RACE));
+}
+
+#[test]
+fn tile_membership_overlaps_and_holes_are_fg101() {
+    let (plan, workload) = host_plan();
+    let (tiles, n) = (plan.tiles(), plan.fft_plan().total_codelets());
+    let segs = segments(tiles);
+    let coverage_of = |members: &[Vec<usize>], codelet: usize| {
+        let check = check_tiles(n, members, &segs, |c| workload.footprint(c));
+        check
+            .contract
+            .iter()
+            .any(|d| d.code == CODE_COVERAGE && d.codelet == Some(codelet))
+    };
+    let sane = members(tiles);
+    assert!((0..n).all(|c| !coverage_of(&sane, c)));
+
+    // A codelet run by two tiles.
+    let mut twice = sane.clone();
+    let shared = twice[0][3];
+    twice[1].push(shared);
+    assert!(coverage_of(&twice, shared), "codelet {shared} in two tiles");
+
+    // A codelet run by no tile.
+    let mut hole = sane;
+    let dropped = hole[5].remove(7);
+    assert!(coverage_of(&hole, dropped), "codelet {dropped} in no tile");
 }
 
 #[test]
