@@ -1,9 +1,11 @@
-//! Criterion: host wall-clock of the fine-guided plan at 2^10, 2^14 and
-//! 2^18 points, on one runtime worker and on every core, beside a
+//! Criterion: host wall-clock of the fine-guided plan at 2^10, 2^14, 2^16
+//! and 2^18 points, on one runtime worker and on every core, beside a
 //! runtime-free floor: the same plan's codelets fired stage by stage on the
 //! calling thread. The gap between the floor and a row is what the plan's
 //! schedule, dispatch and memory order cost on this host; the gap between
-//! the two worker counts is what threading buys.
+//! the two worker counts is what threading buys. Each size also times
+//! `Plan::build` (the cold set-up a cache miss pays) and prints the plan's
+//! resident bytes per point.
 //!
 //! ```text
 //! cargo bench -p fft-repro --bench host_fft
@@ -15,7 +17,7 @@ use fgfft::{Complex64, Plan, PlanKey, Version};
 use fgsupport::bench::{BatchSize, Criterion, Throughput};
 use fgsupport::{criterion_group, criterion_main};
 
-const SIZES_LOG2: [u32; 3] = [10, 14, 18];
+const SIZES_LOG2: [u32; 4] = [10, 14, 16, 18];
 
 fn signal(n: usize) -> Vec<Complex64> {
     (0..n)
@@ -45,8 +47,15 @@ fn bench_sizes(c: &mut Criterion) {
     for n_log2 in SIZES_LOG2 {
         let n = 1usize << n_log2;
         let input = signal(n);
-        let plan = Plan::build(PlanKey::new(n, version, version.layout()));
-        let mut group = c.benchmark_group(format!("host_fft_2e{n_log2}"));
+        let key = PlanKey::new(n, version, version.layout());
+        let plan = Plan::build(key);
+        let name = format!("host_fft_2e{n_log2}");
+        println!(
+            "{:60} {:>14.1} B/point",
+            format!("{name}/plan resident bytes"),
+            plan.resident_bytes() as f64 / n as f64
+        );
+        let mut group = c.benchmark_group(name);
         group.throughput(Throughput::Elements(5 * n as u64 * n_log2 as u64));
         group.sample_size(if n_log2 >= 18 { 30 } else { 200 });
         for workers in [1, cores] {
@@ -59,6 +68,7 @@ fn bench_sizes(c: &mut Criterion) {
                 );
             });
         }
+        group.bench_function("Plan::build", |b| b.iter(|| Plan::build(key)));
         group.bench_function("stage-order floor (no runtime)", |b| {
             b.iter_batched(
                 || input.clone(),

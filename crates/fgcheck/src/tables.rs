@@ -3,10 +3,12 @@
 //! The first three passes verify the *workload-level* schedule — the graphs
 //! and footprints `fgfft::simwork` executes. But the serving hot path runs a
 //! second, independent lowering: [`fgfft::Plan`] materializes per-stage
-//! gather/butterfly/twiddle tables that `unsafe` codelet execution streams
-//! through **without bounds checks**, on the strength of two assumptions:
+//! gather/butterfly/slot tables and one run of distinct twiddles per
+//! twiddle class, which `unsafe` codelet execution streams through
+//! **without bounds checks**, on the strength of two assumptions:
 //!
-//! 1. every table index is in bounds for the plan's buffers, and
+//! 1. every table index — gather entry, butterfly pair, twiddle slot and
+//!    class — is in bounds for the plan's buffers, and
 //! 2. codelets that may run concurrently (same stage) have pairwise
 //!    disjoint data footprints — each stage's gather is a *partition* of
 //!    the data array.
@@ -14,15 +16,18 @@
 //! This pass checks both statically, plus — differentially — that the
 //! tables are byte-identical to what [`fgfft::workload`]'s authority
 //! functions derive, so the two lowerings can never drift apart silently.
+//! The twiddle check runs per codelet: the run it reads through its class
+//! and the slot pattern must expand to the authority's per-butterfly run
+//! bitwise, which proves the class map and not just the stored values.
 //!
 //! | code    | severity | meaning                                               |
 //! |---------|----------|-------------------------------------------------------|
 //! | `FG401` | error    | gather index out of bounds for the data array         |
-//! | `FG402` | error    | butterfly pair index out of bounds or degenerate      |
-//! | `FG403` | error    | table shape mismatch (lengths vs the plan's algebra)  |
+//! | `FG402` | error    | butterfly pair, twiddle slot or class out of bounds   |
+//! | `FG403` | error    | table shape mismatch (lengths, class count, run length vs the plan's algebra) |
 //! | `FG404` | error    | stage gather is not a partition (aliasing under `unsafe`) |
-//! | `FG405` | error    | twiddle run differs bitwise from the workload authority |
-//! | `FG406` | error    | gather/pairs differ from the workload authority       |
+//! | `FG405` | error    | a codelet's slot-indexed twiddles differ bitwise from the workload authority |
+//! | `FG406` | error    | gather/pairs/slots differ from the workload authority |
 //! | `FG407` | error    | bit-reversal swap list invalid or drifted             |
 //! | `FG409` | error    | composite-kind extension tables (untangle / column plan) drifted |
 //!
@@ -43,15 +48,16 @@ use fgfft::{FftPlan, Plan, TwiddleTable};
 
 /// Gather index out of bounds.
 pub const CODE_GATHER_BOUNDS: &str = "FG401";
-/// Butterfly pair out of bounds or degenerate.
+/// Butterfly pair, twiddle slot or twiddle class out of bounds (or a
+/// degenerate pair).
 pub const CODE_PAIR_BOUNDS: &str = "FG402";
 /// Table shape mismatch.
 pub const CODE_TABLE_SHAPE: &str = "FG403";
 /// Stage gather is not a partition of the data array.
 pub const CODE_STAGE_ALIASING: &str = "FG404";
-/// Twiddle run drifted from the workload authority.
+/// A codelet's slot-indexed twiddles drifted from the workload authority.
 pub const CODE_TWIDDLE_DRIFT: &str = "FG405";
-/// Gather/pair tables drifted from the workload authority.
+/// Gather/pair/slot tables drifted from the workload authority.
 pub const CODE_TABLE_DRIFT: &str = "FG406";
 /// Bit-reversal swap list invalid or drifted.
 pub const CODE_BITREV_DRIFT: &str = "FG407";
@@ -159,23 +165,29 @@ pub fn check_plan_tables(
     for (stage, table) in stages.iter().enumerate() {
         let q = fft.levels(stage);
         let expect_pairs = (q as usize) << (fft.radix_log2() - 1);
+        let classes = workload::twiddle_classes(fft, stage);
+        let run_len = workload::twiddle_loads(fft, stage);
 
         // FG403 — shapes first: the remaining checks index by them.
         if table.gather.len() != cps * radix
             || table.pairs.len() != expect_pairs
-            || table.twiddles.len() != cps * table.pairs.len()
+            || table.slots.len() != expect_pairs
+            || table.classes != classes
+            || table.twiddles.len() != classes * run_len
         {
             out.push(error(
                 CODE_TABLE_SHAPE,
                 None,
                 format!(
-                    "stage {stage}: gather {} (want {}), pairs {} (want {expect_pairs}), \
-                     twiddles {} (want {})",
+                    "stage {stage}: gather {} (want {}), pairs {} and slots {} (want \
+                     {expect_pairs}), classes {} (want {classes}), class runs {} (want \
+                     {classes} × {run_len})",
                     table.gather.len(),
                     cps * radix,
                     table.pairs.len(),
+                    table.slots.len(),
+                    table.classes,
                     table.twiddles.len(),
-                    cps * table.pairs.len(),
                 ),
             ));
             continue; // indices below would be meaningless
@@ -199,7 +211,9 @@ pub fn check_plan_tables(
         }
 
         // FG402 — every butterfly pair stays inside the codelet buffer and
-        // names two distinct slots (lo = hi would double-write one slot).
+        // names two distinct slots (lo = hi would double-write one slot);
+        // every twiddle slot stays inside a class run, and every codelet's
+        // class names a stored run (the kernels read both unchecked).
         if let Some((i, &(lo, hi))) = table
             .pairs
             .iter()
@@ -212,6 +226,27 @@ pub fn check_plan_tables(
                 format!(
                     "stage {stage}: pair[{i}] = ({lo}, {hi}) invalid for radix {radix} \
                      (want lo < hi < radix)"
+                ),
+            ));
+        }
+        let bad_slot = table.slots.iter().position(|&s| s as usize >= run_len);
+        if let Some(i) = bad_slot {
+            out.push(error(
+                CODE_PAIR_BOUNDS,
+                None,
+                format!(
+                    "stage {stage}: slot[{i}] = {} out of a {run_len}-value class run",
+                    table.slots[i]
+                ),
+            ));
+        }
+        if let Some(idx) = (0..cps).find(|&idx| table.class_of(idx) >= classes) {
+            out.push(error(
+                CODE_PAIR_BOUNDS,
+                Some(stage * cps + idx),
+                format!(
+                    "stage {stage}: codelet {idx} maps to class {} of {classes}",
+                    table.class_of(idx)
                 ),
             ));
         }
@@ -248,38 +283,52 @@ pub fn check_plan_tables(
         // FG406 — differential: byte-identical to the workload authority.
         let auth_gather = workload::stage_gather(fft, stage);
         let auth_pairs = workload::butterfly_pairs(fft, stage);
-        if table.gather != auth_gather.as_slice() || table.pairs != auth_pairs.as_slice() {
+        let auth_slots = workload::twiddle_slots(fft, stage);
+        if table.gather != auth_gather.as_slice()
+            || table.pairs != auth_pairs.as_slice()
+            || table.slots != auth_slots.as_slice()
+        {
             out.push(error(
                 CODE_TABLE_DRIFT,
                 None,
                 format!(
-                    "stage {stage}: gather/pair tables differ from the workload \
+                    "stage {stage}: gather/pair/slot tables differ from the workload \
                      authority — the two lowerings have drifted"
                 ),
             ));
         }
 
-        // FG405 — twiddles bitwise equal to the authority's runs. Bitwise,
-        // not approximate: the plan is supposed to *copy* these values, and
-        // any rounding difference means it recomputed them another way.
-        authority_tw.clear();
-        for idx in 0..cps {
-            workload::append_twiddle_run(fft, twiddles, stage, idx, &mut authority_tw);
+        // FG405 — per codelet, the twiddles the kernel reads (its class run
+        // through the slot pattern) bitwise equal to the authority's
+        // per-butterfly run. Bitwise, not approximate: the plan is supposed
+        // to *copy* these values, and any rounding difference means it
+        // recomputed them another way.
+        if bad_slot.is_some() {
+            continue; // the expansion would index past a run
         }
-        if let Some(i) = (0..table.twiddles.len().min(authority_tw.len())).find(|&i| {
-            let (a, b) = (table.twiddles[i], authority_tw[i]);
-            a.re.to_bits() != b.re.to_bits() || a.im.to_bits() != b.im.to_bits()
-        }) {
-            let run = table.pairs.len();
-            out.push(error(
-                CODE_TWIDDLE_DRIFT,
-                Some(stage * cps + i / run.max(1)),
-                format!(
-                    "stage {stage}: twiddle[{i}] = {} differs bitwise from the workload \
-                     authority's {}",
-                    table.twiddles[i], authority_tw[i]
-                ),
-            ));
+        for idx in 0..cps {
+            let Some(run) = table.run(idx) else { continue };
+            authority_tw.clear();
+            workload::append_twiddle_run(fft, twiddles, stage, idx, &mut authority_tw);
+            let drift = table.slots.iter().zip(&authority_tw).position(|(&s, b)| {
+                let a = run[s as usize];
+                a.re.to_bits() != b.re.to_bits() || a.im.to_bits() != b.im.to_bits()
+            });
+            if let Some(i) = drift {
+                let slot = table.slots[i] as usize;
+                out.push(error(
+                    CODE_TWIDDLE_DRIFT,
+                    Some(stage * cps + idx),
+                    format!(
+                        "stage {stage}: codelet {idx} butterfly {i} reads class {} slot \
+                         {slot} = {}, which differs bitwise from the workload authority's {}",
+                        table.class_of(idx),
+                        run[slot],
+                        authority_tw[i]
+                    ),
+                ));
+                break; // one diagnostic per (stage, code)
+            }
         }
     }
 
@@ -373,12 +422,10 @@ mod tests {
             (0..fft.stages()).map(|s| p.stage_table(s)).collect();
         let mut gather = stages[1].gather.to_vec();
         gather[3] = 1 << 9; // one past the end
-        let mutated = StageTableView {
+        stages[1] = StageTableView {
             gather: &gather,
-            pairs: stages[1].pairs,
-            twiddles: stages[1].twiddles,
+            ..stages[1]
         };
-        stages[1] = mutated;
         let diags = check_plan_tables(fft, p.twiddles(), &stages, p.bitrev_swaps());
         let codes: Vec<&str> = diags.iter().map(|d| d.code).collect();
         assert!(codes.contains(&CODE_GATHER_BOUNDS), "{codes:?}");
@@ -395,12 +442,10 @@ mod tests {
             (0..fft.stages()).map(|s| p.stage_table(s)).collect();
         let mut gather = stages[0].gather.to_vec();
         gather[70] = gather[2]; // two codelets now share an element
-        let mutated = StageTableView {
+        stages[0] = StageTableView {
             gather: &gather,
-            pairs: stages[0].pairs,
-            twiddles: stages[0].twiddles,
+            ..stages[0]
         };
-        stages[0] = mutated;
         let diags = check_plan_tables(fft, p.twiddles(), &stages, p.bitrev_swaps());
         assert!(
             diags.iter().any(|d| d.code == CODE_STAGE_ALIASING),
@@ -417,11 +462,7 @@ mod tests {
         // Truncated gather: shape error.
         let mut stages = full.clone();
         let gather = &full[0].gather[..full[0].gather.len() - 1];
-        stages[0] = StageTableView {
-            gather,
-            pairs: full[0].pairs,
-            twiddles: full[0].twiddles,
-        };
+        stages[0] = StageTableView { gather, ..full[0] };
         let diags = check_plan_tables(fft, p.twiddles(), &stages, p.bitrev_swaps());
         assert!(
             diags.iter().any(|d| d.code == CODE_TABLE_SHAPE),
@@ -433,15 +474,67 @@ mod tests {
         let mut tw = full[1].twiddles.to_vec();
         tw[5].re = f64::from_bits(tw[5].re.to_bits() ^ 1);
         stages[1] = StageTableView {
-            gather: full[1].gather,
-            pairs: full[1].pairs,
             twiddles: &tw,
+            ..full[1]
         };
         let diags = check_plan_tables(fft, p.twiddles(), &stages, p.bitrev_swaps());
         assert!(
             diags.iter().any(|d| d.code == CODE_TWIDDLE_DRIFT),
             "{diags:?}"
         );
+    }
+
+    /// The class-table mutations, each against the code that owns it: a
+    /// slot past its run is FG402, a class count off by one is FG403, and
+    /// one flipped value of the last class run (the only codelet reading
+    /// it is the last) is FG405 for that codelet.
+    #[test]
+    fn mutated_class_tables_draw_their_codes() {
+        let p = Plan::build(PlanKey::with_radix(
+            1 << 13,
+            Version::FineGuided,
+            TwiddleLayout::BitReversedHash,
+            6,
+        ));
+        let fft = p.fft_plan();
+        let full: Vec<StageTableView<'_>> = (0..fft.stages()).map(|s| p.stage_table(s)).collect();
+        let codes = |stages: &[StageTableView<'_>]| -> Vec<(&'static str, Option<usize>)> {
+            check_plan_tables(fft, p.twiddles(), stages, p.bitrev_swaps())
+                .iter()
+                .map(|d| (d.code, d.codelet))
+                .collect()
+        };
+        assert!(codes(&full).is_empty());
+
+        let mut slots = full[1].slots.to_vec();
+        slots[7] = full[1].run_len() as u8;
+        let mut stages = full.clone();
+        stages[1] = StageTableView {
+            slots: &slots,
+            ..full[1]
+        };
+        assert!(codes(&stages).contains(&(CODE_PAIR_BOUNDS, None)));
+
+        for classes in [full[1].classes - 1, full[1].classes + 1] {
+            let mut stages = full.clone();
+            stages[1] = StageTableView { classes, ..full[1] };
+            assert!(
+                codes(&stages).contains(&(CODE_TABLE_SHAPE, None)),
+                "{classes}"
+            );
+        }
+
+        let last = fft.stages() - 1;
+        let mut tw = full[last].twiddles.to_vec();
+        let i = tw.len() - 1;
+        tw[i].im = f64::from_bits(tw[i].im.to_bits() ^ 1);
+        let mut stages = full.clone();
+        stages[last] = StageTableView {
+            twiddles: &tw,
+            ..full[last]
+        };
+        let id = last * fft.codelets_per_stage() + fft.codelets_per_stage() - 1;
+        assert_eq!(codes(&stages), [(CODE_TWIDDLE_DRIFT, Some(id))]);
     }
 
     #[test]

@@ -46,11 +46,13 @@ use std::sync::Arc;
 ///
 /// A kernel receives exactly the per-codelet table slices the scalar hot
 /// path streams — the gather run (global element indices), the stage's
-/// butterfly pair pattern over the local buffer, and the codelet's twiddle
-/// run, one factor per butterfly in pair order — and must leave the same
-/// bits behind as [`crate::exec::shared::execute_codelet_tabled`] would.
-/// Schedules, tables, and certificates are backend-independent; only this
-/// innermost loop varies.
+/// butterfly pair pattern over the local buffer, the stage's slot pattern
+/// (per butterfly, the position of its twiddle in the run), and the
+/// codelet's class run (the distinct twiddles its class consumes,
+/// [`crate::workload::append_class_run`]) — and must leave the same bits
+/// behind as [`crate::exec::shared::execute_codelet_tabled`] would:
+/// butterfly `i` multiplies by `run[slots[i]]`. Schedules, tables, and
+/// certificates are backend-independent; only this innermost loop varies.
 pub trait CodeletKernel: Send + Sync + std::fmt::Debug {
     /// Short human-readable identity (used in fingerprints and stats).
     fn label(&self) -> &'static str;
@@ -60,13 +62,15 @@ pub trait CodeletKernel: Send + Sync + std::fmt::Debug {
     /// # Safety
     /// The caller upholds the dataflow discipline documented in
     /// [`crate::exec::shared`]: this codelet owns the elements named by
-    /// `gather` for the duration of the call, and every `gather` index is
-    /// in bounds for `view`.
+    /// `gather` for the duration of the call, every `gather` index is in
+    /// bounds for `view`, every pair is in bounds for the codelet's
+    /// `gather.len()` slots, and every slot is in bounds for `run`.
     unsafe fn run_codelet(
         &self,
         gather: &[u32],
         pairs: &[(u32, u32)],
-        twiddles: &[Complex64],
+        slots: &[u8],
+        run: &[Complex64],
         view: &SharedData<'_>,
     );
 }
@@ -315,7 +319,8 @@ mod tests {
                 &self,
                 _gather: &[u32],
                 _pairs: &[(u32, u32)],
-                _twiddles: &[Complex64],
+                _slots: &[u8],
+                _run: &[Complex64],
                 _view: &SharedData<'_>,
             ) {
                 panic!("boom");

@@ -22,12 +22,13 @@ impl CodeletKernel for ScalarKernel {
         &self,
         gather: &[u32],
         pairs: &[(u32, u32)],
-        twiddles: &[Complex64],
+        slots: &[u8],
+        run: &[Complex64],
         view: &SharedData<'_>,
     ) {
         // SAFETY: forwarded from the trait contract, which matches
         // `execute_codelet_tabled`'s documented requirements verbatim.
-        unsafe { execute_codelet_tabled(gather, pairs, twiddles, view) }
+        unsafe { execute_codelet_tabled(gather, pairs, slots, run, view) }
     }
 }
 

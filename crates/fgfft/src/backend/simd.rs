@@ -13,21 +13,25 @@
 //!    codelet executes it has exclusive ownership of its buffer — the
 //!    aliasing precondition for issuing unchecked vector loads/stores on
 //!    the local buffer without any synchronization.
-//! 2. **The pair pattern is the canonical radix-2 lowering.** For level
-//!    `ll` of a `q`-level stage, butterfly `k` touches
-//!    `lo = (c << (ll+1)) + r`, `hi = lo + 2^ll` with `c = k >> ll`,
-//!    `r = k & (2^ll - 1)`, and its twiddle sits at position
-//!    `ll·2^(p-1) + k` of the codelet's run — i.e. *consecutive butterflies
-//!    read consecutive buffer slots and consecutive twiddles* (FG403/FG405
-//!    pin the tables to this shape byte-for-byte). [`HostSimd::prepare`]
-//!    re-verifies the shape directly and falls back to the scalar kernel
-//!    on any mismatch, so the vector paths never guess.
+//! 2. **The pair and slot patterns are the canonical radix-2 lowering.**
+//!    For level `ll` of a `q`-level stage with `groups = 2^(p-q)`,
+//!    butterfly `k` touches `lo = (c << (ll+1)) + r`, `hi = lo + 2^ll`
+//!    with `c = k >> ll`, `r = k & (2^ll - 1)`, and its twiddle sits at
+//!    slot `(2^ll - 1)·groups + ((k >> (q-1)) << ll) + r` of the codelet's
+//!    class run (FG402/FG403/FG406 pin the tables to this shape, FG405
+//!    pins every codelet's slot-indexed run to the workload authority).
+//!    So at levels `ll >= 1` an even butterfly and its successor read
+//!    *consecutive buffer slots and consecutive twiddles*, and at level 0
+//!    the butterflies of one group share one twiddle. [`HostSimd::prepare`]
+//!    re-verifies both patterns directly and falls back to the scalar
+//!    kernel on any mismatch, so the vector paths never guess.
 //!
 //! The kernel then runs each level as a contiguous two-complex-wide pass,
 //! and register-fuses the lowest 2 or 3 levels (radix-4 / radix-8
 //! butterflies) so a block of 4 or 8 complexes stays in registers across
 //! levels — the structure of bellman's `radix_fft` kernels, driven by
-//! FFTW-style tables.
+//! FFTW-style tables. Level-0 twiddles are broadcast into both lanes;
+//! higher levels load two consecutive run entries.
 //!
 //! Bit-exactness: vectorization only batches *independent* butterflies;
 //! each lane performs the scalar sequence `mul, mul, sub/add` of
@@ -41,6 +45,7 @@ use crate::complex::Complex64;
 use crate::exec::shared::{execute_codelet_tabled, SharedData};
 use crate::plan::MAX_RADIX_LOG2;
 use crate::planner::Plan;
+use crate::workload;
 use std::sync::Arc;
 
 /// Two packed complex doubles (four f64 lanes): the vector register
@@ -52,6 +57,12 @@ trait CVec: Copy {
     /// # Safety
     /// `ptr..ptr+2` must be valid, initialized `Complex64`s.
     unsafe fn load(ptr: *const Complex64) -> Self;
+
+    /// Load the complex at `ptr` into both lanes.
+    ///
+    /// # Safety
+    /// `ptr` must be a valid, initialized `Complex64`.
+    unsafe fn splat(ptr: *const Complex64) -> Self;
 
     /// Store two consecutive complexes to `ptr`.
     ///
@@ -97,6 +108,13 @@ impl CVec for Portable {
     }
 
     #[inline(always)]
+    unsafe fn splat(ptr: *const Complex64) -> Self {
+        // SAFETY: contract forwarded from the trait.
+        let w = unsafe { ptr.read() };
+        Self([w, w])
+    }
+
+    #[inline(always)]
     unsafe fn store(self, ptr: *mut Complex64) {
         // SAFETY: contract forwarded from the trait.
         unsafe {
@@ -137,7 +155,8 @@ mod x86 {
     use super::{CVec, Complex64};
     use core::arch::x86_64::{
         __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_loadu_pd, _mm256_movedup_pd,
-        _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_permute_pd, _mm256_storeu_pd, _mm256_sub_pd,
+        _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_permute_pd, _mm256_set_m128d,
+        _mm256_storeu_pd, _mm256_sub_pd, _mm_loadu_pd,
     };
 
     /// Two packed complexes in one AVX2 register:
@@ -151,6 +170,16 @@ mod x86 {
             // SAFETY: `Complex64` is `#[repr(C)]` `{re: f64, im: f64}`, so
             // two of them are four consecutive f64s; contract forwarded.
             unsafe { Self(_mm256_loadu_pd(ptr as *const f64)) }
+        }
+
+        #[inline(always)]
+        unsafe fn splat(ptr: *const Complex64) -> Self {
+            // SAFETY: one `Complex64` is two consecutive f64s; contract
+            // forwarded.
+            unsafe {
+                let w = _mm_loadu_pd(ptr as *const f64);
+                Self(_mm256_set_m128d(w, w))
+            }
         }
 
         #[inline(always)]
@@ -225,34 +254,68 @@ fn pairs_are_canonical(pairs: &[(u32, u32)], radix: usize) -> bool {
     })
 }
 
-/// Whether every stage of `plan` carries the canonical butterfly pattern
-/// (the precondition of the fused vector passes).
+/// The canonical slot pattern the vector passes assume, as a predicate
+/// over one stage's slot table: level `ll`, butterfly `k` of a stage with
+/// `q = slots.len() / (radix/2)` levels reads
+/// [`workload::twiddle_slot`]`(ll, k, q, radix >> q)`.
+fn slots_are_canonical(slots: &[u8], radix: usize) -> bool {
+    let half = radix / 2;
+    if half == 0 || slots.is_empty() || !slots.len().is_multiple_of(half) {
+        return false;
+    }
+    let q = slots.len() / half;
+    if q > radix.trailing_zeros() as usize {
+        return false;
+    }
+    let q = q as u32;
+    slots.iter().enumerate().all(|(i, &slot)| {
+        let (ll, k) = ((i / half) as u32, i % half);
+        slot as usize == workload::twiddle_slot(ll, k, q, radix >> q)
+    })
+}
+
+/// Whether every stage of `plan` (and of a 2-D plan's column plan, which
+/// runs on the same kernel) carries the canonical butterfly and slot
+/// patterns over class runs of the canonical length (the precondition of
+/// the fused vector passes).
 pub(crate) fn tables_are_canonical(plan: &Plan) -> bool {
     let fft = plan.fft_plan();
     let radix = 1usize << fft.radix_log2();
-    (0..fft.stages()).all(|s| pairs_are_canonical(plan.stage_table(s).pairs, radix))
+    plan.col_plan().is_none_or(tables_are_canonical)
+        && (0..fft.stages()).all(|s| {
+            let table = plan.stage_table(s);
+            let q = fft.levels(s);
+            pairs_are_canonical(table.pairs, radix)
+                && slots_are_canonical(table.slots, radix)
+                && table.slots.len() == table.pairs.len()
+                && table.run_len() == ((1usize << q) - 1) * (radix >> q)
+        })
 }
 
 /// The generic vectorized codelet: gather, per-level two-wide passes with
 /// the lowest `fuse_log2` levels register-fused, scatter.
 ///
 /// # Safety
-/// Same contract as [`execute_codelet_tabled`], **plus** `pairs` must
-/// satisfy [`pairs_are_canonical`] for `radix = gather.len() >= 4`
-/// (verified by [`HostSimd::prepare`], re-asserted here in debug builds).
+/// Same contract as [`execute_codelet_tabled`], **plus** `pairs` and the
+/// stage's slots must satisfy [`pairs_are_canonical`] and
+/// [`slots_are_canonical`] for `radix = gather.len() >= 4`, `run` must
+/// hold `(2^q − 1)·(radix >> q)` values and `fuse_log2 >= 2` (verified by
+/// [`HostSimd::prepare`], re-asserted here in debug builds).
 #[inline(always)]
 unsafe fn codelet_vec<V: CVec>(
     gather: &[u32],
     pairs: &[(u32, u32)],
-    twiddles: &[Complex64],
+    run: &[Complex64],
     view: &SharedData<'_>,
     fuse_log2: u32,
 ) {
     let radix = gather.len();
     let half = radix / 2;
     let q = pairs.len() / half;
+    let groups = radix >> q;
     debug_assert!(radix >= 4 && radix.is_power_of_two());
-    debug_assert_eq!(pairs.len(), twiddles.len());
+    debug_assert!(fuse_log2 >= 2);
+    debug_assert_eq!(run.len(), ((1 << q) - 1) * groups);
     debug_assert!(pairs_are_canonical(pairs, radix));
 
     let mut buf = [Complex64::ZERO; 1 << MAX_RADIX_LOG2];
@@ -263,58 +326,62 @@ unsafe fn codelet_vec<V: CVec>(
     }
     let bp = buf.as_mut_ptr();
 
-    // Segment `ll` of the twiddle run covers level `ll`'s butterflies in
-    // pattern order (FG405: run = pair order, one factor per butterfly).
-    let seg = |ll: usize| unsafe { twiddles.as_ptr().add(ll * half) };
+    // Segment `ll` of the class run holds level `ll`'s twiddles: `2^ll`
+    // per group, after the `(2^ll − 1)·groups` of the lower levels.
+    // Butterfly `k` reads entry `((k >> (q−1)) << ll) + (k & (2^ll − 1))`.
+    let seg = |ll: usize| unsafe { run.as_ptr().add(((1usize << ll) - 1) * groups) };
 
-    let mut ll = 0;
     // SAFETY (all vector loads/stores below): `buf[..radix]` is owned by
     // this call frame; each pass touches slot pairs derived from the
-    // canonical pattern, which stay inside `radix`; twiddle offsets stay
-    // inside the codelet's run (`q * half` entries) by the same algebra.
+    // canonical pattern, which stay inside `radix`; twiddle offsets are
+    // canonical slots, which stay inside the class run by the same algebra.
     unsafe {
-        if fuse_log2 >= 3 && q >= 3 {
-            // Radix-8: levels 0..3 fused over blocks of 8 complexes.
+        let mut ll = if fuse_log2 >= 3 && q >= 3 {
+            // Radix-8: levels 0..3 fused over blocks of 8 complexes. The
+            // block's butterflies k = 4j..=4j+3 of each level lie in one
+            // group `g` (as 4 divides 2^(q−1)).
             let (t0, t1, t2) = (seg(0), seg(1), seg(2));
             for j in 0..radix / 8 {
+                let g = (4 * j) >> (q - 1);
                 let p = bp.add(8 * j);
+                let w0 = V::splat(t0.add(g));
+                let w1 = V::load(t1.add(2 * g));
                 let (v0, v1) = (V::load(p), V::load(p.add(2)));
                 let (v2, v3) = (V::load(p.add(4)), V::load(p.add(6)));
                 // Level 0: pairs (0,1),(2,3),(4,5),(6,7) — deinterleave.
-                let (a0, b0) = bfly(V::lo_lo(v0, v1), V::hi_hi(v0, v1), V::load(t0.add(4 * j)));
-                let (a1, b1) = bfly(
-                    V::lo_lo(v2, v3),
-                    V::hi_hi(v2, v3),
-                    V::load(t0.add(4 * j + 2)),
-                );
+                let (a0, b0) = bfly(V::lo_lo(v0, v1), V::hi_hi(v0, v1), w0);
+                let (a1, b1) = bfly(V::lo_lo(v2, v3), V::hi_hi(v2, v3), w0);
                 let (v0, v1) = (V::lo_lo(a0, b0), V::hi_hi(a0, b0));
                 let (v2, v3) = (V::lo_lo(a1, b1), V::hi_hi(a1, b1));
                 // Level 1: pairs (0,2),(1,3),(4,6),(5,7) — register-aligned.
-                let (v0, v1) = bfly(v0, v1, V::load(t1.add(4 * j)));
-                let (v2, v3) = bfly(v2, v3, V::load(t1.add(4 * j + 2)));
+                let (v0, v1) = bfly(v0, v1, w1);
+                let (v2, v3) = bfly(v2, v3, w1);
                 // Level 2: pairs (0,4),(1,5),(2,6),(3,7) — register-aligned.
-                let (v0, v2) = bfly(v0, v2, V::load(t2.add(4 * j)));
-                let (v1, v3) = bfly(v1, v3, V::load(t2.add(4 * j + 2)));
+                let (v0, v2) = bfly(v0, v2, V::load(t2.add(4 * g)));
+                let (v1, v3) = bfly(v1, v3, V::load(t2.add(4 * g + 2)));
                 v0.store(p);
                 v1.store(p.add(2));
                 v2.store(p.add(4));
                 v3.store(p.add(6));
             }
-            ll = 3;
-        } else if fuse_log2 >= 2 && q >= 2 {
-            // Radix-4: levels 0..2 fused over blocks of 4 complexes.
+            3
+        } else if q >= 2 {
+            // Radix-4: levels 0..2 fused over blocks of 4 complexes; the
+            // block's butterflies k = 2m, 2m+1 lie in one group.
             let (t0, t1) = (seg(0), seg(1));
-            for k in 0..radix / 4 {
-                let p = bp.add(4 * k);
+            for m in 0..radix / 4 {
+                let g = (2 * m) >> (q - 1);
+                let p = bp.add(4 * m);
                 let (v0, v1) = (V::load(p), V::load(p.add(2)));
-                let (a, b) = bfly(V::lo_lo(v0, v1), V::hi_hi(v0, v1), V::load(t0.add(2 * k)));
-                let (v0, v1) = bfly(V::lo_lo(a, b), V::hi_hi(a, b), V::load(t1.add(2 * k)));
+                let (a, b) = bfly(V::lo_lo(v0, v1), V::hi_hi(v0, v1), V::splat(t0.add(g)));
+                let (v0, v1) = bfly(V::lo_lo(a, b), V::hi_hi(a, b), V::load(t1.add(2 * g)));
                 v0.store(p);
                 v1.store(p.add(2));
             }
-            ll = 2;
-        } else if q >= 1 {
-            // Lone level 0: interleaved pairs (2c, 2c+1), two at a time.
+            2
+        } else {
+            // A lone level 0 (q = 1): interleaved pairs (2c, 2c+1), two at
+            // a time; every butterfly is its own group, so slot = k.
             let t0 = seg(0);
             for m in 0..radix / 4 {
                 let p = bp.add(4 * m);
@@ -323,21 +390,22 @@ unsafe fn codelet_vec<V: CVec>(
                 V::lo_lo(a, b).store(p);
                 V::hi_hi(a, b).store(p.add(2));
             }
-            ll = 1;
-        }
+            1
+        };
         // Remaining levels: strided two-wide passes (span 2^ll >= 2, so a
-        // vector never straddles a lo/hi boundary).
+        // vector never straddles a lo/hi boundary, nor two twiddles a
+        // group boundary).
         while ll < q {
             let t = seg(ll);
             let span = 1usize << ll;
             for c in 0..radix >> (ll + 1) {
                 let base = c << (ll + 1);
+                let tg = t.add((c >> (q - 1 - ll)) << ll);
                 let mut r = 0;
                 while r < span {
                     let lo = bp.add(base + r);
                     let hi = bp.add(base + r + span);
-                    let w = V::load(t.add((c << ll) + r));
-                    let (a, b) = bfly(V::load(lo), V::load(hi), w);
+                    let (a, b) = bfly(V::load(lo), V::load(hi), V::load(tg.add(r)));
                     a.store(lo);
                     b.store(hi);
                     r += 2;
@@ -364,12 +432,12 @@ unsafe fn codelet_vec<V: CVec>(
 unsafe fn codelet_avx2(
     gather: &[u32],
     pairs: &[(u32, u32)],
-    twiddles: &[Complex64],
+    run: &[Complex64],
     view: &SharedData<'_>,
     fuse_log2: u32,
 ) {
     // SAFETY: forwarded.
-    unsafe { codelet_vec::<x86::Avx2>(gather, pairs, twiddles, view, fuse_log2) }
+    unsafe { codelet_vec::<x86::Avx2>(gather, pairs, run, view, fuse_log2) }
 }
 
 /// The vector kernel with its dispatch decision baked in at `prepare`
@@ -394,22 +462,26 @@ impl CodeletKernel for SimdKernel {
         &self,
         gather: &[u32],
         pairs: &[(u32, u32)],
-        twiddles: &[Complex64],
+        slots: &[u8],
+        run: &[Complex64],
         view: &SharedData<'_>,
     ) {
         if gather.len() < 4 {
             // Radix-2 codelets: one butterfly, nothing to vectorize.
             // SAFETY: forwarded.
-            return unsafe { execute_codelet_tabled(gather, pairs, twiddles, view) };
+            return unsafe { execute_codelet_tabled(gather, pairs, slots, run, view) };
         }
+        // The slots are the canonical pattern `prepare` verified; the
+        // vector passes compute them instead of reading them.
+        debug_assert!(slots_are_canonical(slots, gather.len()));
         #[cfg(target_arch = "x86_64")]
         if self.use_avx2 {
             // SAFETY: forwarded; `use_avx2` implies runtime detection
-            // succeeded and `prepare` verified the canonical pattern.
-            return unsafe { codelet_avx2(gather, pairs, twiddles, view, self.fuse_log2) };
+            // succeeded and `prepare` verified the canonical patterns.
+            return unsafe { codelet_avx2(gather, pairs, run, view, self.fuse_log2) };
         }
         // SAFETY: forwarded, as above.
-        unsafe { codelet_vec::<Portable>(gather, pairs, twiddles, view, self.fuse_log2) }
+        unsafe { codelet_vec::<Portable>(gather, pairs, run, view, self.fuse_log2) }
     }
 }
 
@@ -532,6 +604,57 @@ mod tests {
         }
     }
 
+    /// `prepare` keeps the vector kernel for every shape it accepts: each
+    /// codelet radix from 4 up, full and partial last stages, every layout
+    /// and the composite kinds. A silent fall back to scalar would keep
+    /// the bits and lose the speed, so no exactness test would notice.
+    #[test]
+    fn prepare_never_falls_back_to_scalar_on_built_plans() {
+        use crate::twiddle::TwiddleLayout;
+        use crate::workload::TransformKind;
+        let layouts = [
+            TwiddleLayout::Linear,
+            TwiddleLayout::BitReversedHash,
+            TwiddleLayout::MultiplicativeHash,
+        ];
+        let mut keys = Vec::new();
+        for radix_log2 in 2..=MAX_RADIX_LOG2 {
+            for n_log2 in radix_log2..=(2 * radix_log2 + 1).min(15) {
+                for (version, layout) in Version::paper_set(SeedOrder::Natural)
+                    .into_iter()
+                    .zip(layouts.into_iter().cycle())
+                {
+                    keys.push(PlanKey::with_radix(
+                        1 << n_log2,
+                        version,
+                        layout,
+                        radix_log2,
+                    ));
+                }
+            }
+        }
+        let planar = TransformKind::C2C2D {
+            rows_log2: 5,
+            cols_log2: 4,
+        };
+        for kind in [TransformKind::R2C, TransformKind::C2R, planar] {
+            keys.push(PlanKey::with_kind(
+                kind,
+                1 << 9,
+                Version::Coarse,
+                layouts[0],
+                6,
+            ));
+        }
+        for key in keys {
+            let plan = Arc::new(Plan::build(key));
+            for backend in [HostSimd::new(3), HostSimd::portable(2)] {
+                let label = backend.prepare(&plan).kernel.label();
+                assert!(label.starts_with("simd-"), "{key:?}: {label}");
+            }
+        }
+    }
+
     #[test]
     fn mutated_pairs_fail_the_canonical_check() {
         let plan = Plan::build(PlanKey::new(
@@ -543,6 +666,10 @@ mod tests {
         pairs.swap(0, 1);
         assert!(!pairs_are_canonical(&pairs, 64));
         assert!(pairs_are_canonical(plan.stage_table(0).pairs, 64));
+        let mut slots = plan.stage_table(1).slots.to_vec();
+        assert!(slots_are_canonical(&slots, 64));
+        slots[40] += 1;
+        assert!(!slots_are_canonical(&slots, 64));
     }
 
     /// Every vector variant × fusion radix × codelet radix must reproduce

@@ -54,7 +54,12 @@ use fgsupport::json::Value;
 /// codelets ([`crate::tiles`]) instead of codelet by codelet, and the
 /// happens-before witness now also covers that tile program. A revision-2
 /// certificate vouches for a codelet-level dispatch that no longer runs.
-pub const WORKLOAD_REVISION: u64 = 3;
+///
+/// Revision 4: twiddles are stored once per twiddle class and read through
+/// a per-stage slot pattern instead of one expanded run per codelet; the
+/// table digest covers the slot pattern and the class-run shapes. A
+/// revision-3 certificate vouches for expanded runs that no longer exist.
+pub const WORKLOAD_REVISION: u64 = 4;
 
 /// Multi-lane FNV-style digest (keyless, dependency-free).
 ///
@@ -385,18 +390,21 @@ pub fn schedule_digest(key: PlanKey, tuning: Option<&ScheduleTuning>) -> Result<
 
 /// Digest of the *independent* data behind a built plan's flattened
 /// execution tables: per-stage gather indices, the butterfly pair pattern,
-/// the bit-reversal swap list, the twiddle factor table (in stored slot
-/// order, so it is layout-sensitive), and the lengths of the expanded
-/// per-codelet twiddle runs.
+/// the twiddle slot pattern, the class-run shape (class count and run
+/// length), the bit-reversal swap list, and the twiddle factor table (in
+/// stored slot order, so it is layout-sensitive).
 ///
-/// The expanded twiddle-run *values* are deliberately not re-streamed:
-/// they are a deterministic expansion of the twiddle table digested here
-/// (`workload::append_twiddle_run`), they dominate a plan's table bytes
-/// (for large plans the digest would be DRAM-bandwidth-bound and alone
-/// blow the < 5% verification budget), and expansion drift is exactly what
-/// pass 4's FG405 bitwise differential check covers at certification time
-/// and in the CI `fgcheck --all` sweep. Everything the `unsafe` hot path's
-/// *safety* rests on — gather bounds and disjointness, pair bounds, swap
+/// The class-run *values* are deliberately not streamed, and runs are never
+/// re-expanded per codelet: each value is a bitwise copy of a twiddle-table
+/// entry digested here, at a position fixed by the class algebra
+/// (`workload::append_class_run`); at 2^18 the runs hold more bytes than
+/// the gather tables, so streaming them would add about two thirds to the
+/// digest's cost against a build that no longer expands them; and copy
+/// or class-map drift is exactly what pass 4's FG405 check covers — every
+/// codelet's slot-indexed run bitwise against the workload authority — at
+/// certification time and in the CI `fgcheck --all` sweep. Everything the
+/// `unsafe` hot path's *safety* rests on — gather bounds and disjointness,
+/// pair bounds, slot bounds against the run length, class bounds, swap
 /// bounds — is covered byte-for-byte.
 pub fn table_digest(plan: &Plan) -> u64 {
     let fft = plan.fft_plan();
@@ -422,6 +430,9 @@ pub fn table_digest(plan: &Plan) -> u64 {
         } else {
             d.write_pair_slice(table.pairs);
         }
+        d.write_usize(table.slots.len());
+        d.write_bulk(table.slots, |&slot| u64::from(slot));
+        d.write_usize(table.classes);
         d.write_usize(table.twiddles.len());
     }
     d.write_usize(plan.twiddles().len());

@@ -81,28 +81,32 @@ impl<'a> SharedData<'a> {
 }
 
 /// Execute one codelet from *precomputed* plan tables: gather through a flat
-/// element-index slice, replay the stage's butterfly pattern against a
-/// per-codelet twiddle run, scatter back. No per-call index algebra: the
+/// element-index slice, replay the stage's butterfly pattern against the
+/// codelet's class run, scatter back. No per-call index algebra: the
 /// tables are materialized once at plan-build time (see
 /// [`crate::planner::Plan`]).
 ///
 /// `gather` holds the codelet's element indices by buffer slot; `pairs` the
-/// stage's local `(lo, hi)` butterfly pattern in execution order; `twiddles`
-/// one factor per butterfly in the same order (`pairs.len() ==
-/// twiddles.len()`).
+/// stage's local `(lo, hi)` butterfly pattern in execution order; `slots`
+/// per butterfly the position of its twiddle in `run`, the distinct
+/// twiddles of the codelet's class (`pairs.len() == slots.len()`).
 ///
 /// # Safety
 /// The caller upholds the dataflow discipline of the module docs for the
 /// elements listed in `gather` — all parents of the codelet have completed
 /// (with proper synchronization edges) and no concurrent codelet shares any
-/// element — and every index in `gather` is within `data`.
+/// element — every index in `gather` is within `data`, every pair within
+/// the codelet's `gather.len()`-slot buffer and every slot within `run`
+/// (both read unchecked; FG402 checks them for a plan's tables).
 pub unsafe fn execute_codelet_tabled(
     gather: &[u32],
     pairs: &[(u32, u32)],
-    twiddles: &[Complex64],
+    slots: &[u8],
+    run: &[Complex64],
     data: &SharedData<'_>,
 ) {
-    debug_assert_eq!(pairs.len(), twiddles.len());
+    debug_assert_eq!(pairs.len(), slots.len());
+    debug_assert!(slots.iter().all(|&s| (s as usize) < run.len()));
     debug_assert!(gather.len() <= 1 << MAX_RADIX_LOG2);
     let mut buf = [Complex64::ZERO; 1 << MAX_RADIX_LOG2];
     for (slot, &e) in gather.iter().enumerate() {
@@ -110,10 +114,17 @@ pub unsafe fn execute_codelet_tabled(
         // access to its elements.
         buf[slot] = unsafe { data.read(e as usize) };
     }
-    for (&(lo, hi), &w) in pairs.iter().zip(twiddles) {
-        let (a, c) = kernel::butterfly(buf[lo as usize], buf[hi as usize], w);
-        buf[lo as usize] = a;
-        buf[hi as usize] = c;
+    for (&(lo, hi), &s) in pairs.iter().zip(slots) {
+        let (lo, hi) = (lo as usize, hi as usize);
+        debug_assert!(lo < gather.len() && hi < gather.len());
+        // SAFETY: every slot is within `run` and every pair within the
+        // codelet's buffer per the function contract.
+        unsafe {
+            let w = *run.get_unchecked(s as usize);
+            let (a, c) = kernel::butterfly(*buf.get_unchecked(lo), *buf.get_unchecked(hi), w);
+            *buf.get_unchecked_mut(lo) = a;
+            *buf.get_unchecked_mut(hi) = c;
+        }
     }
     for (slot, &e) in gather.iter().enumerate() {
         // SAFETY: as above.
@@ -144,34 +155,45 @@ mod tests {
     #[test]
     fn shared_codelet_matches_safe_kernel() {
         // The flattened tables streamed through the shared view compute
-        // bitwise what the index-algebra kernel computes on a safe slice.
-        let plan = Plan::build(PlanKey::new(512, Version::Coarse, TwiddleLayout::Linear));
-        let (fft, tw) = (plan.fft_plan(), plan.twiddles());
-        let table = plan.stage_table(0);
-        let (radix, run) = (fft.radix(), table.pairs.len());
-        let input: Vec<Complex64> = (0..512)
-            .map(|i| Complex64::new((i as f64 * 0.3).sin(), (i as f64 * 0.11).cos()))
-            .collect();
-        let mut a = input.clone();
-        let mut b = input;
-        for idx in 0..fft.codelets_per_stage() {
-            kernel::execute_codelet(fft, tw, &mut a, 0, idx);
-        }
-        {
-            let view = SharedData::new(&mut b);
-            for idx in 0..fft.codelets_per_stage() {
-                // SAFETY: one thread, stage 0 only: no codelet has parents
-                // and none runs concurrently with another.
-                unsafe {
-                    execute_codelet_tabled(
-                        &table.gather[idx * radix..(idx + 1) * radix],
-                        table.pairs,
-                        &table.twiddles[idx * run..(idx + 1) * run],
-                        &view,
-                    )
-                };
+        // bitwise what the index-algebra kernel computes on a safe slice,
+        // stage by stage: every class map, slot pattern and partial last
+        // stage, checked against an oracle that reads no plan table.
+        for (n_log2, radix_log2) in [(9u32, 3u32), (12, 7), (13, 6), (16, 6)] {
+            let n = 1usize << n_log2;
+            let key = PlanKey::with_radix(n, Version::Coarse, TwiddleLayout::Linear, radix_log2);
+            let plan = Plan::build(key);
+            let (fft, tw) = (plan.fft_plan(), plan.twiddles());
+            let radix = fft.radix();
+            let input: Vec<Complex64> = (0..n)
+                .map(|i| Complex64::new((i as f64 * 0.3).sin(), (i as f64 * 0.11).cos()))
+                .collect();
+            let mut a = input.clone();
+            let mut b = input;
+            for stage in 0..fft.stages() {
+                let table = plan.stage_table(stage);
+                for idx in 0..fft.codelets_per_stage() {
+                    kernel::execute_codelet(fft, tw, &mut a, stage, idx);
+                }
+                let view = SharedData::new(&mut b);
+                for idx in 0..fft.codelets_per_stage() {
+                    // SAFETY: one thread in stage order: every parent of
+                    // the codelet has completed and none runs concurrently;
+                    // the plan's slots index its class runs in bounds.
+                    unsafe {
+                        execute_codelet_tabled(
+                            &table.gather[idx * radix..(idx + 1) * radix],
+                            table.pairs,
+                            table.slots,
+                            table.run(idx).unwrap(),
+                            &view,
+                        )
+                    };
+                }
+                let same = a.iter().zip(&b).all(|(x, y)| {
+                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
+                });
+                assert!(same, "2^{n_log2}/r{radix_log2} stage {stage}");
             }
         }
-        assert_eq!(a, b);
     }
 }

@@ -8,9 +8,10 @@
 //!   the twiddle table, the bit-reversal transposition list, the
 //!   codelet-graph schedule **lowered onto tiles** of consecutive codelets
 //!   ([`TileProgram`], flat CSR arrays), and per-stage execution tables (gather
-//!   indices, butterfly pair pattern, per-codelet twiddle runs) so the hot
-//!   path streams flat arrays instead of redoing index algebra and twiddle
-//!   lookups per call. `Plan::execute` runs one transform as a batch of
+//!   indices, butterfly pair pattern with its twiddle slots, and one run of
+//!   distinct twiddles per twiddle class) so the hot path streams flat
+//!   arrays instead of redoing index algebra and twiddle lookups per call.
+//!   `Plan::execute` runs one transform as a batch of
 //!   one; `Plan::execute_batch` runs many same-plan transforms through a
 //!   single runtime dispatch ([`codelet::BatchProgram`]). Both go through
 //!   one dispatch that fires the tiles. [`Plan::run_codelet`] exposes the unit
@@ -143,31 +144,48 @@ struct StageTable {
     /// The stage's local `(lo, hi)` butterfly pattern (shared by every
     /// codelet of the stage), in execution order.
     pairs: Vec<(u32, u32)>,
-    /// Twiddle factors, codelet-major: one per butterfly, `pairs.len()`
-    /// values per codelet, in pattern order. Looked up (and, for hashed
-    /// layouts, hashed) once at build time.
+    /// Per butterfly, the position of its twiddle in a class run
+    /// ([`workload::twiddle_slots`]); shared by every codelet.
+    slots: Vec<u8>,
+    /// Twiddle classes ([`workload::twiddle_classes`], a power of two):
+    /// codelet `idx` reads the run of class `idx & (classes − 1)`.
+    classes: usize,
+    /// Distinct twiddles per class, class-major: `run_len` values each,
+    /// copied bitwise from the plan's twiddle table at build time.
     twiddles: Vec<Complex64>,
+    /// Values per class run ([`workload::twiddle_loads`]).
+    run_len: usize,
 }
 
 impl StageTable {
     fn build(fft: &FftPlan, twiddles: &TwiddleTable, stage: usize) -> Self {
-        let cps = fft.codelets_per_stage();
-        let gather = workload::stage_gather(fft, stage);
-        let pairs = workload::butterfly_pairs(fft, stage);
-        let mut tw = Vec::with_capacity(cps * pairs.len());
-        for idx in 0..cps {
-            workload::append_twiddle_run(fft, twiddles, stage, idx, &mut tw);
+        let classes = workload::twiddle_classes(fft, stage);
+        let run_len = workload::twiddle_loads(fft, stage);
+        let mut tw = Vec::with_capacity(classes * run_len);
+        for class in 0..classes {
+            workload::append_class_run(fft, twiddles, stage, class, &mut tw);
         }
         Self {
-            gather,
-            pairs,
+            gather: workload::stage_gather(fft, stage),
+            pairs: workload::butterfly_pairs(fft, stage),
+            slots: workload::twiddle_slots(fft, stage),
+            classes,
             twiddles: tw,
+            run_len,
         }
+    }
+
+    /// The class run codelet `idx` reads.
+    #[inline]
+    fn run(&self, idx: usize) -> &[Complex64] {
+        let start = (idx & (self.classes - 1)) * self.run_len;
+        &self.twiddles[start..start + self.run_len]
     }
 
     fn bytes(&self) -> u64 {
         (self.gather.len() * std::mem::size_of::<u32>()
             + self.pairs.len() * std::mem::size_of::<(u32, u32)>()
+            + self.slots.len()
             + self.twiddles.len() * std::mem::size_of::<Complex64>()) as u64
     }
 }
@@ -176,6 +194,11 @@ impl StageTable {
 /// slices the `unsafe` hot path streams through. Exposed so external
 /// verifiers (`fgcheck`'s pass 4) and the certificate digests can inspect
 /// the lowering without re-deriving it.
+///
+/// Codelet `idx` gathers `gather[idx·radix..][..radix]`, applies `pairs`
+/// in order, and butterfly `i` multiplies by `run(idx)[slots[i]]`: the
+/// twiddles are stored once per *class*, not once per codelet
+/// ([`workload::twiddle_classes`]).
 #[derive(Debug, Clone, Copy)]
 pub struct StageTableView<'a> {
     /// Element indices, codelet-major: entry `idx · radix + slot` is the
@@ -184,8 +207,35 @@ pub struct StageTableView<'a> {
     /// The stage's local `(lo, hi)` butterfly pattern, shared by every
     /// codelet of the stage, in execution order.
     pub pairs: &'a [(u32, u32)],
-    /// Twiddle factors, codelet-major, `pairs.len()` per codelet.
+    /// Per butterfly (in `pairs` order), the position of its twiddle in
+    /// the codelet's class run; shared by every codelet of the stage.
+    pub slots: &'a [u8],
+    /// Twiddle classes of the stage; codelet `idx` has class
+    /// `idx & (classes − 1)`.
+    pub classes: usize,
+    /// The class runs, class-major, `twiddles.len() / classes` values each
+    /// ([`workload::append_class_run`]).
     pub twiddles: &'a [Complex64],
+}
+
+impl<'a> StageTableView<'a> {
+    /// Values per class run (0 when the view has no classes).
+    pub fn run_len(&self) -> usize {
+        self.twiddles.len().checked_div(self.classes).unwrap_or(0)
+    }
+
+    /// The class of codelet `idx`.
+    pub fn class_of(&self, idx: usize) -> usize {
+        idx & self.classes.wrapping_sub(1)
+    }
+
+    /// The class run codelet `idx` reads, or `None` when the view's class
+    /// map points outside `twiddles`.
+    pub fn run(&self, idx: usize) -> Option<&'a [Complex64]> {
+        let len = self.run_len();
+        let start = self.class_of(idx).checked_mul(len)?;
+        self.twiddles.get(start..start.checked_add(len)?)
+    }
 }
 
 /// What one codelet actually touched during a recorded execution
@@ -359,14 +409,15 @@ impl Plan {
         let idx = self.fft.idx_of(id);
         let table = &self.tables[stage];
         let radix = 1usize << self.fft.radix_log2();
-        let run = table.pairs.len();
-        // SAFETY: forwarded from the caller's contract; the table slices are
-        // in bounds by construction (codelet-major layout).
+        // SAFETY: forwarded from the caller's contract; the pairs index the
+        // codelet's buffer and the slots its class run in bounds by
+        // construction (checked by FG402).
         unsafe {
             kernel.run_codelet(
                 &table.gather[idx * radix..(idx + 1) * radix],
                 &table.pairs,
-                &table.twiddles[idx * run..(idx + 1) * run],
+                &table.slots,
+                table.run(idx),
                 view,
             );
         }
@@ -446,6 +497,8 @@ impl Plan {
         StageTableView {
             gather: &table.gather,
             pairs: &table.pairs,
+            slots: &table.slots,
+            classes: table.classes,
             twiddles: &table.twiddles,
         }
     }
@@ -763,15 +816,15 @@ impl Plan {
             let stage = self.fft.stage_of(id);
             let idx = self.fft.idx_of(id);
             let table = &self.tables[stage];
-            let run = table.pairs.len();
             let gather: Vec<u32> = table.gather[idx * radix..(idx + 1) * radix]
                 .iter()
                 .map(|&g| g + shift)
                 .collect();
+            let run = table.run(idx);
             let record = TouchRecord {
                 reads: gather.clone(),
                 writes: gather,
-                twiddles: table.twiddles[idx * run..(idx + 1) * run].to_vec(),
+                twiddles: table.slots.iter().map(|&s| run[s as usize]).collect(),
             };
             let set = slots[id].set(record).is_ok();
             debug_assert!(set, "codelet {id} fired twice");
@@ -1770,10 +1823,11 @@ mod tests {
     /// Table-construction invariants at tiny sizes, single-threaded and
     /// execution-free on purpose: this is the subset CI runs under Miri
     /// (filter `miri_`), where every index that feeds the `unsafe` gather
-    /// path is checked under the interpreter's strict provenance rules.
+    /// path — and every class index and slot the kernels read unchecked —
+    /// is checked under the interpreter's strict provenance rules.
     #[test]
     fn miri_table_construction_is_in_bounds_and_partitioned() {
-        for (n_log2, radix_log2) in [(4u32, 2u32), (6, 3), (8, 6)] {
+        for (n_log2, radix_log2) in [(4u32, 2u32), (6, 3), (7, 3), (8, 6)] {
             let n = 1usize << n_log2;
             let key = PlanKey::with_radix(
                 n,
@@ -1787,10 +1841,18 @@ mod tests {
             for stage in 0..fft.stages() {
                 let table = plan.stage_table(stage);
                 assert_eq!(table.gather.len(), fft.codelets_per_stage() * radix);
-                assert_eq!(
-                    table.twiddles.len(),
-                    fft.codelets_per_stage() * table.pairs.len()
-                );
+                assert!(table.classes.is_power_of_two());
+                assert_eq!(table.classes, workload::twiddle_classes(fft, stage));
+                let run_len = workload::twiddle_loads(fft, stage);
+                assert_eq!(table.twiddles.len(), table.classes * run_len);
+                assert_eq!(table.slots.len(), table.pairs.len());
+                for &slot in table.slots {
+                    assert!((slot as usize) < run_len, "slot {slot} out of the run");
+                }
+                for idx in 0..fft.codelets_per_stage() {
+                    assert!(table.class_of(idx) < table.classes);
+                    assert_eq!(table.run(idx).map(<[_]>::len), Some(run_len));
+                }
                 let mut seen = vec![false; n];
                 for &g in table.gather {
                     assert!((g as usize) < n, "gather index {g} out of bounds");
@@ -1806,6 +1868,20 @@ mod tests {
             for &(a, b) in plan.bitrev_swaps() {
                 assert!((a as usize) < n && (b as usize) < n);
             }
+        }
+    }
+
+    /// Twiddle classes keep a fine-guided linear plan under 44 resident
+    /// bytes per point at 2^16 and 2^18: the gather tables, the base
+    /// twiddle table, the swap list and the last stage's one run per
+    /// codelet dominate.
+    #[test]
+    fn resident_bytes_stay_under_44_per_point() {
+        for n_log2 in [16u32, 18] {
+            let n = 1usize << n_log2;
+            let plan = Plan::build(PlanKey::new(n, Version::FineGuided, TwiddleLayout::Linear));
+            let per_point = plan.resident_bytes() as f64 / n as f64;
+            assert!(per_point <= 44.0, "2^{n_log2}: {per_point:.1} B/point");
         }
     }
 

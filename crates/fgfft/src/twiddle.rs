@@ -106,8 +106,8 @@ impl TwiddleTable {
     }
 
     /// The stored factors in slot order (layout-permuted). The certificate
-    /// layer digests these directly: they are the independent data the
-    /// per-codelet twiddle runs are expanded from.
+    /// layer digests these directly: they are the independent data a
+    /// plan's twiddle class runs are copied from.
     pub fn values(&self) -> &[Complex64] {
         &self.values
     }

@@ -1305,8 +1305,9 @@ pub fn stage_gather(plan: &FftPlan, stage: usize) -> Vec<u32> {
 /// in execution order. The pattern depends only on the stage — every codelet
 /// of the stage applies the same pairs to its gathered buffer — while the
 /// twiddle factors differ per codelet (see [`append_twiddle_run`]). Plans
-/// materialize both so the hot path replays flat arrays instead of redoing
-/// this index algebra per call.
+/// materialize the pattern, its slot pattern ([`twiddle_slots`]) and one
+/// run per twiddle class ([`append_class_run`]) so the hot path replays
+/// flat arrays instead of redoing this index algebra per call.
 pub fn butterfly_pairs(plan: &FftPlan, stage: usize) -> Vec<(u32, u32)> {
     let p = plan.radix_log2();
     let q = plan.levels(stage);
@@ -1360,9 +1361,65 @@ pub fn append_twiddle_run(
     }
 }
 
+/// Twiddle classes of one stage: codelet `idx` consumes exactly the
+/// distinct twiddles of class `idx mod classes`, so a plan stores one run
+/// per class instead of one per codelet. A codelet's values depend on its
+/// index only through `g mod 2^{p·j}` for its groups `g = idx·2^{p−q} +
+/// g_rel`, which gives `min(cps, 2^{p·j − (p − q)})` classes: one in stage
+/// 0, `P` in a full stage 1, and one per codelet in the last stage.
+pub fn twiddle_classes(plan: &FftPlan, stage: usize) -> usize {
+    let p = plan.radix_log2();
+    let q = plan.levels(stage);
+    let pj = p * stage as u32;
+    let cps = plan.codelets_per_stage();
+    match 1usize.checked_shl(pj.saturating_sub(p - q)) {
+        Some(classes) => classes.min(cps),
+        None => cps,
+    }
+}
+
+/// Append the distinct twiddles of class `class` of `stage` — the
+/// [`twiddle_loads`] values in [`for_each_twiddle_index`] order
+/// (level-major, then group, then `t < 2^ll`) — to `out`, copied bitwise
+/// from `twiddles`. Butterfly `k` of level `ll` reads position
+/// [`twiddle_slot`]`(ll, k, q, groups)` of this run; replaying the pair pattern with
+/// those values is exactly [`append_twiddle_run`]'s expansion.
+pub fn append_class_run(
+    plan: &FftPlan,
+    twiddles: &TwiddleTable,
+    stage: usize,
+    class: usize,
+    out: &mut Vec<Complex64>,
+) {
+    for_each_twiddle_index(plan, stage, class, |t| out.push(twiddles.get(t)));
+}
+
+/// Position in a class run ([`append_class_run`]) of the twiddle that
+/// butterfly `k` (`0..P/2`) of level `ll` consumes, in a stage of `q`
+/// levels with `groups = 2^{p−q}` groups: level `ll` starts after the
+/// `(2^ll − 1)·groups` values of the lower levels, then holds `2^ll`
+/// values per group.
+pub fn twiddle_slot(ll: u32, k: usize, q: u32, groups: usize) -> usize {
+    (((1usize << ll) - 1) * groups) + ((k >> (q - 1)) << ll) + (k & ((1usize << ll) - 1))
+}
+
+/// The slot pattern of one stage: [`twiddle_slot`] for every butterfly in
+/// [`butterfly_pairs`] order, shared by every codelet of the stage. A run
+/// holds at most `P − 1 < 2^8` values, so a slot fits a byte.
+pub fn twiddle_slots(plan: &FftPlan, stage: usize) -> Vec<u8> {
+    const _: () = assert!(crate::plan::MAX_RADIX_LOG2 <= 8);
+    let half = plan.radix() / 2;
+    let q = plan.levels(stage);
+    let groups = 1usize << (plan.radix_log2() - q);
+    (0..q)
+        .flat_map(|ll| (0..half).map(move |k| twiddle_slot(ll, k, q, groups) as u8))
+        .collect()
+}
+
 /// Count the twiddle-factor loads one codelet performs (distinct logical
 /// indices, each loaded once): `P − 1` for a full stage, matching the
-/// paper's "63 twiddle factors" for 64-point codelets.
+/// paper's "63 twiddle factors" for 64-point codelets. This is also the
+/// length of a class run ([`append_class_run`]).
 pub fn twiddle_loads(plan: &FftPlan, stage: usize) -> usize {
     let p = plan.radix_log2();
     let q = plan.levels(stage);
@@ -1417,6 +1474,39 @@ mod tests {
         }
         let plan8 = FftPlan::new(9, 3);
         assert_eq!(twiddle_loads(&plan8, 0), 7);
+    }
+
+    #[test]
+    fn class_runs_expand_to_every_codelets_twiddle_run() {
+        for (n_log2, p_log2) in [(1u32, 1u32), (9, 3), (12, 7), (13, 6), (16, 6), (7, 3)] {
+            let plan = FftPlan::new(n_log2, p_log2);
+            for layout in [TwiddleLayout::Linear, TwiddleLayout::BitReversedHash] {
+                let tw = TwiddleTable::new(n_log2, layout);
+                for stage in 0..plan.stages() {
+                    let classes = twiddle_classes(&plan, stage);
+                    let slots = twiddle_slots(&plan, stage);
+                    assert_eq!(slots.len(), butterfly_pairs(&plan, stage).len());
+                    let runs: Vec<Vec<Complex64>> = (0..classes)
+                        .map(|class| {
+                            let mut run = Vec::new();
+                            append_class_run(&plan, &tw, stage, class, &mut run);
+                            assert_eq!(run.len(), twiddle_loads(&plan, stage));
+                            run
+                        })
+                        .collect();
+                    for idx in 0..plan.codelets_per_stage() {
+                        let mut want = Vec::new();
+                        append_twiddle_run(&plan, &tw, stage, idx, &mut want);
+                        let run = &runs[idx % classes];
+                        let got: Vec<Complex64> = slots.iter().map(|&s| run[s as usize]).collect();
+                        assert_eq!(got, want, "2^{n_log2}/r{p_log2} stage {stage} idx {idx}");
+                    }
+                }
+            }
+        }
+        let plan = FftPlan::new(18, 6);
+        let classes: Vec<usize> = (0..3).map(|s| twiddle_classes(&plan, s)).collect();
+        assert_eq!(classes, [1, 64, plan.codelets_per_stage()]);
     }
 
     #[test]

@@ -55,8 +55,14 @@ fn unmutated_plans_have_no_false_positives() {
     }
 }
 
-/// One stage's tables, owned: (gather, pairs, twiddles).
-type OwnedStage = (Vec<u32>, Vec<(u32, u32)>, Vec<Complex64>);
+/// One stage's tables, owned.
+struct OwnedStage {
+    gather: Vec<u32>,
+    pairs: Vec<(u32, u32)>,
+    slots: Vec<u8>,
+    classes: usize,
+    twiddles: Vec<Complex64>,
+}
 
 /// Owned, mutable copy of a plan's tables that can be lent back to the
 /// checker as `StageTableView`s.
@@ -70,7 +76,13 @@ impl OwnedTables {
         let stages = (0..plan.fft_plan().stages())
             .map(|s| {
                 let t = plan.stage_table(s);
-                (t.gather.to_vec(), t.pairs.to_vec(), t.twiddles.to_vec())
+                OwnedStage {
+                    gather: t.gather.to_vec(),
+                    pairs: t.pairs.to_vec(),
+                    slots: t.slots.to_vec(),
+                    classes: t.classes,
+                    twiddles: t.twiddles.to_vec(),
+                }
             })
             .collect();
         Self {
@@ -83,10 +95,12 @@ impl OwnedTables {
         let views: Vec<StageTableView<'_>> = self
             .stages
             .iter()
-            .map(|(g, p, t)| StageTableView {
-                gather: g,
-                pairs: p,
-                twiddles: t,
+            .map(|t| StageTableView {
+                gather: &t.gather,
+                pairs: &t.pairs,
+                slots: &t.slots,
+                classes: t.classes,
+                twiddles: &t.twiddles,
             })
             .collect();
         check_plan_tables(plan.fft_plan(), plan.twiddles(), &views, &self.swaps)
@@ -95,8 +109,14 @@ impl OwnedTables {
     /// Apply one random mutation; returns a label for failure messages.
     fn mutate(&mut self, rng: &mut Rng64) -> String {
         let stage = rng.gen_range(0..self.stages.len());
-        let (gather, pairs, twiddles) = &mut self.stages[stage];
-        match rng.gen_below(8) {
+        let OwnedStage {
+            gather,
+            pairs,
+            slots,
+            classes,
+            twiddles,
+        } = &mut self.stages[stage];
+        match rng.gen_below(10) {
             0 => {
                 // Bit flip in a gather index.
                 let i = rng.gen_range(0..gather.len());
@@ -137,16 +157,31 @@ impl OwnedTables {
                 format!("stage {stage}: pair[{i}] corrupted")
             }
             5 => {
-                // Flip one mantissa bit of a twiddle.
+                // Flip one mantissa bit of a class-run value.
                 let i = rng.gen_range(0..twiddles.len());
                 let re = twiddles[i].re.to_bits() ^ (1 << rng.gen_below(52));
                 twiddles[i].re = f64::from_bits(re);
                 format!("stage {stage}: twiddle[{i}] bit-flipped")
             }
             6 => {
-                // Truncate the twiddle table.
+                // Truncate the class runs.
                 twiddles.pop();
                 format!("stage {stage}: twiddles truncated")
+            }
+            7 => {
+                // Point a butterfly at another run position (or past it).
+                let i = rng.gen_range(0..slots.len());
+                slots[i] = slots[i].wrapping_add(1 + rng.gen_below(200) as u8);
+                format!("stage {stage}: slot[{i}] moved")
+            }
+            8 => {
+                // Class count off by one.
+                if rng.gen_bool() || *classes == 0 {
+                    *classes += 1;
+                } else {
+                    *classes -= 1;
+                }
+                format!("stage {stage}: classes = {classes}")
             }
             _ => {
                 // Corrupt the bit-reversal swap list.

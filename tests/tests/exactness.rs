@@ -320,3 +320,68 @@ fn tile_lowering_is_bit_exact_against_the_stage_order_oracle() {
         );
     }
 }
+
+/// The output digest every plan below must reproduce, folded in case
+/// order. It was computed from the expanded per-butterfly twiddle tables
+/// that preceded twiddle classes, so it is an oracle independent of every
+/// current table reader: a bit change shared by all of them (the kernels,
+/// `run_codelet` and the recorder) still moves this number.
+const PINNED_OUTPUT_DIGEST: u64 = 4404110917358684929;
+
+#[test]
+fn outputs_match_the_pinned_digest() {
+    use fgfft::cert::Digest;
+    use fgfft::{TransformKind, TwiddleLayout};
+    let layouts = [
+        TwiddleLayout::Linear,
+        TwiddleLayout::BitReversedHash,
+        TwiddleLayout::MultiplicativeHash,
+    ];
+    // Per radix: sizes with a partial last stage where the radix allows one.
+    let c2c_sizes: [(u32, &[u32]); 4] = [(1, &[1, 6]), (3, &[7, 8]), (6, &[8, 13]), (7, &[9, 12])];
+    let mut cases: Vec<(TransformKind, u32, u32)> = Vec::new();
+    for (radix_log2, sizes) in c2c_sizes {
+        cases.extend(sizes.iter().map(|&n| (TransformKind::C2C, n, radix_log2)));
+        for n_log2 in [4u32, 11] {
+            cases.push((TransformKind::R2C, n_log2, radix_log2));
+            cases.push((TransformKind::C2R, n_log2, radix_log2));
+        }
+        for (rows_log2, cols_log2) in [(3u32, 4u32), (5, 6)] {
+            let kind = TransformKind::C2C2D {
+                rows_log2,
+                cols_log2,
+            };
+            cases.push((kind, rows_log2 + cols_log2, radix_log2));
+        }
+    }
+    let backends: Vec<Arc<dyn Backend>> = vec![
+        BackendSel::SCALAR.build(),
+        BackendSel::parse("simd-r4").unwrap().build(),
+        BackendSel::SIMD.build(),
+        Arc::new(HostSimd::portable(3)),
+    ];
+    let runtimes = [1usize, 2].map(Runtime::with_workers);
+    let mut digest = Digest::new();
+    for (kind, n_log2, radix_log2) in cases {
+        for version in Version::paper_set(SeedOrder::Natural) {
+            for layout in layouts {
+                let key = PlanKey::with_kind(kind, 1usize << n_log2, version, layout, radix_log2);
+                let plan = Arc::new(Plan::build(key));
+                let input = signal(plan.buffer_len());
+                for backend in &backends {
+                    let prepared = backend.prepare(&plan);
+                    for runtime in &runtimes {
+                        let mut data = input.clone();
+                        prepared.execute(&mut data, runtime);
+                        digest.write_complex_slice(&data);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        digest.finish(),
+        PINNED_OUTPUT_DIGEST,
+        "plan outputs drifted from the pinned bits"
+    );
+}
