@@ -1,15 +1,28 @@
-//! Criterion: bit-reversal permutation, serial vs the plan's parallel
-//! swap-table path — the "first step" of every algorithm version, and the
-//! hash function of Sec. IV-B.
+//! Criterion: bit-reversal permutation — the "first step" of every
+//! algorithm version, and the hash function of Sec. IV-B. Rows: the direct
+//! loop, the stored swap list (serial and split across workers), and the
+//! computed, cache-blocked permutation plans run (`bit_reverse_tiled`,
+//! serial and on every core).
+//!
+//! ```text
+//! cargo bench -p fft-repro --bench bitrev
+//! ```
 
-use fgfft::bitrev::{apply_swaps_parallel, bit_reverse, bit_reverse_permute, bit_reverse_swaps};
+use codelet::runtime::Runtime;
+use fgfft::bitrev::{
+    apply_swaps, apply_swaps_parallel, bit_reverse, bit_reverse_permute, bit_reverse_swaps,
+    bit_reverse_tiled,
+};
 use fgfft::Complex64;
 use fgsupport::bench::{BenchmarkId, Criterion, Throughput};
 use fgsupport::{criterion_group, criterion_main};
 
 fn bench_permutation(c: &mut Criterion) {
     let mut group = c.benchmark_group("bit_reversal_permute");
-    for n_log2 in [14u32, 18, 20] {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    for n_log2 in [10u32, 14, 18, 20] {
         let n = 1usize << n_log2;
         group.throughput(Throughput::Elements(n as u64));
         let data: Vec<Complex64> = (0..n).map(|i| Complex64::new(i as f64, 0.0)).collect();
@@ -18,6 +31,21 @@ fn bench_permutation(c: &mut Criterion) {
             let mut work = data.clone();
             b.iter(|| bit_reverse_permute(&mut work));
         });
+        group.bench_with_input(BenchmarkId::new("swap list", n_log2), &n_log2, |b, _| {
+            let mut work = data.clone();
+            b.iter(|| apply_swaps(&mut work, &swaps));
+        });
+        for workers in [1, cores] {
+            let runtime = Runtime::with_workers(workers);
+            group.bench_with_input(
+                BenchmarkId::new(format!("computed @ {workers}w"), n_log2),
+                &n_log2,
+                |b, _| {
+                    let mut work = data.clone();
+                    b.iter(|| bit_reverse_tiled(&mut work, &runtime));
+                },
+            );
+        }
         for workers in [2usize, 4, 8] {
             group.bench_with_input(
                 BenchmarkId::new(format!("parallel{workers}"), n_log2),

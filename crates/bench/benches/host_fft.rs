@@ -1,9 +1,13 @@
 //! Criterion: host wall-clock of the fine-guided plan at 2^10, 2^14, 2^16
-//! and 2^18 points, on one runtime worker and on every core, beside a
-//! runtime-free floor: the same plan's codelets fired stage by stage on the
+//! and 2^18 points, on one runtime worker and on every core, each through
+//! the scalar reference kernel (`Plan::execute`) and the host's default
+//! kernel (what `Fft::forward` runs), beside a runtime-free floor: the same
+//! plan's production bit reversal and codelets fired stage by stage on the
 //! calling thread. The gap between the floor and a row is what the plan's
 //! schedule, dispatch and memory order cost on this host; the gap between
-//! the two worker counts is what threading buys. Each size also times
+//! the two worker counts is what threading buys; the gap between the two
+//! kernels is what vectorizing buys. `prepare (default)` is the per-batch
+//! kernel choice the serving path pays. Each size also times
 //! `Plan::build` (the cold set-up a cache miss pays) and prints the plan's
 //! resident bytes per point.
 //!
@@ -12,10 +16,12 @@
 //! ```
 
 use codelet::runtime::Runtime;
+use fgfft::bitrev::bit_reverse_tiled;
 use fgfft::exec::shared::SharedData;
-use fgfft::{Complex64, Plan, PlanKey, Version};
+use fgfft::{BackendSel, Complex64, Plan, PlanKey, Version};
 use fgsupport::bench::{BatchSize, Criterion, Throughput};
 use fgsupport::{criterion_group, criterion_main};
+use std::sync::Arc;
 
 const SIZES_LOG2: [u32; 4] = [10, 14, 16, 18];
 
@@ -25,12 +31,10 @@ fn signal(n: usize) -> Vec<Complex64> {
         .collect()
 }
 
-/// Every codelet of `plan` in stage order on the calling thread: no
-/// runtime, no counters, no pool.
+/// The production bit reversal, then every codelet of `plan` in stage
+/// order on the calling thread: no counters, no pool, no spawned worker.
 fn stage_order_fft(data: &mut [Complex64], plan: &Plan) {
-    for &(a, b) in plan.bitrev_swaps() {
-        data.swap(a as usize, b as usize);
-    }
+    bit_reverse_tiled(data, &Runtime::with_workers(1));
     let view = SharedData::new(data);
     for id in 0..plan.fft_plan().total_codelets() {
         // SAFETY: one thread, ids in stage order: every parent of `id` has
@@ -48,7 +52,8 @@ fn bench_sizes(c: &mut Criterion) {
         let n = 1usize << n_log2;
         let input = signal(n);
         let key = PlanKey::new(n, version, version.layout());
-        let plan = Plan::build(key);
+        let plan = Arc::new(Plan::build(key));
+        let default = BackendSel::default().prepare(&plan);
         let name = format!("host_fft_2e{n_log2}");
         println!(
             "{:60} {:>14.1} B/point",
@@ -60,15 +65,25 @@ fn bench_sizes(c: &mut Criterion) {
         group.sample_size(if n_log2 >= 18 { 30 } else { 200 });
         for workers in [1, cores] {
             let runtime = Runtime::with_workers(workers);
-            group.bench_function(format!("{} @ {workers}w", version.name()), |b| {
+            group.bench_function(format!("{} scalar @ {workers}w", version.name()), |b| {
                 b.iter_batched(
                     || input.clone(),
                     |mut data| plan.execute(&mut data, &runtime),
                     BatchSize::LargeInput,
                 );
             });
+            group.bench_function(format!("{} default @ {workers}w", version.name()), |b| {
+                b.iter_batched(
+                    || input.clone(),
+                    |mut data| default.execute(&mut data, &runtime),
+                    BatchSize::LargeInput,
+                );
+            });
         }
         group.bench_function("Plan::build", |b| b.iter(|| Plan::build(key)));
+        group.bench_function("prepare (default)", |b| {
+            b.iter(|| BackendSel::default().prepare(&plan))
+        });
         group.bench_function("stage-order floor (no runtime)", |b| {
             b.iter_batched(
                 || input.clone(),

@@ -54,8 +54,8 @@ pub use fft::{check_fft, check_fft_tuned, layout_name, FftCheckOptions, FftCheck
 pub use hb::{HbOrder, Segment, CODE_COVERAGE};
 pub use race::{find_races, RaceReport, CODE_RACE};
 pub use tables::{
-    check_kind_extensions, check_plan, check_plan_tables, CODE_BITREV_DRIFT, CODE_GATHER_BOUNDS,
-    CODE_KIND_DRIFT, CODE_PAIR_BOUNDS, CODE_STAGE_ALIASING, CODE_TABLE_DRIFT, CODE_TABLE_SHAPE,
-    CODE_TWIDDLE_DRIFT,
+    check_bit_reversal, check_kind_extensions, check_plan, check_plan_tables, CODE_BITREV_DRIFT,
+    CODE_GATHER_BOUNDS, CODE_KIND_DRIFT, CODE_PAIR_BOUNDS, CODE_STAGE_ALIASING, CODE_TABLE_DRIFT,
+    CODE_TABLE_SHAPE, CODE_TWIDDLE_DRIFT,
 };
 pub use tiles::{check_lowering, check_tiles, TileCheck};

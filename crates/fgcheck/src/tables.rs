@@ -16,6 +16,9 @@
 //! This pass checks both statically, plus — differentially — that the
 //! tables are byte-identical to what [`fgfft::workload`]'s authority
 //! functions derive, so the two lowerings can never drift apart silently.
+//! The bit reversal has no table: the plan computes it
+//! ([`fgfft::bitrev::bit_reverse_tiled`]), so FG407 checks that generator
+//! against the [`bit_reverse`] authority at the plan's size.
 //! The twiddle check runs per codelet: the run it reads through its class
 //! and the slot pattern must expand to the authority's per-butterfly run
 //! bitwise, which proves the class map and not just the stored values.
@@ -28,7 +31,7 @@
 //! | `FG404` | error    | stage gather is not a partition (aliasing under `unsafe`) |
 //! | `FG405` | error    | a codelet's slot-indexed twiddles differ bitwise from the workload authority |
 //! | `FG406` | error    | gather/pairs/slots differ from the workload authority |
-//! | `FG407` | error    | bit-reversal swap list invalid or drifted             |
+//! | `FG407` | error    | computed bit reversal differs from the `bit_reverse` authority |
 //! | `FG409` | error    | composite-kind extension tables (untangle / column plan) drifted |
 //!
 //! All findings are errors: each one is a violated precondition of an
@@ -36,15 +39,18 @@
 //! corrupted tables, at most one diagnostic per (stage, code) is emitted —
 //! the first violation found.
 //!
-//! The checker has two entry points: [`check_plan`] for a built
-//! [`fgfft::Plan`] (what `check_fft` and the CLI run), and the slice-level
-//! [`check_plan_tables`] that fuzz tests feed deliberately mutated tables.
+//! The checker has three entry points: [`check_plan`] for a built
+//! [`fgfft::Plan`] (what `check_fft` and the CLI run), the slice-level
+//! [`check_plan_tables`] that fuzz tests feed deliberately mutated tables,
+//! and [`check_bit_reversal`], which runs any permutation generator and
+//! so takes deliberately broken ones too.
 
+use codelet::runtime::Runtime;
 use codelet::verify::{Diagnostic, Severity};
-use fgfft::bitrev::bit_reverse_swaps;
+use fgfft::bitrev::{bit_reverse, bit_reverse_tiled};
 use fgfft::planner::StageTableView;
 use fgfft::workload::{self};
-use fgfft::{FftPlan, Plan, TwiddleTable};
+use fgfft::{Complex64, FftPlan, Plan, TwiddleTable};
 
 /// Gather index out of bounds.
 pub const CODE_GATHER_BOUNDS: &str = "FG401";
@@ -59,7 +65,7 @@ pub const CODE_STAGE_ALIASING: &str = "FG404";
 pub const CODE_TWIDDLE_DRIFT: &str = "FG405";
 /// Gather/pair/slot tables drifted from the workload authority.
 pub const CODE_TABLE_DRIFT: &str = "FG406";
-/// Bit-reversal swap list invalid or drifted.
+/// The computed bit reversal differs from the [`bit_reverse`] authority.
 pub const CODE_BITREV_DRIFT: &str = "FG407";
 /// Composite-kind extension tables (untangle / column plan) invalid or
 /// drifted from the workload authority.
@@ -75,11 +81,45 @@ fn error(code: &'static str, codelet: Option<usize>, message: String) -> Diagnos
 }
 
 /// Verify the flattened execution tables of a built plan: bounds,
-/// per-stage disjointness, and byte-identity with the workload authority.
+/// per-stage disjointness, and byte-identity with the workload authority;
+/// and the bit reversal the plan computes before its stages.
 pub fn check_plan(plan: &Plan) -> Vec<Diagnostic> {
     let fft = plan.fft_plan();
     let stages: Vec<StageTableView<'_>> = (0..fft.stages()).map(|s| plan.stage_table(s)).collect();
-    check_plan_tables(fft, plan.twiddles(), &stages, plan.bitrev_swaps())
+    let mut out = check_plan_tables(fft, plan.twiddles(), &stages);
+    out.extend(check_bit_reversal(fft.n_log2(), bit_reverse_tiled));
+    out
+}
+
+/// FG407 — run `permute` (the production generator is
+/// [`bit_reverse_tiled`]) over a `2^n_log2`-element buffer holding its own
+/// indices, on one worker and on two, and require element `j` to come
+/// from [`bit_reverse`]`(j)` — the same authority the twiddle hash uses.
+pub fn check_bit_reversal(
+    n_log2: u32,
+    permute: impl Fn(&mut [Complex64], &Runtime),
+) -> Vec<Diagnostic> {
+    let n = 1usize << n_log2;
+    for workers in [1, 2] {
+        let mut data: Vec<Complex64> = (0..n).map(|i| Complex64::new(i as f64, 0.0)).collect();
+        permute(&mut data, &Runtime::with_workers(workers));
+        let wrong = data.iter().enumerate().find(|&(j, v)| {
+            v.re.to_bits() != (bit_reverse(j, n_log2) as f64).to_bits() || v.im != 0.0
+        });
+        if let Some((j, v)) = wrong {
+            return vec![error(
+                CODE_BITREV_DRIFT,
+                None,
+                format!(
+                    "bit reversal at N = 2^{n_log2} on {workers} worker(s) puts element {} at \
+                     {j}; the authority requires {}",
+                    v.re,
+                    bit_reverse(j, n_log2)
+                ),
+            )];
+        }
+    }
+    Vec::new()
 }
 
 /// Pass 4's composite-kind extension: verify a plan's untangle twiddle
@@ -125,8 +165,8 @@ pub fn check_kind_extensions(plan: &Plan) -> Vec<Diagnostic> {
     out
 }
 
-/// Slice-level core of [`check_plan`]: verify `stages` and `swaps` as if
-/// they were the flattened tables of a plan for `fft` under `twiddles`.
+/// Slice-level core of [`check_plan`]: verify `stages` as if they were the
+/// flattened tables of a plan for `fft` under `twiddles`.
 ///
 /// Exposed separately so tests can feed *mutated* tables — bit flips,
 /// truncations, off-by-one indices — and assert each mutant draws the
@@ -136,7 +176,6 @@ pub fn check_plan_tables(
     fft: &FftPlan,
     twiddles: &TwiddleTable,
     stages: &[StageTableView<'_>],
-    swaps: &[(u32, u32)],
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let n = 1usize << fft.n_log2();
@@ -154,7 +193,6 @@ pub fn check_plan_tables(
             ),
         ));
         // Per-stage checks below would index the wrong stage's authority.
-        check_swaps(n, swaps, &mut out);
         return out;
     }
 
@@ -332,38 +370,7 @@ pub fn check_plan_tables(
         }
     }
 
-    check_swaps(n, swaps, &mut out);
     out
-}
-
-/// FG407 — the bit-reversal swap list: in bounds and exactly the authority's
-/// transposition list (each swap (a, b) with a < b, applied once).
-fn check_swaps(n: usize, swaps: &[(u32, u32)], out: &mut Vec<Diagnostic>) {
-    if let Some((i, &(a, b))) = swaps
-        .iter()
-        .enumerate()
-        .find(|&(_, &(a, b))| a as usize >= n || b as usize >= n || a >= b)
-    {
-        out.push(error(
-            CODE_BITREV_DRIFT,
-            None,
-            format!("bitrev swap[{i}] = ({a}, {b}) invalid for N = {n} (want a < b < N)"),
-        ));
-        return;
-    }
-    let authority = bit_reverse_swaps(n);
-    if swaps != authority.as_slice() {
-        out.push(error(
-            CODE_BITREV_DRIFT,
-            None,
-            format!(
-                "bit-reversal swap list ({} swaps) differs from the authority's ({}) — \
-                 the permutation would not be the bit reversal",
-                swaps.len(),
-                authority.len()
-            ),
-        ));
-    }
 }
 
 #[cfg(test)]
@@ -426,7 +433,7 @@ mod tests {
             gather: &gather,
             ..stages[1]
         };
-        let diags = check_plan_tables(fft, p.twiddles(), &stages, p.bitrev_swaps());
+        let diags = check_plan_tables(fft, p.twiddles(), &stages);
         let codes: Vec<&str> = diags.iter().map(|d| d.code).collect();
         assert!(codes.contains(&CODE_GATHER_BOUNDS), "{codes:?}");
         // The clobbered element is also no longer claimed → not a partition
@@ -446,7 +453,7 @@ mod tests {
             gather: &gather,
             ..stages[0]
         };
-        let diags = check_plan_tables(fft, p.twiddles(), &stages, p.bitrev_swaps());
+        let diags = check_plan_tables(fft, p.twiddles(), &stages);
         assert!(
             diags.iter().any(|d| d.code == CODE_STAGE_ALIASING),
             "{diags:?}"
@@ -463,7 +470,7 @@ mod tests {
         let mut stages = full.clone();
         let gather = &full[0].gather[..full[0].gather.len() - 1];
         stages[0] = StageTableView { gather, ..full[0] };
-        let diags = check_plan_tables(fft, p.twiddles(), &stages, p.bitrev_swaps());
+        let diags = check_plan_tables(fft, p.twiddles(), &stages);
         assert!(
             diags.iter().any(|d| d.code == CODE_TABLE_SHAPE),
             "{diags:?}"
@@ -477,7 +484,7 @@ mod tests {
             twiddles: &tw,
             ..full[1]
         };
-        let diags = check_plan_tables(fft, p.twiddles(), &stages, p.bitrev_swaps());
+        let diags = check_plan_tables(fft, p.twiddles(), &stages);
         assert!(
             diags.iter().any(|d| d.code == CODE_TWIDDLE_DRIFT),
             "{diags:?}"
@@ -499,7 +506,7 @@ mod tests {
         let fft = p.fft_plan();
         let full: Vec<StageTableView<'_>> = (0..fft.stages()).map(|s| p.stage_table(s)).collect();
         let codes = |stages: &[StageTableView<'_>]| -> Vec<(&'static str, Option<usize>)> {
-            check_plan_tables(fft, p.twiddles(), stages, p.bitrev_swaps())
+            check_plan_tables(fft, p.twiddles(), stages)
                 .iter()
                 .map(|d| (d.code, d.codelet))
                 .collect()
@@ -537,26 +544,30 @@ mod tests {
         assert_eq!(codes(&stages), [(CODE_TWIDDLE_DRIFT, Some(id))]);
     }
 
+    /// FG407 runs the generator, so a broken one draws it: a permutation
+    /// with one exchange undone, and one that is right on one worker only.
     #[test]
-    fn corrupt_bitrev_swaps_are_fg407() {
-        let p = plan(9, Version::Coarse);
-        let fft = p.fft_plan();
-        let stages: Vec<StageTableView<'_>> = (0..fft.stages()).map(|s| p.stage_table(s)).collect();
-        // Out-of-bounds swap.
-        let mut swaps = p.bitrev_swaps().to_vec();
-        swaps[0].1 = 1 << 9;
-        let diags = check_plan_tables(fft, p.twiddles(), &stages, &swaps);
-        assert!(
-            diags.iter().any(|d| d.code == CODE_BITREV_DRIFT),
-            "{diags:?}"
+    fn broken_bit_reversal_generators_are_fg407() {
+        for n_log2 in [1u32, 6, 9, 20] {
+            assert!(check_bit_reversal(n_log2, bit_reverse_tiled).is_empty());
+        }
+        let codes = |diags: Vec<Diagnostic>| diags.iter().map(|d| d.code).collect::<Vec<_>>();
+        let one_undone = |data: &mut [Complex64], rt: &Runtime| {
+            bit_reverse_tiled(data, rt);
+            data.swap(1, data.len() / 2);
+        };
+        assert_eq!(
+            codes(check_bit_reversal(9, one_undone)),
+            [CODE_BITREV_DRIFT]
         );
-        // In-bounds but wrong permutation.
-        let mut swaps = p.bitrev_swaps().to_vec();
-        swaps.pop();
-        let diags = check_plan_tables(fft, p.twiddles(), &stages, &swaps);
-        assert!(
-            diags.iter().any(|d| d.code == CODE_BITREV_DRIFT),
-            "{diags:?}"
+        let serial_only = |data: &mut [Complex64], rt: &Runtime| {
+            if rt.workers() == 1 {
+                bit_reverse_tiled(data, rt);
+            }
+        };
+        assert_eq!(
+            codes(check_bit_reversal(9, serial_only)),
+            [CODE_BITREV_DRIFT]
         );
     }
 }

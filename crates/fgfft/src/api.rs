@@ -1,9 +1,10 @@
 //! High-level user-facing API: forward/inverse transforms, spectra, and
 //! FFT-based convolution, built on cached plans.
 
+use crate::backend::default_kernel;
 use crate::complex::Complex64;
 use crate::exec::{ExecStats, Version};
-use crate::planner::{PlanKey, Planner};
+use crate::planner::{Plan, PlanKey, Planner};
 use codelet::runtime::Runtime;
 use std::sync::Arc;
 
@@ -11,10 +12,14 @@ use std::sync::Arc;
 /// the same or different sizes.
 ///
 /// Repeated transforms of one size reuse a cached [`crate::Plan`] — twiddle
-/// table, bit-reversal swaps, materialized schedule — through a shared
+/// table, stage tables, materialized schedule — through a shared
 /// [`Planner`]: only the first call of each `(size, version, layout)` pays
 /// the derivation. By default every engine shares the process-wide
 /// [`Planner::shared`] cache; [`Fft::with_planner`] isolates one.
+///
+/// Every transform runs the host's default kernel (the vector kernel
+/// wherever the plan allows it, as [`crate::BackendSel::default`] selects),
+/// bit-identical to the scalar reference [`crate::Plan::execute`].
 ///
 /// ```
 /// use fgfft::{Fft, Complex64};
@@ -89,11 +94,7 @@ impl Fft {
 
     /// Resolve the plan for `kind` at logical size `n` against this
     /// engine's planner — the veneer hook `rfft`/`fft2d` route through.
-    pub(crate) fn plan_kind(
-        &self,
-        kind: crate::workload::TransformKind,
-        n: usize,
-    ) -> std::sync::Arc<crate::planner::Plan> {
+    pub(crate) fn plan_kind(&self, kind: crate::workload::TransformKind, n: usize) -> Arc<Plan> {
         self.planner.plan_key(PlanKey::with_kind(
             kind,
             n,
@@ -103,9 +104,15 @@ impl Fft {
         ))
     }
 
-    /// A runtime sized to this engine's worker count.
-    pub(crate) fn runtime(&self) -> Runtime {
-        Runtime::with_workers(self.workers)
+    /// Run `plan` over `data` on this engine's workers with the host's
+    /// default kernel — the one execution step of every library transform
+    /// (`forward`, `rfft`/`irfft`, `Fft2d`).
+    pub(crate) fn run(&self, plan: &Plan, data: &mut [Complex64]) -> ExecStats {
+        plan.execute_with(
+            default_kernel(plan),
+            data,
+            &Runtime::with_workers(self.workers),
+        )
     }
 
     /// In-place forward transform. Length must be a power of two ≥ 2.
@@ -116,7 +123,7 @@ impl Fft {
             self.version.layout(),
             self.radix_log2,
         );
-        self.planner.plan_key(key).execute(data, &self.runtime())
+        self.run(&self.planner.plan_key(key), data)
     }
 
     /// In-place inverse transform (normalized by 1/N), via the conjugation

@@ -8,8 +8,9 @@
 //! [`CodeletKernel`] every codelet runs:
 //!
 //! * [`HostScalar`] — the historical tables-driven path: the same
-//!   [`ScalarKernel`] that `Plan::execute_batch` itself runs.
-//! * [`HostSimd`] — f64x4 complex butterflies (two complex lanes per
+//!   [`ScalarKernel`] that `Plan::execute_batch` itself runs, kept as the
+//!   reference every other kernel is compared against.
+//! * [`HostSimd`] — the host's **default**: f64x4 complex butterflies (two complex lanes per
 //!   vector) over the same tables, via `core::arch` AVX2 on `x86_64` with
 //!   a portable four-lane fallback everywhere else. Radix-4 or radix-8
 //!   register-fused passes over each codelet's local buffer; the SIMD
@@ -27,12 +28,17 @@
 //!
 //! Selection is a plain value, [`BackendSel`], that serializes into wisdom
 //! so the autotuner can learn scalar-vs-SIMD and kernel radix per
-//! `(N, machine)`.
+//! `(N, machine)`. Its default is the vector kernel, which is what library
+//! transforms ([`crate::Fft`], `rfft`, `Fft2d`) and serving without a
+//! wisdom entry run (`default_kernel`). The kernel is chosen once: the
+//! AVX2-or-portable decision once per process, the plan's table check once
+//! per plan at build, so `prepare` only picks a static kernel.
 
 mod scalar;
 mod simd;
 
 pub use scalar::{HostScalar, ScalarKernel};
+pub(crate) use simd::vector_ready;
 pub use simd::HostSimd;
 
 use crate::complex::Complex64;
@@ -54,8 +60,13 @@ use std::sync::Arc;
 /// butterfly `i` multiplies by `run[slots[i]]`. Schedules, tables, and
 /// certificates are backend-independent; only this innermost loop varies.
 pub trait CodeletKernel: Send + Sync + std::fmt::Debug {
-    /// Short human-readable identity (used in fingerprints and stats).
+    /// Short human-readable identity (used in stats).
     fn label(&self) -> &'static str;
+
+    /// Identity of the engine this kernel is, in [`Backend::fingerprint`]'s
+    /// `name:isa×lanes` form: what a prepared plan reports as having
+    /// served it.
+    fn fingerprint(&self) -> &'static str;
 
     /// Execute one codelet over `view`.
     ///
@@ -111,14 +122,13 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
 /// A plan bound to a backend, ready to execute batches.
 ///
 /// Holds the `Arc<Plan>` (tables, schedule, certificate scope) plus the
-/// backend's chosen kernel; nothing about the plan itself is copied or
-/// re-lowered, so a certificate verified against the plan covers every
-/// prepared form of it.
+/// backend's chosen kernel, a process-wide static; nothing about the plan
+/// itself is copied or re-lowered, so a certificate verified against the
+/// plan covers every prepared form of it.
 #[derive(Debug)]
 pub struct PreparedPlan {
     plan: Arc<Plan>,
-    kernel: Arc<dyn CodeletKernel>,
-    fingerprint: String,
+    kernel: &'static dyn CodeletKernel,
 }
 
 impl PreparedPlan {
@@ -127,40 +137,50 @@ impl PreparedPlan {
         &self.plan
     }
 
-    /// Fingerprint of the backend that prepared this plan.
-    pub fn backend_fingerprint(&self) -> &str {
-        &self.fingerprint
+    /// Fingerprint of the kernel that runs this plan — the backend's own
+    /// unless it degraded to the scalar kernel (radix-2 codelets or
+    /// non-canonical tables), in which case it names the scalar engine.
+    pub fn backend_fingerprint(&self) -> &'static str {
+        self.kernel.fingerprint()
     }
 
     /// In-place forward transform of one buffer; bit-identical to
     /// [`Plan::execute`] for every backend.
     pub fn execute(&self, data: &mut [Complex64], runtime: &Runtime) -> ExecStats {
-        self.plan.execute_with(&*self.kernel, data, runtime)
+        self.plan.execute_with(self.kernel, data, runtime)
     }
 
     /// In-place forward transform of a batch of same-plan buffers;
     /// bit-identical to [`Plan::execute_batch`] for every backend.
     pub fn execute_batch(&self, buffers: &mut [&mut [Complex64]], runtime: &Runtime) -> ExecStats {
-        self.plan
-            .execute_batch_with(&*self.kernel, buffers, runtime)
+        self.plan.execute_batch_with(self.kernel, buffers, runtime)
     }
 
-    fn new(plan: &Arc<Plan>, kernel: Arc<dyn CodeletKernel>, backend: &dyn Backend) -> Self {
+    fn new(plan: &Arc<Plan>, kernel: &'static dyn CodeletKernel) -> Self {
         Self {
             plan: Arc::clone(plan),
             kernel,
-            fingerprint: backend.fingerprint(),
         }
     }
+}
+
+/// The kernel the host runs `plan` with by default — what
+/// [`BackendSel::default`] prepares: the vector kernel (AVX2 or portable,
+/// decided once per process) when the plan's tables passed the vector
+/// kernel's shape check at build ([`Plan::vector_ready`]), the
+/// scalar kernel otherwise. Bit-identical to [`Plan::execute`] either way.
+pub(crate) fn default_kernel(plan: &Plan) -> &'static dyn CodeletKernel {
+    HostSimd::new(BackendSel::SIMD.simd_radix_log2).kernel_for(plan)
 }
 
 /// Backend family, the coarse axis of [`BackendSel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
-    /// [`HostScalar`]: the historical scalar hot path.
-    #[default]
+    /// [`HostScalar`]: the scalar reference path.
     Scalar,
-    /// [`HostSimd`]: vectorized butterflies over the same schedule.
+    /// [`HostSimd`]: vectorized butterflies over the same schedule (the
+    /// default).
+    #[default]
     Simd,
 }
 
@@ -176,20 +196,22 @@ pub struct BackendSel {
     pub simd_radix_log2: u32,
 }
 
+/// The vector kernel: measured fastest on every size from 2^10 to 2^20 and
+/// bit-identical to the scalar reference.
 impl Default for BackendSel {
     fn default() -> Self {
-        Self::SCALAR
+        Self::SIMD
     }
 }
 
 impl BackendSel {
-    /// The historical scalar path (the default, and the safe fallback).
+    /// The scalar reference path.
     pub const SCALAR: Self = Self {
         kind: BackendKind::Scalar,
         simd_radix_log2: 3,
     };
 
-    /// SIMD backend with radix-8 register fusion.
+    /// SIMD backend with radix-8 register fusion (the default).
     pub const SIMD: Self = Self {
         kind: BackendKind::Simd,
         simd_radix_log2: 3,
@@ -200,6 +222,16 @@ impl BackendSel {
         match self.kind {
             BackendKind::Scalar => Arc::new(HostScalar),
             BackendKind::Simd => Arc::new(HostSimd::new(self.simd_radix_log2)),
+        }
+    }
+
+    /// Bind `plan` to the selected backend without instantiating it behind
+    /// an `Arc`: what [`BackendSel::build`] then [`Backend::prepare`] do,
+    /// minus the allocation — the per-batch step of the serving path.
+    pub fn prepare(&self, plan: &Arc<Plan>) -> PreparedPlan {
+        match self.kind {
+            BackendKind::Scalar => HostScalar.prepare(plan),
+            BackendKind::Simd => HostSimd::new(self.simd_radix_log2).prepare(plan),
         }
     }
 
@@ -314,6 +346,9 @@ mod tests {
         impl CodeletKernel for Grenade {
             fn label(&self) -> &'static str {
                 "grenade"
+            }
+            fn fingerprint(&self) -> &'static str {
+                "grenade:scalarx1"
             }
             unsafe fn run_codelet(
                 &self,

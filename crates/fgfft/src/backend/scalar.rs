@@ -17,6 +17,10 @@ impl CodeletKernel for ScalarKernel {
         "scalar"
     }
 
+    fn fingerprint(&self) -> &'static str {
+        "host-scalar:scalarx1"
+    }
+
     #[inline(always)]
     unsafe fn run_codelet(
         &self,
@@ -34,7 +38,7 @@ impl CodeletKernel for ScalarKernel {
 
 /// The tables-driven scalar path as a [`Backend`]: `prepare` hands over
 /// [`ScalarKernel`], the kernel [`Plan::execute_batch`] runs directly, so
-/// a plan prepared by `HostScalar` produces exactly its bits.
+/// a plan prepared by `HostScalar` produces exactly the reference bits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HostScalar;
 
@@ -51,6 +55,6 @@ impl Backend for HostScalar {
     }
 
     fn prepare(&self, plan: &Arc<Plan>) -> PreparedPlan {
-        PreparedPlan::new(plan, Arc::new(ScalarKernel), self)
+        PreparedPlan::new(plan, &ScalarKernel)
     }
 }

@@ -22,9 +22,10 @@
 //!    pins every codelet's slot-indexed run to the workload authority).
 //!    So at levels `ll >= 1` an even butterfly and its successor read
 //!    *consecutive buffer slots and consecutive twiddles*, and at level 0
-//!    the butterflies of one group share one twiddle. [`HostSimd::prepare`]
-//!    re-verifies both patterns directly and falls back to the scalar
-//!    kernel on any mismatch, so the vector paths never guess.
+//!    the butterflies of one group share one twiddle. [`Plan::build`]
+//!    re-verifies both patterns directly, once per plan
+//!    ([`Plan::vector_ready`]), and [`HostSimd::prepare`] falls back to
+//!    the scalar kernel on any mismatch, so the vector paths never guess.
 //!
 //! The kernel then runs each level as a contiguous two-complex-wide pass,
 //! and register-fuses the lowest 2 or 3 levels (radix-4 / radix-8
@@ -46,7 +47,7 @@ use crate::exec::shared::{execute_codelet_tabled, SharedData};
 use crate::plan::MAX_RADIX_LOG2;
 use crate::planner::Plan;
 use crate::workload;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Two packed complex doubles (four f64 lanes): the vector register
 /// abstraction the generic kernel is written against. All operations are
@@ -274,6 +275,13 @@ fn slots_are_canonical(slots: &[u8], radix: usize) -> bool {
     })
 }
 
+/// Whether the vector kernel may run `plan`: codelets of at least four
+/// points and canonical tables ([`tables_are_canonical`]). [`Plan::build`]
+/// evaluates this once and stores it as [`Plan::vector_ready`].
+pub(crate) fn vector_ready(plan: &Plan) -> bool {
+    plan.fft_plan().radix_log2() >= 2 && tables_are_canonical(plan)
+}
+
 /// Whether every stage of `plan` (and of a 2-D plan's column plan, which
 /// runs on the same kernel) carries the canonical butterfly and slot
 /// patterns over class runs of the canonical length (the precondition of
@@ -299,8 +307,8 @@ pub(crate) fn tables_are_canonical(plan: &Plan) -> bool {
 /// Same contract as [`execute_codelet_tabled`], **plus** `pairs` and the
 /// stage's slots must satisfy [`pairs_are_canonical`] and
 /// [`slots_are_canonical`] for `radix = gather.len() >= 4`, `run` must
-/// hold `(2^q − 1)·(radix >> q)` values and `fuse_log2 >= 2` (verified by
-/// [`HostSimd::prepare`], re-asserted here in debug builds).
+/// hold `(2^q − 1)·(radix >> q)` values and `fuse_log2 >= 2` (verified once
+/// per plan by [`Plan::build`], re-asserted here in debug builds).
 #[inline(always)]
 unsafe fn codelet_vec<V: CVec>(
     gather: &[u32],
@@ -440,12 +448,59 @@ unsafe fn codelet_avx2(
     unsafe { codelet_vec::<x86::Avx2>(gather, pairs, run, view, fuse_log2) }
 }
 
-/// The vector kernel with its dispatch decision baked in at `prepare`
-/// time.
+/// The vector kernel with its dispatch decision baked in. There are four,
+/// one per fusion radix and ISA, all process-wide statics
+/// ([`SIMD_KERNELS`]), so preparing a plan allocates nothing.
 #[derive(Debug)]
 struct SimdKernel {
     fuse_log2: u32,
     use_avx2: bool,
+}
+
+/// `SIMD_KERNELS[fuse_log2 − 2][use_avx2]`.
+static SIMD_KERNELS: [[SimdKernel; 2]; 2] = [
+    [
+        SimdKernel {
+            fuse_log2: 2,
+            use_avx2: false,
+        },
+        SimdKernel {
+            fuse_log2: 2,
+            use_avx2: true,
+        },
+    ],
+    [
+        SimdKernel {
+            fuse_log2: 3,
+            use_avx2: false,
+        },
+        SimdKernel {
+            fuse_log2: 3,
+            use_avx2: true,
+        },
+    ],
+];
+
+/// Whether this process runs the AVX2 kernel: the build has the `simd`
+/// feature, `FGFFT_SIMD` is not `portable`, and the CPU has AVX2. Decided
+/// on first use and fixed for the life of the process.
+fn avx2_enabled() -> bool {
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    *ENABLED.get_or_init(|| {
+        if !cfg!(feature = "simd")
+            || std::env::var_os("FGFFT_SIMD").is_some_and(|v| v == "portable")
+        {
+            return false;
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("avx2")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
 }
 
 impl CodeletKernel for SimdKernel {
@@ -454,6 +509,14 @@ impl CodeletKernel for SimdKernel {
             "simd-avx2"
         } else {
             "simd-portable"
+        }
+    }
+
+    fn fingerprint(&self) -> &'static str {
+        if self.use_avx2 {
+            "host-simd:avx2x2"
+        } else {
+            "host-simd:portablex2"
         }
     }
 
@@ -471,13 +534,13 @@ impl CodeletKernel for SimdKernel {
             // SAFETY: forwarded.
             return unsafe { execute_codelet_tabled(gather, pairs, slots, run, view) };
         }
-        // The slots are the canonical pattern `prepare` verified; the
+        // The slots are the canonical pattern `Plan::build` verified; the
         // vector passes compute them instead of reading them.
         debug_assert!(slots_are_canonical(slots, gather.len()));
         #[cfg(target_arch = "x86_64")]
         if self.use_avx2 {
             // SAFETY: forwarded; `use_avx2` implies runtime detection
-            // succeeded and `prepare` verified the canonical patterns.
+            // succeeded and `Plan::build` verified the canonical patterns.
             return unsafe { codelet_avx2(gather, pairs, run, view, self.fuse_log2) };
         }
         // SAFETY: forwarded, as above.
@@ -488,10 +551,10 @@ impl CodeletKernel for SimdKernel {
 /// SIMD host backend: vectorized butterflies on the serial certified
 /// schedule.
 ///
-/// `prepare` verifies the plan's pair tables carry the canonical pattern
-/// (see the module docs) and silently degrades to the scalar path when
-/// they don't or when the codelet radix is too small to vectorize — a
-/// prepared plan is always correct, never merely fast.
+/// `prepare` reads the plan's build-time check that its tables carry the
+/// canonical pattern (see the module docs) and silently degrades to the
+/// scalar path when they don't or when the codelet radix is too small to
+/// vectorize — a prepared plan is always correct, never merely fast.
 #[derive(Debug, Clone)]
 pub struct HostSimd {
     fuse_log2: u32,
@@ -502,7 +565,8 @@ impl HostSimd {
     /// Backend with the given register-fusion radix exponent (clamped to
     /// 2..=3: radix-4 or radix-8 passes). Uses AVX2 when the build (crate
     /// feature `simd`), the CPU, and the `FGFFT_SIMD` environment override
-    /// all allow it; the portable four-lane kernel otherwise.
+    /// all allow it (decided once per process); the portable four-lane
+    /// kernel otherwise.
     pub fn new(simd_radix_log2: u32) -> Self {
         Self {
             fuse_log2: simd_radix_log2.clamp(2, 3),
@@ -520,19 +584,17 @@ impl HostSimd {
     }
 
     fn avx2_selected(&self) -> bool {
-        if self.force_portable || !cfg!(feature = "simd") {
-            return false;
-        }
-        if std::env::var_os("FGFFT_SIMD").is_some_and(|v| v == "portable") {
-            return false;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
+        !self.force_portable && avx2_enabled()
+    }
+
+    /// The kernel this backend runs `plan` with: its vector kernel when
+    /// the plan is [`Plan::vector_ready`], the scalar kernel otherwise
+    /// (same bits, no pattern assumption).
+    pub(crate) fn kernel_for(&self, plan: &Plan) -> &'static dyn CodeletKernel {
+        if plan.vector_ready() {
+            &SIMD_KERNELS[self.fuse_log2 as usize - 2][usize::from(self.avx2_selected())]
+        } else {
+            &ScalarKernel
         }
     }
 }
@@ -554,25 +616,14 @@ impl Backend for HostSimd {
     }
 
     fn prepare(&self, plan: &Arc<Plan>) -> PreparedPlan {
-        let kernel: Arc<dyn CodeletKernel> =
-            if plan.fft_plan().radix_log2() >= 2 && tables_are_canonical(plan) {
-                Arc::new(SimdKernel {
-                    fuse_log2: self.fuse_log2,
-                    use_avx2: self.avx2_selected(),
-                })
-            } else {
-                // Non-canonical tables or radix-2 codelets: the scalar path
-                // is the correct degradation (same bits, no pattern
-                // assumption).
-                Arc::new(ScalarKernel)
-            };
-        PreparedPlan::new(plan, kernel, self)
+        PreparedPlan::new(plan, self.kernel_for(plan))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::HostScalar;
     use crate::exec::{SeedOrder, Version};
     use crate::planner::PlanKey;
     use codelet::runtime::Runtime;
@@ -601,6 +652,7 @@ mod tests {
                 radix_log2,
             ));
             assert!(tables_are_canonical(&plan), "radix_log2={radix_log2}");
+            assert_eq!(plan.vector_ready(), radix_log2 >= 2);
         }
     }
 
@@ -714,7 +766,16 @@ mod tests {
         let mut want = input.clone();
         plan.execute(&mut want, &runtime);
         let mut got = input.clone();
-        HostSimd::new(3).prepare(&plan).execute(&mut got, &runtime);
+        let prepared = HostSimd::new(3).prepare(&plan);
+        prepared.execute(&mut got, &runtime);
         assert_eq!(bits(&want), bits(&got));
+        // The fingerprint names the kernel that ran, not the backend that
+        // was asked.
+        assert!(!plan.vector_ready());
+        assert_eq!(prepared.backend_fingerprint(), HostScalar.fingerprint());
+        assert_eq!(
+            HostSimd::portable(2).prepare(&plan).backend_fingerprint(),
+            "host-scalar:scalarx1"
+        );
     }
 }

@@ -28,7 +28,7 @@
 //!   `O(pool)` with no plan build. [`crate::wisdom::Wisdom::load`] runs
 //!   this on every entry.
 //! * [`Certificate::verify_plan`] — the above plus the table digest over a
-//!   built [`Plan`]'s independent data (gather/pair/swap tables and the
+//!   built [`Plan`]'s independent data (gather/pair/slot tables and the
 //!   twiddle factor table — see [`table_digest`] for what is deliberately
 //!   excluded and why). [`crate::planner::Planner`] runs this once per
 //!   cold plan build (measured < 5% of build time, see EXPERIMENTS.md).
@@ -59,7 +59,12 @@ use fgsupport::json::Value;
 /// a per-stage slot pattern instead of one expanded run per codelet; the
 /// table digest covers the slot pattern and the class-run shapes. A
 /// revision-3 certificate vouches for expanded runs that no longer exist.
-pub const WORKLOAD_REVISION: u64 = 4;
+///
+/// Revision 5: the bit reversal is computed (`bitrev::bit_reverse_tiled`)
+/// instead of applied from a stored swap list, and the table digest no
+/// longer streams that list. A revision-4 certificate vouches for a table
+/// the plan no longer holds.
+pub const WORKLOAD_REVISION: u64 = 5;
 
 /// Multi-lane FNV-style digest (keyless, dependency-free).
 ///
@@ -391,8 +396,9 @@ pub fn schedule_digest(key: PlanKey, tuning: Option<&ScheduleTuning>) -> Result<
 /// Digest of the *independent* data behind a built plan's flattened
 /// execution tables: per-stage gather indices, the butterfly pair pattern,
 /// the twiddle slot pattern, the class-run shape (class count and run
-/// length), the bit-reversal swap list, and the twiddle factor table (in
-/// stored slot order, so it is layout-sensitive).
+/// length), and the twiddle factor table (in stored slot order, so it is
+/// layout-sensitive). The bit reversal is computed, not stored, so there
+/// is no table of it to digest; `fgcheck`'s FG407 proves the generator.
 ///
 /// The class-run *values* are deliberately not streamed, and runs are never
 /// re-expanded per codelet: each value is a bitwise copy of a twiddle-table
@@ -404,14 +410,14 @@ pub fn schedule_digest(key: PlanKey, tuning: Option<&ScheduleTuning>) -> Result<
 /// codelet's slot-indexed run bitwise against the workload authority — at
 /// certification time and in the CI `fgcheck --all` sweep. Everything the
 /// `unsafe` hot path's *safety* rests on — gather bounds and disjointness,
-/// pair bounds, slot bounds against the run length, class bounds, swap
-/// bounds — is covered byte-for-byte.
+/// pair bounds, slot bounds against the run length, class bounds — is
+/// covered byte-for-byte.
 pub fn table_digest(plan: &Plan) -> u64 {
     let fft = plan.fft_plan();
     // Packing density is a function of plan *structure* (already pinned by
     // the digest stream itself), never of table contents, so both sides of
     // a verification always agree on it.
-    let narrow_index = fft.n_log2() <= 16; // gather / swap indices < 2^16
+    let narrow_index = fft.n_log2() <= 16; // gather indices < 2^16
     let narrow_pair = fft.radix_log2() <= 16; // butterfly slots < 2^16
     let mut d = Digest::new_tagged(0x5441_424c); // "TABL"
     let stages = fft.stages();
@@ -437,12 +443,6 @@ pub fn table_digest(plan: &Plan) -> u64 {
     }
     d.write_usize(plan.twiddles().len());
     d.write_complex_slice(plan.twiddles().values());
-    d.write_usize(plan.bitrev_swaps().len());
-    if narrow_index {
-        d.write_pair_slice_narrow(plan.bitrev_swaps());
-    } else {
-        d.write_pair_slice(plan.bitrev_swaps());
-    }
     // Kind extensions: the untangle twiddle table of a real plan is hot-path
     // data exactly like the main twiddle table, so it is covered bitwise;
     // a 2-D plan folds in its column plan's full table digest recursively.

@@ -75,7 +75,7 @@ impl Fft2d {
     pub fn forward(&self, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.rows * self.cols, "shape mismatch");
         let plan = self.engine.plan_kind(self.kind(), data.len());
-        plan.execute(data, &self.engine.runtime());
+        self.engine.run(&plan, data);
     }
 
     /// In-place inverse 2-D transform (normalized by `1/(rows·cols)`).

@@ -26,7 +26,7 @@
 //! * [`exec`] — the execution vocabulary: the five algorithm versions of
 //!   the paper's Table I, pool seed orders, [`ExecStats`], and the shared
 //!   data view codelets run over.
-//! * [`planner`] — execution plans ([`Plan`]: twiddles, bit-reversal swaps,
+//! * [`planner`] — execution plans ([`Plan`]: twiddles and
 //!   the workload layer's schedule and tables materialized into flat
 //!   arrays) and the wisdom-style single-flight plan cache ([`Planner`])
 //!   that the `fgserve` serving layer builds on. A plan is the only way the
@@ -42,9 +42,9 @@
 //!   and its flattened tables that wisdom entries carry and the planner
 //!   re-verifies before trusting a tuning on the `unsafe` hot path.
 //! * [`backend`] — pluggable butterfly kernels over certified plans:
-//!   [`HostScalar`] (the classic tables path) and [`HostSimd`] (AVX2 /
-//!   portable f64x4 butterflies), selected per `(N, machine)` by wisdom
-//!   via [`BackendSel`]. Threading is not a backend: the one scheduler,
+//!   [`HostScalar`] (the scalar reference path) and [`HostSimd`] (AVX2 /
+//!   portable f64x4 butterflies, the default every library transform
+//!   runs), selected per `(N, machine)` by wisdom via [`BackendSel`]. Threading is not a backend: the one scheduler,
 //!   `codelet::runtime::Runtime`, runs every certified schedule on its
 //!   worker count, with the calling thread as worker 0.
 //! * [`simwork`] — the workload layer's footprints lowered to byte-addressed

@@ -5,12 +5,13 @@
 //! only streams those flat arrays. This module splits the two concerns:
 //!
 //! * [`Plan`] — everything derivable from a [`PlanKey`], computed once:
-//!   the twiddle table, the bit-reversal transposition list, the
-//!   codelet-graph schedule **lowered onto tiles** of consecutive codelets
-//!   ([`TileProgram`], flat CSR arrays), and per-stage execution tables (gather
+//!   the twiddle table, the codelet-graph schedule **lowered onto tiles**
+//!   of consecutive codelets ([`TileProgram`], flat CSR arrays), and
+//!   per-stage execution tables (gather
 //!   indices, butterfly pair pattern with its twiddle slots, and one run of
 //!   distinct twiddles per twiddle class) so the hot path streams flat
 //!   arrays instead of redoing index algebra and twiddle lookups per call.
+//!   The bit reversal is not stored: [`bit_reverse_tiled`] computes it.
 //!   `Plan::execute` runs one transform as a batch of
 //!   one; `Plan::execute_batch` runs many same-plan transforms through a
 //!   single runtime dispatch ([`codelet::BatchProgram`]). Both go through
@@ -25,7 +26,7 @@
 //! codelet DAG fixes the arithmetic, and the plan merely caches the DAG.
 
 use crate::backend::{CodeletKernel, ScalarKernel};
-use crate::bitrev::{apply_swaps_parallel, bit_reverse_swaps};
+use crate::bitrev::{bit_reverse_swaps, bit_reverse_tiled};
 use crate::cert::CertPolicy;
 use crate::complex::Complex64;
 use crate::exec::shared::SharedData;
@@ -293,10 +294,15 @@ pub struct Plan {
     tuning: Option<ScheduleTuning>,
     fft: FftPlan,
     twiddles: TwiddleTable,
-    bitrev_swaps: Vec<(u32, u32)>,
+    /// The bit-reversal transposition list, built on first request for
+    /// harnesses ([`Plan::bitrev_swaps`]); execution never reads it.
+    bitrev_swaps: OnceLock<Vec<(u32, u32)>>,
     tiles: TileProgram,
     tables: Vec<StageTable>,
     ext: Option<Box<KindExt>>,
+    /// Whether every stage table (and a 2-D plan's column tables) has the
+    /// canonical shape the vector kernel assumes, checked once at build.
+    vector_ready: bool,
 }
 
 impl Plan {
@@ -317,7 +323,6 @@ impl Plan {
         let inner_log2 = key.kind.inner_n_log2(key.n_log2);
         let fft = FftPlan::new(inner_log2, key.radix_log2.min(inner_log2));
         let twiddles = TwiddleTable::new(inner_log2, key.layout);
-        let bitrev_swaps = bit_reverse_swaps(1usize << inner_log2);
         let ext = match key.kind {
             TransformKind::C2C => None,
             TransformKind::R2C | TransformKind::C2R => Some(Box::new(KindExt::Real {
@@ -356,16 +361,21 @@ impl Plan {
         let tables = (0..fft.stages())
             .map(|stage| StageTable::build(&fft, &twiddles, stage))
             .collect();
-        Self {
+        let mut plan = Self {
             key,
             tuning: tuning.cloned(),
             fft,
             twiddles,
-            bitrev_swaps,
+            bitrev_swaps: OnceLock::new(),
             tiles,
             tables,
             ext,
-        }
+            vector_ready: false,
+        };
+        // Tables are immutable from here on, so the vector kernel's
+        // precondition is checked once per plan rather than per prepare.
+        plan.vector_ready = crate::backend::vector_ready(&plan);
+        plan
     }
 
     /// Run codelet `id` (`0..fft_plan().total_codelets()`, stage-major) of
@@ -375,7 +385,7 @@ impl Plan {
     /// private-counter ablations, kernel micro-benchmarks) drive this over
     /// their own schedule and so time the tables production streams.
     /// `view` must hold the bit-reversed input of the inner transform
-    /// ([`FftPlan::n`] elements; apply [`Plan::bitrev_swaps`] first).
+    /// ([`FftPlan::n`] elements; apply [`bit_reverse_tiled`] first).
     ///
     /// # Safety
     /// The caller upholds the dataflow discipline documented in
@@ -503,10 +513,22 @@ impl Plan {
         }
     }
 
-    /// The bit-reversal transposition list applied before the codelet
-    /// stages.
+    /// The bit-reversal transposition list of the inner transform, for
+    /// harnesses that time or replay the stored-list form. Built on the
+    /// first call and kept; execution computes the permutation instead
+    /// ([`bit_reverse_tiled`]), so this list is never on the hot path and
+    /// [`Plan::resident_bytes`] does not count it.
     pub fn bitrev_swaps(&self) -> &[(u32, u32)] {
-        &self.bitrev_swaps
+        self.bitrev_swaps
+            .get_or_init(|| bit_reverse_swaps(self.fft.n()))
+    }
+
+    /// Whether the vector kernel may run this plan: every stage table, and
+    /// a 2-D plan's column tables, carries the canonical butterfly and
+    /// slot patterns and the codelets hold at least four points. Checked
+    /// once when the plan is built.
+    pub(crate) fn vector_ready(&self) -> bool {
+        self.vector_ready
     }
 
     /// The host lowering this plan fires: its certified schedule over
@@ -515,8 +537,11 @@ impl Plan {
         &self.tiles
     }
 
-    /// Approximate bytes this plan keeps resident (twiddles, swap table,
-    /// tile program, stage tables) — what a cache eviction would reclaim.
+    /// Approximate bytes this plan keeps resident (twiddles, tile program,
+    /// stage tables, kind extensions) — what a cache eviction would
+    /// reclaim. The bit reversal is computed, so it adds nothing; a swap
+    /// list a harness asked for through [`Plan::bitrev_swaps`] is not
+    /// counted.
     pub fn resident_bytes(&self) -> u64 {
         let schedule = self.tiles.resident_bytes();
         let tables: u64 = self.tables.iter().map(StageTable::bytes).sum();
@@ -527,11 +552,15 @@ impl Plan {
             }
             Some(KindExt::TwoD { col_plan, .. }) => col_plan.resident_bytes(),
         };
-        self.twiddles.bytes() + (self.bitrev_swaps.len() * 8) as u64 + schedule + tables + ext
+        self.twiddles.bytes() + schedule + tables + ext
     }
 
     /// In-place forward transform of one buffer (`data.len()` must equal
-    /// [`Plan::buffer_len`]) on `runtime`: a batch of one.
+    /// [`Plan::buffer_len`]) on `runtime`: a batch of one, through the
+    /// scalar kernel. This is the **reference** path: tests and benchmarks
+    /// compare every other kernel against its bits. Library transforms
+    /// ([`crate::Fft`]) and serving run the host's default kernel instead
+    /// ([`crate::BackendSel::default`]), which produces the same bits.
     pub fn execute(&self, data: &mut [Complex64], runtime: &Runtime) -> ExecStats {
         self.execute_with(&ScalarKernel, data, runtime)
     }
@@ -552,7 +581,8 @@ impl Plan {
     /// through one runtime dispatch per schedule phase: worker-scope setup
     /// and dependence-counter allocation are paid once for the batch, not
     /// once per request. Every buffer receives exactly the result
-    /// [`Plan::execute`] would produce.
+    /// [`Plan::execute`] would produce. Scalar kernel, like
+    /// [`Plan::execute`].
     pub fn execute_batch(&self, buffers: &mut [&mut [Complex64]], runtime: &Runtime) -> ExecStats {
         self.execute_batch_with(&ScalarKernel, buffers, runtime)
     }
@@ -633,7 +663,7 @@ impl Plan {
     ) -> ExecStats {
         for buf in buffers.iter_mut() {
             debug_assert_eq!(buf.len(), self.fft.n());
-            apply_swaps_parallel(buf, &self.bitrev_swaps, runtime.workers());
+            bit_reverse_tiled(buf, runtime);
         }
         let views: Vec<SharedData<'_>> = buffers.iter_mut().map(|b| SharedData::new(b)).collect();
         // SAFETY: copies address disjoint buffers; within a copy the
@@ -806,7 +836,7 @@ impl Plan {
         shift: u32,
         out: &mut Vec<TouchRecord>,
     ) -> ExecStats {
-        apply_swaps_parallel(data, &self.bitrev_swaps, runtime.workers());
+        bit_reverse_tiled(data, runtime);
         let view = SharedData::new(data);
         let radix = 1usize << self.fft.radix_log2();
         let slots: Vec<OnceLock<TouchRecord>> = (0..self.fft.total_codelets())
@@ -1446,9 +1476,7 @@ mod tests {
             let mut want = input.clone();
             plan.execute(&mut want, &rt);
             let mut got = input.clone();
-            for &(a, b) in plan.bitrev_swaps() {
-                got.swap(a as usize, b as usize);
-            }
+            bit_reverse_tiled(&mut got, &rt);
             let fired = AtomicU64::new(0);
             {
                 let view = SharedData::new(&mut got);
@@ -1865,16 +1893,22 @@ mod tests {
                     assert_ne!(lo, hi);
                 }
             }
-            for &(a, b) in plan.bitrev_swaps() {
-                assert!((a as usize) < n && (b as usize) < n);
+            // The computed bit reversal's raw reads and writes: one 4 × 4
+            // tile at 2^4, one 8 × 8 tile at 2^6, 8 × 8 tile pairs at 2^7
+            // and 2^8.
+            let mut perm: Vec<Complex64> = (0..n).map(|i| Complex64::new(i as f64, 0.0)).collect();
+            bit_reverse_tiled(&mut perm, &Runtime::with_workers(1));
+            for (i, v) in perm.iter().enumerate() {
+                assert_eq!(v.re as usize, crate::bitrev::bit_reverse(i, n_log2));
             }
         }
     }
 
     /// Twiddle classes keep a fine-guided linear plan under 44 resident
     /// bytes per point at 2^16 and 2^18: the gather tables, the base
-    /// twiddle table, the swap list and the last stage's one run per
-    /// codelet dominate.
+    /// twiddle table and the last stage's one run per codelet dominate.
+    /// The bit reversal is computed, so a swap list a harness builds
+    /// through [`Plan::bitrev_swaps`] is not part of the plan's residency.
     #[test]
     fn resident_bytes_stay_under_44_per_point() {
         for n_log2 in [16u32, 18] {
@@ -1882,6 +1916,12 @@ mod tests {
             let plan = Plan::build(PlanKey::new(n, Version::FineGuided, TwiddleLayout::Linear));
             let per_point = plan.resident_bytes() as f64 / n as f64;
             assert!(per_point <= 44.0, "2^{n_log2}: {per_point:.1} B/point");
+            let before = plan.resident_bytes();
+            assert_eq!(
+                plan.bitrev_swaps().len(),
+                (n - (1 << n_log2.div_ceil(2))) / 2
+            );
+            assert_eq!(plan.resident_bytes(), before);
         }
     }
 

@@ -45,8 +45,7 @@ pub fn rfft_with(signal: &[f64], engine: &Fft) -> Vec<Complex64> {
     let mut packed: Vec<Complex64> = (0..half)
         .map(|i| Complex64::new(signal[2 * i], signal[2 * i + 1]))
         .collect();
-    let plan = engine.plan_kind(TransformKind::R2C, n);
-    plan.execute(&mut packed, &engine.runtime());
+    engine.run(&engine.plan_kind(TransformKind::R2C, n), &mut packed);
     // The plan leaves the packed halfcomplex spectrum: X[k] in slot k for
     // 1 ≤ k < N/2, and the (real) X[0], X[N/2] sharing slot 0.
     let mut out = Vec::with_capacity(half + 1);
@@ -75,8 +74,7 @@ pub fn irfft_with(spectrum: &[Complex64], engine: &Fft) -> Vec<f64> {
     let mut packed = Vec::with_capacity(half);
     packed.push(Complex64::new(spectrum[0].re, spectrum[half].re));
     packed.extend_from_slice(&spectrum[1..half]);
-    let plan = engine.plan_kind(TransformKind::C2R, n);
-    plan.execute(&mut packed, &engine.runtime());
+    engine.run(&engine.plan_kind(TransformKind::C2R, n), &mut packed);
     // Even samples come back in the real parts, odd in the imaginary.
     let mut out = Vec::with_capacity(n);
     for z in packed {

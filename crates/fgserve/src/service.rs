@@ -92,7 +92,8 @@ pub struct ServeConfig {
     pub radix_log2: u32,
     /// Execution backend for every dispatch. `None` (the default) defers
     /// to loaded wisdom per plan key — what `fgtune` measured fastest on
-    /// this machine — falling back to the scalar path when wisdom has no
+    /// this machine, `scalar` included — falling back to the host's default
+    /// vector kernel ([`fgfft::BackendSel::default`]) when wisdom has no
     /// opinion. Backends change execution strategy only: results are
     /// bit-identical across all of them.
     pub backend: Option<fgfft::BackendSel>,
@@ -968,7 +969,8 @@ fn serve_batch(shared: &Shared, runtime: &codelet::runtime::Runtime, batch: &mut
             let plan = shared.planner.plan_key(key);
             // Backend routing: an explicit config choice wins, else the
             // wisdom entry for this key (what fgtune measured fastest),
-            // else the scalar path. All three produce identical bits.
+            // else the default vector kernel. All three produce identical
+            // bits. Preparing picks a static kernel: no allocation.
             let sel = shared
                 .config
                 .backend
@@ -979,7 +981,7 @@ fn serve_batch(shared: &Shared, runtime: &codelet::runtime::Runtime, batch: &mut
                         .and_then(|w| w.lookup(&plan.key()).map(|e| e.backend))
                 })
                 .unwrap_or_default();
-            let prepared = sel.build().prepare(&plan);
+            let prepared = sel.prepare(&plan);
             let mut views: Vec<&mut [Complex64]> = group
                 .iter_mut()
                 .map(|job| job.buffer.as_mut_slice())
@@ -1094,7 +1096,7 @@ mod tests {
             .0
         };
         let scalar = with_backend(Some(fgfft::BackendSel::SCALAR));
-        assert_eq!(with_backend(None), scalar, "default routes to scalar");
+        assert_eq!(with_backend(None), scalar, "default vector kernel");
         assert_eq!(with_backend(Some(fgfft::BackendSel::SIMD)), scalar, "simd");
 
         // A format-4 wisdom file from before the stage-wave threaded

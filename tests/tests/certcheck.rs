@@ -65,10 +65,10 @@ struct OwnedStage {
 }
 
 /// Owned, mutable copy of a plan's tables that can be lent back to the
-/// checker as `StageTableView`s.
+/// checker as `StageTableView`s. The bit reversal has no table to mutate:
+/// it is computed, and `fgcheck`'s own FG407 tests feed broken generators.
 struct OwnedTables {
     stages: Vec<OwnedStage>,
-    swaps: Vec<(u32, u32)>,
 }
 
 impl OwnedTables {
@@ -85,10 +85,7 @@ impl OwnedTables {
                 }
             })
             .collect();
-        Self {
-            stages,
-            swaps: plan.bitrev_swaps().to_vec(),
-        }
+        Self { stages }
     }
 
     fn check(&self, plan: &Plan) -> Vec<codelet::verify::Diagnostic> {
@@ -103,7 +100,7 @@ impl OwnedTables {
                 twiddles: &t.twiddles,
             })
             .collect();
-        check_plan_tables(plan.fft_plan(), plan.twiddles(), &views, &self.swaps)
+        check_plan_tables(plan.fft_plan(), plan.twiddles(), &views)
     }
 
     /// Apply one random mutation; returns a label for failure messages.
@@ -116,7 +113,7 @@ impl OwnedTables {
             classes,
             twiddles,
         } = &mut self.stages[stage];
-        match rng.gen_below(10) {
+        match rng.gen_below(9) {
             0 => {
                 // Bit flip in a gather index.
                 let i = rng.gen_range(0..gather.len());
@@ -174,7 +171,7 @@ impl OwnedTables {
                 slots[i] = slots[i].wrapping_add(1 + rng.gen_below(200) as u8);
                 format!("stage {stage}: slot[{i}] moved")
             }
-            8 => {
+            _ => {
                 // Class count off by one.
                 if rng.gen_bool() || *classes == 0 {
                     *classes += 1;
@@ -182,17 +179,6 @@ impl OwnedTables {
                     *classes -= 1;
                 }
                 format!("stage {stage}: classes = {classes}")
-            }
-            _ => {
-                // Corrupt the bit-reversal swap list.
-                if rng.gen_bool() && !self.swaps.is_empty() {
-                    let i = rng.gen_range(0..self.swaps.len());
-                    self.swaps[i].1 = self.swaps[i].1.wrapping_add(1);
-                    format!("swaps[{i}] += 1")
-                } else {
-                    self.swaps.push((0, 1));
-                    "swaps: spurious entry appended".to_string()
-                }
             }
         }
     }

@@ -16,11 +16,12 @@
 //! scheduling bug, not round-off.
 
 use codelet::runtime::Runtime;
+use fgfft::bitrev::bit_reverse_permute;
 use fgfft::exec::shared::SharedData;
 use fgfft::reference::recursive_fft;
 use fgfft::{
-    rms_error, Backend, BackendSel, Complex64, FftPlan, HostSimd, Plan, PlanKey, ScheduleTuning,
-    SeedOrder, Version,
+    rms_error, Backend, BackendSel, Complex64, Fft, Fft2d, FftPlan, HostScalar, HostSimd, Plan,
+    PlanKey, Planner, ScheduleTuning, SeedOrder, TransformKind, Version,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -44,13 +45,12 @@ fn bits(data: &[Complex64]) -> Vec<(u64, u64)> {
 }
 
 /// Every codelet of `plan` in stage order on the calling thread, through
-/// [`Plan::run_codelet`]: the schedule-free oracle every lowering must
-/// match bit for bit.
+/// [`Plan::run_codelet`], after the direct bit reversal: the
+/// schedule-free oracle every lowering — the plan's computed permutation
+/// included — must match bit for bit.
 fn stage_order_oracle(plan: &Plan, input: &[Complex64]) -> Vec<(u64, u64)> {
     let mut data = input.to_vec();
-    for &(a, b) in plan.bitrev_swaps() {
-        data.swap(a as usize, b as usize);
-    }
+    bit_reverse_permute(&mut data);
     {
         let view = SharedData::new(&mut data);
         for id in 0..plan.fft_plan().total_codelets() {
@@ -194,7 +194,6 @@ fn backends_are_bit_exact_for_composite_kinds() {
     // the same certified inner wave every backend drives, so the bitwise
     // argument extends unchanged: every kernel × worker count × R2C and 2D
     // × two sizes × two batch shapes against the plan's own scalar path.
-    use fgfft::TransformKind;
     let rows = kernel_rows();
     let cases = [
         (TransformKind::R2C, 10u32),
@@ -331,7 +330,7 @@ const PINNED_OUTPUT_DIGEST: u64 = 4404110917358684929;
 #[test]
 fn outputs_match_the_pinned_digest() {
     use fgfft::cert::Digest;
-    use fgfft::{TransformKind, TwiddleLayout};
+    use fgfft::TwiddleLayout;
     let layouts = [
         TwiddleLayout::Linear,
         TwiddleLayout::BitReversedHash,
@@ -384,4 +383,100 @@ fn outputs_match_the_pinned_digest() {
         PINNED_OUTPUT_DIGEST,
         "plan outputs drifted from the pinned bits"
     );
+}
+
+/// `plan` run on `workers` workers through a `HostScalar` preparation: the
+/// reference every library default is held to.
+fn scalar_reference(key: PlanKey, input: &[Complex64], workers: usize) -> Vec<Complex64> {
+    let mut data = input.to_vec();
+    HostScalar
+        .prepare(&Arc::new(Plan::build(key)))
+        .execute(&mut data, &Runtime::with_workers(workers));
+    data
+}
+
+/// The library entry points and a service with neither a configured
+/// backend nor wisdom run the host's default kernel (the vector kernel;
+/// with `FGFFT_SIMD=portable` its portable form). Each must give exactly
+/// the bits of the scalar reference.
+#[test]
+fn library_defaults_are_bit_exact_with_the_scalar_reference() {
+    let version = Version::FineGuided;
+    let c2c = |n: usize| PlanKey::new(n, version, version.layout());
+    let kind_key = |kind, n: usize| PlanKey::with_kind(kind, n, version, version.layout(), 6);
+    for n_log2 in [8u32, 12, 16] {
+        let n = 1usize << n_log2;
+        let input = signal(n);
+        for workers in [1usize, 2] {
+            let at = format!("N=2^{n_log2} @ {workers}w");
+            let engine = Fft::new()
+                .with_workers(workers)
+                .with_planner(Arc::new(Planner::new()));
+
+            let mut got = input.clone();
+            engine.forward(&mut got);
+            let want = scalar_reference(c2c(n), &input, workers);
+            assert!(bits(&got) == bits(&want), "Fft::forward {at}");
+
+            let mut got = input.clone();
+            engine.inverse(&mut got);
+            let conj: Vec<Complex64> = input.iter().map(|v| v.conj()).collect();
+            let want: Vec<Complex64> = scalar_reference(c2c(n), &conj, workers)
+                .iter()
+                .map(|v| v.conj().scale(1.0 / n as f64))
+                .collect();
+            assert!(bits(&got) == bits(&want), "Fft::inverse {at}");
+
+            // rfft packs even samples into .re and odd into .im of an
+            // N/2-point buffer and unpacks the halfcomplex result.
+            let real: Vec<f64> = input.iter().map(|v| v.re).collect();
+            let got = fgfft::rfft::rfft_with(&real, &engine);
+            let packed: Vec<Complex64> = real
+                .chunks_exact(2)
+                .map(|p| Complex64::new(p[0], p[1]))
+                .collect();
+            let out = scalar_reference(kind_key(TransformKind::R2C, n), &packed, workers);
+            let mut want = vec![Complex64::new(out[0].re, 0.0)];
+            want.extend_from_slice(&out[1..]);
+            want.push(Complex64::new(out[0].im, 0.0));
+            assert!(bits(&got) == bits(&want), "rfft {at}");
+
+            let got = fgfft::rfft::irfft_with(&want, &engine);
+            let half = n / 2;
+            let mut packed = vec![Complex64::new(want[0].re, want[half].re)];
+            packed.extend_from_slice(&want[1..half]);
+            let out = scalar_reference(kind_key(TransformKind::C2R, n), &packed, workers);
+            let want: Vec<f64> = out.iter().flat_map(|z| [z.re, z.im]).collect();
+            let same = got.len() == want.len()
+                && got
+                    .iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "irfft {at}");
+
+            let (rows_log2, cols_log2) = (n_log2 / 2, n_log2 - n_log2 / 2);
+            let planar = TransformKind::C2C2D {
+                rows_log2,
+                cols_log2,
+            };
+            let mut got = input.clone();
+            Fft2d::with_workers(1 << rows_log2, 1 << cols_log2, workers).forward(&mut got);
+            let want = scalar_reference(kind_key(planar, n), &input, workers);
+            assert!(bits(&got) == bits(&want), "Fft2d {at}");
+
+            let service = fgserve::FftService::start(fgserve::ServeConfig {
+                workers,
+                backend: None,
+                wisdom_path: None,
+                ..fgserve::ServeConfig::default()
+            });
+            let ticket = service
+                .submit(fgserve::Request::new(input.clone()))
+                .expect("admitted");
+            let got = ticket.wait().expect("served").buffer.to_vec();
+            service.shutdown();
+            let want = scalar_reference(c2c(n), &input, workers);
+            assert!(bits(&got) == bits(&want), "FftService {at}");
+        }
+    }
 }
