@@ -1,5 +1,5 @@
-//! Criterion: host wall-clock of the fine-guided plan at 2^10, 2^14, 2^16
-//! and 2^18 points, on one runtime worker and on every core, each through
+//! Criterion: host wall-clock of the fine-guided plan at 2^10, 2^12, 2^14,
+//! 2^16 and 2^18 points, on one runtime worker and on every core, each through
 //! the scalar reference kernel (`Plan::execute`) and the host's default
 //! kernel (what `Fft::forward` runs), beside a runtime-free floor: the same
 //! plan's production bit reversal and codelets fired stage by stage on the
@@ -9,7 +9,10 @@
 //! kernels is what vectorizing buys. `prepare (default)` is the per-batch
 //! kernel choice the serving path pays. Each size also times
 //! `Plan::build` (the cold set-up a cache miss pays) and prints the plan's
-//! resident bytes per point.
+//! resident bytes per point. At 2^12 and 2^18 one row per stage times
+//! that stage alone through the default kernel, tile by tile on the
+//! calling thread (`PreparedPlan::run_stage`): the layer the kernel owns,
+//! without bit reversal, schedule or dispatch.
 //!
 //! ```text
 //! cargo bench -p fft-repro --bench host_fft
@@ -24,6 +27,8 @@ use fgsupport::{criterion_group, criterion_main};
 use std::sync::Arc;
 
 const SIZES_LOG2: [u32; 4] = [10, 14, 16, 18];
+/// Sizes that also get one row per stage.
+const STAGE_SIZES_LOG2: [u32; 2] = [12, 18];
 
 fn signal(n: usize) -> Vec<Complex64> {
     (0..n)
@@ -48,7 +53,11 @@ fn bench_sizes(c: &mut Criterion) {
         .map(|n| n.get())
         .unwrap_or(1);
     let version = Version::FineGuided;
-    for n_log2 in SIZES_LOG2 {
+    for n_log2 in SIZES_LOG2
+        .into_iter()
+        .chain(STAGE_SIZES_LOG2)
+        .collect::<std::collections::BTreeSet<_>>()
+    {
         let n = 1usize << n_log2;
         let input = signal(n);
         let key = PlanKey::new(n, version, version.layout());
@@ -91,6 +100,17 @@ fn bench_sizes(c: &mut Criterion) {
                 BatchSize::LargeInput,
             );
         });
+        if STAGE_SIZES_LOG2.contains(&n_log2) {
+            for stage in 0..plan.fft_plan().stages() {
+                group.bench_function(format!("stage {stage}, default kernel, stage order"), |b| {
+                    b.iter_batched(
+                        || input.clone(),
+                        |mut data| default.run_stage(&mut data, stage),
+                        BatchSize::LargeInput,
+                    );
+                });
+            }
+        }
         group.finish();
     }
 }

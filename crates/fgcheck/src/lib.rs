@@ -22,12 +22,14 @@
 //!   bank exceeds `threshold ×` the mean draws an FG301 warning. This is
 //!   Fig. 1 of the paper as a lint.
 //!
-//! * **Pass 4 — flattened tables** ([`tables`]): the planner's FFTW-style
-//!   per-stage gather/butterfly/twiddle tables — the second lowering the
-//!   `unsafe` hot path streams without bounds checks — verified for
-//!   bounds, per-stage disjointness, and byte-identity with the workload
-//!   authority. Codes FG401–FG407, plus FG409 for composite-kind
-//!   extension tables (real untangle factors, the 2D column plan).
+//! * **Pass 4 — plan tables and generators** ([`tables`]): the planner's
+//!   FFTW-style per-stage butterfly/twiddle tables and the generators the
+//!   plan computes instead of storing (the stage address generator, the
+//!   bit reversal) — the second lowering the `unsafe` hot path runs
+//!   without bounds checks — verified for bounds, per-stage
+//!   disjointness, and identity with the workload authority. Codes
+//!   FG401–FG407, plus FG409 for composite-kind extension tables (real
+//!   untangle factors, the 2D column plan).
 //!
 //! [`certify()`] seals a clean four-pass run into a portable
 //! `fgfft::cert::Certificate` (FG408 on re-check failure) that `fgtune`

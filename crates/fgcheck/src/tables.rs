@@ -1,36 +1,43 @@
-//! Pass 4: the flattened-table verifier (codes FG401–FG407).
+//! Pass 4: the plan-table and generator verifier (codes FG401–FG409).
 //!
 //! The first three passes verify the *workload-level* schedule — the graphs
 //! and footprints `fgfft::simwork` executes. But the serving hot path runs a
-//! second, independent lowering: [`fgfft::Plan`] materializes per-stage
-//! gather/butterfly/slot tables and one run of distinct twiddles per
-//! twiddle class, which `unsafe` codelet execution streams through
-//! **without bounds checks**, on the strength of two assumptions:
+//! second, independent lowering: [`fgfft::Plan`] stores per-stage
+//! butterfly/slot tables and one run of distinct twiddles per twiddle
+//! class, and its kernels compute every element address with the stage's
+//! generator ([`StageAddressing::element`]). `unsafe` execution reads and
+//! writes through both **without bounds checks**, on the strength of two
+//! assumptions:
 //!
-//! 1. every table index — gather entry, butterfly pair, twiddle slot and
-//!    class — is in bounds for the plan's buffers, and
+//! 1. every computed address and table index — element address, butterfly
+//!    pair, twiddle slot and class — is in bounds for the plan's buffers,
+//!    and
 //! 2. codelets that may run concurrently (same stage) have pairwise
-//!    disjoint data footprints — each stage's gather is a *partition* of
-//!    the data array.
+//!    disjoint data footprints — each stage's addresses *partition* the
+//!    data array (which is also what lets the lane kernel load sub-
+//!    transforms `g` and `g + 1` in one vector).
 //!
-//! This pass checks both statically, plus — differentially — that the
-//! tables are byte-identical to what [`fgfft::workload`]'s authority
-//! functions derive, so the two lowerings can never drift apart silently.
-//! The bit reversal has no table: the plan computes it
-//! ([`fgfft::bitrev::bit_reverse_tiled`]), so FG407 checks that generator
-//! against the [`bit_reverse`] authority at the plan's size.
-//! The twiddle check runs per codelet: the run it reads through its class
-//! and the slot pattern must expand to the authority's per-butterfly run
-//! bitwise, which proves the class map and not just the stored values.
+//! This pass checks both, plus — differentially — that the tables are
+//! byte-identical to what [`fgfft::workload`]'s authority functions derive
+//! and that the generator equals [`FftPlan::for_each_element`], so the two
+//! lowerings can never drift apart silently. The generator checks
+//! ([`check_addressing`]) *run* the address function the kernels call, at
+//! the plan's size, and so take deliberately broken generators too; the
+//! bit reversal has no table either, and FG407 checks the plan's
+//! generator ([`fgfft::bitrev::bit_reverse_tiled`]) against the
+//! [`bit_reverse`] authority the same way. The twiddle check runs per
+//! codelet: the run it reads through its class and the slot pattern must
+//! expand to the authority's per-butterfly run bitwise, which proves the
+//! class map and not just the stored values.
 //!
 //! | code    | severity | meaning                                               |
 //! |---------|----------|-------------------------------------------------------|
-//! | `FG401` | error    | gather index out of bounds for the data array         |
+//! | `FG401` | error    | a generated element address is out of bounds for the data array |
 //! | `FG402` | error    | butterfly pair, twiddle slot or class out of bounds   |
-//! | `FG403` | error    | table shape mismatch (lengths, class count, run length vs the plan's algebra) |
-//! | `FG404` | error    | stage gather is not a partition (aliasing under `unsafe`) |
+//! | `FG403` | error    | table shape mismatch (lengths, class count, run length, addressing parameters vs the plan's algebra) |
+//! | `FG404` | error    | a stage's generated addresses are not a partition (aliasing under `unsafe`) |
 //! | `FG405` | error    | a codelet's slot-indexed twiddles differ bitwise from the workload authority |
-//! | `FG406` | error    | gather/pairs/slots differ from the workload authority |
+//! | `FG406` | error    | generator/pairs/slots differ from the workload authority |
 //! | `FG407` | error    | computed bit reversal differs from the `bit_reverse` authority |
 //! | `FG409` | error    | composite-kind extension tables (untangle / column plan) drifted |
 //!
@@ -39,31 +46,32 @@
 //! corrupted tables, at most one diagnostic per (stage, code) is emitted —
 //! the first violation found.
 //!
-//! The checker has three entry points: [`check_plan`] for a built
+//! The checker has four entry points: [`check_plan`] for a built
 //! [`fgfft::Plan`] (what `check_fft` and the CLI run), the slice-level
 //! [`check_plan_tables`] that fuzz tests feed deliberately mutated tables,
-//! and [`check_bit_reversal`], which runs any permutation generator and
-//! so takes deliberately broken ones too.
+//! and [`check_addressing`] and [`check_bit_reversal`], which run any
+//! address or permutation generator and so take deliberately broken ones
+//! too.
 
 use codelet::runtime::Runtime;
 use codelet::verify::{Diagnostic, Severity};
 use fgfft::bitrev::{bit_reverse, bit_reverse_tiled};
-use fgfft::planner::StageTableView;
-use fgfft::workload::{self};
+use fgfft::planner::StageTables;
+use fgfft::workload::{self, StageAddressing};
 use fgfft::{Complex64, FftPlan, Plan, TwiddleTable};
 
-/// Gather index out of bounds.
+/// A generated element address out of bounds.
 pub const CODE_GATHER_BOUNDS: &str = "FG401";
 /// Butterfly pair, twiddle slot or twiddle class out of bounds (or a
 /// degenerate pair).
 pub const CODE_PAIR_BOUNDS: &str = "FG402";
 /// Table shape mismatch.
 pub const CODE_TABLE_SHAPE: &str = "FG403";
-/// Stage gather is not a partition of the data array.
+/// A stage's generated addresses are not a partition of the data array.
 pub const CODE_STAGE_ALIASING: &str = "FG404";
 /// A codelet's slot-indexed twiddles drifted from the workload authority.
 pub const CODE_TWIDDLE_DRIFT: &str = "FG405";
-/// Gather/pair/slot tables drifted from the workload authority.
+/// Generator/pair/slot tables drifted from the workload authority.
 pub const CODE_TABLE_DRIFT: &str = "FG406";
 /// The computed bit reversal differs from the [`bit_reverse`] authority.
 pub const CODE_BITREV_DRIFT: &str = "FG407";
@@ -80,14 +88,87 @@ fn error(code: &'static str, codelet: Option<usize>, message: String) -> Diagnos
     }
 }
 
-/// Verify the flattened execution tables of a built plan: bounds,
-/// per-stage disjointness, and byte-identity with the workload authority;
-/// and the bit reversal the plan computes before its stages.
+/// Verify the execution tables of a built plan (bounds, shapes and
+/// byte-identity with the workload authority), the address generator its
+/// kernels call (bounds, per-stage partition, identity with the
+/// authority), and the bit reversal it computes before its stages.
 pub fn check_plan(plan: &Plan) -> Vec<Diagnostic> {
     let fft = plan.fft_plan();
-    let stages: Vec<StageTableView<'_>> = (0..fft.stages()).map(|s| plan.stage_table(s)).collect();
+    let stages: Vec<StageTables<'_>> = (0..fft.stages()).map(|s| plan.stage_tables(s)).collect();
     let mut out = check_plan_tables(fft, plan.twiddles(), &stages);
+    out.extend(check_addressing(fft, StageAddressing::element));
     out.extend(check_bit_reversal(fft.n_log2(), bit_reverse_tiled));
+    out
+}
+
+/// FG401/FG404/FG406 — run `element` (the production generator is
+/// [`StageAddressing::element`], the function every kernel computes its
+/// addresses with) over every slot of every codelet of every stage of
+/// `fft`, with the stage's [`StageAddressing`], and require each address
+/// to be in bounds (FG401), each stage's addresses to claim every element
+/// exactly once (FG404) and each address to equal the authority,
+/// [`FftPlan::for_each_element`] (FG406). Codelet `idx`'s buffer slot `s`
+/// is slot `s mod 2^q` of sub-transform `idx·2^(p−q) + (s >> q)`.
+pub fn check_addressing(
+    fft: &FftPlan,
+    element: impl Fn(&StageAddressing, usize, usize) -> usize,
+) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let n = fft.n();
+    let cps = fft.codelets_per_stage();
+    let mut claimed = vec![usize::MAX; n];
+    for stage in 0..fft.stages() {
+        let addr = StageAddressing::of(fft, stage);
+        let (mut bounds, mut alias, mut drift) = (None, None, None);
+        for idx in 0..cps {
+            fft.for_each_element(stage, idx, |slot, want| {
+                let g = (idx << addr.groups_log2) | (slot >> addr.levels);
+                let x = slot & ((1 << addr.levels) - 1);
+                let e = element(&addr, g, x);
+                if e != want && drift.is_none() {
+                    drift = Some((idx, g, x, e, want));
+                }
+                if e >= n {
+                    bounds.get_or_insert((idx, g, x, e));
+                } else if claimed[e] == stage {
+                    alias.get_or_insert((idx, e));
+                } else {
+                    claimed[e] = stage;
+                }
+            });
+        }
+        if let Some((idx, g, x, e)) = bounds {
+            out.push(error(
+                CODE_GATHER_BOUNDS,
+                Some(stage * cps + idx),
+                format!(
+                    "stage {stage}: slot {x} of sub-transform {g} is addressed at {e}, out of \
+                     bounds for N = {n} (an unsafe load or store would leave the buffer)"
+                ),
+            ));
+        }
+        if let Some((idx, e)) = alias {
+            out.push(error(
+                CODE_STAGE_ALIASING,
+                Some(stage * cps + idx),
+                format!(
+                    "stage {stage}: element {e} addressed twice (second claim by codelet \
+                     {idx}) — concurrent codelets of one stage would alias under the \
+                     unsafe execution contract"
+                ),
+            ));
+        }
+        if let Some((idx, g, x, e, want)) = drift {
+            out.push(error(
+                CODE_TABLE_DRIFT,
+                Some(stage * cps + idx),
+                format!(
+                    "stage {stage}: slot {x} of sub-transform {g} is addressed at {e}; the \
+                     workload authority requires {want} — the generator has drifted"
+                ),
+            ));
+        }
+    }
     out
 }
 
@@ -165,8 +246,8 @@ pub fn check_kind_extensions(plan: &Plan) -> Vec<Diagnostic> {
     out
 }
 
-/// Slice-level core of [`check_plan`]: verify `stages` as if they were the
-/// flattened tables of a plan for `fft` under `twiddles`.
+/// Slice-level core of [`check_plan`]'s table checks: verify `stages` as
+/// if they were the execution tables of a plan for `fft` under `twiddles`.
 ///
 /// Exposed separately so tests can feed *mutated* tables — bit flips,
 /// truncations, off-by-one indices — and assert each mutant draws the
@@ -175,10 +256,9 @@ pub fn check_kind_extensions(plan: &Plan) -> Vec<Diagnostic> {
 pub fn check_plan_tables(
     fft: &FftPlan,
     twiddles: &TwiddleTable,
-    stages: &[StageTableView<'_>],
+    stages: &[StageTables<'_>],
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let n = 1usize << fft.n_log2();
     let radix = 1usize << fft.radix_log2();
     let cps = fft.codelets_per_stage();
 
@@ -196,8 +276,6 @@ pub fn check_plan_tables(
         return out;
     }
 
-    // Reused scratch: which global element each stage's gather claims.
-    let mut claimed = vec![u32::MAX; n];
     let mut authority_tw = Vec::new();
 
     for (stage, table) in stages.iter().enumerate() {
@@ -205,9 +283,10 @@ pub fn check_plan_tables(
         let expect_pairs = (q as usize) << (fft.radix_log2() - 1);
         let classes = workload::twiddle_classes(fft, stage);
         let run_len = workload::twiddle_loads(fft, stage);
+        let addressing = StageAddressing::of(fft, stage);
 
         // FG403 — shapes first: the remaining checks index by them.
-        if table.gather.len() != cps * radix
+        if table.addressing != addressing
             || table.pairs.len() != expect_pairs
             || table.slots.len() != expect_pairs
             || table.classes != classes
@@ -217,11 +296,10 @@ pub fn check_plan_tables(
                 CODE_TABLE_SHAPE,
                 None,
                 format!(
-                    "stage {stage}: gather {} (want {}), pairs {} and slots {} (want \
-                     {expect_pairs}), classes {} (want {classes}), class runs {} (want \
-                     {classes} × {run_len})",
-                    table.gather.len(),
-                    cps * radix,
+                    "stage {stage}: addressing {:?} (want {addressing:?}), pairs {} and \
+                     slots {} (want {expect_pairs}), classes {} (want {classes}), class runs \
+                     {} (want {classes} × {run_len})",
+                    table.addressing,
                     table.pairs.len(),
                     table.slots.len(),
                     table.classes,
@@ -229,23 +307,6 @@ pub fn check_plan_tables(
                 ),
             ));
             continue; // indices below would be meaningless
-        }
-
-        // FG401 — every gather index addresses the data array.
-        if let Some((slot, &g)) = table
-            .gather
-            .iter()
-            .enumerate()
-            .find(|&(_, &g)| g as usize >= n)
-        {
-            out.push(error(
-                CODE_GATHER_BOUNDS,
-                Some(stage * cps + slot / radix),
-                format!(
-                    "stage {stage}: gather[{slot}] = {g} out of bounds for N = {n} \
-                     (unsafe scatter/gather would read past the buffer)"
-                ),
-            ));
         }
 
         // FG402 — every butterfly pair stays inside the codelet buffer and
@@ -289,49 +350,16 @@ pub fn check_plan_tables(
             ));
         }
 
-        // FG404 — the stage's gather must partition 0..N: cps·radix = N
-        // entries, each element claimed exactly once. This *is* the
-        // pairwise-disjointness precondition of running the stage's
-        // codelets concurrently over one buffer without synchronization.
-        let stamp = stage as u32;
-        let mut aliased = None;
-        for (slot, &g) in table.gather.iter().enumerate() {
-            let g = g as usize;
-            if g >= n {
-                continue; // already an FG401
-            }
-            if claimed[g] == stamp {
-                aliased = Some((slot, g));
-                break;
-            }
-            claimed[g] = stamp;
-        }
-        if let Some((slot, g)) = aliased {
-            out.push(error(
-                CODE_STAGE_ALIASING,
-                Some(stage * cps + slot / radix),
-                format!(
-                    "stage {stage}: element {g} gathered twice (second claim by codelet \
-                     buffer slot {slot}) — concurrent codelets of one stage would alias \
-                     under the unsafe execution contract"
-                ),
-            ));
-        }
-
         // FG406 — differential: byte-identical to the workload authority.
-        let auth_gather = workload::stage_gather(fft, stage);
         let auth_pairs = workload::butterfly_pairs(fft, stage);
         let auth_slots = workload::twiddle_slots(fft, stage);
-        if table.gather != auth_gather.as_slice()
-            || table.pairs != auth_pairs.as_slice()
-            || table.slots != auth_slots.as_slice()
-        {
+        if table.pairs != auth_pairs.as_slice() || table.slots != auth_slots.as_slice() {
             out.push(error(
                 CODE_TABLE_DRIFT,
                 None,
                 format!(
-                    "stage {stage}: gather/pair/slot tables differ from the workload \
-                     authority — the two lowerings have drifted"
+                    "stage {stage}: pair/slot tables differ from the workload authority — \
+                     the two lowerings have drifted"
                 ),
             ));
         }
@@ -403,10 +431,10 @@ mod tests {
     #[test]
     fn radix8_plans_pass_every_pass4_check() {
         // The SIMD backend's preferred codelet shape: radix-8 (and radix-4)
-        // gather partitions. FG401–FG407 must accept them exactly like the
-        // paper's radix-64 codelets — the partition property (FG404) is the
-        // aliasing precondition that licenses the backend's vector loads
-        // over each codelet's local buffer.
+        // codelets. FG401–FG407 must accept them exactly like the paper's
+        // radix-64 codelets — the partition property (FG404) is the
+        // aliasing precondition that licenses the lane kernel's vector
+        // loads straight from the data.
         for version in Version::paper_set(SeedOrder::Natural) {
             for (radix_log2, n_log2) in [(3u32, 6u32), (3, 9), (3, 10), (2, 8)] {
                 let key =
@@ -421,66 +449,111 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mutated_gather_draws_fg401_and_fg404() {
-        let p = plan(9, Version::FineGuided);
-        let fft = p.fft_plan();
-        let mut stages: Vec<StageTableView<'_>> =
-            (0..fft.stages()).map(|s| p.stage_table(s)).collect();
-        let mut gather = stages[1].gather.to_vec();
-        gather[3] = 1 << 9; // one past the end
-        stages[1] = StageTableView {
-            gather: &gather,
-            ..stages[1]
-        };
-        let diags = check_plan_tables(fft, p.twiddles(), &stages);
-        let codes: Vec<&str> = diags.iter().map(|d| d.code).collect();
-        assert!(codes.contains(&CODE_GATHER_BOUNDS), "{codes:?}");
-        // The clobbered element is also no longer claimed → not a partition
-        // (reported as drift too; aliasing needs a duplicate).
-        assert!(codes.contains(&CODE_TABLE_DRIFT), "{codes:?}");
+    fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
+        diags.iter().map(|d| d.code).collect()
     }
 
+    /// A generator that sends one slot past the end draws FG401 (and, as
+    /// it no longer matches the authority, FG406).
     #[test]
-    fn duplicated_gather_entry_is_stage_aliasing() {
-        let p = plan(9, Version::Fine(SeedOrder::Natural));
-        let fft = p.fft_plan();
-        let mut stages: Vec<StageTableView<'_>> =
-            (0..fft.stages()).map(|s| p.stage_table(s)).collect();
-        let mut gather = stages[0].gather.to_vec();
-        gather[70] = gather[2]; // two codelets now share an element
-        stages[0] = StageTableView {
-            gather: &gather,
-            ..stages[0]
+    fn out_of_bounds_generator_draws_fg401() {
+        let fft = FftPlan::new(12, 6);
+        assert!(check_addressing(&fft, StageAddressing::element).is_empty());
+        let past_end = |a: &StageAddressing, g: usize, x: usize| {
+            if a.stride_log2 == 6 && g == 3 && x == 1 {
+                1 << 12
+            } else {
+                a.element(g, x)
+            }
         };
-        let diags = check_plan_tables(fft, p.twiddles(), &stages);
-        assert!(
-            diags.iter().any(|d| d.code == CODE_STAGE_ALIASING),
-            "{diags:?}"
-        );
+        let diags = check_addressing(&fft, past_end);
+        assert_eq!(codes(&diags), [CODE_GATHER_BOUNDS, CODE_TABLE_DRIFT]);
+        assert_eq!(diags[0].codelet, Some(fft.codelets_per_stage() + 3));
+    }
+
+    /// A generator that hands one element to two codelets of a stage is
+    /// stage aliasing.
+    #[test]
+    fn aliasing_generator_is_fg404() {
+        let fft = FftPlan::new(9, 6);
+        let shared = |a: &StageAddressing, g: usize, x: usize| {
+            a.element(
+                if a.stride_log2 == 0 && g == 1 && x == 2 {
+                    0
+                } else {
+                    g
+                },
+                x,
+            )
+        };
+        let diags = check_addressing(&fft, shared);
+        assert_eq!(codes(&diags), [CODE_STAGE_ALIASING, CODE_TABLE_DRIFT]);
+        assert_eq!(diags[0].codelet, Some(1));
+    }
+
+    /// A generator with one wrong bit never passes: a flipped address bit
+    /// keeps a partition but leaves the authority (FG406); a bit stuck at
+    /// 1 or at 0 also hands elements to two slots (FG404). Each address
+    /// bit, at full and partial last stages.
+    #[test]
+    fn broken_address_generators_are_fg404_or_fg406() {
+        for (n_log2, radix_log2) in [(12u32, 6u32), (13, 6), (10, 3), (9, 7)] {
+            let fft = FftPlan::new(n_log2, radix_log2);
+            assert!(check_addressing(&fft, StageAddressing::element).is_empty());
+            for bit in 0..n_log2 {
+                let everywhere =
+                    |a: &StageAddressing, g: usize, x: usize| a.element(g, x) ^ (1 << bit);
+                let diags = check_addressing(&fft, everywhere);
+                assert!(!diags.is_empty(), "2^{n_log2} r{radix_log2} bit {bit}");
+                assert!(
+                    diags.iter().all(|d| d.code == CODE_TABLE_DRIFT),
+                    "{diags:?}"
+                );
+                let stuck_at_1 =
+                    |a: &StageAddressing, g: usize, x: usize| a.element(g, x) | (1 << bit);
+                let stuck_at_0 =
+                    |a: &StageAddressing, g: usize, x: usize| a.element(g, x) & !(1 << bit);
+                for diags in [
+                    check_addressing(&fft, stuck_at_1),
+                    check_addressing(&fft, stuck_at_0),
+                ] {
+                    let per_stage = [CODE_STAGE_ALIASING, CODE_TABLE_DRIFT];
+                    assert_eq!(codes(&diags), per_stage.repeat(fft.stages()), "bit {bit}");
+                }
+            }
+        }
     }
 
     #[test]
     fn truncated_tables_and_swapped_twiddles_are_reported() {
         let p = plan(9, Version::CoarseHash);
         let fft = p.fft_plan();
-        let full: Vec<StageTableView<'_>> = (0..fft.stages()).map(|s| p.stage_table(s)).collect();
+        let full: Vec<StageTables<'_>> = (0..fft.stages()).map(|s| p.stage_tables(s)).collect();
 
-        // Truncated gather: shape error.
+        // Truncated pair pattern: shape error.
         let mut stages = full.clone();
-        let gather = &full[0].gather[..full[0].gather.len() - 1];
-        stages[0] = StageTableView { gather, ..full[0] };
+        let pairs = &full[0].pairs[..full[0].pairs.len() - 1];
+        stages[0] = StageTables { pairs, ..full[0] };
         let diags = check_plan_tables(fft, p.twiddles(), &stages);
         assert!(
             diags.iter().any(|d| d.code == CODE_TABLE_SHAPE),
             "{diags:?}"
         );
 
+        // Addressing parameters of another stage: shape error.
+        let mut stages = full.clone();
+        stages[1] = StageTables {
+            addressing: full[0].addressing,
+            ..full[1]
+        };
+        let diags = check_plan_tables(fft, p.twiddles(), &stages);
+        assert_eq!(codes(&diags), [CODE_TABLE_SHAPE]);
+
         // One twiddle bit flipped: bitwise drift.
         let mut stages = full.clone();
         let mut tw = full[1].twiddles.to_vec();
         tw[5].re = f64::from_bits(tw[5].re.to_bits() ^ 1);
-        stages[1] = StageTableView {
+        stages[1] = StageTables {
             twiddles: &tw,
             ..full[1]
         };
@@ -504,8 +577,8 @@ mod tests {
             6,
         ));
         let fft = p.fft_plan();
-        let full: Vec<StageTableView<'_>> = (0..fft.stages()).map(|s| p.stage_table(s)).collect();
-        let codes = |stages: &[StageTableView<'_>]| -> Vec<(&'static str, Option<usize>)> {
+        let full: Vec<StageTables<'_>> = (0..fft.stages()).map(|s| p.stage_tables(s)).collect();
+        let codes = |stages: &[StageTables<'_>]| -> Vec<(&'static str, Option<usize>)> {
             check_plan_tables(fft, p.twiddles(), stages)
                 .iter()
                 .map(|d| (d.code, d.codelet))
@@ -516,7 +589,7 @@ mod tests {
         let mut slots = full[1].slots.to_vec();
         slots[7] = full[1].run_len() as u8;
         let mut stages = full.clone();
-        stages[1] = StageTableView {
+        stages[1] = StageTables {
             slots: &slots,
             ..full[1]
         };
@@ -524,7 +597,7 @@ mod tests {
 
         for classes in [full[1].classes - 1, full[1].classes + 1] {
             let mut stages = full.clone();
-            stages[1] = StageTableView { classes, ..full[1] };
+            stages[1] = StageTables { classes, ..full[1] };
             assert!(
                 codes(&stages).contains(&(CODE_TABLE_SHAPE, None)),
                 "{classes}"
@@ -536,7 +609,7 @@ mod tests {
         let i = tw.len() - 1;
         tw[i].im = f64::from_bits(tw[i].im.to_bits() ^ 1);
         let mut stages = full.clone();
-        stages[last] = StageTableView {
+        stages[last] = StageTables {
             twiddles: &tw,
             ..full[last]
         };

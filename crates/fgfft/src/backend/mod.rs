@@ -1,30 +1,36 @@
 //! Pluggable butterfly kernels for plans.
 //!
 //! A [`crate::planner::Plan`] fixes *what* to compute — the certified
-//! codelet schedule and the flattened per-stage gather/butterfly/twiddle
-//! tables — and the one scheduler, [`Runtime`], fires that schedule
-//! exactly as certified on `runtime.workers()` workers (the calling thread
-//! is worker 0). A [`Backend`] only chooses the innermost loop, the
-//! [`CodeletKernel`] every codelet runs:
+//! codelet schedule, each stage's address generator and its
+//! butterfly/twiddle tables — and the one scheduler, [`Runtime`], fires
+//! that schedule exactly as certified on `runtime.workers()` workers (the
+//! calling thread is worker 0), one tile of consecutive codelets per
+//! call. A [`Backend`] only chooses the innermost loop, the
+//! [`CodeletKernel`] every tile runs:
 //!
-//! * [`HostScalar`] — the historical tables-driven path: the same
-//!   [`ScalarKernel`] that `Plan::execute_batch` itself runs, kept as the
-//!   reference every other kernel is compared against.
-//! * [`HostSimd`] — the host's **default**: f64x4 complex butterflies (two complex lanes per
-//!   vector) over the same tables, via `core::arch` AVX2 on `x86_64` with
-//!   a portable four-lane fallback everywhere else. Radix-4 or radix-8
-//!   register-fused passes over each codelet's local buffer; the SIMD
-//!   module's source documents why the FG40x-verified table shape is the
-//!   aliasing precondition for the vector loads.
+//! * [`HostScalar`] — the per-codelet reference: the same
+//!   [`ScalarKernel`] that `Plan::execute_batch` itself runs, gathering
+//!   each codelet into a local buffer by the address generator; every
+//!   other kernel is compared against it.
+//! * [`HostSimd`] — the host's **default**: the lane kernel, f64x4
+//!   complex butterflies (two complex lanes per vector) via `core::arch`
+//!   AVX2 on `x86_64` with a portable four-lane fallback everywhere else.
+//!   Stage 0 runs radix-4 or radix-8 register-fused passes in place on
+//!   each codelet's contiguous elements; stages ≥ 1 run consecutive
+//!   sub-transforms in the two lanes, loaded straight from the data at
+//!   the generator's addresses. The SIMD module's source documents why
+//!   the verified generator partition and table shape make those vector
+//!   loads sound and the bits identical.
 //!
 //! Threading is not a backend: it is the runtime's worker count, so every
 //! kernel runs the coarse, fine or guided schedule on any number of
 //! workers.
 //!
 //! The split keeps the certificate story intact: a backend never builds
-//! tables of its own, it only consumes the plan's — so a certificate over
-//! the plan covers execution under every backend, and the cross-backend
-//! exactness suite pins all of them to identical bits.
+//! tables or addresses of its own, it only consumes the plan's tables and
+//! the workload layer's generator — so a certificate over the plan covers
+//! execution under every backend, and the cross-backend exactness suite
+//! pins all of them to identical bits.
 //!
 //! Selection is a plain value, [`BackendSel`], that serializes into wisdom
 //! so the autotuner can learn scalar-vs-SIMD and kernel radix per
@@ -44,21 +50,24 @@ pub use simd::HostSimd;
 use crate::complex::Complex64;
 use crate::exec::shared::SharedData;
 use crate::exec::ExecStats;
-use crate::planner::Plan;
+use crate::planner::{Plan, StageTables};
 use codelet::runtime::Runtime;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// The butterfly arithmetic of one codelet, abstracted over the engine.
+/// The butterfly arithmetic of a tile of codelets, abstracted over the
+/// engine.
 ///
-/// A kernel receives exactly the per-codelet table slices the scalar hot
-/// path streams — the gather run (global element indices), the stage's
-/// butterfly pair pattern over the local buffer, the stage's slot pattern
-/// (per butterfly, the position of its twiddle in the run), and the
-/// codelet's class run (the distinct twiddles its class consumes,
-/// [`crate::workload::append_class_run`]) — and must leave the same bits
-/// behind as [`crate::exec::shared::execute_codelet_tabled`] would:
-/// butterfly `i` multiplies by `run[slots[i]]`. Schedules, tables, and
-/// certificates are backend-independent; only this innermost loop varies.
+/// A kernel receives one tile — consecutive codelets of one stage — with
+/// the stage's tables: its address generator
+/// ([`crate::workload::StageAddressing`]), butterfly pair pattern, slot
+/// pattern (per butterfly, the position of its twiddle in the run) and
+/// class runs (the distinct twiddles each class consumes,
+/// [`crate::workload::append_class_run`]). It must leave the same bits
+/// behind as [`crate::exec::shared::execute_codelet_tabled`] run on each
+/// codelet of the tile would: butterfly `i` of codelet `idx` multiplies by
+/// `run(idx)[slots[i]]`. Schedules, tables, and certificates are
+/// backend-independent; only this innermost loop varies.
 pub trait CodeletKernel: Send + Sync + std::fmt::Debug {
     /// Short human-readable identity (used in stats).
     fn label(&self) -> &'static str;
@@ -68,20 +77,23 @@ pub trait CodeletKernel: Send + Sync + std::fmt::Debug {
     /// served it.
     fn fingerprint(&self) -> &'static str;
 
-    /// Execute one codelet over `view`.
+    /// Execute codelets `codelets` (consecutive indices of one stage) over
+    /// `view`, in any order among them: they are independent.
     ///
     /// # Safety
     /// The caller upholds the dataflow discipline documented in
-    /// [`crate::exec::shared`]: this codelet owns the elements named by
-    /// `gather` for the duration of the call, every `gather` index is in
-    /// bounds for `view`, every pair is in bounds for the codelet's
-    /// `gather.len()` slots, and every slot is in bounds for `run`.
-    unsafe fn run_codelet(
+    /// [`crate::exec::shared`]: the tile owns, for the duration of the
+    /// call, exactly the elements `tables.addressing` assigns its codelets.
+    /// That ownership rests on the generator partitioning `0..2^n` in
+    /// every stage (so every computed address is in bounds for `view`,
+    /// which spans the stage's `2^n` elements, and no two codelets share
+    /// one) — proved by `fgcheck`'s FG401/FG404/FG406 over the generator
+    /// itself. Every pair is in bounds for a codelet's `2^p` slots, every
+    /// slot for a class run, and every codelet's class for `tables`.
+    unsafe fn run_tile(
         &self,
-        gather: &[u32],
-        pairs: &[(u32, u32)],
-        slots: &[u8],
-        run: &[Complex64],
+        tables: &StageTables<'_>,
+        codelets: Range<usize>,
         view: &SharedData<'_>,
     );
 }
@@ -154,6 +166,16 @@ impl PreparedPlan {
     /// bit-identical to [`Plan::execute_batch`] for every backend.
     pub fn execute_batch(&self, buffers: &mut [&mut [Complex64]], runtime: &Runtime) -> ExecStats {
         self.plan.execute_batch_with(self.kernel, buffers, runtime)
+    }
+
+    /// Run stage `stage` of the inner complex transform over `data` on
+    /// the calling thread, tile by tile in id order, through this
+    /// preparation's kernel — a harness for timing one stage of the layer
+    /// the kernel owns. `data` must hold [`crate::FftPlan::n`] elements;
+    /// stages run in order `0..stages()` after [`crate::bitrev`]'s
+    /// permutation reproduce [`Plan::execute`]'s inner wave bit for bit.
+    pub fn run_stage(&self, data: &mut [Complex64], stage: usize) {
+        self.plan.run_stage_with(self.kernel, data, stage);
     }
 
     fn new(plan: &Arc<Plan>, kernel: &'static dyn CodeletKernel) -> Self {
@@ -350,12 +372,10 @@ mod tests {
             fn fingerprint(&self) -> &'static str {
                 "grenade:scalarx1"
             }
-            unsafe fn run_codelet(
+            unsafe fn run_tile(
                 &self,
-                _gather: &[u32],
-                _pairs: &[(u32, u32)],
-                _slots: &[u8],
-                _run: &[Complex64],
+                _tables: &StageTables<'_>,
+                _codelets: Range<usize>,
                 _view: &SharedData<'_>,
             ) {
                 panic!("boom");

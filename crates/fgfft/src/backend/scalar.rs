@@ -1,14 +1,14 @@
-//! The historical scalar hot path, extracted behind [`Backend`].
+//! The scalar reference kernel, behind [`Backend`].
 
 use super::{Backend, Capabilities, CodeletKernel, PreparedPlan};
-use crate::complex::Complex64;
 use crate::exec::shared::{execute_codelet_tabled, SharedData};
-use crate::planner::Plan;
+use crate::planner::{Plan, StageTables};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// The scalar butterfly kernel: a direct call into
-/// [`execute_codelet_tabled`], exactly what `Plan::execute` has always
-/// run. Zero-sized, so the generic execute paths monomorphize it away.
+/// The scalar butterfly kernel: [`execute_codelet_tabled`] on each codelet
+/// of the tile in index order, exactly what `Plan::execute` runs.
+/// Zero-sized, so the generic execute paths monomorphize it away.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarKernel;
 
@@ -22,21 +22,21 @@ impl CodeletKernel for ScalarKernel {
     }
 
     #[inline(always)]
-    unsafe fn run_codelet(
+    unsafe fn run_tile(
         &self,
-        gather: &[u32],
-        pairs: &[(u32, u32)],
-        slots: &[u8],
-        run: &[Complex64],
+        tables: &StageTables<'_>,
+        codelets: Range<usize>,
         view: &SharedData<'_>,
     ) {
-        // SAFETY: forwarded from the trait contract, which matches
-        // `execute_codelet_tabled`'s documented requirements verbatim.
-        unsafe { execute_codelet_tabled(gather, pairs, slots, run, view) }
+        for idx in codelets {
+            // SAFETY: forwarded from the trait contract, which covers
+            // `execute_codelet_tabled`'s requirements for each codelet.
+            unsafe { execute_codelet_tabled(tables, idx, view) }
+        }
     }
 }
 
-/// The tables-driven scalar path as a [`Backend`]: `prepare` hands over
+/// The scalar reference path as a [`Backend`]: `prepare` hands over
 /// [`ScalarKernel`], the kernel [`Plan::execute_batch`] runs directly, so
 /// a plan prepared by `HostScalar` produces exactly the reference bits.
 #[derive(Debug, Clone, Copy, Default)]

@@ -1,52 +1,77 @@
-//! Vectorized butterfly kernel: f64x4 (two complex lanes) over the plan's
-//! flattened stage tables.
+//! The lane kernel: f64x4 (two complex lanes) butterflies addressed in
+//! closed form from the stage geometry, with no gather table and no local
+//! buffer.
 //!
-//! # Why the tables make this safe — and bit-exact
+//! # Shape
 //!
-//! The scalar kernel gathers a codelet's `2^p` elements into a local
-//! buffer, runs the stage's butterfly pairs over that buffer, and scatters
-//! back. Two structural facts, both *verified* rather than assumed, turn
-//! that loop into straight-line vector code:
+//! A tile is `T` consecutive codelets of one stage. The kernel runs it by
+//! the stage's address generator ([`StageAddressing`]): slot `x` of
+//! sub-transform `g` lives at `((g >> pj) << (pj+q)) | (x << pj) | (g &
+//! (2^pj − 1))`.
 //!
-//! 1. **The gather run is a partition.** fgcheck's FG404 proves each
-//!    stage's gather runs claim every element exactly once, so while a
-//!    codelet executes it has exclusive ownership of its buffer — the
-//!    aliasing precondition for issuing unchecked vector loads/stores on
-//!    the local buffer without any synchronization.
-//! 2. **The pair and slot patterns are the canonical radix-2 lowering.**
-//!    For level `ll` of a `q`-level stage with `groups = 2^(p-q)`,
-//!    butterfly `k` touches `lo = (c << (ll+1)) + r`, `hi = lo + 2^ll`
-//!    with `c = k >> ll`, `r = k & (2^ll - 1)`, and its twiddle sits at
-//!    slot `(2^ll - 1)·groups + ((k >> (q-1)) << ll) + r` of the codelet's
-//!    class run (FG402/FG403/FG406 pin the tables to this shape, FG405
-//!    pins every codelet's slot-indexed run to the workload authority).
-//!    So at levels `ll >= 1` an even butterfly and its successor read
-//!    *consecutive buffer slots and consecutive twiddles*, and at level 0
-//!    the butterflies of one group share one twiddle. [`Plan::build`]
-//!    re-verifies both patterns directly, once per plan
-//!    ([`Plan::vector_ready`]), and [`HostSimd::prepare`] falls back to
-//!    the scalar kernel on any mismatch, so the vector paths never guess.
+//! * **Stage 0** (`pj = 0`): a codelet's `2^p` elements are contiguous,
+//!   so each codelet runs in place on the data. Its lowest 2 or 3 levels
+//!   are one register-fused radix-4 or radix-8 pass whose lanes are
+//!   neighbouring slots (de-interleaved for level 0); the remaining levels
+//!   run as radix-4/radix-8 passes whose lanes are slots `x, x + 1`, which
+//!   read consecutive twiddles.
+//! * **Stages ≥ 1** (`pj ≥ p ≥ 2`): sub-transforms `g` and `g + 1` (`g`
+//!   even) are adjacent at every slot, so one vector load at a slot holds
+//!   that slot of both. The lanes come from the tile's consecutive
+//!   codelets (full stage, one sub-transform each) or from the groups
+//!   inside a partial-stage codelet. Every level then runs in radix-8 (or
+//!   radix-4) passes loaded and stored straight from the data: no index
+//!   load, no copy, no shuffle. Each lane's twiddle is its own class-run
+//!   entry, two 128-bit loads per vector. A pass runs up to
+//!   [`PASS_PAIRS`] lane pairs side by side, block by block: pairs `g` and
+//!   `g + 2` share each slot's 64-byte line, so every line is used whole,
+//!   and a block reads each of its slots as one run of consecutive lines
+//!   (a kilobyte at full width), which keeps the large-stride last stage
+//!   streaming instead of missing once per line.
 //!
-//! The kernel then runs each level as a contiguous two-complex-wide pass,
-//! and register-fuses the lowest 2 or 3 levels (radix-4 / radix-8
-//! butterflies) so a block of 4 or 8 complexes stays in registers across
-//! levels — the structure of bellman's `radix_fft` kernels, driven by
-//! FFTW-style tables. Level-0 twiddles are broadcast into both lanes;
-//! higher levels load two consecutive run entries.
+//! A tile of one full-stage codelet (`T = 1`, only at `N = 16` with radix
+//! 4) has no partner lane; its lone sub-transform runs on the scalar
+//! reference ([`execute_codelet_tabled`]).
 //!
-//! Bit-exactness: vectorization only batches *independent* butterflies;
-//! each lane performs the scalar sequence `mul, mul, sub/add` of
-//! [`crate::kernel::butterfly`]'s complex multiply exactly (AVX2
-//! `mul`/`mul`/`addsub`, never FMA), so every backend produces the bits of
-//! the scalar path.
+//! # Why this is sound
+//!
+//! The vector loads and stores are unchecked, on two verified facts:
+//!
+//! 1. **The generator partitions every stage.** `fgcheck`'s FG401/FG404/
+//!    FG406 run the generator these kernels call and prove that each
+//!    stage's addresses are in bounds, claim every element exactly once
+//!    and equal [`crate::FftPlan::for_each_element`]; a Miri-gated
+//!    workload test proves the same, plus the lane adjacency, for every
+//!    radix at small sizes. So a tile owns exactly
+//!    its codelets' elements, and its two-wide loads at `g` (even) cover
+//!    `g + 1`, a sub-transform of the same tile.
+//! 2. **The slot pattern and run length are canonical.** Level `ll`'s
+//!    twiddle for sub-transform `g` and butterfly offset `t < 2^ll` sits at
+//!    `(2^ll − 1)·G + (g mod G)·2^ll + t` of its codelet's class run, with
+//!    `G = 2^(p−q)` sub-transforms per codelet (FG402/FG403/FG406 pin the
+//!    tables to this shape, FG405 pins every codelet's run to the workload
+//!    authority). [`Plan::build`] re-verifies the pair and slot patterns,
+//!    the run lengths and the addressing once per plan
+//!    ([`Plan::vector_ready`]) and [`HostSimd::prepare`] falls back to the
+//!    scalar kernel on any mismatch, so the vector paths never guess.
+//!
+//! # Why the bits are identical
+//!
+//! Vectorization only batches *independent* butterflies. Lanes are
+//! distinct sub-transforms (or distinct butterflies of one level), and
+//! every element still passes through its levels in order `0..q` with the
+//! twiddle the scalar reference multiplies it by. Each lane performs the
+//! scalar sequence `mul, mul, sub/add` of [`crate::kernel::butterfly`]'s
+//! complex multiply exactly (AVX2 `mul`/`mul`/`addsub`, never FMA), so
+//! every backend produces the bits of the scalar path.
 
 use super::scalar::ScalarKernel;
 use super::{Backend, Capabilities, CodeletKernel, PreparedPlan};
 use crate::complex::Complex64;
 use crate::exec::shared::{execute_codelet_tabled, SharedData};
-use crate::plan::MAX_RADIX_LOG2;
-use crate::planner::Plan;
-use crate::workload;
+use crate::planner::{Plan, StageTables};
+use crate::workload::{self, StageAddressing};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Two packed complex doubles (four f64 lanes): the vector register
@@ -58,6 +83,12 @@ trait CVec: Copy {
     /// # Safety
     /// `ptr..ptr+2` must be valid, initialized `Complex64`s.
     unsafe fn load(ptr: *const Complex64) -> Self;
+
+    /// Load the complex at `lo` into lane 0 and the one at `hi` into lane 1.
+    ///
+    /// # Safety
+    /// `lo` and `hi` must be valid, initialized `Complex64`s.
+    unsafe fn load2(lo: *const Complex64, hi: *const Complex64) -> Self;
 
     /// Load the complex at `ptr` into both lanes.
     ///
@@ -106,6 +137,12 @@ impl CVec for Portable {
     unsafe fn load(ptr: *const Complex64) -> Self {
         // SAFETY: contract forwarded from the trait.
         unsafe { Self([ptr.read(), ptr.add(1).read()]) }
+    }
+
+    #[inline(always)]
+    unsafe fn load2(lo: *const Complex64, hi: *const Complex64) -> Self {
+        // SAFETY: contract forwarded from the trait.
+        unsafe { Self([lo.read(), hi.read()]) }
     }
 
     #[inline(always)]
@@ -174,6 +211,19 @@ mod x86 {
         }
 
         #[inline(always)]
+        unsafe fn load2(lo: *const Complex64, hi: *const Complex64) -> Self {
+            // SAFETY: one `Complex64` is two consecutive f64s; contract
+            // forwarded. Two 128-bit loads, the second inserted into the
+            // upper half.
+            unsafe {
+                Self(_mm256_set_m128d(
+                    _mm_loadu_pd(hi as *const f64),
+                    _mm_loadu_pd(lo as *const f64),
+                ))
+            }
+        }
+
+        #[inline(always)]
         unsafe fn splat(ptr: *const Complex64) -> Self {
             // SAFETY: one `Complex64` is two consecutive f64s; contract
             // forwarded.
@@ -192,7 +242,7 @@ mod x86 {
         #[inline(always)]
         fn add(a: Self, b: Self) -> Self {
             // SAFETY: AVX2 is enabled on every call path that reaches this
-            // type (`codelet_avx2` is only entered behind runtime
+            // type (`tile_avx2` is only entered behind runtime
             // detection).
             unsafe { Self(_mm256_add_pd(a.0, b.0)) }
         }
@@ -283,149 +333,349 @@ pub(crate) fn vector_ready(plan: &Plan) -> bool {
 }
 
 /// Whether every stage of `plan` (and of a 2-D plan's column plan, which
-/// runs on the same kernel) carries the canonical butterfly and slot
-/// patterns over class runs of the canonical length (the precondition of
-/// the fused vector passes).
+/// runs on the same kernel) carries the workload layer's addressing and
+/// the canonical butterfly and slot patterns over class runs of the
+/// canonical length (the precondition of the lane kernel's passes).
 pub(crate) fn tables_are_canonical(plan: &Plan) -> bool {
     let fft = plan.fft_plan();
     let radix = 1usize << fft.radix_log2();
     plan.col_plan().is_none_or(tables_are_canonical)
         && (0..fft.stages()).all(|s| {
-            let table = plan.stage_table(s);
+            let table = plan.stage_tables(s);
             let q = fft.levels(s);
-            pairs_are_canonical(table.pairs, radix)
+            table.addressing == StageAddressing::of(fft, s)
+                && pairs_are_canonical(table.pairs, radix)
                 && slots_are_canonical(table.slots, radix)
                 && table.slots.len() == table.pairs.len()
                 && table.run_len() == ((1usize << q) - 1) * (radix >> q)
         })
 }
 
-/// The generic vectorized codelet: gather, per-level two-wide passes with
-/// the lowest `fuse_log2` levels register-fused, scatter.
+/// Split levels `from..q` into passes of at most `fuse` levels, as even as
+/// possible and the larger first: `(first level, levels)` per pass.
+fn passes(from: u32, q: u32, fuse: u32) -> impl Iterator<Item = (u32, u32)> {
+    let left = q.saturating_sub(from);
+    let count = left.div_ceil(fuse).max(1);
+    let (size, extra) = (left / count, left % count);
+    (0..count).scan(from, move |l0, i| {
+        let r = size + u32::from(i < extra);
+        let pass = (*l0, r);
+        *l0 += r;
+        Some(pass)
+    })
+}
+
+/// One register-resident block of a pass over `R ∈ 1..=3` levels: the
+/// `2^R` vectors at `p[k]` go through levels `s = 0..R` in order; level
+/// `s` pairs `k` (bit `s` clear) with `k + 2^s` and multiplies by
+/// `tw(s, k mod 2^s)`. Each lane is an independent sequence of scalar
+/// butterflies.
 ///
 /// # Safety
-/// Same contract as [`execute_codelet_tabled`], **plus** `pairs` and the
-/// stage's slots must satisfy [`pairs_are_canonical`] and
-/// [`slots_are_canonical`] for `radix = gather.len() >= 4`, `run` must
-/// hold `(2^q − 1)·(radix >> q)` values and `fuse_log2 >= 2` (verified once
-/// per plan by [`Plan::build`], re-asserted here in debug builds).
+/// Each `p[k]`, `k < 2^R`, must address two valid complexes owned by the
+/// caller, pairwise disjoint; `tw` must only load valid twiddles.
 #[inline(always)]
-unsafe fn codelet_vec<V: CVec>(
-    gather: &[u32],
-    pairs: &[(u32, u32)],
-    run: &[Complex64],
-    view: &SharedData<'_>,
+unsafe fn block<V: CVec, const R: u32>(p: &[*mut Complex64; 8], tw: impl Fn(u32, usize) -> V) {
+    // SAFETY: per the function contract.
+    unsafe {
+        if R == 1 {
+            let (v0, v1) = bfly(V::load(p[0]), V::load(p[1]), tw(0, 0));
+            v0.store(p[0]);
+            v1.store(p[1]);
+        } else if R == 2 {
+            let (v0, v1, v2, v3) = (V::load(p[0]), V::load(p[1]), V::load(p[2]), V::load(p[3]));
+            let w = tw(0, 0);
+            let (v0, v1) = bfly(v0, v1, w);
+            let (v2, v3) = bfly(v2, v3, w);
+            let (v0, v2) = bfly(v0, v2, tw(1, 0));
+            let (v1, v3) = bfly(v1, v3, tw(1, 1));
+            v0.store(p[0]);
+            v1.store(p[1]);
+            v2.store(p[2]);
+            v3.store(p[3]);
+        } else {
+            let (v0, v1, v2, v3) = (V::load(p[0]), V::load(p[1]), V::load(p[2]), V::load(p[3]));
+            let (v4, v5, v6, v7) = (V::load(p[4]), V::load(p[5]), V::load(p[6]), V::load(p[7]));
+            let w = tw(0, 0);
+            let (v0, v1) = bfly(v0, v1, w);
+            let (v2, v3) = bfly(v2, v3, w);
+            let (v4, v5) = bfly(v4, v5, w);
+            let (v6, v7) = bfly(v6, v7, w);
+            let (wa, wb) = (tw(1, 0), tw(1, 1));
+            let (v0, v2) = bfly(v0, v2, wa);
+            let (v1, v3) = bfly(v1, v3, wb);
+            let (v4, v6) = bfly(v4, v6, wa);
+            let (v5, v7) = bfly(v5, v7, wb);
+            let (v0, v4) = bfly(v0, v4, tw(2, 0));
+            let (v1, v5) = bfly(v1, v5, tw(2, 1));
+            let (v2, v6) = bfly(v2, v6, tw(2, 2));
+            let (v3, v7) = bfly(v3, v7, tw(2, 3));
+            v0.store(p[0]);
+            v1.store(p[1]);
+            v2.store(p[2]);
+            v3.store(p[3]);
+            v4.store(p[4]);
+            v5.store(p[5]);
+            v6.store(p[6]);
+            v7.store(p[7]);
+        }
+    }
+}
+
+/// The first element of level `ll`'s twiddles for sub-transform `g` in
+/// its codelet's class run: `(2^ll − 1)·G + (g mod G)·2^ll` past the run
+/// start ([`workload::twiddle_slot`] with the butterfly offset left out).
+///
+/// # Safety
+/// `g` must be a sub-transform of the stage and `ll < q`; the tables must
+/// be canonical ([`tables_are_canonical`]).
+#[inline(always)]
+unsafe fn level_twiddles(tables: &StageTables<'_>, g: usize, ll: u32) -> *const Complex64 {
+    let a = tables.addressing;
+    // Canonical tables hold a power-of-two class count: a shift, not the
+    // division of `run_len`.
+    let run_len = tables.twiddles.len() >> tables.classes.trailing_zeros();
+    debug_assert_eq!(run_len, tables.run_len());
+    let class = tables.class_of(g >> a.groups_log2);
+    let g_rel = g & (a.groups() - 1);
+    let at = class * run_len + (((1usize << ll) - 1) << a.groups_log2) + (g_rel << ll);
+    debug_assert!(at + (1 << ll) <= tables.twiddles.len());
+    // SAFETY: in bounds by the canonical run shape (see the contract).
+    unsafe { tables.twiddles.as_ptr().add(at) }
+}
+
+/// Lane pairs a pass runs side by side: 32 pairs are 64 sub-transforms,
+/// one kilobyte of consecutive elements per slot.
+const PASS_PAIRS: usize = 32;
+
+/// One pass over levels `l0..l0+R` of the lane pairs `g, g + 1` for `g`
+/// in `pairs` (stage ≥ 1, even `g`): for every slot block of the pass,
+/// each pair in turn loads its `2^R` two-lane vectors at the generator's
+/// addresses, runs them through the block and stores them back. Pairs
+/// `g` and `g + 2` share each slot's cache line and run back to back, so
+/// a block reads each slot as one run of consecutive lines.
+///
+/// # Safety
+/// The caller owns sub-transforms `g, g + 1` for every `g` in `pairs`,
+/// `data` spans the stage, and the tables are canonical.
+#[inline(always)]
+unsafe fn lane_pass<V: CVec, const R: u32>(
+    tables: &StageTables<'_>,
+    data: *mut Complex64,
+    pairs: &[usize],
+    l0: u32,
+) {
+    let a = tables.addressing;
+    // Per pair and level of the pass, each lane's twiddle segment.
+    let mut segs = [[(std::ptr::null(), std::ptr::null()); 3]; PASS_PAIRS];
+    for (seg, &g) in segs.iter_mut().zip(pairs) {
+        for (s, lanes) in seg.iter_mut().enumerate().take(R as usize) {
+            let ll = l0 + s as u32;
+            // SAFETY: `g + 1` is a sub-transform and `ll < q` (contract).
+            *lanes = unsafe {
+                (
+                    level_twiddles(tables, g, ll),
+                    level_twiddles(tables, g + 1, ll),
+                )
+            };
+        }
+    }
+    let low_mask = (1usize << l0) - 1;
+    for o in 0..1usize << (a.levels - R) {
+        // `base` is the block's first slot: `o` with `R` zero bits
+        // inserted at `l0`; `low` its offset below the pass's levels.
+        let low = o & low_mask;
+        let base = ((o >> l0) << (l0 + R)) | low;
+        for (seg, &g) in segs.iter().zip(pairs) {
+            let mut p = [std::ptr::null_mut(); 8];
+            for (k, slot) in p.iter_mut().enumerate().take(1 << R) {
+                let e = a.element(g, base | (k << l0));
+                debug_assert!(e & 1 == 0 && a.element(g + 1, base | (k << l0)) == e + 1);
+                // SAFETY: the generator's addresses are in bounds.
+                *slot = unsafe { data.add(e) };
+            }
+            // SAFETY: the pair owns these elements (contract); the
+            // twiddle offsets `low + j·2^l0 < 2^ll` stay in each segment.
+            unsafe {
+                block::<V, R>(&p, |s, j| {
+                    let t = low + (j << l0);
+                    let (w0, w1) = seg[s as usize];
+                    V::load2(w0.add(t), w1.add(t))
+                })
+            };
+        }
+    }
+}
+
+/// Every level of sub-transforms `groups` (even bounds), [`PASS_PAIRS`]
+/// lane pairs at a time, pass by pass.
+///
+/// # Safety
+/// As [`lane_pass`].
+#[inline(always)]
+unsafe fn lane_pairs<V: CVec>(
+    tables: &StageTables<'_>,
+    data: *mut Complex64,
+    groups: Range<usize>,
     fuse_log2: u32,
 ) {
-    let radix = gather.len();
-    let half = radix / 2;
-    let q = pairs.len() / half;
-    let groups = radix >> q;
-    debug_assert!(radix >= 4 && radix.is_power_of_two());
-    debug_assert!(fuse_log2 >= 2);
-    debug_assert_eq!(run.len(), ((1 << q) - 1) * groups);
-    debug_assert!(pairs_are_canonical(pairs, radix));
-
-    let mut buf = [Complex64::ZERO; 1 << MAX_RADIX_LOG2];
-    for (slot, &e) in gather.iter().enumerate() {
-        // SAFETY: per the contract this codelet owns element `e`, in
-        // bounds for `view`.
-        buf[slot] = unsafe { view.read(e as usize) };
+    let (mut pairs, end) = ([0usize; PASS_PAIRS], groups.end);
+    for chunk in groups
+        .step_by(2 * PASS_PAIRS)
+        .map(|g| g..(g + 2 * PASS_PAIRS).min(end))
+    {
+        let pairs = &mut pairs[..chunk.len() / 2];
+        for (p, g) in pairs.iter_mut().zip(chunk.step_by(2)) {
+            *p = g;
+        }
+        for (l0, r) in passes(0, tables.addressing.levels, fuse_log2) {
+            // SAFETY: forwarded.
+            unsafe {
+                match r {
+                    3 => lane_pass::<V, 3>(tables, data, pairs, l0),
+                    2 => lane_pass::<V, 2>(tables, data, pairs, l0),
+                    _ => lane_pass::<V, 1>(tables, data, pairs, l0),
+                }
+            }
+        }
     }
-    let bp = buf.as_mut_ptr();
+}
 
-    // Segment `ll` of the class run holds level `ll`'s twiddles: `2^ll`
-    // per group, after the `(2^ll − 1)·groups` of the lower levels.
-    // Butterfly `k` reads entry `((k >> (q−1)) << ll) + (k & (2^ll − 1))`.
-    let seg = |ll: usize| unsafe { run.as_ptr().add(((1usize << ll) - 1) * groups) };
-
-    // SAFETY (all vector loads/stores below): `buf[..radix]` is owned by
-    // this call frame; each pass touches slot pairs derived from the
-    // canonical pattern, which stay inside `radix`; twiddle offsets are
-    // canonical slots, which stay inside the class run by the same algebra.
+/// A stage-0 codelet, in place on its contiguous elements: levels
+/// `0..f` (`f` = 3 for radix-8 fusion when `q ≥ 3`, else 2) fused over
+/// blocks of `2^f` neighbouring slots with de-interleaved lanes, then the
+/// remaining levels in passes of up to `fuse_log2` levels whose lanes are
+/// slots `x, x + 1` and read consecutive twiddles.
+///
+/// # Safety
+/// The caller owns codelet `idx`'s elements, `data` spans the stage, the
+/// tables are canonical and the stage is stage 0 (`q = p ≥ 2`).
+#[inline(always)]
+unsafe fn stage0_codelet<V: CVec>(
+    tables: &StageTables<'_>,
+    data: *mut Complex64,
+    idx: usize,
+    fuse_log2: u32,
+) {
+    let a = tables.addressing;
+    let q = a.levels;
+    debug_assert!(a.stride_log2 == 0 && a.groups_log2 == 0 && q >= 2);
+    // SAFETY: a stage-0 codelet is one sub-transform (`G = 1`).
+    let seg = |ll: u32| unsafe { level_twiddles(tables, idx, ll) };
+    let at = |x: usize| {
+        // SAFETY: the generator's addresses are in bounds.
+        unsafe { data.add(a.element(idx, x)) }
+    };
+    // SAFETY (all loads and stores below): the codelet owns its `2^q`
+    // contiguous elements; twiddle offsets stay inside each level's
+    // `2^ll` values by the same algebra as `lane_pass`.
     unsafe {
-        let mut ll = if fuse_log2 >= 3 && q >= 3 {
-            // Radix-8: levels 0..3 fused over blocks of 8 complexes. The
-            // block's butterflies k = 4j..=4j+3 of each level lie in one
-            // group `g` (as 4 divides 2^(q−1)).
-            let (t0, t1, t2) = (seg(0), seg(1), seg(2));
-            for j in 0..radix / 8 {
-                let g = (4 * j) >> (q - 1);
-                let p = bp.add(8 * j);
-                let w0 = V::splat(t0.add(g));
-                let w1 = V::load(t1.add(2 * g));
+        let fused = if fuse_log2 >= 3 && q >= 3 {
+            // Radix-8 over slots 8j..8j+8. Level 0: pairs (0,1),(2,3),...
+            // de-interleaved; levels 1 and 2 are register-aligned.
+            let (w0, w1) = (V::splat(seg(0)), V::load(seg(1)));
+            let (w2a, w2b) = (V::load(seg(2)), V::load(seg(2).add(2)));
+            for j in 0..1usize << (q - 3) {
+                let p = at(8 * j);
                 let (v0, v1) = (V::load(p), V::load(p.add(2)));
                 let (v2, v3) = (V::load(p.add(4)), V::load(p.add(6)));
-                // Level 0: pairs (0,1),(2,3),(4,5),(6,7) — deinterleave.
                 let (a0, b0) = bfly(V::lo_lo(v0, v1), V::hi_hi(v0, v1), w0);
                 let (a1, b1) = bfly(V::lo_lo(v2, v3), V::hi_hi(v2, v3), w0);
                 let (v0, v1) = (V::lo_lo(a0, b0), V::hi_hi(a0, b0));
                 let (v2, v3) = (V::lo_lo(a1, b1), V::hi_hi(a1, b1));
-                // Level 1: pairs (0,2),(1,3),(4,6),(5,7) — register-aligned.
                 let (v0, v1) = bfly(v0, v1, w1);
                 let (v2, v3) = bfly(v2, v3, w1);
-                // Level 2: pairs (0,4),(1,5),(2,6),(3,7) — register-aligned.
-                let (v0, v2) = bfly(v0, v2, V::load(t2.add(4 * g)));
-                let (v1, v3) = bfly(v1, v3, V::load(t2.add(4 * g + 2)));
+                let (v0, v2) = bfly(v0, v2, w2a);
+                let (v1, v3) = bfly(v1, v3, w2b);
                 v0.store(p);
                 v1.store(p.add(2));
                 v2.store(p.add(4));
                 v3.store(p.add(6));
             }
             3
-        } else if q >= 2 {
-            // Radix-4: levels 0..2 fused over blocks of 4 complexes; the
-            // block's butterflies k = 2m, 2m+1 lie in one group.
-            let (t0, t1) = (seg(0), seg(1));
-            for m in 0..radix / 4 {
-                let g = (2 * m) >> (q - 1);
-                let p = bp.add(4 * m);
+        } else {
+            // Radix-4 over slots 4m..4m+4.
+            let (w0, w1) = (V::splat(seg(0)), V::load(seg(1)));
+            for m in 0..1usize << (q - 2) {
+                let p = at(4 * m);
                 let (v0, v1) = (V::load(p), V::load(p.add(2)));
-                let (a, b) = bfly(V::lo_lo(v0, v1), V::hi_hi(v0, v1), V::splat(t0.add(g)));
-                let (v0, v1) = bfly(V::lo_lo(a, b), V::hi_hi(a, b), V::load(t1.add(2 * g)));
+                let (a0, b0) = bfly(V::lo_lo(v0, v1), V::hi_hi(v0, v1), w0);
+                let (v0, v1) = bfly(V::lo_lo(a0, b0), V::hi_hi(a0, b0), w1);
                 v0.store(p);
                 v1.store(p.add(2));
             }
             2
-        } else {
-            // A lone level 0 (q = 1): interleaved pairs (2c, 2c+1), two at
-            // a time; every butterfly is its own group, so slot = k.
-            let t0 = seg(0);
-            for m in 0..radix / 4 {
-                let p = bp.add(4 * m);
-                let (v0, v1) = (V::load(p), V::load(p.add(2)));
-                let (a, b) = bfly(V::lo_lo(v0, v1), V::hi_hi(v0, v1), V::load(t0.add(2 * m)));
-                V::lo_lo(a, b).store(p);
-                V::hi_hi(a, b).store(p.add(2));
-            }
-            1
         };
-        // Remaining levels: strided two-wide passes (span 2^ll >= 2, so a
-        // vector never straddles a lo/hi boundary, nor two twiddles a
-        // group boundary).
-        while ll < q {
-            let t = seg(ll);
-            let span = 1usize << ll;
-            for c in 0..radix >> (ll + 1) {
-                let base = c << (ll + 1);
-                let tg = t.add((c >> (q - 1 - ll)) << ll);
-                let mut r = 0;
-                while r < span {
-                    let lo = bp.add(base + r);
-                    let hi = bp.add(base + r + span);
-                    let (a, b) = bfly(V::load(lo), V::load(hi), V::load(tg.add(r)));
-                    a.store(lo);
-                    b.store(hi);
-                    r += 2;
+        for (l0, r) in passes(fused, q, fuse_log2).filter(|&(_, r)| r > 0) {
+            let low_mask = (1usize << l0) - 1;
+            let mut segs = [std::ptr::null(); 3];
+            for (s, w) in segs.iter_mut().enumerate().take(r as usize) {
+                *w = seg(l0 + s as u32);
+            }
+            // `o` even: a vector holds slots `x, x + 1` of the block.
+            for o in (0..1usize << (q - r)).step_by(2) {
+                let low = o & low_mask;
+                let base = ((o >> l0) << (l0 + r)) | low;
+                let mut p = [std::ptr::null_mut(); 8];
+                for (k, slot) in p.iter_mut().enumerate().take(1 << r) {
+                    *slot = at(base | (k << l0));
+                }
+                let tw = |s: u32, j: usize| V::load(segs[s as usize].add(low + (j << l0)));
+                match r {
+                    3 => block::<V, 3>(&p, tw),
+                    2 => block::<V, 2>(&p, tw),
+                    _ => block::<V, 1>(&p, tw),
                 }
             }
-            ll += 1;
         }
     }
+}
 
-    for (slot, &e) in gather.iter().enumerate() {
-        // SAFETY: as in the gather loop.
-        unsafe { view.write(e as usize, buf[slot]) };
+/// The lane kernel over one tile: stage 0 codelet by codelet in place,
+/// stages ≥ 1 as lane pairs of consecutive sub-transforms, up to
+/// [`PASS_PAIRS`] side by side.
+///
+/// # Safety
+/// The [`CodeletKernel::run_tile`] contract, **plus** the plan is
+/// [`vector_ready`] and `fuse_log2 >= 2` (verified once per plan by
+/// [`Plan::build`]).
+#[inline(always)]
+unsafe fn tile_vec<V: CVec>(
+    tables: &StageTables<'_>,
+    codelets: Range<usize>,
+    view: &SharedData<'_>,
+    fuse_log2: u32,
+) {
+    let a = tables.addressing;
+    debug_assert!(fuse_log2 >= 2);
+    debug_assert!(view.len() >= codelets.end << (a.levels + a.groups_log2));
+    let data = view.as_ptr();
+    if a.stride_log2 == 0 {
+        for idx in codelets {
+            // SAFETY: forwarded; the tile owns codelet `idx`.
+            unsafe { stage0_codelet::<V>(tables, data, idx, fuse_log2) };
+        }
+        return;
+    }
+    // Sub-transforms `g0..g1`; with one per codelet (`G = 1`) an odd end
+    // has no partner lane and runs on the scalar reference.
+    let (mut g0, mut g1) = (
+        codelets.start << a.groups_log2,
+        codelets.end << a.groups_log2,
+    );
+    if g0 & 1 == 1 {
+        // SAFETY: forwarded; `G = 1`, so `g0` is codelet `g0`.
+        unsafe { execute_codelet_tabled(tables, g0, view) };
+        g0 += 1;
+    }
+    if g1 > g0 && g1 & 1 == 1 {
+        g1 -= 1;
+        // SAFETY: as above.
+        unsafe { execute_codelet_tabled(tables, g1, view) };
+    }
+    if g1 > g0 {
+        // SAFETY: forwarded; every `g, g + 1` is in the tile.
+        unsafe { lane_pairs::<V>(tables, data, g0..g1, fuse_log2) };
     }
 }
 
@@ -433,19 +683,18 @@ unsafe fn codelet_vec<V: CVec>(
 /// enabled so every wrapper above inlines down to raw vector instructions.
 ///
 /// # Safety
-/// As [`codelet_vec`]; additionally the CPU must support AVX2 (the caller
+/// As [`tile_vec`]; additionally the CPU must support AVX2 (the caller
 /// checks `is_x86_feature_detected!`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn codelet_avx2(
-    gather: &[u32],
-    pairs: &[(u32, u32)],
-    run: &[Complex64],
+unsafe fn tile_avx2(
+    tables: &StageTables<'_>,
+    codelets: Range<usize>,
     view: &SharedData<'_>,
     fuse_log2: u32,
 ) {
     // SAFETY: forwarded.
-    unsafe { codelet_vec::<x86::Avx2>(gather, pairs, run, view, fuse_log2) }
+    unsafe { tile_vec::<x86::Avx2>(tables, codelets, view, fuse_log2) }
 }
 
 /// The vector kernel with its dispatch decision baked in. There are four,
@@ -521,30 +770,27 @@ impl CodeletKernel for SimdKernel {
     }
 
     #[inline]
-    unsafe fn run_codelet(
+    unsafe fn run_tile(
         &self,
-        gather: &[u32],
-        pairs: &[(u32, u32)],
-        slots: &[u8],
-        run: &[Complex64],
+        tables: &StageTables<'_>,
+        codelets: Range<usize>,
         view: &SharedData<'_>,
     ) {
-        if gather.len() < 4 {
-            // Radix-2 codelets: one butterfly, nothing to vectorize.
-            // SAFETY: forwarded.
-            return unsafe { execute_codelet_tabled(gather, pairs, slots, run, view) };
-        }
-        // The slots are the canonical pattern `Plan::build` verified; the
-        // vector passes compute them instead of reading them.
-        debug_assert!(slots_are_canonical(slots, gather.len()));
+        // The pairs and slots are the canonical patterns `Plan::build`
+        // verified; the lane passes compute them instead of reading them.
+        debug_assert!(slots_are_canonical(
+            tables.slots,
+            tables.addressing.groups() << tables.addressing.levels
+        ));
         #[cfg(target_arch = "x86_64")]
         if self.use_avx2 {
             // SAFETY: forwarded; `use_avx2` implies runtime detection
-            // succeeded and `Plan::build` verified the canonical patterns.
-            return unsafe { codelet_avx2(gather, pairs, run, view, self.fuse_log2) };
+            // succeeded, and this kernel is only handed plans that
+            // `Plan::build` found vector-ready.
+            return unsafe { tile_avx2(tables, codelets, view, self.fuse_log2) };
         }
         // SAFETY: forwarded, as above.
-        unsafe { codelet_vec::<Portable>(gather, pairs, run, view, self.fuse_log2) }
+        unsafe { tile_vec::<Portable>(tables, codelets, view, self.fuse_log2) }
     }
 }
 
@@ -625,6 +871,7 @@ mod tests {
     use super::*;
     use crate::backend::HostScalar;
     use crate::exec::{SeedOrder, Version};
+    use crate::plan::MAX_RADIX_LOG2;
     use crate::planner::PlanKey;
     use codelet::runtime::Runtime;
     use fgsupport::rng::Rng64;
@@ -714,11 +961,11 @@ mod tests {
             Version::Coarse,
             Version::Coarse.layout(),
         ));
-        let mut pairs = plan.stage_table(0).pairs.to_vec();
+        let mut pairs = plan.stage_tables(0).pairs.to_vec();
         pairs.swap(0, 1);
         assert!(!pairs_are_canonical(&pairs, 64));
-        assert!(pairs_are_canonical(plan.stage_table(0).pairs, 64));
-        let mut slots = plan.stage_table(1).slots.to_vec();
+        assert!(pairs_are_canonical(plan.stage_tables(0).pairs, 64));
+        let mut slots = plan.stage_tables(1).slots.to_vec();
         assert!(slots_are_canonical(&slots, 64));
         slots[40] += 1;
         assert!(!slots_are_canonical(&slots, 64));
@@ -754,6 +1001,70 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The lane kernel stage by stage against the scalar reference, on
+    /// every shape it has: tiles of 1, 2, 4 and 64 codelets (one lone
+    /// full-stage sub-transform at N = 16 with radix 4), partial last
+    /// stages of 2 to 64 sub-transforms per codelet, every codelet radix
+    /// from 4 to 128, both fusion radices, native and portable. Each stage
+    /// starts from the scalar reference's previous stage, so a drift is
+    /// pinned to the stage that made it.
+    #[test]
+    fn lane_kernel_matches_the_scalar_reference_stage_by_stage() {
+        let mut tile_lens = std::collections::BTreeSet::new();
+        let mut groups = std::collections::BTreeSet::new();
+        let shapes = [
+            (4u32, 2u32),
+            (5, 2),
+            (6, 2),
+            (7, 3),
+            (10, 3),
+            (13, 6),
+            (14, 6),
+            (15, 6),
+            (18, 6),
+            (11, 7),
+            (15, 7),
+        ];
+        for (n_log2, radix_log2) in shapes {
+            let key = PlanKey::with_radix(
+                1 << n_log2,
+                Version::FineGuided,
+                Version::FineGuided.layout(),
+                radix_log2,
+            );
+            let plan = Arc::new(Plan::build(key));
+            let fft = *plan.fft_plan();
+            tile_lens.insert(plan.tiles().tile_len());
+            let scalar = HostScalar.prepare(&plan);
+            let mut want = signal(fft.n(), u64::from(n_log2));
+            for stage in 0..fft.stages() {
+                groups.insert(plan.stage_tables(stage).addressing.groups());
+                let input = want.clone();
+                scalar.run_stage(&mut want, stage);
+                for fuse in [2u32, 3] {
+                    for backend in [HostSimd::portable(fuse), HostSimd::new(fuse)] {
+                        let prepared = backend.prepare(&plan);
+                        assert!(prepared.kernel.label().starts_with("simd-"));
+                        let mut got = input.clone();
+                        prepared.run_stage(&mut got, stage);
+                        assert_eq!(
+                            bits(&want),
+                            bits(&got),
+                            "2^{n_log2} radix 2^{radix_log2} stage {stage} fuse {fuse} {}",
+                            prepared.kernel.label()
+                        );
+                    }
+                }
+            }
+        }
+        for t in [1, 2, 4, 64] {
+            assert!(tile_lens.contains(&t), "tile of {t}: {tile_lens:?}");
+        }
+        for g in [1, 2, 4, 8, 16, 32, 64] {
+            assert!(groups.contains(&g), "{g} sub-transforms: {groups:?}");
         }
     }
 

@@ -28,10 +28,11 @@
 //!   `O(pool)` with no plan build. [`crate::wisdom::Wisdom::load`] runs
 //!   this on every entry.
 //! * [`Certificate::verify_plan`] — the above plus the table digest over a
-//!   built [`Plan`]'s independent data (gather/pair/slot tables and the
-//!   twiddle factor table — see [`table_digest`] for what is deliberately
+//!   built [`Plan`]'s independent data (address generator parameters,
+//!   pair/slot tables and the twiddle factor table — see [`table_digest`] for what is deliberately
 //!   excluded and why). [`crate::planner::Planner`] runs this once per
-//!   cold plan build (measured < 5% of build time, see EXPERIMENTS.md).
+//!   cold plan build (its cost against the build is tracked in
+//!   EXPERIMENTS.md).
 
 use crate::plan::FftPlan;
 use crate::planner::{Plan, PlanKey};
@@ -42,7 +43,7 @@ use fgsupport::json::Value;
 /// Revision of the codelet decomposition authority ([`crate::workload`]).
 ///
 /// Bump whenever the schedule or table *lowering* changes meaning — a new
-/// gather layout, a different twiddle-run order, a changed seed derivation —
+/// address generator, a different twiddle-run order, a changed seed derivation —
 /// so certificates issued against the old lowering are rejected as foreign
 /// instead of vouching for tables they never saw.
 ///
@@ -64,7 +65,13 @@ use fgsupport::json::Value;
 /// instead of applied from a stored swap list, and the table digest no
 /// longer streams that list. A revision-4 certificate vouches for a table
 /// the plan no longer holds.
-pub const WORKLOAD_REVISION: u64 = 5;
+///
+/// Revision 6: element addresses are computed by each stage's generator
+/// (`workload::StageAddressing`) instead of read from stored gather
+/// tables, and the table digest covers the generator's parameters instead
+/// of streaming the indices. A revision-5 certificate vouches for gather
+/// tables the plan no longer holds.
+pub const WORKLOAD_REVISION: u64 = 6;
 
 /// Multi-lane FNV-style digest (keyless, dependency-free).
 ///
@@ -166,59 +173,6 @@ impl Digest {
         self.count += (items.len() - rounds.remainder().len()) as u64;
         for item in rounds.remainder() {
             self.write_u64(pack(item));
-        }
-    }
-
-    /// Fold a `u32` slice, two values per word — the bulk path for gather
-    /// tables.
-    pub fn write_u32_slice(&mut self, words: &[u32]) {
-        const STRIDE: usize = 2 * Digest::LANES;
-        let mut lanes = self.lanes;
-        let mut rounds = words.chunks_exact(STRIDE);
-        for chunk in &mut rounds {
-            for (lane, pair) in lanes.iter_mut().zip(chunk.chunks_exact(2)) {
-                let word = (pair[0] as u64) | ((pair[1] as u64) << 32);
-                *lane = (*lane ^ word).wrapping_mul(Self::PRIME);
-            }
-        }
-        self.lanes = lanes;
-        self.count += ((words.len() - rounds.remainder().len()) / 2) as u64;
-        let mut pairs = rounds.remainder().chunks_exact(2);
-        for pair in &mut pairs {
-            self.write_u64((pair[0] as u64) | ((pair[1] as u64) << 32));
-        }
-        for &w in pairs.remainder() {
-            self.write_u64(w as u64);
-        }
-    }
-
-    /// Fold a `u32` slice whose values are structurally known `< 2^16`
-    /// (the caller gates on plan bounds, e.g. `n_log2 <= 16`), four values
-    /// per word — halves the word count on the small-plan digests where
-    /// fixed verification cost weighs most against a fast build.
-    pub fn write_u32_slice_narrow(&mut self, words: &[u32]) {
-        const STRIDE: usize = 4 * Digest::LANES;
-        let pack = |quad: &[u32]| {
-            (quad[0] as u64)
-                | ((quad[1] as u64) << 16)
-                | ((quad[2] as u64) << 32)
-                | ((quad[3] as u64) << 48)
-        };
-        let mut lanes = self.lanes;
-        let mut rounds = words.chunks_exact(STRIDE);
-        for chunk in &mut rounds {
-            for (lane, quad) in lanes.iter_mut().zip(chunk.chunks_exact(4)) {
-                *lane = (*lane ^ pack(quad)).wrapping_mul(Self::PRIME);
-            }
-        }
-        self.lanes = lanes;
-        self.count += ((words.len() - rounds.remainder().len()) / 4) as u64;
-        let mut quads = rounds.remainder().chunks_exact(4);
-        for quad in &mut quads {
-            self.write_u64(pack(quad));
-        }
-        for &w in quads.remainder() {
-            self.write_u64(w as u64);
         }
     }
 
@@ -393,43 +347,42 @@ pub fn schedule_digest(key: PlanKey, tuning: Option<&ScheduleTuning>) -> Result<
     Ok(d.finish())
 }
 
-/// Digest of the *independent* data behind a built plan's flattened
-/// execution tables: per-stage gather indices, the butterfly pair pattern,
-/// the twiddle slot pattern, the class-run shape (class count and run
-/// length), and the twiddle factor table (in stored slot order, so it is
-/// layout-sensitive). The bit reversal is computed, not stored, so there
-/// is no table of it to digest; `fgcheck`'s FG407 proves the generator.
+/// Digest of the *independent* data behind a built plan's execution
+/// tables: per stage the address generator's parameters, the butterfly
+/// pair pattern, the twiddle slot pattern and the class-run shape (class
+/// count and run length), and the twiddle factor table (in stored slot
+/// order, so it is layout-sensitive). Element addresses and the bit
+/// reversal are computed, not stored, so there is no index table to
+/// digest: the parameters pin which generator runs, and `fgcheck`'s
+/// FG401/FG404/FG406 and FG407 prove the generators themselves.
 ///
 /// The class-run *values* are deliberately not streamed, and runs are never
 /// re-expanded per codelet: each value is a bitwise copy of a twiddle-table
 /// entry digested here, at a position fixed by the class algebra
-/// (`workload::append_class_run`); at 2^18 the runs hold more bytes than
-/// the gather tables, so streaming them would add about two thirds to the
+/// (`workload::append_class_run`); at 2^18 the runs hold twice the bytes
+/// of the base twiddle table, so streaming them would about triple the
 /// digest's cost against a build that no longer expands them; and copy
 /// or class-map drift is exactly what pass 4's FG405 check covers — every
 /// codelet's slot-indexed run bitwise against the workload authority — at
 /// certification time and in the CI `fgcheck --all` sweep. Everything the
-/// `unsafe` hot path's *safety* rests on — gather bounds and disjointness,
-/// pair bounds, slot bounds against the run length, class bounds — is
-/// covered byte-for-byte.
+/// `unsafe` hot path's *safety* rests on — the generator that fixes
+/// address bounds and disjointness, pair bounds, slot bounds against the
+/// run length, class bounds — is covered byte-for-byte.
 pub fn table_digest(plan: &Plan) -> u64 {
     let fft = plan.fft_plan();
     // Packing density is a function of plan *structure* (already pinned by
     // the digest stream itself), never of table contents, so both sides of
     // a verification always agree on it.
-    let narrow_index = fft.n_log2() <= 16; // gather indices < 2^16
     let narrow_pair = fft.radix_log2() <= 16; // butterfly slots < 2^16
     let mut d = Digest::new_tagged(0x5441_424c); // "TABL"
     let stages = fft.stages();
     d.write_usize(stages);
     for stage in 0..stages {
-        let table = plan.stage_table(stage);
-        d.write_usize(table.gather.len());
-        if narrow_index {
-            d.write_u32_slice_narrow(table.gather);
-        } else {
-            d.write_u32_slice(table.gather);
-        }
+        let table = plan.stage_tables(stage);
+        let addr = table.addressing;
+        d.write_u32(addr.stride_log2);
+        d.write_u32(addr.levels);
+        d.write_u32(addr.groups_log2);
         d.write_usize(table.pairs.len());
         if narrow_pair {
             d.write_pair_slice_narrow(table.pairs);

@@ -23,6 +23,9 @@
 use crate::complex::Complex64;
 use crate::kernel;
 use crate::plan::MAX_RADIX_LOG2;
+use crate::planner::StageTables;
+#[cfg(doc)]
+use crate::workload::StageAddressing;
 use std::marker::PhantomData;
 
 /// Raw shared view over the FFT data array. See the module docs for the
@@ -59,6 +62,14 @@ impl<'a> SharedData<'a> {
         self.len == 0
     }
 
+    /// The first element, for kernels that issue their own (vector) loads
+    /// and stores under the same discipline as [`SharedData::read`] and
+    /// [`SharedData::write`].
+    #[inline]
+    pub(crate) fn as_ptr(&self) -> *mut Complex64 {
+        self.ptr
+    }
+
     /// Read element `i`.
     ///
     /// # Safety
@@ -80,43 +91,44 @@ impl<'a> SharedData<'a> {
     }
 }
 
-/// Execute one codelet from *precomputed* plan tables: gather through a flat
-/// element-index slice, replay the stage's butterfly pattern against the
-/// codelet's class run, scatter back. No per-call index algebra: the
-/// tables are materialized once at plan-build time (see
-/// [`crate::planner::Plan`]).
-///
-/// `gather` holds the codelet's element indices by buffer slot; `pairs` the
-/// stage's local `(lo, hi)` butterfly pattern in execution order; `slots`
-/// per butterfly the position of its twiddle in `run`, the distinct
-/// twiddles of the codelet's class (`pairs.len() == slots.len()`).
+/// Execute codelet `idx` of a stage from its plan tables — the scalar
+/// reference every kernel is held to: gather the codelet's elements into
+/// a local buffer by the stage's address generator
+/// ([`crate::workload::StageAddressing::codelet_element`]), replay the
+/// stage's butterfly pattern against the codelet's class run, scatter
+/// back. Butterfly `i` applies `tables.pairs[i]` with twiddle
+/// `run(idx)[tables.slots[i]]`.
 ///
 /// # Safety
 /// The caller upholds the dataflow discipline of the module docs for the
-/// elements listed in `gather` — all parents of the codelet have completed
-/// (with proper synchronization edges) and no concurrent codelet shares any
-/// element — every index in `gather` is within `data`, every pair within
-/// the codelet's `gather.len()`-slot buffer and every slot within `run`
-/// (both read unchecked; FG402 checks them for a plan's tables).
-pub unsafe fn execute_codelet_tabled(
-    gather: &[u32],
-    pairs: &[(u32, u32)],
-    slots: &[u8],
-    run: &[Complex64],
-    data: &SharedData<'_>,
-) {
-    debug_assert_eq!(pairs.len(), slots.len());
-    debug_assert!(slots.iter().all(|&s| (s as usize) < run.len()));
-    debug_assert!(gather.len() <= 1 << MAX_RADIX_LOG2);
+/// elements the generator assigns codelet `idx` — all parents of the
+/// codelet have completed (with proper synchronization edges) and no
+/// concurrent codelet shares any element — `data` spans the stage's
+/// `2^n` elements, `idx` is a codelet of the stage, every pair is within
+/// the codelet's `2^p`-slot buffer and every slot within its class run
+/// (read unchecked; FG402 checks them for a plan's tables).
+pub unsafe fn execute_codelet_tabled(tables: &StageTables<'_>, idx: usize, data: &SharedData<'_>) {
+    let addr = tables.addressing;
+    let radix = 1usize << (addr.levels + addr.groups_log2);
+    let run = tables.run(idx).unwrap_or_default();
+    debug_assert_eq!(tables.pairs.len(), tables.slots.len());
+    debug_assert!(tables.slots.iter().all(|&s| (s as usize) < run.len()));
+    debug_assert!(radix <= 1 << MAX_RADIX_LOG2);
+    // Buffer slot `s` is slot `s mod 2^q` of sub-transform
+    // `idx·2^(p−q) + (s >> q)` ([`StageAddressing::codelet_element`]).
+    let groups = idx << addr.groups_log2..(idx + 1) << addr.groups_log2;
     let mut buf = [Complex64::ZERO; 1 << MAX_RADIX_LOG2];
-    for (slot, &e) in gather.iter().enumerate() {
-        // SAFETY: per the function contract, this codelet has exclusive
-        // access to its elements.
-        buf[slot] = unsafe { data.read(e as usize) };
+    let mut slots = buf[..radix].chunks_exact_mut(1 << addr.levels);
+    for (g, chunk) in groups.clone().zip(&mut slots) {
+        for (x, v) in chunk.iter_mut().enumerate() {
+            // SAFETY: per the function contract, this codelet has
+            // exclusive access to its elements, which are in bounds.
+            *v = unsafe { data.read(addr.element(g, x)) };
+        }
     }
-    for (&(lo, hi), &s) in pairs.iter().zip(slots) {
+    for (&(lo, hi), &s) in tables.pairs.iter().zip(tables.slots) {
         let (lo, hi) = (lo as usize, hi as usize);
-        debug_assert!(lo < gather.len() && hi < gather.len());
+        debug_assert!(lo < radix && hi < radix);
         // SAFETY: every slot is within `run` and every pair within the
         // codelet's buffer per the function contract.
         unsafe {
@@ -126,9 +138,11 @@ pub unsafe fn execute_codelet_tabled(
             *buf.get_unchecked_mut(hi) = c;
         }
     }
-    for (slot, &e) in gather.iter().enumerate() {
-        // SAFETY: as above.
-        unsafe { data.write(e as usize, buf[slot]) };
+    for (g, chunk) in groups.zip(buf[..radix].chunks_exact(1 << addr.levels)) {
+        for (x, &v) in chunk.iter().enumerate() {
+            // SAFETY: as above.
+            unsafe { data.write(addr.element(g, x), v) };
+        }
     }
 }
 
@@ -154,23 +168,23 @@ mod tests {
 
     #[test]
     fn shared_codelet_matches_safe_kernel() {
-        // The flattened tables streamed through the shared view compute
-        // bitwise what the index-algebra kernel computes on a safe slice,
-        // stage by stage: every class map, slot pattern and partial last
-        // stage, checked against an oracle that reads no plan table.
+        // The plan's tables and address generator, run through the shared
+        // view, compute bitwise what the index-algebra kernel computes on a
+        // safe slice, stage by stage: every class map, slot pattern and
+        // partial last stage, checked against an oracle that reads no plan
+        // table.
         for (n_log2, radix_log2) in [(9u32, 3u32), (12, 7), (13, 6), (16, 6)] {
             let n = 1usize << n_log2;
             let key = PlanKey::with_radix(n, Version::Coarse, TwiddleLayout::Linear, radix_log2);
             let plan = Plan::build(key);
             let (fft, tw) = (plan.fft_plan(), plan.twiddles());
-            let radix = fft.radix();
             let input: Vec<Complex64> = (0..n)
                 .map(|i| Complex64::new((i as f64 * 0.3).sin(), (i as f64 * 0.11).cos()))
                 .collect();
             let mut a = input.clone();
             let mut b = input;
             for stage in 0..fft.stages() {
-                let table = plan.stage_table(stage);
+                let table = plan.stage_tables(stage);
                 for idx in 0..fft.codelets_per_stage() {
                     kernel::execute_codelet(fft, tw, &mut a, stage, idx);
                 }
@@ -179,15 +193,7 @@ mod tests {
                     // SAFETY: one thread in stage order: every parent of
                     // the codelet has completed and none runs concurrently;
                     // the plan's slots index its class runs in bounds.
-                    unsafe {
-                        execute_codelet_tabled(
-                            &table.gather[idx * radix..(idx + 1) * radix],
-                            table.pairs,
-                            table.slots,
-                            table.run(idx).unwrap(),
-                            &view,
-                        )
-                    };
+                    unsafe { execute_codelet_tabled(&table, idx, &view) };
                 }
                 let same = a.iter().zip(&b).all(|(x, y)| {
                     x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()

@@ -7,10 +7,12 @@
 //! layout (linear vs hashed) decides which memory location that touches,
 //! which matters to the machine but not to the arithmetic.
 //!
-//! On the host a [`crate::Plan`] performs those lookups once at build time
-//! and streams the results ([`crate::exec::shared::execute_codelet_tabled`]);
-//! this module keeps the [`butterfly`] both paths share, and, for tests,
-//! the index-algebra kernel the flattened tables are checked against.
+//! On the host a [`crate::Plan`] performs the twiddle lookups once at
+//! build time and its kernels compute element addresses in closed form
+//! ([`crate::exec::shared::execute_codelet_tabled`] is the scalar
+//! reference); this module keeps the [`butterfly`] both paths share, and,
+//! for tests, the index-algebra kernel the plan tables are checked
+//! against.
 
 use crate::complex::Complex64;
 #[cfg(test)]

@@ -7,16 +7,17 @@
 //! * [`Plan`] — everything derivable from a [`PlanKey`], computed once:
 //!   the twiddle table, the codelet-graph schedule **lowered onto tiles**
 //!   of consecutive codelets ([`TileProgram`], flat CSR arrays), and
-//!   per-stage execution tables (gather
-//!   indices, butterfly pair pattern with its twiddle slots, and one run of
-//!   distinct twiddles per twiddle class) so the hot path streams flat
-//!   arrays instead of redoing index algebra and twiddle lookups per call.
-//!   The bit reversal is not stored: [`bit_reverse_tiled`] computes it.
-//!   `Plan::execute` runs one transform as a batch of
+//!   per-stage execution tables (butterfly pair pattern with its twiddle
+//!   slots, and one run of distinct twiddles per twiddle class) so the
+//!   hot path streams flat arrays instead of redoing twiddle lookups per
+//!   call. Element addresses are not stored: kernels compute them with
+//!   each stage's [`StageAddressing`], and [`bit_reverse_tiled`] computes
+//!   the bit reversal. `Plan::execute` runs one transform as a batch of
 //!   one; `Plan::execute_batch` runs many same-plan transforms through a
 //!   single runtime dispatch ([`codelet::BatchProgram`]). Both go through
-//!   one dispatch that fires the tiles. [`Plan::run_codelet`] exposes the unit
-//!   of work itself for harnesses that drive their own schedule.
+//!   one dispatch that hands each tile to the kernel in one call.
+//!   [`Plan::run_codelet`] exposes the unit of work itself for harnesses
+//!   that drive their own schedule.
 //! * [`Planner`] — a sharded, single-flight cache of `Arc<Plan>` keyed by
 //!   [`PlanKey`] (FFTW calls the same idea *wisdom*). Concurrent requests
 //!   for one key build the plan exactly once: the first thread computes
@@ -36,8 +37,8 @@ use crate::tiles::{TileProgram, TileSlice};
 use crate::twiddle::{TwiddleLayout, TwiddleTable};
 use crate::wisdom::{Wisdom, WisdomEntry, WisdomStatus};
 use crate::workload::{
-    self, ScheduleSpec, ScheduleTuning, TransformKind, DEFAULT_TRANSPOSE_BLOCK_LOG2,
-    SCRATCHPAD_RADIX_LOG2,
+    self, ScheduleSpec, ScheduleTuning, StageAddressing, TransformKind,
+    DEFAULT_TRANSPOSE_BLOCK_LOG2, SCRATCHPAD_RADIX_LOG2,
 };
 use codelet::graph::{BatchProgram, CodeletId, CsrProgram};
 use codelet::pool::PoolDiscipline;
@@ -46,6 +47,7 @@ use codelet::stats::RunStats;
 use fgsupport::sync::Mutex;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -134,14 +136,14 @@ impl PlanKey {
     }
 }
 
-/// Per-stage execution tables, FFTW-style: everything a codelet's inner loop
-/// would otherwise rederive per call, flattened into arrays the hot path
-/// streams through sequentially.
+/// Per-stage execution tables, FFTW-style: the butterfly and twiddle data a
+/// codelet's inner loop would otherwise rederive per call, flattened into
+/// arrays the hot path streams through sequentially. Element addresses are
+/// not stored: kernels compute them with the stage's [`StageAddressing`].
 #[derive(Debug)]
 struct StageTable {
-    /// Element indices, codelet-major: entry `idx · radix + slot` is the
-    /// global index of buffer slot `slot` of codelet `idx`.
-    gather: Vec<u32>,
+    /// The stage's closed-form element addressing.
+    addressing: StageAddressing,
     /// The stage's local `(lo, hi)` butterfly pattern (shared by every
     /// codelet of the stage), in execution order.
     pairs: Vec<(u32, u32)>,
@@ -154,57 +156,60 @@ struct StageTable {
     /// Distinct twiddles per class, class-major: `run_len` values each,
     /// copied bitwise from the plan's twiddle table at build time.
     twiddles: Vec<Complex64>,
-    /// Values per class run ([`workload::twiddle_loads`]).
-    run_len: usize,
+    /// The stage's element indices, codelet-major, built on the first
+    /// [`Plan::stage_table`] call for harnesses; execution, certification
+    /// and `fgcheck` never read it.
+    gather: OnceLock<Vec<u32>>,
 }
 
 impl StageTable {
     fn build(fft: &FftPlan, twiddles: &TwiddleTable, stage: usize) -> Self {
         let classes = workload::twiddle_classes(fft, stage);
-        let run_len = workload::twiddle_loads(fft, stage);
-        let mut tw = Vec::with_capacity(classes * run_len);
+        let mut tw = Vec::with_capacity(classes * workload::twiddle_loads(fft, stage));
         for class in 0..classes {
             workload::append_class_run(fft, twiddles, stage, class, &mut tw);
         }
         Self {
-            gather: workload::stage_gather(fft, stage),
+            addressing: StageAddressing::of(fft, stage),
             pairs: workload::butterfly_pairs(fft, stage),
             slots: workload::twiddle_slots(fft, stage),
             classes,
             twiddles: tw,
-            run_len,
+            gather: OnceLock::new(),
         }
     }
 
-    /// The class run codelet `idx` reads.
-    #[inline]
-    fn run(&self, idx: usize) -> &[Complex64] {
-        let start = (idx & (self.classes - 1)) * self.run_len;
-        &self.twiddles[start..start + self.run_len]
+    fn view(&self) -> StageTables<'_> {
+        StageTables {
+            addressing: self.addressing,
+            pairs: &self.pairs,
+            slots: &self.slots,
+            classes: self.classes,
+            twiddles: &self.twiddles,
+        }
     }
 
+    /// Resident bytes; a harness gather view is not counted.
     fn bytes(&self) -> u64 {
-        (self.gather.len() * std::mem::size_of::<u32>()
-            + self.pairs.len() * std::mem::size_of::<(u32, u32)>()
+        (self.pairs.len() * std::mem::size_of::<(u32, u32)>()
             + self.slots.len()
             + self.twiddles.len() * std::mem::size_of::<Complex64>()) as u64
     }
 }
 
-/// Borrowed view of one stage's flattened execution tables — the exact
-/// slices the `unsafe` hot path streams through. Exposed so external
-/// verifiers (`fgcheck`'s pass 4) and the certificate digests can inspect
-/// the lowering without re-deriving it.
+/// Borrowed view of one stage's execution tables — exactly what the
+/// kernels read. Exposed so external verifiers (`fgcheck`'s pass 4) and
+/// the certificate digests can inspect the lowering without re-deriving
+/// it.
 ///
-/// Codelet `idx` gathers `gather[idx·radix..][..radix]`, applies `pairs`
-/// in order, and butterfly `i` multiplies by `run(idx)[slots[i]]`: the
-/// twiddles are stored once per *class*, not once per codelet
-/// ([`workload::twiddle_classes`]).
+/// Codelet `idx` holds the elements [`StageAddressing::codelet_element`]
+/// names, applies `pairs` in order, and butterfly `i` multiplies by
+/// `run(idx)[slots[i]]`: the twiddles are stored once per *class*, not
+/// once per codelet ([`workload::twiddle_classes`]).
 #[derive(Debug, Clone, Copy)]
-pub struct StageTableView<'a> {
-    /// Element indices, codelet-major: entry `idx · radix + slot` is the
-    /// global index of buffer slot `slot` of codelet `idx`.
-    pub gather: &'a [u32],
+pub struct StageTables<'a> {
+    /// The stage's element address generator parameters.
+    pub addressing: StageAddressing,
     /// The stage's local `(lo, hi)` butterfly pattern, shared by every
     /// codelet of the stage, in execution order.
     pub pairs: &'a [(u32, u32)],
@@ -219,7 +224,7 @@ pub struct StageTableView<'a> {
     pub twiddles: &'a [Complex64],
 }
 
-impl<'a> StageTableView<'a> {
+impl<'a> StageTables<'a> {
     /// Values per class run (0 when the view has no classes).
     pub fn run_len(&self) -> usize {
         self.twiddles.len().checked_div(self.classes).unwrap_or(0)
@@ -237,6 +242,26 @@ impl<'a> StageTableView<'a> {
         let start = self.class_of(idx).checked_mul(len)?;
         self.twiddles.get(start..start.checked_add(len)?)
     }
+}
+
+/// A view of one stage for harnesses written against stored gather
+/// tables: [`StageTables`] plus `gather`, the stage's element indices
+/// materialized from the address generator on the first
+/// [`Plan::stage_table`] call and kept. Execution never reads it and
+/// [`Plan::resident_bytes`] does not count it.
+#[derive(Debug, Clone, Copy)]
+pub struct StageTableView<'a> {
+    /// Element indices, codelet-major: entry `idx · radix + slot` is
+    /// [`StageAddressing::codelet_element`]`(idx, slot)`.
+    pub gather: &'a [u32],
+    /// As [`StageTables::pairs`].
+    pub pairs: &'a [(u32, u32)],
+    /// As [`StageTables::slots`].
+    pub slots: &'a [u8],
+    /// As [`StageTables::classes`].
+    pub classes: usize,
+    /// As [`StageTables::twiddles`].
+    pub twiddles: &'a [Complex64],
 }
 
 /// What one codelet actually touched during a recorded execution
@@ -379,11 +404,10 @@ impl Plan {
     }
 
     /// Run codelet `id` (`0..fft_plan().total_codelets()`, stage-major) of
-    /// the inner complex FFT over `view` through the precomputed stage
-    /// tables, with the scalar kernel — the unit of work every schedule
-    /// fires. Harnesses that need their own body around it (span tracing,
-    /// private-counter ablations, kernel micro-benchmarks) drive this over
-    /// their own schedule and so time the tables production streams.
+    /// the inner complex FFT over `view` with the scalar reference kernel —
+    /// the unit of work every schedule fires. Harnesses that need their
+    /// own body around it (span tracing, private-counter ablations, kernel
+    /// micro-benchmarks) drive this over their own schedule.
     /// `view` must hold the bit-reversed input of the inner transform
     /// ([`FftPlan::n`] elements; apply [`bit_reverse_tiled`] first).
     ///
@@ -396,40 +420,59 @@ impl Plan {
     #[inline]
     pub unsafe fn run_codelet(&self, view: &SharedData<'_>, id: usize) {
         // SAFETY: forwarded from the caller's contract.
-        unsafe { self.run_codelet_with(&ScalarKernel, view, id) }
+        unsafe { self.run_tile_with(&ScalarKernel, view, id..id + 1) }
     }
 
-    /// As [`Plan::run_codelet`], but through an arbitrary
-    /// [`CodeletKernel`]: the kernel receives exactly the table slices the
-    /// scalar hot path streams, so a backend can swap the butterfly
-    /// arithmetic without touching scheduling or table layout.
+    /// Run the consecutive codelets `ids` (all of one stage) over `view`
+    /// through `kernel`, in one call: the kernel receives the stage's
+    /// tables and address generator, so a backend can swap the butterfly
+    /// arithmetic and the order it visits the codelets' elements in
+    /// without touching scheduling or table layout.
     ///
     /// # Safety
     /// The caller upholds the dataflow discipline documented in
-    /// [`crate::exec::shared`] for codelet `id` over `view`.
+    /// [`crate::exec::shared`] for every codelet in `ids` over `view`,
+    /// which spans at least [`FftPlan::n`] elements.
     #[inline]
-    pub(crate) unsafe fn run_codelet_with<K: CodeletKernel + ?Sized>(
+    pub(crate) unsafe fn run_tile_with<K: CodeletKernel + ?Sized>(
         &self,
         kernel: &K,
         view: &SharedData<'_>,
-        id: usize,
+        ids: Range<CodeletId>,
     ) {
         debug_assert!(view.len() >= self.fft.n());
-        let stage = self.fft.stage_of(id);
-        let idx = self.fft.idx_of(id);
-        let table = &self.tables[stage];
-        let radix = 1usize << self.fft.radix_log2();
-        // SAFETY: forwarded from the caller's contract; the pairs index the
-        // codelet's buffer and the slots its class run in bounds by
-        // construction (checked by FG402).
+        debug_assert!(!ids.is_empty() && ids.end <= self.fft.total_codelets());
+        let stage = self.fft.stage_of(ids.start);
+        debug_assert_eq!(stage, self.fft.stage_of(ids.end - 1), "a tile is one stage");
+        let first = self.fft.idx_of(ids.start);
+        // SAFETY: forwarded from the caller's contract; the tables are the
+        // plan's own for `stage`, whose generator partitions the data
+        // (FG404) and whose pairs, slots and classes are in bounds (FG402).
         unsafe {
-            kernel.run_codelet(
-                &table.gather[idx * radix..(idx + 1) * radix],
-                &table.pairs,
-                &table.slots,
-                table.run(idx),
-                view,
-            );
+            kernel.run_tile(&self.tables[stage].view(), first..first + ids.len(), view);
+        }
+    }
+
+    /// Every tile of `stage` over `data`, in id order on the calling
+    /// thread, through `kernel` ([`crate::PreparedPlan::run_stage`]).
+    pub(crate) fn run_stage_with<K: CodeletKernel + ?Sized>(
+        &self,
+        kernel: &K,
+        data: &mut [Complex64],
+        stage: usize,
+    ) {
+        assert_eq!(
+            data.len(),
+            self.fft.n(),
+            "buffer length must match the inner plan"
+        );
+        assert!(stage < self.fft.stages(), "stage out of range");
+        let cps = self.fft.codelets_per_stage();
+        let view = SharedData::new(data);
+        for first in (stage * cps..(stage + 1) * cps).step_by(self.tiles.tile_len()) {
+            // SAFETY: one thread owns `data`; the tiles of one stage are
+            // independent, so any order among them is the dataflow order.
+            unsafe { self.run_tile_with(kernel, &view, first..first + self.tiles.tile_len()) };
         }
     }
 
@@ -500,12 +543,27 @@ impl Plan {
         &self.twiddles
     }
 
-    /// The flattened execution tables of `stage` (`0..fft_plan().stages()`),
-    /// exactly as the hot path streams them.
+    /// The execution tables of `stage` (`0..fft_plan().stages()`), exactly
+    /// as the kernels read them.
+    pub fn stage_tables(&self, stage: usize) -> StageTables<'_> {
+        self.tables[stage].view()
+    }
+
+    /// The tables of `stage` with its element indices materialized as a
+    /// gather table, for harnesses written against stored gathers. The
+    /// gather is built from the address generator on the first call for
+    /// each stage and kept; execution never reads it and
+    /// [`Plan::resident_bytes`] does not count it.
     pub fn stage_table(&self, stage: usize) -> StageTableView<'_> {
         let table = &self.tables[stage];
+        let gather = table.gather.get_or_init(|| {
+            let (radix, a) = (self.fft.radix(), table.addressing);
+            (0..self.fft.n())
+                .map(|i| a.codelet_element(i / radix, i % radix) as u32)
+                .collect()
+        });
         StageTableView {
-            gather: &table.gather,
+            gather,
             pairs: &table.pairs,
             slots: &table.slots,
             classes: table.classes,
@@ -539,8 +597,9 @@ impl Plan {
 
     /// Approximate bytes this plan keeps resident (twiddles, tile program,
     /// stage tables, kind extensions) — what a cache eviction would
-    /// reclaim. The bit reversal is computed, so it adds nothing; a swap
-    /// list a harness asked for through [`Plan::bitrev_swaps`] is not
+    /// reclaim. Element addresses and the bit reversal are computed, so
+    /// they add nothing; a gather view or swap list a harness asked for
+    /// through [`Plan::stage_table`] or [`Plan::bitrev_swaps`] is not
     /// counted.
     pub fn resident_bytes(&self) -> u64 {
         let schedule = self.tiles.resident_bytes();
@@ -668,23 +727,23 @@ impl Plan {
         let views: Vec<SharedData<'_>> = buffers.iter_mut().map(|b| SharedData::new(b)).collect();
         // SAFETY: copies address disjoint buffers; within a copy the
         // schedule upholds the dataflow discipline of `exec::shared`.
-        self.dispatch(runtime, views.len(), |copy, id| unsafe {
-            self.run_codelet_with(kernel, &views[copy], id)
+        self.dispatch(runtime, views.len(), |copy, ids| unsafe {
+            self.run_tile_with(kernel, &views[copy], ids)
         })
     }
 
-    /// The one dispatch of this plan's schedule: fire every codelet of
-    /// `copies` same-plan buffers through `runtime`, calling `body(copy,
-    /// id)` for codelet `id` of buffer `copy`. The runtime fires tiles of
-    /// the [`TileProgram`]; a tile runs its members in id order (they are
-    /// one stage's, so independent). One copy runs the tile program
-    /// itself; a batch views it as one [`BatchProgram`], so setup is paid
-    /// once for the whole batch. The returned counts are codelets.
+    /// The one dispatch of this plan's schedule: fire every tile of the
+    /// [`TileProgram`] for `copies` same-plan buffers through `runtime`,
+    /// calling `body(copy, ids)` once per tile with the tile's member
+    /// codelets (consecutive ids of one stage, so independent) of buffer
+    /// `copy`. One copy runs the tile program itself; a batch views it as
+    /// one [`BatchProgram`], so setup is paid once for the whole batch. The
+    /// returned counts are codelets.
     fn dispatch(
         &self,
         runtime: &Runtime,
         copies: usize,
-        body: impl Fn(usize, usize) + Sync,
+        body: impl Fn(usize, Range<CodeletId>) + Sync,
     ) -> ExecStats {
         let mut stats = ExecStats::default();
         if copies == 0 {
@@ -697,9 +756,7 @@ impl Plan {
             } else {
                 (task / tiles, task % tiles)
             };
-            for id in self.tiles.members(tile) {
-                body(copy, id);
-            }
+            body(copy, self.tiles.members(tile));
         };
         let tile_len = self.tiles.tile_len() as u64;
         for slice in self.tiles.slices() {
@@ -740,9 +797,9 @@ impl Plan {
 
     /// As [`Plan::execute`], but with a *recording kernel*: alongside the
     /// transform, capture per codelet exactly what the hot path touched —
-    /// the element indices it gathered and scattered and the twiddle values
-    /// it consumed, straight from the materialized stage tables the real
-    /// execution streams. The drift test compares these observations against
+    /// the element indices it read and wrote (from the stage's address
+    /// generator) and the twiddle values it consumed (from the class runs
+    /// the real execution reads). The drift test compares these observations against
     /// the workload layer's static footprints codelet-for-codelet; any
     /// divergence between what we *say* a codelet touches and what execution
     /// *actually* touches fails loudly.
@@ -826,7 +883,8 @@ impl Plan {
     }
 
     /// Run the inner complex wave while recording, per codelet, exactly
-    /// what the hot path streamed from the stage tables; records land in
+    /// what the scalar kernel touched — the generator's element addresses
+    /// and the twiddles read through the class runs; records land in
     /// `out` in codelet-id order with every element index shifted by
     /// `shift` (the composite plane/copy offset).
     fn record_c2c_into(
@@ -842,25 +900,26 @@ impl Plan {
         let slots: Vec<OnceLock<TouchRecord>> = (0..self.fft.total_codelets())
             .map(|_| OnceLock::new())
             .collect();
-        let stats = self.dispatch(runtime, 1, |_, id| {
-            let stage = self.fft.stage_of(id);
-            let idx = self.fft.idx_of(id);
-            let table = &self.tables[stage];
-            let gather: Vec<u32> = table.gather[idx * radix..(idx + 1) * radix]
-                .iter()
-                .map(|&g| g + shift)
-                .collect();
-            let run = table.run(idx);
-            let record = TouchRecord {
-                reads: gather.clone(),
-                writes: gather,
-                twiddles: table.slots.iter().map(|&s| run[s as usize]).collect(),
-            };
-            let set = slots[id].set(record).is_ok();
-            debug_assert!(set, "codelet {id} fired twice");
-            // SAFETY: the schedule upholds the dataflow discipline
-            // documented in `exec::shared`, exactly as in `execute`.
-            unsafe { self.run_codelet(&view, id) };
+        let stats = self.dispatch(runtime, 1, |_, ids| {
+            for id in ids {
+                let stage = self.fft.stage_of(id);
+                let idx = self.fft.idx_of(id);
+                let table = &self.tables[stage];
+                let gather: Vec<u32> = (0..radix)
+                    .map(|slot| table.addressing.codelet_element(idx, slot) as u32 + shift)
+                    .collect();
+                let run = table.view().run(idx).expect("class in bounds");
+                let record = TouchRecord {
+                    reads: gather.clone(),
+                    writes: gather,
+                    twiddles: table.slots.iter().map(|&s| run[s as usize]).collect(),
+                };
+                let set = slots[id].set(record).is_ok();
+                debug_assert!(set, "codelet {id} fired twice");
+                // SAFETY: the schedule upholds the dataflow discipline
+                // documented in `exec::shared`, exactly as in `execute`.
+                unsafe { self.run_codelet(&view, id) };
+            }
         });
         out.extend(slots.into_iter().enumerate().map(|(id, slot)| {
             slot.into_inner()
@@ -1850,9 +1909,9 @@ mod tests {
 
     /// Table-construction invariants at tiny sizes, single-threaded and
     /// execution-free on purpose: this is the subset CI runs under Miri
-    /// (filter `miri_`), where every index that feeds the `unsafe` gather
-    /// path — and every class index and slot the kernels read unchecked —
-    /// is checked under the interpreter's strict provenance rules.
+    /// (filter `miri_`), where every address the kernels compute — and
+    /// every class index and slot they read unchecked — is checked under
+    /// the interpreter's strict provenance rules.
     #[test]
     fn miri_table_construction_is_in_bounds_and_partitioned() {
         for (n_log2, radix_log2) in [(4u32, 2u32), (6, 3), (7, 3), (8, 6)] {
@@ -1867,8 +1926,8 @@ mod tests {
             let fft = plan.fft_plan();
             let radix = fft.radix();
             for stage in 0..fft.stages() {
-                let table = plan.stage_table(stage);
-                assert_eq!(table.gather.len(), fft.codelets_per_stage() * radix);
+                let table = plan.stage_tables(stage);
+                assert_eq!(table.addressing, StageAddressing::of(fft, stage));
                 assert!(table.classes.is_power_of_two());
                 assert_eq!(table.classes, workload::twiddle_classes(fft, stage));
                 let run_len = workload::twiddle_loads(fft, stage);
@@ -1877,15 +1936,16 @@ mod tests {
                 for &slot in table.slots {
                     assert!((slot as usize) < run_len, "slot {slot} out of the run");
                 }
+                let mut seen = vec![false; n];
                 for idx in 0..fft.codelets_per_stage() {
                     assert!(table.class_of(idx) < table.classes);
                     assert_eq!(table.run(idx).map(<[_]>::len), Some(run_len));
-                }
-                let mut seen = vec![false; n];
-                for &g in table.gather {
-                    assert!((g as usize) < n, "gather index {g} out of bounds");
-                    assert!(!seen[g as usize], "element {g} gathered twice");
-                    seen[g as usize] = true;
+                    for slot in 0..radix {
+                        let e = table.addressing.codelet_element(idx, slot);
+                        assert!(e < n, "address {e} out of bounds");
+                        assert!(!seen[e], "element {e} addressed twice");
+                        seen[e] = true;
+                    }
                 }
                 assert!(seen.iter().all(|&s| s), "stage {stage} misses elements");
                 for &(lo, hi) in table.pairs {
@@ -1905,8 +1965,8 @@ mod tests {
     }
 
     /// Twiddle classes keep a fine-guided linear plan under 44 resident
-    /// bytes per point at 2^16 and 2^18: the gather tables, the base
-    /// twiddle table and the last stage's one run per codelet dominate.
+    /// bytes per point at 2^16 and 2^18: the base twiddle table and the
+    /// last stage's one run per codelet dominate.
     /// The bit reversal is computed, so a swap list a harness builds
     /// through [`Plan::bitrev_swaps`] is not part of the plan's residency.
     #[test]
@@ -1923,6 +1983,78 @@ mod tests {
             );
             assert_eq!(plan.resident_bytes(), before);
         }
+    }
+
+    /// Computing element addresses instead of storing them brings a 2^18
+    /// fine-guided plan to 24.5 resident bytes per point or fewer: the
+    /// base twiddle table (16), the last stage's one class run per codelet
+    /// and the tile program are what is left.
+    #[test]
+    fn resident_bytes_at_2e18_fit_24_5_per_point() {
+        let n = 1usize << 18;
+        let plan = Plan::build(PlanKey::new(n, Version::FineGuided, TwiddleLayout::Linear));
+        let per_point = plan.resident_bytes() as f64 / n as f64;
+        assert!(per_point <= 24.5, "{per_point:.2} B/point");
+    }
+
+    /// The gather view is a harness accessor only: building a plan, every
+    /// execute path (scalar and default kernels, single and batched,
+    /// recorded, every kind) and certificate issue and verification leave
+    /// it unbuilt. Once asked for, it holds the generator's addresses and
+    /// does not count as resident.
+    #[test]
+    fn gather_views_are_built_only_on_request() {
+        fn untouched(plan: &Plan) -> bool {
+            plan.tables.iter().all(|t| t.gather.get().is_none())
+                && plan.col_plan().is_none_or(untouched)
+        }
+        let runtime = Runtime::with_workers(2);
+        let version = Version::FineGuided;
+        let planar = TransformKind::C2C2D {
+            rows_log2: 5,
+            cols_log2: 5,
+        };
+        for kind in [
+            TransformKind::C2C,
+            TransformKind::R2C,
+            TransformKind::C2R,
+            planar,
+        ] {
+            let key = PlanKey::with_kind(kind, 1 << 10, version, version.layout(), 6);
+            let plan = Arc::new(Plan::build(key));
+            assert!(untouched(&plan), "{kind:?}: build");
+            let input = signal(plan.buffer_len());
+            let mut data = input.clone();
+            plan.execute(&mut data, &runtime);
+            let mut batch = vec![input.clone(); 2];
+            let mut views: Vec<&mut [Complex64]> =
+                batch.iter_mut().map(|b| b.as_mut_slice()).collect();
+            plan.execute_batch(&mut views, &runtime);
+            for sel in [crate::BackendSel::SCALAR, crate::BackendSel::default()] {
+                let mut data = input.clone();
+                sel.prepare(&plan).execute(&mut data, &runtime);
+            }
+            let mut data = input.clone();
+            plan.execute_recorded(&mut data, &runtime);
+            let cert = crate::cert::Certificate::for_plan(&plan).unwrap();
+            cert.verify_plan(&plan).unwrap();
+            assert!(untouched(&plan), "{kind:?}: execute and certify");
+        }
+
+        let plan = Plan::build(PlanKey::new(1 << 9, version, version.layout()));
+        let before = plan.resident_bytes();
+        let fft = *plan.fft_plan();
+        for stage in 0..fft.stages() {
+            let gather = plan.stage_table(stage).gather;
+            assert_eq!(gather.len(), fft.n());
+            for idx in 0..fft.codelets_per_stage() {
+                fft.for_each_element(stage, idx, |slot, e| {
+                    assert_eq!(gather[idx * fft.radix() + slot] as usize, e);
+                });
+            }
+        }
+        assert!(!untouched(&plan));
+        assert_eq!(plan.resident_bytes(), before);
     }
 
     /// The invariants the tile dispatch's `unsafe` calls rest on, at tiny
@@ -1948,10 +2080,10 @@ mod tests {
                         assert_eq!(owner[id], usize::MAX, "codelet {id} in two tiles");
                         owner[id] = tile;
                         assert_eq!(fft.stage_of(id), stage, "tile {tile} spans stages");
-                        let idx = fft.idx_of(id);
-                        let gather = plan.stage_table(stage).gather;
-                        for &e in &gather[idx * fft.radix()..(idx + 1) * fft.radix()] {
-                            let seen = &mut toucher[stage][e as usize];
+                        let (idx, addr) = (fft.idx_of(id), StageAddressing::of(fft, stage));
+                        for slot in 0..fft.radix() {
+                            let e = addr.codelet_element(idx, slot);
+                            let seen = &mut toucher[stage][e];
                             assert!(*seen == usize::MAX || *seen == tile, "element {e}");
                             *seen = tile;
                         }

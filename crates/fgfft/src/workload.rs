@@ -15,9 +15,10 @@
 //! * per-codelet descriptors ([`CodeletDesc`]) exposing stage, index,
 //!   butterfly pattern, twiddle run, parent/child edges, and shared-counter
 //!   group;
-//! * stage-level tables ([`stage_gather`], [`butterfly_pairs`],
-//!   [`append_twiddle_run`]) from which the planner builds its flat
-//!   hot-path arrays;
+//! * the stage address generator ([`StageAddressing`]) every kernel
+//!   computes element addresses with, and the stage-level tables
+//!   ([`butterfly_pairs`], [`append_twiddle_run`]) from which the planner
+//!   builds its flat hot-path arrays;
 //! * the byte-address algebra ([`Workload`]): where the data, twiddle, and
 //!   spill arrays live in simulated memory, and the exact read/write
 //!   [`MemRange`] footprint of every codelet under either twiddle layout —
@@ -1288,17 +1289,65 @@ pub enum KindTaskClass {
     },
 }
 
-/// Element indices of one stage, codelet-major: entry `idx · radix + slot`
-/// is the global index of buffer slot `slot` of codelet `idx` — the flat
-/// gather table the planner's hot path streams.
-pub fn stage_gather(plan: &FftPlan, stage: usize) -> Vec<u32> {
-    let cps = plan.codelets_per_stage();
-    let radix = plan.radix();
-    let mut gather = vec![0u32; cps * radix];
-    for idx in 0..cps {
-        plan.for_each_element(stage, idx, |slot, e| gather[idx * radix + slot] = e as u32);
+/// The closed-form element addressing of one stage: the address generator
+/// every kernel calls, so a plan stores no gather table.
+///
+/// Stage `j` of `q` levels runs `N / 2^q` independent `2^q`-point
+/// sub-transforms ("groups"). Slot `x` of sub-transform `g` lives at
+///
+/// ```text
+/// element(g, x) = ((g >> p·j) << (p·j + q)) | (x << p·j) | (g & (2^{p·j} − 1))
+/// ```
+///
+/// and codelet `idx` runs the `2^{p−q}` consecutive sub-transforms from
+/// `idx · 2^{p−q}`, its local buffer slot `s` being slot `s mod 2^q` of
+/// sub-transform `s >> q` ([`StageAddressing::codelet_element`]). This is
+/// [`FftPlan::for_each_element`] in closed form. Two facts the lane kernel
+/// rests on follow from it: each stage partitions `0..N` (`fgcheck`'s
+/// FG404), and for `j ≥ 1` sub-transforms `g` and `g + 1` (`g` even) sit
+/// in adjacent elements at every slot, so one two-complex vector holds the
+/// same slot of both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StageAddressing {
+    /// `p·j`: log2 of the element stride between the slots of one
+    /// sub-transform (0 in stage 0, whose sub-transforms are contiguous).
+    pub stride_log2: u32,
+    /// `q`: butterfly levels of the stage; a sub-transform has `2^q` slots.
+    pub levels: u32,
+    /// `p − q`: log2 of the sub-transforms one codelet runs.
+    pub groups_log2: u32,
+}
+
+impl StageAddressing {
+    /// The addressing of `stage` of `plan`.
+    pub fn of(plan: &FftPlan, stage: usize) -> Self {
+        let q = plan.levels(stage);
+        Self {
+            stride_log2: plan.radix_log2() * stage as u32,
+            levels: q,
+            groups_log2: plan.radix_log2() - q,
+        }
     }
-    gather
+
+    /// Element holding slot `x` (`< 2^q`) of sub-transform `g`.
+    #[inline(always)]
+    pub fn element(&self, g: usize, x: usize) -> usize {
+        let s = self.stride_log2;
+        ((g >> s) << (s + self.levels)) | (x << s) | (g & low_mask(s))
+    }
+
+    /// Element in local buffer slot `slot` (`< 2^p`) of codelet `idx`.
+    #[inline(always)]
+    pub fn codelet_element(&self, idx: usize, slot: usize) -> usize {
+        let g = (idx << self.groups_log2) | (slot >> self.levels);
+        self.element(g, slot & low_mask(self.levels))
+    }
+
+    /// Sub-transforms per codelet, `2^{p−q}`.
+    #[inline]
+    pub fn groups(&self) -> usize {
+        1 << self.groups_log2
+    }
 }
 
 /// The local butterfly pattern of one stage: `(lo, hi)` buffer-index pairs
@@ -1465,6 +1514,41 @@ pub(crate) fn low_mask(bits: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The address generator the kernels compute with, at every codelet
+    /// radix 2^1..2^7 and size 2^4..2^10 (Miri runs the `miri_` tests):
+    /// every stage's addresses are in bounds, claim each element once,
+    /// equal [`FftPlan::for_each_element`], and put sub-transforms `g` and
+    /// `g + 1` (`g` even) in adjacent elements from stage 1 on — the lane
+    /// kernel's vector loads rest on all four.
+    #[test]
+    fn miri_stage_addressing_partitions_every_stage() {
+        for radix_log2 in 1..=crate::plan::MAX_RADIX_LOG2 {
+            for n_log2 in 4u32..=10 {
+                let plan = FftPlan::new(n_log2, radix_log2);
+                let n = plan.n();
+                for stage in 0..plan.stages() {
+                    let addr = StageAddressing::of(&plan, stage);
+                    let mut seen = vec![false; n];
+                    for idx in 0..plan.codelets_per_stage() {
+                        plan.for_each_element(stage, idx, |slot, e| {
+                            assert_eq!(addr.codelet_element(idx, slot), e);
+                            assert!(e < n && !seen[e], "element {e}");
+                            seen[e] = true;
+                        });
+                    }
+                    assert!(seen.iter().all(|&s| s));
+                    if stage > 0 {
+                        for g in (0..n >> addr.levels).step_by(2) {
+                            for x in 0..1 << addr.levels {
+                                assert_eq!(addr.element(g + 1, x), addr.element(g, x) + 1);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn twiddle_loads_full_stage_is_p_minus_1() {

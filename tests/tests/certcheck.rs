@@ -8,8 +8,9 @@
 use fgcheck::{check_plan, check_plan_tables};
 use fgfft::cert::{CertError, Certificate};
 use fgfft::exec::{SeedOrder, Version};
-use fgfft::planner::{PlanKey, StageTableView};
+use fgfft::planner::{PlanKey, StageTables};
 use fgfft::wisdom::{Wisdom, WisdomEntry, WisdomStatus};
+use fgfft::workload::StageAddressing;
 use fgfft::{Complex64, Plan, ScheduleTuning, TwiddleLayout};
 use fgsupport::rng::Rng64;
 
@@ -57,7 +58,7 @@ fn unmutated_plans_have_no_false_positives() {
 
 /// One stage's tables, owned.
 struct OwnedStage {
-    gather: Vec<u32>,
+    addressing: StageAddressing,
     pairs: Vec<(u32, u32)>,
     slots: Vec<u8>,
     classes: usize,
@@ -65,8 +66,9 @@ struct OwnedStage {
 }
 
 /// Owned, mutable copy of a plan's tables that can be lent back to the
-/// checker as `StageTableView`s. The bit reversal has no table to mutate:
-/// it is computed, and `fgcheck`'s own FG407 tests feed broken generators.
+/// checker as `StageTables`. Element addresses and the bit reversal have
+/// no table to mutate: they are computed, and `fgcheck`'s own FG401/FG404/
+/// FG406 and FG407 tests feed broken generators.
 struct OwnedTables {
     stages: Vec<OwnedStage>,
 }
@@ -75,9 +77,9 @@ impl OwnedTables {
     fn of(plan: &Plan) -> Self {
         let stages = (0..plan.fft_plan().stages())
             .map(|s| {
-                let t = plan.stage_table(s);
+                let t = plan.stage_tables(s);
                 OwnedStage {
-                    gather: t.gather.to_vec(),
+                    addressing: t.addressing,
                     pairs: t.pairs.to_vec(),
                     slots: t.slots.to_vec(),
                     classes: t.classes,
@@ -89,11 +91,11 @@ impl OwnedTables {
     }
 
     fn check(&self, plan: &Plan) -> Vec<codelet::verify::Diagnostic> {
-        let views: Vec<StageTableView<'_>> = self
+        let views: Vec<StageTables<'_>> = self
             .stages
             .iter()
-            .map(|t| StageTableView {
-                gather: &t.gather,
+            .map(|t| StageTables {
+                addressing: t.addressing,
                 pairs: &t.pairs,
                 slots: &t.slots,
                 classes: t.classes,
@@ -107,7 +109,7 @@ impl OwnedTables {
     fn mutate(&mut self, rng: &mut Rng64) -> String {
         let stage = rng.gen_range(0..self.stages.len());
         let OwnedStage {
-            gather,
+            addressing,
             pairs,
             slots,
             classes,
@@ -115,33 +117,24 @@ impl OwnedTables {
         } = &mut self.stages[stage];
         match rng.gen_below(9) {
             0 => {
-                // Bit flip in a gather index.
-                let i = rng.gen_range(0..gather.len());
-                let bit = rng.gen_below(16) as u32;
-                gather[i] ^= 1 << bit;
-                format!("stage {stage}: gather[{i}] ^= 1<<{bit}")
+                // Another stage's address stride.
+                addressing.stride_log2 ^= 1 << rng.gen_below(3);
+                format!("stage {stage}: stride_log2 = {}", addressing.stride_log2)
             }
             1 => {
-                // Off-by-one gather index.
-                let i = rng.gen_range(0..gather.len());
-                gather[i] = gather[i].wrapping_add(1);
-                format!("stage {stage}: gather[{i}] += 1")
+                // Levels off by one.
+                addressing.levels = addressing.levels.wrapping_add(1);
+                format!("stage {stage}: levels += 1")
             }
             2 => {
-                // Duplicate another codelet's element: aliasing.
-                let i = rng.gen_range(0..gather.len());
-                let j = rng.gen_range(0..gather.len());
-                if gather[i] == gather[j] {
-                    gather[i] = gather[j].wrapping_add(1); // still a change
-                } else {
-                    gather[i] = gather[j];
-                }
-                format!("stage {stage}: gather[{i}] = gather[{j}]")
+                // Sub-transforms per codelet off by one power of two.
+                addressing.groups_log2 ^= 1;
+                format!("stage {stage}: groups_log2 ^= 1")
             }
             3 => {
-                // Truncate the gather table.
-                gather.pop();
-                format!("stage {stage}: gather truncated")
+                // Truncate the slot pattern.
+                slots.pop();
+                format!("stage {stage}: slots truncated")
             }
             4 => {
                 // Corrupt a butterfly pair.

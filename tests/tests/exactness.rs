@@ -248,10 +248,40 @@ fn backends_are_bit_exact_for_composite_kinds() {
     }
 }
 
+/// Bits of `plan` run through its default kernel (the lane kernel) and
+/// the portable form of it, single and as a batch of three copies, on
+/// `runtime`: every row must equal `want`.
+fn assert_lane_kernels_match(
+    plan: &Arc<Plan>,
+    input: &[Complex64],
+    runtime: &Runtime,
+    want: &[(u64, u64)],
+    at: &str,
+) {
+    let portable: Arc<dyn Backend> = Arc::new(HostSimd::portable(2));
+    for prepared in [BackendSel::default().prepare(plan), portable.prepare(plan)] {
+        let kernel = prepared.backend_fingerprint();
+        let mut data = input.to_vec();
+        prepared.execute(&mut data, runtime);
+        assert!(bits(&data) == want, "{at}: {kernel} drifts from the oracle");
+        let mut copies = vec![input.to_vec(); 3];
+        let mut views: Vec<&mut [Complex64]> =
+            copies.iter_mut().map(|b| b.as_mut_slice()).collect();
+        prepared.execute_batch(&mut views, runtime);
+        for (i, copy) in copies.iter().enumerate() {
+            assert!(bits(copy) == want, "{at}: {kernel} batch copy {i} drifts");
+        }
+    }
+}
+
 #[test]
 fn tile_lowering_is_bit_exact_against_the_stage_order_oracle() {
     // Radix 6 at every tile size T = 2^min(6, n - 8) from 1 to 64, then
-    // radix 3 and radix 7 with a partial last stage.
+    // radix 3 and radix 7 with partial last stages of 2 to 32
+    // sub-transforms per codelet, and radix 4 at N = 16 (one full-stage
+    // codelet per tile: the lane kernel's lone sub-transform). Every
+    // shape runs on the scalar reference and on the lane kernel (native
+    // and portable, single and batched, on 1 and 2 workers).
     let shapes = [
         (7u32, 6u32),
         (8, 6),
@@ -262,8 +292,12 @@ fn tile_lowering_is_bit_exact_against_the_stage_order_oracle() {
         (13, 6),
         (14, 6),
         (13, 3),
+        (11, 3),
         (12, 7),
+        (13, 7),
         (16, 7),
+        (4, 2),
+        (5, 2),
     ];
     let mut versions = Version::paper_set(SeedOrder::Natural).to_vec();
     versions.extend([
@@ -298,17 +332,26 @@ fn tile_lowering_is_bit_exact_against_the_stage_order_oracle() {
             let plan = Plan::build_tuned(key, tuning.as_ref());
             tile_sizes.insert(plan.tiles().tile_len());
             let want = stage_order_oracle(&plan, &input);
+            let plan = Arc::new(plan);
             for runtime in &runtimes {
                 let mut data = input.clone();
                 let stats = plan.execute(&mut data, runtime);
                 assert_eq!(stats.codelets, fft.total_codelets() as u64);
-                assert!(
-                    bits(&data) == want,
-                    "{} {tuning:?} N=2^{n_log2} radix 2^{radix_log2} @ {}w: bitwise drift \
-                     from the stage-order oracle",
+                let at = format!(
+                    "{} {tuning:?} N=2^{n_log2} radix 2^{radix_log2} @ {}w",
                     version.name(),
                     runtime.workers()
                 );
+                assert!(
+                    bits(&data) == want,
+                    "{at}: bitwise drift from the stage-order oracle"
+                );
+                // The lane kernel's bits do not depend on the schedule (the
+                // cases above pin that); one pass per version and shape
+                // on 1 and 2 workers keeps the debug suite short.
+                if tuning.is_none() && runtime.workers() <= 2 {
+                    assert_lane_kernels_match(&plan, &input, runtime, &want, &at);
+                }
             }
         }
     }
@@ -404,7 +447,7 @@ fn library_defaults_are_bit_exact_with_the_scalar_reference() {
     let version = Version::FineGuided;
     let c2c = |n: usize| PlanKey::new(n, version, version.layout());
     let kind_key = |kind, n: usize| PlanKey::with_kind(kind, n, version, version.layout(), 6);
-    for n_log2 in [8u32, 12, 16] {
+    for n_log2 in [8u32, 11, 12, 16] {
         let n = 1usize << n_log2;
         let input = signal(n);
         for workers in [1usize, 2] {
@@ -463,6 +506,32 @@ fn library_defaults_are_bit_exact_with_the_scalar_reference() {
             Fft2d::with_workers(1 << rows_log2, 1 << cols_log2, workers).forward(&mut got);
             let want = scalar_reference(kind_key(planar, n), &input, workers);
             assert!(bits(&got) == bits(&want), "Fft2d {at}");
+
+            // The lane kernel's shapes through the kinds: radix 3, 6 and 7
+            // (partial last stages of 2..32 sub-transforms per codelet on
+            // the inner and column plans), batches of two copies. Up to
+            // 2^12 points: the shapes repeat beyond it.
+            for radix_log2 in [3u32, 6, 7].into_iter().filter(|_| n_log2 <= 12) {
+                let square = TransformKind::C2C2D {
+                    rows_log2,
+                    cols_log2,
+                };
+                for kind in [TransformKind::R2C, TransformKind::C2R, square] {
+                    let key = PlanKey::with_kind(kind, n, version, version.layout(), radix_log2);
+                    let plan = Arc::new(Plan::build(key));
+                    let input = signal(plan.buffer_len());
+                    let want = bits(&scalar_reference(key, &input, workers));
+                    let mut copies = vec![input.clone(); 2];
+                    let mut views: Vec<&mut [Complex64]> =
+                        copies.iter_mut().map(|b| b.as_mut_slice()).collect();
+                    BackendSel::default()
+                        .prepare(&plan)
+                        .execute_batch(&mut views, &Runtime::with_workers(workers));
+                    for copy in &copies {
+                        assert!(bits(copy) == want, "{kind:?} radix 2^{radix_log2} {at}");
+                    }
+                }
+            }
 
             let service = fgserve::FftService::start(fgserve::ServeConfig {
                 workers,
