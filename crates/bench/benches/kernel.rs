@@ -1,11 +1,20 @@
-//! Criterion: one codelet across work-unit sizes — the host-side companion
-//! of Fig. 7's codelet-size study — run exactly as production runs it:
-//! through [`Plan::run_codelet`] over the plan's flattened tables.
+//! Criterion: codelet work across work-unit sizes — the host-side
+//! companion of Fig. 7's codelet-size study. For each codelet radix at
+//! 2^14 points, stages 0 and 1 run whole as production runs them: tile by
+//! tile through the host's default kernel (`PreparedPlan::run_stage`, the
+//! lane kernel). The `scalar` row beside them times one codelet at a time
+//! through the scalar reference (`Plan::run_codelet`). Throughput counts
+//! `5·P·p` flops per `P`-point codelet in every row, so the rows compare.
+//!
+//! ```text
+//! cargo bench -p fft-repro --bench kernel
+//! ```
 
 use fgfft::exec::shared::SharedData;
-use fgfft::{Complex64, Plan, PlanKey, TwiddleLayout, Version};
-use fgsupport::bench::{BenchmarkId, Criterion, Throughput};
+use fgfft::{BackendSel, Complex64, Plan, PlanKey, TwiddleLayout, Version};
+use fgsupport::bench::{BatchSize, BenchmarkId, Criterion, Throughput};
 use fgsupport::{criterion_group, criterion_main};
+use std::sync::Arc;
 
 fn signal(n: usize) -> Vec<Complex64> {
     (0..n)
@@ -30,19 +39,36 @@ fn bench_stage(b: &mut fgsupport::bench::Bencher, plan: &Plan, stage: usize) {
 
 fn bench_kernel_sizes(c: &mut Criterion) {
     let n = 1usize << 14;
+    let input = signal(n);
     let mut group = c.benchmark_group("codelet_kernel");
     for radix_log2 in [3u32, 4, 5, 6, 7] {
         let key = PlanKey::with_radix(n, Version::Coarse, TwiddleLayout::Linear, radix_log2);
-        let plan = Plan::build(key);
-        // Flops per codelet: 5 * P * p.
-        group.throughput(Throughput::Elements(
-            5 * (1u64 << radix_log2) * radix_log2 as u64,
-        ));
+        let plan = Arc::new(Plan::build(key));
+        let points = 1usize << radix_log2;
+        let flops = 5 * points as u64 * u64::from(radix_log2);
+        group.throughput(Throughput::Elements(flops));
         group.bench_with_input(
-            BenchmarkId::new("points", 1usize << radix_log2),
+            BenchmarkId::new("scalar, one codelet", points),
             &radix_log2,
             |b, _| bench_stage(b, &plan, 1),
         );
+        // Stages 0 and 1 are full at 2^14 for every radix here: `n / P`
+        // codelets each.
+        group.throughput(Throughput::Elements(flops * (n / points) as u64));
+        let default = BackendSel::default().prepare(&plan);
+        for stage in [0, 1] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("default kernel, stage {stage}"), points),
+                &radix_log2,
+                |b, _| {
+                    b.iter_batched(
+                        || input.clone(),
+                        |mut data| default.run_stage(&mut data, stage),
+                        BatchSize::LargeInput,
+                    )
+                },
+            );
+        }
     }
     group.finish();
 }

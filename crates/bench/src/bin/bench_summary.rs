@@ -234,11 +234,9 @@ fn main() {
             let mut candidate = space.seed_candidate(Version::FineGuided);
             candidate.backend = sel;
             let median_ns = measure_candidate(&space, &candidate, reps);
-            match sel.kind {
-                fgfft::BackendKind::Scalar => scalar_ns = Some(median_ns),
-                fgfft::BackendKind::Simd => {
-                    simd_ns = Some(simd_ns.unwrap_or(u64::MAX).min(median_ns))
-                }
+            match sel {
+                BackendSel::Scalar => scalar_ns = Some(median_ns),
+                BackendSel::Simd => simd_ns = Some(median_ns),
             }
             println!("{:>8}  {median_ns:>14}  backend {sel}", 1u64 << n_log2);
             backend_rows.push(Value::obj(vec![

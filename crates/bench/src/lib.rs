@@ -150,7 +150,7 @@ impl Figure {
 /// `bin [--full] [--json PATH] [--backend LIST] [key=value ...]`.
 ///
 /// `--backend` is sugar for `backend=LIST` — a comma-separated list of
-/// `fgfft::BackendSel` names (`scalar`, `simd[-r4|-r8]`) for the bins that
+/// `fgfft::BackendSel` names (`scalar`, `simd`) for the bins that
 /// measure butterfly kernels; threading is the runtime's worker count, not
 /// a backend.
 #[derive(Debug, Clone, Default)]
@@ -176,7 +176,7 @@ impl Cli {
                     if let Some(list) = args.next() {
                         cli.kv.insert("backend".to_string(), list);
                     } else {
-                        eprintln!("--backend needs a value (e.g. scalar,simd-r4,simd)");
+                        eprintln!("--backend needs a value (e.g. scalar,simd)");
                     }
                 }
                 _ => {

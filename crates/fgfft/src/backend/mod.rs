@@ -15,7 +15,8 @@
 //! * [`HostSimd`] — the host's **default**: the lane kernel, f64x4
 //!   complex butterflies (two complex lanes per vector) via `core::arch`
 //!   AVX2 on `x86_64` with a portable four-lane fallback everywhere else.
-//!   Stage 0 runs radix-4 or radix-8 register-fused passes in place on
+//!   Each stage's levels run in radix-4/radix-8 register passes split by
+//!   the stage's level count alone. Stage 0 runs them in place on
 //!   each codelet's contiguous elements; stages ≥ 1 run consecutive
 //!   sub-transforms in the two lanes, loaded straight from the data at
 //!   the generator's addresses. The SIMD module's source documents why
@@ -32,8 +33,8 @@
 //! execution under every backend, and the cross-backend exactness suite
 //! pins all of them to identical bits.
 //!
-//! Selection is a plain value, [`BackendSel`], that serializes into wisdom
-//! so the autotuner can learn scalar-vs-SIMD and kernel radix per
+//! Selection is a plain two-valued choice, [`BackendSel`], that serializes
+//! into wisdom so the autotuner can learn scalar-vs-SIMD per
 //! `(N, machine)`. Its default is the vector kernel, which is what library
 //! transforms ([`crate::Fft`], `rfft`, `Fft2d`) and serving without a
 //! wisdom entry run (`default_kernel`). The kernel is chosen once: the
@@ -192,58 +193,34 @@ impl PreparedPlan {
 /// kernel's shape check at build ([`Plan::vector_ready`]), the
 /// scalar kernel otherwise. Bit-identical to [`Plan::execute`] either way.
 pub(crate) fn default_kernel(plan: &Plan) -> &'static dyn CodeletKernel {
-    HostSimd::new(BackendSel::SIMD.simd_radix_log2).kernel_for(plan)
+    HostSimd::new().kernel_for(plan)
 }
 
-/// Backend family, the coarse axis of [`BackendSel`].
+/// A serializable backend choice: which engine runs the plan. This is the
+/// value wisdom learns per `(N, machine)` and `ServeConfig`/`TuningSpace`
+/// select on. The default is the vector kernel: measured fastest on every
+/// size from 2^10 to 2^20 and bit-identical to the scalar reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BackendKind {
+pub enum BackendSel {
     /// [`HostScalar`]: the scalar reference path.
     Scalar,
-    /// [`HostSimd`]: vectorized butterflies over the same schedule (the
-    /// default).
+    /// [`HostSimd`]: the lane kernel over the same schedule.
     #[default]
     Simd,
 }
 
-/// A serializable backend choice: which engine runs the plan, and the
-/// register-fusion radix of the SIMD kernel (log2: 2 = radix-4 passes,
-/// 3 = radix-8 passes). This is the value wisdom learns per
-/// `(N, machine)` and `ServeConfig`/`TuningSpace` select on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BackendSel {
-    /// Engine family.
-    pub kind: BackendKind,
-    /// SIMD kernel fusion radix exponent (2 or 3); ignored by scalar kinds.
-    pub simd_radix_log2: u32,
-}
-
-/// The vector kernel: measured fastest on every size from 2^10 to 2^20 and
-/// bit-identical to the scalar reference.
-impl Default for BackendSel {
-    fn default() -> Self {
-        Self::SIMD
-    }
-}
-
 impl BackendSel {
     /// The scalar reference path.
-    pub const SCALAR: Self = Self {
-        kind: BackendKind::Scalar,
-        simd_radix_log2: 3,
-    };
+    pub const SCALAR: Self = Self::Scalar;
 
-    /// SIMD backend with radix-8 register fusion (the default).
-    pub const SIMD: Self = Self {
-        kind: BackendKind::Simd,
-        simd_radix_log2: 3,
-    };
+    /// The vector kernel (the default).
+    pub const SIMD: Self = Self::Simd;
 
     /// Instantiate the selected backend.
     pub fn build(&self) -> Arc<dyn Backend> {
-        match self.kind {
-            BackendKind::Scalar => Arc::new(HostScalar),
-            BackendKind::Simd => Arc::new(HostSimd::new(self.simd_radix_log2)),
+        match self {
+            Self::Scalar => Arc::new(HostScalar),
+            Self::Simd => Arc::new(HostSimd::new()),
         }
     }
 
@@ -251,61 +228,33 @@ impl BackendSel {
     /// an `Arc`: what [`BackendSel::build`] then [`Backend::prepare`] do,
     /// minus the allocation — the per-batch step of the serving path.
     pub fn prepare(&self, plan: &Arc<Plan>) -> PreparedPlan {
-        match self.kind {
-            BackendKind::Scalar => HostScalar.prepare(plan),
-            BackendKind::Simd => HostSimd::new(self.simd_radix_log2).prepare(plan),
+        match self {
+            Self::Scalar => HostScalar.prepare(plan),
+            Self::Simd => HostSimd::new().prepare(plan),
         }
     }
 
-    /// Canonical name of the engine family (stable; stored in wisdom).
+    /// Canonical name of the engine (stable; stored in wisdom).
     pub fn kind_str(&self) -> &'static str {
-        match self.kind {
-            BackendKind::Scalar => "scalar",
-            BackendKind::Simd => "simd",
+        match self {
+            Self::Scalar => "scalar",
+            Self::Simd => "simd",
         }
     }
 
-    /// Parse a selection: an engine name (`scalar` or `simd`) with an
-    /// optional `-r4`/`-r8` fusion-radix suffix on the SIMD kind (default
-    /// radix-8).
+    /// Parse a selection: `scalar` or `simd`.
     pub fn parse(s: &str) -> Option<Self> {
-        let (base, radix) = match s.strip_suffix("-r4") {
-            Some(b) => (b, 2),
-            None => match s.strip_suffix("-r8") {
-                Some(b) => (b, 3),
-                None => (s, 3),
-            },
-        };
-        let kind = match base {
-            "scalar" => BackendKind::Scalar,
-            "simd" => BackendKind::Simd,
-            _ => return None,
-        };
-        Some(Self {
-            kind,
-            simd_radix_log2: radix,
-        })
-    }
-
-    /// Parse an engine-family name alone (no radix suffix); used by the
-    /// wisdom decoder where the radix travels in its own field.
-    pub fn kind_from_str(s: &str) -> Option<BackendKind> {
-        Some(match s {
-            "scalar" => BackendKind::Scalar,
-            "simd" => BackendKind::Simd,
-            _ => return None,
-        })
+        match s {
+            "scalar" => Some(Self::Scalar),
+            "simd" => Some(Self::Simd),
+            _ => None,
+        }
     }
 }
 
 impl std::fmt::Display for BackendSel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.kind {
-            BackendKind::Scalar => write!(f, "{}", self.kind_str()),
-            BackendKind::Simd => {
-                write!(f, "{}-r{}", self.kind_str(), 1u32 << self.simd_radix_log2)
-            }
-        }
+        f.write_str(self.kind_str())
     }
 }
 
@@ -317,28 +266,14 @@ mod tests {
 
     #[test]
     fn selection_round_trips_through_strings() {
-        for sel in [
-            BackendSel::SCALAR,
-            BackendSel::SIMD,
-            BackendSel {
-                kind: BackendKind::Simd,
-                simd_radix_log2: 2,
-            },
-        ] {
-            let shown = sel.to_string();
-            let parsed = BackendSel::parse(&shown).unwrap();
-            // Scalar kinds drop the radix on display; normalize before
-            // comparing.
-            assert_eq!(parsed.kind, sel.kind, "{shown}");
-            assert_eq!(BackendSel::kind_from_str(sel.kind_str()), Some(sel.kind));
+        for sel in [BackendSel::SCALAR, BackendSel::SIMD] {
+            assert_eq!(BackendSel::parse(&sel.to_string()), Some(sel));
         }
-        // Threading is the runtime's worker count, not an engine name.
-        assert_eq!(BackendSel::parse("threaded"), None);
-        assert_eq!(
-            BackendSel::parse("simd-r4").map(|s| s.simd_radix_log2),
-            Some(2)
-        );
-        assert_eq!(BackendSel::parse("gpu"), None);
+        // Threading is the runtime's worker count and the vector kernel has
+        // one form per ISA, chosen by the host: none is an engine name.
+        for name in ["threaded", "threaded-simd", "simd-portable", "gpu"] {
+            assert_eq!(BackendSel::parse(name), None, "{name}");
+        }
     }
 
     #[test]
@@ -462,7 +397,7 @@ mod threaded {
             );
             let plan = Arc::new(Plan::build(key));
             let runtime = Runtime::with_workers(3);
-            let prepared = HostSimd::new(3).prepare(&plan);
+            let prepared = HostSimd::new().prepare(&plan);
             let inputs: Vec<Vec<Complex64>> = (0..4).map(|i| signal(1 << 9, 100 + i)).collect();
             let mut want = inputs.clone();
             for buf in want.iter_mut() {

@@ -9,18 +9,22 @@
 //! sub-transform `g` lives at `((g >> pj) << (pj+q)) | (x << pj) | (g &
 //! (2^pj − 1))`.
 //!
+//! Every stage splits its `q` levels into register passes by `q` alone
+//! ([`passes`]): as few passes of at most three levels as
+//! possible, as even as possible, the larger first — `[2]`, `[3]`,
+//! `[2, 2]`, `[3, 2]`, `[3, 3]`, `[3, 2, 2]` for `q = 2..=7`.
+//!
 //! * **Stage 0** (`pj = 0`): a codelet's `2^p` elements are contiguous,
-//!   so each codelet runs in place on the data. Its lowest 2 or 3 levels
-//!   are one register-fused radix-4 or radix-8 pass whose lanes are
-//!   neighbouring slots (de-interleaved for level 0); the remaining levels
-//!   run as radix-4/radix-8 passes whose lanes are slots `x, x + 1`, which
-//!   read consecutive twiddles.
+//!   so each codelet runs in place on the data. Its first pass (2 or 3
+//!   levels) is one register-fused radix-4 or radix-8 block whose lanes
+//!   are neighbouring slots (de-interleaved for level 0); the other passes
+//!   have lanes `x, x + 1`, which read consecutive twiddles.
 //! * **Stages ≥ 1** (`pj ≥ p ≥ 2`): sub-transforms `g` and `g + 1` (`g`
 //!   even) are adjacent at every slot, so one vector load at a slot holds
 //!   that slot of both. The lanes come from the tile's consecutive
 //!   codelets (full stage, one sub-transform each) or from the groups
-//!   inside a partial-stage codelet. Every level then runs in radix-8 (or
-//!   radix-4) passes loaded and stored straight from the data: no index
+//!   inside a partial-stage codelet. Every pass is loaded and stored
+//!   straight from the data: no index
 //!   load, no copy, no shuffle. Each lane's twiddle is its own class-run
 //!   entry, two 128-bit loads per vector. A pass runs up to
 //!   [`PASS_PAIRS`] lane pairs side by side, block by block: pairs `g` and
@@ -351,13 +355,13 @@ pub(crate) fn tables_are_canonical(plan: &Plan) -> bool {
         })
 }
 
-/// Split levels `from..q` into passes of at most `fuse` levels, as even as
-/// possible and the larger first: `(first level, levels)` per pass.
-fn passes(from: u32, q: u32, fuse: u32) -> impl Iterator<Item = (u32, u32)> {
-    let left = q.saturating_sub(from);
-    let count = left.div_ceil(fuse).max(1);
-    let (size, extra) = (left / count, left % count);
-    (0..count).scan(from, move |l0, i| {
+/// A stage's register passes: its `q` levels split into as few passes of
+/// at most three levels as possible, as even as possible and the larger
+/// first, as `(first level, levels)` per pass.
+fn passes(q: u32) -> impl Iterator<Item = (u32, u32)> {
+    let count = q.div_ceil(3).max(1);
+    let (size, extra) = (q / count, q % count);
+    (0..count).scan(0, move |l0, i| {
         let r = size + u32::from(i < extra);
         let pass = (*l0, r);
         *l0 += r;
@@ -517,7 +521,6 @@ unsafe fn lane_pairs<V: CVec>(
     tables: &StageTables<'_>,
     data: *mut Complex64,
     groups: Range<usize>,
-    fuse_log2: u32,
 ) {
     let (mut pairs, end) = ([0usize; PASS_PAIRS], groups.end);
     for chunk in groups
@@ -528,7 +531,7 @@ unsafe fn lane_pairs<V: CVec>(
         for (p, g) in pairs.iter_mut().zip(chunk.step_by(2)) {
             *p = g;
         }
-        for (l0, r) in passes(0, tables.addressing.levels, fuse_log2) {
+        for (l0, r) in passes(tables.addressing.levels) {
             // SAFETY: forwarded.
             unsafe {
                 match r {
@@ -541,22 +544,16 @@ unsafe fn lane_pairs<V: CVec>(
     }
 }
 
-/// A stage-0 codelet, in place on its contiguous elements: levels
-/// `0..f` (`f` = 3 for radix-8 fusion when `q ≥ 3`, else 2) fused over
-/// blocks of `2^f` neighbouring slots with de-interleaved lanes, then the
-/// remaining levels in passes of up to `fuse_log2` levels whose lanes are
-/// slots `x, x + 1` and read consecutive twiddles.
+/// A stage-0 codelet, in place on its contiguous elements, pass by pass
+/// of [`passes`]: the first pass (`f` = 2 or 3 levels) fused over
+/// blocks of `2^f` neighbouring slots with de-interleaved lanes, the
+/// others with lanes `x, x + 1`, which read consecutive twiddles.
 ///
 /// # Safety
 /// The caller owns codelet `idx`'s elements, `data` spans the stage, the
 /// tables are canonical and the stage is stage 0 (`q = p ≥ 2`).
 #[inline(always)]
-unsafe fn stage0_codelet<V: CVec>(
-    tables: &StageTables<'_>,
-    data: *mut Complex64,
-    idx: usize,
-    fuse_log2: u32,
-) {
+unsafe fn stage0_codelet<V: CVec>(tables: &StageTables<'_>, data: *mut Complex64, idx: usize) {
     let a = tables.addressing;
     let q = a.levels;
     debug_assert!(a.stride_log2 == 0 && a.groups_log2 == 0 && q >= 2);
@@ -566,11 +563,15 @@ unsafe fn stage0_codelet<V: CVec>(
         // SAFETY: the generator's addresses are in bounds.
         unsafe { data.add(a.element(idx, x)) }
     };
+    // The first pass is the fused block: 2 or 3 levels, since `q ≥ 2`.
+    let mut split = passes(q);
+    let fused = split.next().map_or(0, |(_, r)| r);
+    debug_assert!(fused == 2 || fused == 3);
     // SAFETY (all loads and stores below): the codelet owns its `2^q`
     // contiguous elements; twiddle offsets stay inside each level's
     // `2^ll` values by the same algebra as `lane_pass`.
     unsafe {
-        let fused = if fuse_log2 >= 3 && q >= 3 {
+        if fused == 3 {
             // Radix-8 over slots 8j..8j+8. Level 0: pairs (0,1),(2,3),...
             // de-interleaved; levels 1 and 2 are register-aligned.
             let (w0, w1) = (V::splat(seg(0)), V::load(seg(1)));
@@ -592,7 +593,6 @@ unsafe fn stage0_codelet<V: CVec>(
                 v2.store(p.add(4));
                 v3.store(p.add(6));
             }
-            3
         } else {
             // Radix-4 over slots 4m..4m+4.
             let (w0, w1) = (V::splat(seg(0)), V::load(seg(1)));
@@ -604,9 +604,8 @@ unsafe fn stage0_codelet<V: CVec>(
                 v0.store(p);
                 v1.store(p.add(2));
             }
-            2
-        };
-        for (l0, r) in passes(fused, q, fuse_log2).filter(|&(_, r)| r > 0) {
+        }
+        for (l0, r) in split {
             let low_mask = (1usize << l0) - 1;
             let mut segs = [std::ptr::null(); 3];
             for (s, w) in segs.iter_mut().enumerate().take(r as usize) {
@@ -637,23 +636,20 @@ unsafe fn stage0_codelet<V: CVec>(
 ///
 /// # Safety
 /// The [`CodeletKernel::run_tile`] contract, **plus** the plan is
-/// [`vector_ready`] and `fuse_log2 >= 2` (verified once per plan by
-/// [`Plan::build`]).
+/// [`vector_ready`] (verified once per plan by [`Plan::build`]).
 #[inline(always)]
 unsafe fn tile_vec<V: CVec>(
     tables: &StageTables<'_>,
     codelets: Range<usize>,
     view: &SharedData<'_>,
-    fuse_log2: u32,
 ) {
     let a = tables.addressing;
-    debug_assert!(fuse_log2 >= 2);
     debug_assert!(view.len() >= codelets.end << (a.levels + a.groups_log2));
     let data = view.as_ptr();
     if a.stride_log2 == 0 {
         for idx in codelets {
             // SAFETY: forwarded; the tile owns codelet `idx`.
-            unsafe { stage0_codelet::<V>(tables, data, idx, fuse_log2) };
+            unsafe { stage0_codelet::<V>(tables, data, idx) };
         }
         return;
     }
@@ -675,7 +671,7 @@ unsafe fn tile_vec<V: CVec>(
     }
     if g1 > g0 {
         // SAFETY: forwarded; every `g, g + 1` is in the tile.
-        unsafe { lane_pairs::<V>(tables, data, g0..g1, fuse_log2) };
+        unsafe { lane_pairs::<V>(tables, data, g0..g1) };
     }
 }
 
@@ -687,47 +683,23 @@ unsafe fn tile_vec<V: CVec>(
 /// checks `is_x86_feature_detected!`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn tile_avx2(
-    tables: &StageTables<'_>,
-    codelets: Range<usize>,
-    view: &SharedData<'_>,
-    fuse_log2: u32,
-) {
+unsafe fn tile_avx2(tables: &StageTables<'_>, codelets: Range<usize>, view: &SharedData<'_>) {
     // SAFETY: forwarded.
-    unsafe { tile_vec::<x86::Avx2>(tables, codelets, view, fuse_log2) }
+    unsafe { tile_vec::<x86::Avx2>(tables, codelets, view) }
 }
 
-/// The vector kernel with its dispatch decision baked in. There are four,
-/// one per fusion radix and ISA, all process-wide statics
-/// ([`SIMD_KERNELS`]), so preparing a plan allocates nothing.
+/// The vector kernel with its dispatch decision baked in. There are two,
+/// one per ISA, both process-wide statics ([`SIMD_KERNELS`]), so preparing
+/// a plan allocates nothing.
 #[derive(Debug)]
 struct SimdKernel {
-    fuse_log2: u32,
     use_avx2: bool,
 }
 
-/// `SIMD_KERNELS[fuse_log2 − 2][use_avx2]`.
-static SIMD_KERNELS: [[SimdKernel; 2]; 2] = [
-    [
-        SimdKernel {
-            fuse_log2: 2,
-            use_avx2: false,
-        },
-        SimdKernel {
-            fuse_log2: 2,
-            use_avx2: true,
-        },
-    ],
-    [
-        SimdKernel {
-            fuse_log2: 3,
-            use_avx2: false,
-        },
-        SimdKernel {
-            fuse_log2: 3,
-            use_avx2: true,
-        },
-    ],
+/// `SIMD_KERNELS[use_avx2]`.
+static SIMD_KERNELS: [SimdKernel; 2] = [
+    SimdKernel { use_avx2: false },
+    SimdKernel { use_avx2: true },
 ];
 
 /// Whether this process runs the AVX2 kernel: the build has the `simd`
@@ -787,10 +759,10 @@ impl CodeletKernel for SimdKernel {
             // SAFETY: forwarded; `use_avx2` implies runtime detection
             // succeeded, and this kernel is only handed plans that
             // `Plan::build` found vector-ready.
-            return unsafe { tile_avx2(tables, codelets, view, self.fuse_log2) };
+            return unsafe { tile_avx2(tables, codelets, view) };
         }
         // SAFETY: forwarded, as above.
-        unsafe { tile_vec::<Portable>(tables, codelets, view, self.fuse_log2) }
+        unsafe { tile_vec::<Portable>(tables, codelets, view) }
     }
 }
 
@@ -801,31 +773,25 @@ impl CodeletKernel for SimdKernel {
 /// canonical pattern (see the module docs) and silently degrades to the
 /// scalar path when they don't or when the codelet radix is too small to
 /// vectorize — a prepared plan is always correct, never merely fast.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HostSimd {
-    fuse_log2: u32,
     force_portable: bool,
 }
 
 impl HostSimd {
-    /// Backend with the given register-fusion radix exponent (clamped to
-    /// 2..=3: radix-4 or radix-8 passes). Uses AVX2 when the build (crate
-    /// feature `simd`), the CPU, and the `FGFFT_SIMD` environment override
-    /// all allow it (decided once per process); the portable four-lane
-    /// kernel otherwise.
-    pub fn new(simd_radix_log2: u32) -> Self {
-        Self {
-            fuse_log2: simd_radix_log2.clamp(2, 3),
-            force_portable: false,
-        }
+    /// The vector backend. Uses AVX2 when the build (crate feature
+    /// `simd`), the CPU, and the `FGFFT_SIMD` environment override all
+    /// allow it (decided once per process); the portable four-lane kernel
+    /// otherwise.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// As [`HostSimd::new`] but pinned to the portable kernel, regardless
     /// of CPU features — what `FGFFT_SIMD=portable` selects globally.
-    pub fn portable(simd_radix_log2: u32) -> Self {
+    pub fn portable() -> Self {
         Self {
             force_portable: true,
-            ..Self::new(simd_radix_log2)
         }
     }
 
@@ -838,7 +804,7 @@ impl HostSimd {
     /// (same bits, no pattern assumption).
     pub(crate) fn kernel_for(&self, plan: &Plan) -> &'static dyn CodeletKernel {
         if plan.vector_ready() {
-            &SIMD_KERNELS[self.fuse_log2 as usize - 2][usize::from(self.avx2_selected())]
+            &SIMD_KERNELS[usize::from(self.avx2_selected())]
         } else {
             &ScalarKernel
         }
@@ -947,7 +913,7 @@ mod tests {
         }
         for key in keys {
             let plan = Arc::new(Plan::build(key));
-            for backend in [HostSimd::new(3), HostSimd::portable(2)] {
+            for backend in [HostSimd::new(), HostSimd::portable()] {
                 let label = backend.prepare(&plan).kernel.label();
                 assert!(label.starts_with("simd-"), "{key:?}: {label}");
             }
@@ -971,8 +937,8 @@ mod tests {
         assert!(!slots_are_canonical(&slots, 64));
     }
 
-    /// Every vector variant × fusion radix × codelet radix must reproduce
-    /// the scalar path bit-for-bit.
+    /// Both vector variants × every codelet radix must reproduce the
+    /// scalar path bit-for-bit.
     #[test]
     fn vector_kernels_are_bit_exact_with_scalar() {
         let runtime = Runtime::with_workers(1);
@@ -988,19 +954,36 @@ mod tests {
                 let input = signal(1 << n_log2, 0xC0FFEE + n_log2 as u64);
                 let mut want = input.clone();
                 plan.execute(&mut want, &runtime);
-                for fuse in [2u32, 3] {
-                    for backend in [HostSimd::portable(fuse), HostSimd::new(fuse)] {
-                        let mut got = input.clone();
-                        backend.prepare(&plan).execute(&mut got, &runtime);
-                        assert_eq!(
-                            bits(&want),
-                            bits(&got),
-                            "radix_log2={radix_log2} n_log2={n_log2} fuse={fuse} {:?}",
-                            backend.capabilities()
-                        );
-                    }
+                for backend in [HostSimd::portable(), HostSimd::new()] {
+                    let mut got = input.clone();
+                    backend.prepare(&plan).execute(&mut got, &runtime);
+                    assert_eq!(
+                        bits(&want),
+                        bits(&got),
+                        "radix_log2={radix_log2} n_log2={n_log2} {:?}",
+                        backend.capabilities()
+                    );
                 }
             }
+        }
+    }
+
+    /// Each level count has one pass split, the fastest measured: radix-8
+    /// passes where they divide the levels evenly enough, two radix-4
+    /// passes at `q = 4`. Passes cover levels `0..q` in order.
+    #[test]
+    fn lane_kernel_pass_split_follows_the_level_count() {
+        let want: [&[u32]; 6] = [&[2], &[3], &[2, 2], &[3, 2], &[3, 3], &[3, 2, 2]];
+        for (q, want) in (2u32..=7).zip(want) {
+            let split: Vec<(u32, u32)> = passes(q).collect();
+            let sizes: Vec<u32> = split.iter().map(|&(_, r)| r).collect();
+            assert_eq!(sizes, want, "q = {q}");
+            let mut l0 = 0;
+            for (first, r) in split {
+                assert_eq!(first, l0, "q = {q}");
+                l0 += r;
+            }
+            assert_eq!(l0, q);
         }
     }
 
@@ -1008,7 +991,8 @@ mod tests {
     /// every shape it has: tiles of 1, 2, 4 and 64 codelets (one lone
     /// full-stage sub-transform at N = 16 with radix 4), partial last
     /// stages of 2 to 64 sub-transforms per codelet, every codelet radix
-    /// from 4 to 128, both fusion radices, native and portable. Each stage
+    /// from 4 to 128 (so every pass split of `q = 2..=7` levels, in stage 0
+    /// and in later stages), native and portable. Each stage
     /// starts from the scalar reference's previous stage, so a drift is
     /// pinned to the stage that made it.
     #[test]
@@ -1021,6 +1005,10 @@ mod tests {
             (6, 2),
             (7, 3),
             (10, 3),
+            (8, 4),
+            (12, 4),
+            (9, 5),
+            (13, 5),
             (13, 6),
             (14, 6),
             (15, 6),
@@ -1044,19 +1032,17 @@ mod tests {
                 groups.insert(plan.stage_tables(stage).addressing.groups());
                 let input = want.clone();
                 scalar.run_stage(&mut want, stage);
-                for fuse in [2u32, 3] {
-                    for backend in [HostSimd::portable(fuse), HostSimd::new(fuse)] {
-                        let prepared = backend.prepare(&plan);
-                        assert!(prepared.kernel.label().starts_with("simd-"));
-                        let mut got = input.clone();
-                        prepared.run_stage(&mut got, stage);
-                        assert_eq!(
-                            bits(&want),
-                            bits(&got),
-                            "2^{n_log2} radix 2^{radix_log2} stage {stage} fuse {fuse} {}",
-                            prepared.kernel.label()
-                        );
-                    }
+                for backend in [HostSimd::portable(), HostSimd::new()] {
+                    let prepared = backend.prepare(&plan);
+                    assert!(prepared.kernel.label().starts_with("simd-"));
+                    let mut got = input.clone();
+                    prepared.run_stage(&mut got, stage);
+                    assert_eq!(
+                        bits(&want),
+                        bits(&got),
+                        "2^{n_log2} radix 2^{radix_log2} stage {stage} {}",
+                        prepared.kernel.label()
+                    );
                 }
             }
         }
@@ -1077,7 +1063,7 @@ mod tests {
         let mut want = input.clone();
         plan.execute(&mut want, &runtime);
         let mut got = input.clone();
-        let prepared = HostSimd::new(3).prepare(&plan);
+        let prepared = HostSimd::new().prepare(&plan);
         prepared.execute(&mut got, &runtime);
         assert_eq!(bits(&want), bits(&got));
         // The fingerprint names the kernel that ran, not the backend that
@@ -1085,7 +1071,7 @@ mod tests {
         assert!(!plan.vector_ready());
         assert_eq!(prepared.backend_fingerprint(), HostScalar.fingerprint());
         assert_eq!(
-            HostSimd::portable(2).prepare(&plan).backend_fingerprint(),
+            HostSimd::portable().prepare(&plan).backend_fingerprint(),
             "host-scalar:scalarx1"
         );
     }

@@ -233,23 +233,6 @@ impl Digest {
     }
 }
 
-/// How much to trust certificates when loading and building from wisdom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CertPolicy {
-    /// Default: wisdom files must carry a valid certificate on every entry
-    /// ([`crate::wisdom::Wisdom::load`] rejects the file otherwise), and the
-    /// planner re-verifies the full certificate against every tuned plan it
-    /// builds. Programmatically installed wisdom
-    /// ([`crate::planner::Planner::set_wisdom`]) may omit certificates —
-    /// that path is code, not data — but any certificate present is checked.
-    #[default]
-    Verify,
-    /// Escape hatch: skip certificate checks entirely (tuning shape
-    /// validation still runs — an ill-formed permutation is never applied).
-    /// For wisdom produced by older tooling or deliberate experiments.
-    Trust,
-}
-
 /// Why a certificate was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CertError {

@@ -95,11 +95,9 @@ pub mod wisdom;
 pub mod workload;
 
 pub use api::{convolve, forward, inverse, power_spectrum, Fft};
-pub use backend::{
-    Backend, BackendKind, BackendSel, Capabilities, HostScalar, HostSimd, PreparedPlan,
-};
+pub use backend::{Backend, BackendSel, Capabilities, HostScalar, HostSimd, PreparedPlan};
 pub use bluestein::{dft, idft};
-pub use cert::{CertError, CertPolicy, Certificate, WORKLOAD_REVISION};
+pub use cert::{CertError, Certificate, WORKLOAD_REVISION};
 pub use complex::{rms_error, Complex64};
 pub use exec::{ExecStats, SeedOrder, Version};
 pub use fft2d::Fft2d;

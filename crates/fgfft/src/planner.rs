@@ -28,7 +28,6 @@
 
 use crate::backend::{CodeletKernel, ScalarKernel};
 use crate::bitrev::{bit_reverse_swaps, bit_reverse_tiled};
-use crate::cert::CertPolicy;
 use crate::complex::Complex64;
 use crate::exec::shared::SharedData;
 use crate::exec::{ExecStats, Version};
@@ -1192,8 +1191,6 @@ pub struct Planner {
     /// Tuned parameters consulted when building plans; `None` runs every
     /// version on its seed schedule.
     wisdom: Mutex<Option<Arc<Wisdom>>>,
-    /// How much to trust wisdom certificates (see [`CertPolicy`]).
-    cert_policy: Mutex<CertPolicy>,
     hits: AtomicU64,
     misses: AtomicU64,
     built: AtomicU64,
@@ -1227,7 +1224,6 @@ impl Planner {
             shard_capacity: capacity.div_ceil(SHARD_COUNT),
             tick: AtomicU64::new(0),
             wisdom: Mutex::new(None),
-            cert_policy: Mutex::new(CertPolicy::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             built: AtomicU64::new(0),
@@ -1335,8 +1331,10 @@ impl Planner {
     }
 
     /// Build the plan for `key`, applying the wisdom entry's tuning only
-    /// after it survives validation and (policy permitting) certificate
-    /// verification. Every rejection is counted and degrades to the seed
+    /// after it survives validation and, when the entry carries one,
+    /// certificate verification (entries loaded from a file always do;
+    /// programmatically installed wisdom may omit it — that path is code,
+    /// not data). Every rejection is counted and degrades to the seed
     /// schedule — wisdom is data, and data must never panic the planner or
     /// steer the `unsafe` hot path unchecked.
     fn build_checked(&self, key: PlanKey, entry: Option<WisdomEntry>) -> Plan {
@@ -1355,12 +1353,10 @@ impl Planner {
             return Plan::build(key);
         }
         let plan = Plan::build_tuned(key, Some(&entry.tuning));
-        if *self.cert_policy.lock() == CertPolicy::Verify {
-            if let Some(cert) = &entry.cert {
-                if cert.verify_plan(&plan).is_err() {
-                    self.wisdom_rejections.fetch_add(1, Ordering::Relaxed);
-                    return Plan::build(key);
-                }
+        if let Some(cert) = &entry.cert {
+            if cert.verify_plan(&plan).is_err() {
+                self.wisdom_rejections.fetch_add(1, Ordering::Relaxed);
+                return Plan::build(key);
             }
         }
         plan
@@ -1399,31 +1395,14 @@ impl Planner {
     /// Load a wisdom file and install it when usable. Tolerates every file
     /// failure mode (see [`Wisdom::load`]): on anything but
     /// [`WisdomStatus::Loaded`] the planner is left untouched and the
-    /// status says why. Certificate verification is on by default — every
-    /// entry must carry a certificate that passes
-    /// [`crate::cert::Certificate::verify_static`]; opt out with
-    /// [`Planner::set_cert_policy`]`(CertPolicy::Trust)` before loading.
+    /// status says why. Every entry must carry a certificate that passes
+    /// [`crate::cert::Certificate::verify_static`].
     pub fn load_wisdom(&self, path: &std::path::Path) -> WisdomStatus {
-        let (wisdom, status) = Wisdom::load_with(path, *self.cert_policy.lock());
+        let (wisdom, status) = Wisdom::load(path);
         if status.is_loaded() {
             self.set_wisdom(Some(Arc::new(wisdom)));
         }
         status
-    }
-
-    /// Set how much to trust wisdom certificates on subsequent
-    /// [`Planner::load_wisdom`] and plan builds. The default is
-    /// [`CertPolicy::Verify`]; [`CertPolicy::Trust`] is the escape hatch
-    /// for wisdom from older tooling. Cached plans are dropped so the new
-    /// policy applies to every plan served afterwards.
-    pub fn set_cert_policy(&self, policy: CertPolicy) {
-        *self.cert_policy.lock() = policy;
-        self.clear();
-    }
-
-    /// The current certificate policy.
-    pub fn cert_policy(&self) -> CertPolicy {
-        *self.cert_policy.lock()
     }
 
     /// Number of distinct keys cached (built or building).
@@ -1897,14 +1876,6 @@ mod tests {
         planner.set_wisdom(Some(Arc::new(wisdom)));
         assert!(planner.plan_key(key).tuning().is_some());
         assert_eq!(planner.stats().wisdom_rejections, 1, "no new rejection");
-
-        // Escape hatch: under Trust the tampered certificate is ignored.
-        let mut wisdom = Wisdom::new();
-        wisdom.insert(entry(bad));
-        planner.set_wisdom(Some(Arc::new(wisdom)));
-        planner.set_cert_policy(CertPolicy::Trust);
-        assert!(planner.plan_key(key).tuning().is_some());
-        assert_eq!(planner.stats().wisdom_rejections, 1);
     }
 
     /// Table-construction invariants at tiny sizes, single-threaded and

@@ -17,23 +17,22 @@
 //!   Every file records a [`machine_fingerprint`]; a file measured
 //!   elsewhere is ignored wholesale (status
 //!   [`WisdomStatus::FingerprintMismatch`]) rather than half-trusted.
-//! * **Versioned.** The JSON carries [`WISDOM_FORMAT`]; an unknown format
+//! * **Versioned.** The JSON carries [`WISDOM_FORMAT`]; any other format
 //!   is ignored, not guessed at.
 //! * **Atomic writes.** [`Wisdom::save`] writes a temporary file and
 //!   renames it into place, so a concurrent reader sees either the old or
 //!   the new wisdom, never a torn file.
 //! * **Certified.** A wisdom file steers the planner's `unsafe` hot path,
-//!   so by default every entry must carry a [`Certificate`] that
-//!   re-verifies against the running code ([`CertPolicy::Verify`]):
-//!   entries with semantically invalid tunings load as
+//!   so every entry must carry a [`Certificate`] that re-verifies against
+//!   the running code: entries with semantically invalid tunings load as
 //!   [`WisdomStatus::Invalid`], missing certificates as
 //!   [`WisdomStatus::Uncertified`], and failed verification (stale,
 //!   tampered, or foreign-revision evidence) as
 //!   [`WisdomStatus::CertificateMismatch`] — each ignored wholesale, like
-//!   a fingerprint mismatch. [`CertPolicy::Trust`] is the escape hatch.
+//!   a fingerprint mismatch.
 
 use crate::backend::BackendSel;
-use crate::cert::{CertPolicy, Certificate};
+use crate::cert::Certificate;
 use crate::exec::{SeedOrder, Version};
 use crate::planner::PlanKey;
 use crate::twiddle::TwiddleLayout;
@@ -42,20 +41,15 @@ use fgsupport::json::{self, Value};
 use std::path::Path;
 
 /// Version of the on-disk JSON schema. Bump on incompatible change; loads
-/// of unknown formats report [`WisdomStatus::FormatMismatch`] and yield an
-/// empty store. Format 2 added the per-entry schedule certificate; format 3
-/// added backend selection (`backend` + `simd_radix_log2`); format 4 added
-/// transform kinds (`kind`, absent means `c2c`) and the 2-D transpose block
-/// axis (`transpose_block_log2`). Legacy files still decode (kind defaults
-/// to complex, backend to scalar) but their certificates were issued
-/// against an older workload revision, so under [`CertPolicy::Verify`]
-/// they degrade to [`WisdomStatus::Uncertified`] — never a parse panic.
+/// of any other format report [`WisdomStatus::FormatMismatch`] and yield an
+/// empty store (the certificates of older formats were issued against an
+/// older workload revision and could not verify anyway). Format 4 entries
+/// carry the transform kind (`kind`, absent means `c2c`), the 2-D transpose
+/// block axis (`transpose_block_log2`) and the `backend` (`scalar` or
+/// `simd`). The decoder ignores fields it does not know, so format-4 files
+/// written while the SIMD backend still carried a fusion radix load
+/// unchanged: every stage's pass split now follows from its level count.
 pub const WISDOM_FORMAT: u64 = 4;
-
-/// Previous schema versions, still accepted by the decoder so an upgrade
-/// never crashes on an existing wisdom file (they degrade; see
-/// [`WISDOM_FORMAT`]).
-const LEGACY_FORMATS: [u64; 2] = [2, 3];
 
 /// A stable identifier of the measuring machine: architecture, OS, and
 /// hardware parallelism. Coarse on purpose — it must be cheap, dependency
@@ -86,8 +80,7 @@ pub struct WisdomEntry {
     pub workers: usize,
     /// Measured-best serving batch size.
     pub batch: usize,
-    /// Measured-best execution backend (engine family + SIMD fusion
-    /// radix). Legacy format-2 files decode as [`BackendSel::SCALAR`].
+    /// Measured-best execution backend.
     pub backend: BackendSel,
     /// Median wall time of the tuned schedule, nanoseconds.
     pub median_ns: u64,
@@ -95,9 +88,8 @@ pub struct WisdomEntry {
     /// same measurement, nanoseconds — kept so reports can show the gain.
     pub seed_median_ns: u64,
     /// Static-verification certificate the checker issued for this tuning
-    /// (see [`crate::cert`]). Required on loaded files under
-    /// [`CertPolicy::Verify`]; optional on programmatically installed
-    /// wisdom.
+    /// (see [`crate::cert`]). Required on loaded files; optional on
+    /// programmatically installed wisdom.
     pub cert: Option<Certificate>,
 }
 
@@ -122,10 +114,7 @@ pub enum WisdomStatus {
     /// stage) — ignored wholesale instead of panicking later in
     /// `ScheduleSpec::of_tuned`.
     Invalid,
-    /// Parsed, but at least one entry carries no certificate while the
-    /// policy requires one — ignored. Also the degraded status of a
-    /// legacy format-2 file under [`CertPolicy::Verify`]: it decodes
-    /// fine, but its measurements predate backend selection.
+    /// Parsed, but at least one entry carries no certificate — ignored.
     Uncertified,
     /// Parsed, but at least one entry's certificate failed verification
     /// (tampered fields, foreign workload revision, or a schedule digest
@@ -208,16 +197,14 @@ impl Wisdom {
         ])
     }
 
-    /// Parse the on-disk JSON document (the current format, or the legacy
-    /// format 2 whose entries lack backend fields — those decode with
-    /// [`BackendSel::SCALAR`]). Errors name the first violation — callers
-    /// that must not fail use [`Wisdom::load`] instead.
+    /// Parse the on-disk JSON document. Errors name the first violation —
+    /// callers that must not fail use [`Wisdom::load`] instead.
     pub fn from_json(value: &Value) -> Result<Self, String> {
         let format = value
             .get("format")
             .and_then(Value::as_u64)
             .ok_or("missing format")?;
-        if format != WISDOM_FORMAT && !LEGACY_FORMATS.contains(&format) {
+        if format != WISDOM_FORMAT {
             return Err(format!("format {format} != {WISDOM_FORMAT}"));
         }
         let fingerprint = value
@@ -235,20 +222,13 @@ impl Wisdom {
         Ok(wisdom)
     }
 
-    /// Load from `path` with the default certificate policy
-    /// ([`CertPolicy::Verify`]): every entry must carry a certificate that
-    /// passes [`Certificate::verify_static`]. See [`Wisdom::load_with`].
-    pub fn load(path: &Path) -> (Self, WisdomStatus) {
-        Self::load_with(path, CertPolicy::Verify)
-    }
-
     /// Load from `path`, tolerating every failure mode: the returned store
     /// is always usable (empty on any problem, fingerprinted for this
     /// machine) and the status says what happened. A file measured on a
     /// different machine, written by a different format version, holding an
-    /// ill-formed tuning, or (under [`CertPolicy::Verify`]) missing or
-    /// failing a certificate is ignored wholesale.
-    pub fn load_with(path: &Path, policy: CertPolicy) -> (Self, WisdomStatus) {
+    /// ill-formed tuning, or with an entry whose certificate is missing or
+    /// fails [`Certificate::verify_static`] is ignored wholesale.
+    pub fn load(path: &Path) -> (Self, WisdomStatus) {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -260,11 +240,11 @@ impl Wisdom {
             Ok(value) => value,
             Err(_) => return (Self::new(), WisdomStatus::Corrupt),
         };
-        let format = match value.get("format").and_then(Value::as_u64) {
-            Some(f) if f == WISDOM_FORMAT || LEGACY_FORMATS.contains(&f) => f,
+        match value.get("format").and_then(Value::as_u64) {
+            Some(WISDOM_FORMAT) => {}
             Some(_) => return (Self::new(), WisdomStatus::FormatMismatch),
             None => return (Self::new(), WisdomStatus::Corrupt),
-        };
+        }
         let wisdom = match Self::from_json(&value) {
             Ok(wisdom) => wisdom,
             Err(_) => return (Self::new(), WisdomStatus::Corrupt),
@@ -282,22 +262,12 @@ impl Wisdom {
                 return (Self::new(), WisdomStatus::Invalid);
             }
         }
-        if LEGACY_FORMATS.contains(&format) && policy == CertPolicy::Verify {
-            // A legacy file decodes, but its measurements (and certificates)
-            // predate the current plan identity — backend selection for
-            // format 2, transform kinds for format 3; under the strict
-            // policy it degrades wholesale rather than half-applying. Trust
-            // mode adopts it with the decoder's defaults.
-            return (Self::new(), WisdomStatus::Uncertified);
-        }
-        if policy == CertPolicy::Verify {
-            for entry in &wisdom.entries {
-                let Some(cert) = &entry.cert else {
-                    return (Self::new(), WisdomStatus::Uncertified);
-                };
-                if cert.verify_static(entry.key, Some(&entry.tuning)).is_err() {
-                    return (Self::new(), WisdomStatus::CertificateMismatch);
-                }
+        for entry in &wisdom.entries {
+            let Some(cert) = &entry.cert else {
+                return (Self::new(), WisdomStatus::Uncertified);
+            };
+            if cert.verify_static(entry.key, Some(&entry.tuning)).is_err() {
+                return (Self::new(), WisdomStatus::CertificateMismatch);
             }
         }
         let entries = wisdom.len();
@@ -421,10 +391,6 @@ fn entry_to_json(entry: &WisdomEntry) -> Value {
         ("workers", Value::Num(entry.workers as f64)),
         ("batch", Value::Num(entry.batch as f64)),
         ("backend", Value::Str(entry.backend.kind_str().to_string())),
-        (
-            "simd_radix_log2",
-            Value::Num(entry.backend.simd_radix_log2 as f64),
-        ),
         ("median_ns", Value::Num(entry.median_ns as f64)),
         ("seed_median_ns", Value::Num(entry.seed_median_ns as f64)),
         (
@@ -464,8 +430,8 @@ fn entry_from_json(value: &Value) -> Result<WisdomEntry, String> {
             .and_then(Value::as_str)
             .ok_or("missing layout")?,
     )?;
-    // Transform kind arrived with format 4; its absence (a legacy file)
-    // decodes as the plain complex transform. Validate before constructing
+    // An absent kind decodes as the plain complex transform. Validate
+    // before constructing
     // the key: `PlanKey::with_kind` panics on a kind/size mismatch, and a
     // wisdom file is data that must degrade, not crash.
     let kind = match value.get("kind") {
@@ -504,47 +470,24 @@ fn entry_from_json(value: &Value) -> Result<WisdomEntry, String> {
         transpose_block_log2,
     };
     // Semantic validity of the tuning (permutation length, split bounds) is
-    // checked by `load_with`, not here: `from_json` stays a pure schema
+    // checked by `load`, not here: `from_json` stays a pure schema
     // decoder so callers can distinguish `Corrupt` from `Invalid`.
     let cert = match value.get("cert") {
         None | Some(Value::Null) => None,
         Some(v) => Some(Certificate::from_json(v)?),
     };
-    // Backend fields arrived with format 3; their absence (a legacy file)
-    // decodes as the scalar backend, which runs every plan correctly. Files
-    // written while a stage-wave threaded backend existed name the same
-    // kernels `threaded-scalar` / `threaded-simd`: same bits, same
-    // certificate, and the thread count already travels in `workers`.
-    let backend_kind = match value.get("backend") {
-        None | Some(Value::Null) => crate::backend::BackendKind::Scalar,
-        Some(v) => {
-            let name = match v.as_str().ok_or("backend must be a string")? {
-                "threaded-scalar" => "scalar",
-                "threaded-simd" => "simd",
-                name => name,
-            };
-            BackendSel::kind_from_str(name).ok_or_else(|| format!("unknown backend {name:?}"))?
-        }
-    };
-    let simd_radix_log2 = match value.get("simd_radix_log2") {
-        None | Some(Value::Null) => 3,
-        Some(v) => {
-            let r = v.as_u64().ok_or("non-integer simd_radix_log2")? as u32;
-            if !(2..=3).contains(&r) {
-                return Err(format!("simd_radix_log2 {r} out of range"));
-            }
-            r
-        }
-    };
+    let backend = value
+        .get("backend")
+        .and_then(Value::as_str)
+        .ok_or("missing backend")?;
+    let backend =
+        BackendSel::parse(backend).ok_or_else(|| format!("unknown backend {backend:?}"))?;
     Ok(WisdomEntry {
         key,
         tuning,
         workers: num("workers")? as usize,
         batch: num("batch")? as usize,
-        backend: BackendSel {
-            kind: backend_kind,
-            simd_radix_log2,
-        },
+        backend,
         median_ns: num("median_ns")?,
         seed_median_ns: num("seed_median_ns")?,
         cert,
@@ -657,6 +600,43 @@ mod tests {
         assert_eq!(status, WisdomStatus::FingerprintMismatch);
         assert!(loaded.is_empty(), "foreign entries must be ignored");
 
+        // Variants of this machine's certified document. Older formats
+        // (their certificates predate the current workload revision) and
+        // an entry without a backend or naming a retired one are refused;
+        // the entry as files written while the SIMD backend still carried
+        // a fusion radix spell it loads.
+        let simd = "\"backend\": \"simd\"";
+        assert!(full.contains("\"format\": 4") && full.contains(simd));
+        let variants = [
+            (
+                full.replace("\"format\": 4", "\"format\": 2"),
+                WisdomStatus::FormatMismatch,
+            ),
+            (
+                full.replace("\"format\": 4", "\"format\": 3"),
+                WisdomStatus::FormatMismatch,
+            ),
+            (full.replace(&format!("{simd},"), ""), WisdomStatus::Corrupt),
+            (
+                full.replace(simd, "\"backend\": \"threaded-simd\""),
+                WisdomStatus::Corrupt,
+            ),
+            (
+                full.replace(simd, &format!("{simd}, \"simd_radix_log2\": 2")),
+                WisdomStatus::Loaded { entries: 1 },
+            ),
+        ];
+        let variant = dir.join("variant.json");
+        for (text, want) in variants {
+            assert_ne!(text, full);
+            std::fs::write(&variant, &text).unwrap();
+            let (loaded, status) = Wisdom::load(&variant);
+            assert_eq!(status, want, "{text}");
+            if status.is_loaded() {
+                assert_eq!(loaded, wisdom);
+            }
+        }
+
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -685,18 +665,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.json");
         // Pool order of the wrong length for the plan: schema-valid JSON,
-        // semantically invalid tuning — rejected wholesale at load, under
-        // either certificate policy, without reaching plan construction.
+        // semantically invalid tuning — rejected wholesale at load, before
+        // certificates are checked, without reaching plan construction.
         let text = format!(
             "{{\"format\": 4, \"fingerprint\": {:?}, \"entries\": [{{\
              \"n_log2\": 12, \"radix_log2\": 6, \"version\": \"fine-guided\", \
              \"layout\": \"linear\", \"pool_order\": [0, 1], \"last_early\": null, \
-             \"workers\": 1, \"batch\": 1, \"median_ns\": 1, \"seed_median_ns\": 1}}]}}",
+             \"workers\": 1, \"batch\": 1, \"backend\": \"scalar\", \"median_ns\": 1, \
+             \"seed_median_ns\": 1}}]}}",
             machine_fingerprint()
         );
         std::fs::write(&path, text).unwrap();
-        assert_eq!(Wisdom::load(&path).1, WisdomStatus::Invalid);
-        let (loaded, status) = Wisdom::load_with(&path, CertPolicy::Trust);
+        let (loaded, status) = Wisdom::load(&path);
         assert_eq!(status, WisdomStatus::Invalid);
         assert!(loaded.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -715,48 +695,6 @@ mod tests {
         let (loaded, status) = Wisdom::load(&path);
         assert_eq!(status, WisdomStatus::Uncertified);
         assert!(loaded.is_empty());
-        // The escape hatch accepts the same file.
-        let (loaded, status) = Wisdom::load_with(&path, CertPolicy::Trust);
-        assert_eq!(status, WisdomStatus::Loaded { entries: 1 });
-        assert_eq!(loaded.len(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_format_2_files_degrade_to_uncertified_not_panics() {
-        let dir = std::env::temp_dir().join(format!("fgfft-wisdom-v2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.json");
-        // A faithful pre-backend (format 2) document: valid tuning, a real
-        // certificate, no backend fields. It must never crash the loader;
-        // under the strict policy it degrades wholesale.
-        let entry = sample_entry(12, Version::FineGuided);
-        let pool: Vec<String> = entry
-            .tuning
-            .pool_order
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(|i| i.to_string())
-            .collect();
-        let text = format!(
-            "{{\"format\": 2, \"fingerprint\": {:?}, \"entries\": [{{\
-             \"n_log2\": 12, \"radix_log2\": 6, \"version\": \"fine-guided\", \
-             \"layout\": \"linear\", \"pool_order\": [{}], \"last_early\": null, \
-             \"workers\": 4, \"batch\": 8, \"median_ns\": 123456, \
-             \"seed_median_ns\": 234567, \"cert\": {}}}]}}",
-            machine_fingerprint(),
-            pool.join(", "),
-            entry.cert.as_ref().unwrap().to_json().to_string_pretty(),
-        );
-        std::fs::write(&path, text).unwrap();
-        let (loaded, status) = Wisdom::load(&path);
-        assert_eq!(status, WisdomStatus::Uncertified);
-        assert!(loaded.is_empty(), "legacy entries must not half-apply");
-        // The escape hatch still adopts the file, pinned to scalar.
-        let (loaded, status) = Wisdom::load_with(&path, CertPolicy::Trust);
-        assert_eq!(status, WisdomStatus::Loaded { entries: 1 });
-        assert_eq!(loaded.entries()[0].backend, BackendSel::SCALAR);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -818,81 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_format_3_files_degrade_to_uncertified_not_panics() {
-        let dir = std::env::temp_dir().join(format!("fgfft-wisdom-v3-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy3.json");
-        // A faithful pre-kind (format 3) document: backend fields present,
-        // no kind or transpose fields. Decodes as a C2C entry; under the
-        // strict policy the whole file degrades (its certificates were
-        // issued against the previous workload revision).
-        let entry = sample_entry(12, Version::FineGuided);
-        let pool: Vec<String> = entry
-            .tuning
-            .pool_order
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(|i| i.to_string())
-            .collect();
-        let text = format!(
-            "{{\"format\": 3, \"fingerprint\": {:?}, \"entries\": [{{\
-             \"n_log2\": 12, \"radix_log2\": 6, \"version\": \"fine-guided\", \
-             \"layout\": \"linear\", \"pool_order\": [{}], \"last_early\": null, \
-             \"workers\": 4, \"batch\": 8, \"backend\": \"simd\", \
-             \"simd_radix_log2\": 3, \"median_ns\": 123456, \
-             \"seed_median_ns\": 234567, \"cert\": {}}}]}}",
-            machine_fingerprint(),
-            pool.join(", "),
-            entry.cert.as_ref().unwrap().to_json().to_string_pretty(),
-        );
-        std::fs::write(&path, text).unwrap();
-        let (loaded, status) = Wisdom::load(&path);
-        assert_eq!(status, WisdomStatus::Uncertified);
-        assert!(loaded.is_empty(), "legacy entries must not half-apply");
-        // The escape hatch adopts it; the entry decodes as plain complex.
-        let (loaded, status) = Wisdom::load_with(&path, CertPolicy::Trust);
-        assert_eq!(status, WisdomStatus::Loaded { entries: 1 });
-        assert!(loaded.entries()[0].key.kind.is_c2c());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_threaded_backend_names_decode_to_their_kernels() {
-        let dir = std::env::temp_dir().join(format!("fgfft-wisdom-thr-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("threaded.json");
-        // A format-4 file from before the stage-wave threaded backend was
-        // retired: certified entries naming `threaded-simd` (radix-4) and
-        // `threaded-scalar`. Both name a kernel that still exists, so the
-        // file loads under the strict policy and keeps its radix.
-        let mut wisdom = Wisdom::new();
-        let mut simd = sample_entry(12, Version::FineGuided);
-        simd.backend.simd_radix_log2 = 2;
-        let mut scalar = sample_entry(11, Version::FineGuided);
-        scalar.backend = BackendSel::SCALAR;
-        wisdom.insert(simd);
-        wisdom.insert(scalar);
-        let text = wisdom
-            .to_json()
-            .to_string_pretty()
-            .replace("\"backend\": \"simd\"", "\"backend\": \"threaded-simd\"")
-            .replace(
-                "\"backend\": \"scalar\"",
-                "\"backend\": \"threaded-scalar\"",
-            );
-        assert!(text.contains("threaded-simd") && text.contains("threaded-scalar"));
-        std::fs::write(&path, text).unwrap();
-        let (loaded, status) = Wisdom::load(&path);
-        assert_eq!(status, WisdomStatus::Loaded { entries: 2 });
-        // Entry for entry what was written: `simd` with radix-4, `scalar`.
-        assert_eq!(loaded, wisdom);
-        // The encoder only ever writes the current names.
-        assert!(!loaded.to_json().to_string_pretty().contains("threaded"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn tampered_certificates_are_rejected_at_load() {
         let dir = std::env::temp_dir().join(format!("fgfft-wisdom-tamper-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -907,9 +770,6 @@ mod tests {
         let (loaded, status) = Wisdom::load(&path);
         assert_eq!(status, WisdomStatus::CertificateMismatch);
         assert!(loaded.is_empty());
-        // Trust mode skips certificate verification (tuning is still valid).
-        let (_, status) = Wisdom::load_with(&path, CertPolicy::Trust);
-        assert_eq!(status, WisdomStatus::Loaded { entries: 1 });
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -105,12 +105,6 @@ pub struct ServeConfig {
     /// [`FftService::wisdom_status`]. Tuned plans are bit-identical to
     /// seed plans; only execution order changes.
     pub wisdom_path: Option<std::path::PathBuf>,
-    /// Escape hatch: load wisdom under `CertPolicy::Trust`, skipping
-    /// schedule-certificate verification (for wisdom written by older
-    /// tooling or deliberate experiments). Default `false`: entries must
-    /// carry certificates that re-verify against the running code, and
-    /// rejected wisdom shows up in `ServeStats` as `wisdom_rejections`.
-    pub trust_wisdom: bool,
     /// Fault injection for tests and chaos drills; defaults to a no-op.
     pub fault: crate::fault::FaultInjector,
     /// Per-tenant QoS admission (token buckets in front of the queue).
@@ -134,7 +128,6 @@ impl Default for ServeConfig {
             backend: None,
             latency_samples: 1 << 16,
             wisdom_path: None,
-            trust_wisdom: false,
             fault: crate::fault::FaultInjector::none(),
             qos: None,
         }
@@ -636,9 +629,6 @@ impl FftService {
     /// wrong machine) leaves the planner untouched; the outcome is
     /// available from [`FftService::wisdom_status`].
     pub fn start_with_planner(config: ServeConfig, planner: Arc<Planner>) -> Self {
-        if config.trust_wisdom {
-            planner.set_cert_policy(fgfft::cert::CertPolicy::Trust);
-        }
         let wisdom_status = config
             .wisdom_path
             .as_deref()
@@ -1070,9 +1060,8 @@ mod tests {
     #[test]
     fn configured_backends_serve_identical_bits() {
         // Every backend drives the same certified plan tables, so routing
-        // the service through SIMD — by config or by wisdom, including
-        // wisdom that names the retired `threaded-*` backends — must not
-        // move a single bit relative to the scalar path.
+        // the service through either kernel — by config or by wisdom —
+        // must not move a single bit relative to the scalar path.
         use fgfft::{Certificate, Plan, ScheduleTuning, Wisdom, WisdomEntry, WisdomStatus};
         let sizes = [1usize << 9, 1 << 10];
         let serve_with = |config: ServeConfig| {
@@ -1099,13 +1088,12 @@ mod tests {
         assert_eq!(with_backend(None), scalar, "default vector kernel");
         assert_eq!(with_backend(Some(fgfft::BackendSel::SIMD)), scalar, "simd");
 
-        // A format-4 wisdom file from before the stage-wave threaded
-        // backend was retired: certified `threaded-simd` (radix-4) and
-        // `threaded-scalar` entries for the two served keys.
+        // A certified wisdom file routing one served key to the scalar
+        // kernel (not the default) and the other to the vector kernel.
         let mut wisdom = Wisdom::new();
         for (n, backend) in [
-            (1 << 10, fgfft::BackendSel::parse("simd-r4").unwrap()),
-            (1 << 9, fgfft::BackendSel::SCALAR),
+            (1 << 10, fgfft::BackendSel::SCALAR),
+            (1 << 9, fgfft::BackendSel::SIMD),
         ] {
             let key = PlanKey::new(n, Version::FineGuided, Version::FineGuided.layout());
             let tuning = ScheduleTuning::default();
@@ -1121,23 +1109,15 @@ mod tests {
                 cert: Some(cert),
             });
         }
-        let text = wisdom
-            .to_json()
-            .to_string_pretty()
-            .replace("\"backend\": \"simd\"", "\"backend\": \"threaded-simd\"")
-            .replace(
-                "\"backend\": \"scalar\"",
-                "\"backend\": \"threaded-scalar\"",
-            );
-        let path = std::env::temp_dir().join(format!("fgserve-thr-{}.json", std::process::id()));
-        std::fs::write(&path, text).unwrap();
-        let (legacy, status) = serve_with(ServeConfig {
+        let path = std::env::temp_dir().join(format!("fgserve-wis-{}.json", std::process::id()));
+        wisdom.save(&path).unwrap();
+        let (tuned, status) = serve_with(ServeConfig {
             wisdom_path: Some(path.clone()),
             ..small_config()
         });
         std::fs::remove_file(&path).unwrap();
         assert_eq!(status, Some(WisdomStatus::Loaded { entries: 2 }));
-        assert_eq!(legacy, scalar, "legacy threaded-* wisdom");
+        assert_eq!(tuned, scalar, "wisdom-routed kernels");
     }
 
     #[test]

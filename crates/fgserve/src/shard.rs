@@ -265,20 +265,14 @@ impl FftCluster {
     /// Start `config.shards` independent services behind one ring.
     ///
     /// When `config.base.wisdom_path` is set, the file is loaded **once**
-    /// here — under `CertPolicy::Trust` if `base.trust_wisdom`, else with
-    /// certificate verification — and the resulting store is shared into
-    /// every shard's planner. The outcome is in
+    /// here, with certificate verification, and the resulting store is
+    /// shared into every shard's planner. The outcome is in
     /// [`FftCluster::wisdom_status`].
     pub fn start(config: ClusterConfig) -> Self {
         let shard_count = config.shards.max(1);
-        let policy = if config.base.trust_wisdom {
-            fgfft::cert::CertPolicy::Trust
-        } else {
-            fgfft::cert::CertPolicy::Verify
-        };
         let (shared_wisdom, wisdom_status) = match config.base.wisdom_path.as_deref() {
             Some(path) => {
-                let (wisdom, status) = Wisdom::load_with(path, policy);
+                let (wisdom, status) = Wisdom::load(path);
                 (status.is_loaded().then(|| Arc::new(wisdom)), Some(status))
             }
             None => (None, None),
@@ -286,7 +280,6 @@ impl FftCluster {
         let shards: Vec<Shard> = (0..shard_count)
             .map(|index| {
                 let planner = Arc::new(Planner::new());
-                planner.set_cert_policy(policy);
                 if let Some(wisdom) = &shared_wisdom {
                     planner.set_wisdom(Some(Arc::clone(wisdom)));
                 }

@@ -27,9 +27,8 @@
 //! backend toggles) around the best candidate so far, is fully
 //! deterministic for a given `--seed`, and stops on a wall-clock budget.
 //!
-//! Since wisdom format 3 the space also covers *butterfly kernels*
-//! ([`fgfft::BackendSel`]): the scalar hot path and the SIMD kernel at
-//! radix-4 or radix-8 fusion — so wisdom learns scalar-vs-SIMD per
+//! The space also covers *butterfly kernels* ([`fgfft::BackendSel`]): the
+//! scalar hot path and the SIMD kernel — so wisdom learns scalar-vs-SIMD per
 //! `(N, machine)`, not just the schedule. Threading is the `workers` axis:
 //! the runtime's worker count, running the certified schedule as is.
 //!

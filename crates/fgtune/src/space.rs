@@ -4,7 +4,7 @@
 use fgfft::exec::{SeedOrder, Version};
 use fgfft::planner::PlanKey;
 use fgfft::workload::SCRATCHPAD_RADIX_LOG2;
-use fgfft::{BackendKind, BackendSel, FftPlan, ScheduleTuning, TransformKind, TwiddleLayout};
+use fgfft::{BackendSel, FftPlan, ScheduleTuning, TransformKind, TwiddleLayout};
 use fgsupport::rng::Rng64;
 
 /// One point in the search space: a complete recipe the service could run.
@@ -112,14 +112,7 @@ impl TuningSpace {
             ],
             workers,
             batches: vec![1, 4, 8],
-            backends: vec![
-                BackendSel::SCALAR,
-                BackendSel::SIMD,
-                BackendSel {
-                    kind: BackendKind::Simd,
-                    simd_radix_log2: 2,
-                },
-            ],
+            backends: vec![BackendSel::SCALAR, BackendSel::SIMD],
         }
     }
 

@@ -8,8 +8,8 @@
 //! with N.
 //!
 //! The same argument extends to execution *backends* and worker counts:
-//! the scalar and SIMD kernels (AVX2 or the portable four-lane fallback,
-//! radix-4 or radix-8 register fusion) drive the identical certified plan
+//! the scalar and SIMD kernels (AVX2 or the portable four-lane fallback)
+//! drive the identical certified plan
 //! tables through the one codelet runtime on any number of workers, and
 //! the SIMD complex multiply deliberately avoids FMA so each lane rounds
 //! exactly like the scalar code. Any bit of divergence is a kernel or
@@ -62,13 +62,13 @@ fn stage_order_oracle(plan: &Plan, input: &[Complex64]) -> Vec<(u64, u64)> {
     bits(&data)
 }
 
-/// The kernel × worker-count rows every exactness case runs: the scalar,
-/// simd-r4 and simd-r8 kernels on 1, 2 and 4 runtime workers, plus
+/// The kernel × worker-count rows every exactness case runs: the scalar
+/// and simd kernels on 1, 2 and 4 runtime workers, plus
 /// `simd-portable`, which forces the four-lane fallback even on AVX2
 /// hosts so both vector code paths are pinned no matter where this runs.
 fn kernel_rows() -> Vec<(String, Arc<dyn Backend>, Runtime)> {
     let mut rows = Vec::new();
-    for name in ["scalar", "simd-r4", "simd-r8"] {
+    for name in ["scalar", "simd"] {
         for workers in [1usize, 2, 4] {
             rows.push((
                 format!("{name} @ {workers}w"),
@@ -77,7 +77,7 @@ fn kernel_rows() -> Vec<(String, Arc<dyn Backend>, Runtime)> {
             ));
         }
     }
-    let portable: Arc<dyn Backend> = Arc::new(HostSimd::portable(3));
+    let portable: Arc<dyn Backend> = Arc::new(HostSimd::portable());
     rows.push((
         "simd-portable @ 4w".into(),
         portable,
@@ -258,7 +258,7 @@ fn assert_lane_kernels_match(
     want: &[(u64, u64)],
     at: &str,
 ) {
-    let portable: Arc<dyn Backend> = Arc::new(HostSimd::portable(2));
+    let portable: Arc<dyn Backend> = Arc::new(HostSimd::portable());
     for prepared in [BackendSel::default().prepare(plan), portable.prepare(plan)] {
         let kernel = prepared.backend_fingerprint();
         let mut data = input.to_vec();
@@ -396,11 +396,15 @@ fn outputs_match_the_pinned_digest() {
             cases.push((kind, rows_log2 + cols_log2, radix_log2));
         }
     }
+    // Four rows per case, as the digest was pinned with: the scalar
+    // reference, the vector kernel twice (the digest predates its single
+    // pass split, when two fusion radices each had a row) and the portable
+    // kernel.
     let backends: Vec<Arc<dyn Backend>> = vec![
         BackendSel::SCALAR.build(),
-        BackendSel::parse("simd-r4").unwrap().build(),
         BackendSel::SIMD.build(),
-        Arc::new(HostSimd::portable(3)),
+        BackendSel::SIMD.build(),
+        Arc::new(HostSimd::portable()),
     ];
     let runtimes = [1usize, 2].map(Runtime::with_workers);
     let mut digest = Digest::new();

@@ -614,7 +614,7 @@ fn wisdom_tuned_service_is_bit_exact_vs_untuned() {
         last_early: None,
         transpose_block_log2: None,
     };
-    // On-disk wisdom must be certified to load under the default policy.
+    // On-disk wisdom must be certified to load.
     let cert = fgfft::cert::Certificate::for_plan(&fgfft::Plan::build_tuned(key, Some(&tuning)))
         .expect("tuning is valid");
     let mut wisdom = fgfft::wisdom::Wisdom::new();

@@ -29,7 +29,7 @@ fn entry(n_log2: u32, version: Version) -> WisdomEntry {
         last_early: None,
         transpose_block_log2: None,
     };
-    // Certified, as on-disk wisdom must be under the default load policy.
+    // Certified, as on-disk wisdom must be to load.
     let cert = fgfft::cert::Certificate::for_plan(&fgfft::Plan::build_tuned(key, Some(&tuning)))
         .expect("tuning is valid");
     WisdomEntry {
