@@ -143,13 +143,6 @@ impl Digest {
         self.write_u64(word as u64);
     }
 
-    /// Fold one `f64` bit pattern (bitwise — `-0.0` and `0.0` differ, which
-    /// is exactly right for detecting table drift).
-    #[inline]
-    pub fn write_f64(&mut self, value: f64) {
-        self.write_u64(value.to_bits());
-    }
-
     /// Bulk fold: one packed word per item, 8 items per round, one per
     /// lane with a fixed item→lane mapping (independent of `count`). The
     /// lane state is hoisted into a local array for the whole slice so the

@@ -59,11 +59,6 @@ impl FftPlan {
         }
     }
 
-    /// The paper's configuration: 64-point codelets.
-    pub fn with_default_radix(n_log2: u32) -> Self {
-        Self::new(n_log2, 6)
-    }
-
     /// Transform size exponent `n`.
     pub fn n_log2(&self) -> u32 {
         self.n_log2

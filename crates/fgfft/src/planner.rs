@@ -1265,17 +1265,11 @@ impl Planner {
         self.plan_key(PlanKey::with_kind(kind, n, version, layout, 6))
     }
 
-    /// Whether the plan for `(n, version, layout)` under the default
-    /// codelets is already built and cached — a warm lookup. Purely an
-    /// observation: it never builds, never counts as a hit or miss, and
-    /// never touches the LRU stamps. The serving layer's cold-plan gate
-    /// polls this to decide how many requests may ride a cold dispatch.
-    pub fn is_warm(&self, n: usize, version: Version, layout: TwiddleLayout) -> bool {
-        self.is_warm_key(&PlanKey::new(n, version, layout))
-    }
-
-    /// As [`Planner::is_warm`] for an explicit [`PlanKey`] (any transform
-    /// kind) — the kind-aware serving layer's cold-plan probe.
+    /// Whether the plan for `key` is already built and cached — a warm
+    /// lookup. Purely an observation: it never builds, never counts as a
+    /// hit or miss, and never touches the LRU stamps. The serving layer's
+    /// cold-plan gate polls this to decide how many requests may ride a
+    /// cold dispatch.
     pub fn is_warm_key(&self, key: &PlanKey) -> bool {
         self.shards[Self::shard_of(key)]
             .lock()

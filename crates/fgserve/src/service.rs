@@ -747,11 +747,6 @@ impl FftService {
         self.shared.metrics.snapshot(self.shared.planner.stats())
     }
 
-    /// Current submission-queue depth.
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.len()
-    }
-
     /// The plan cache this service resolves against.
     pub fn planner(&self) -> &Arc<Planner> {
         &self.shared.planner

@@ -186,6 +186,10 @@ fn flooding_tenant_cannot_break_victim_deadlines() {
     let stats = cluster.shutdown();
     assert_cluster_drained(&stats);
     assert_eq!(stats.throttled, flood_throttled);
+    // Neither client saw `Overloaded` (either would have panicked above), so
+    // the shards' summed queue rejections must be zero too: a throttled
+    // submission is not also a rejection.
+    assert_eq!(stats.rejected, 0, "client-observed Overloaded was 0");
 }
 
 /// Kill one shard's dispatcher mid-batch. The killed shard's in-flight
