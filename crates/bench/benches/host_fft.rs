@@ -8,8 +8,11 @@
 //! the two worker counts is what threading buys; the gap between the two
 //! kernels is what vectorizing buys. `prepare (default)` is the per-batch
 //! kernel choice the serving path pays. Each size also times
-//! `Plan::build` (the cold set-up a cache miss pays) and prints the plan's
-//! resident bytes per point. At 2^12 and 2^18 one row per stage times
+//! `Plan::build` (the cold set-up a cache miss pays) beside its two
+//! largest parts, `TwiddleTable::new` and `TileProgram::lower`, and prints
+//! the plan's resident bytes per point; 2^20 gets these build rows alone.
+//! `Plan::build / TwiddleTable::new` is then a ratio taken within one
+//! run. At 2^12 and 2^18 one row per stage times
 //! that stage alone through the default kernel, tile by tile on the
 //! calling thread (`PreparedPlan::run_stage`): the layer the kernel owns,
 //! without bit reversal, schedule or dispatch.
@@ -21,7 +24,9 @@
 use codelet::runtime::Runtime;
 use fgfft::bitrev::bit_reverse_tiled;
 use fgfft::exec::shared::SharedData;
-use fgfft::{BackendSel, Complex64, Plan, PlanKey, Version};
+use fgfft::tiles::TileProgram;
+use fgfft::workload::ScheduleSpec;
+use fgfft::{BackendSel, Complex64, FftPlan, Plan, PlanKey, TwiddleTable, Version};
 use fgsupport::bench::{BatchSize, Criterion, Throughput};
 use fgsupport::{criterion_group, criterion_main};
 use std::sync::Arc;
@@ -29,6 +34,8 @@ use std::sync::Arc;
 const SIZES_LOG2: [u32; 4] = [10, 14, 16, 18];
 /// Sizes that also get one row per stage.
 const STAGE_SIZES_LOG2: [u32; 2] = [12, 18];
+/// Sizes that get only the build rows.
+const BUILD_SIZES_LOG2: [u32; 1] = [20];
 
 fn signal(n: usize) -> Vec<Complex64> {
     (0..n)
@@ -89,7 +96,7 @@ fn bench_sizes(c: &mut Criterion) {
                 );
             });
         }
-        group.bench_function("Plan::build", |b| b.iter(|| Plan::build(key)));
+        build_rows(&mut group, key);
         group.bench_function("prepare (default)", |b| {
             b.iter(|| BackendSel::default().prepare(&plan))
         });
@@ -115,5 +122,36 @@ fn bench_sizes(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_sizes);
+/// `Plan::build` of `key` and its two largest parts, each alone.
+fn build_rows(group: &mut fgsupport::bench::BenchmarkGroup<'_>, key: PlanKey) {
+    let fft = FftPlan::new(key.n_log2, key.radix_log2);
+    let spec = ScheduleSpec::of(fft, key.version);
+    group.bench_function("Plan::build", |b| b.iter(|| Plan::build(key)));
+    group.bench_function("TwiddleTable::new", |b| {
+        b.iter(|| TwiddleTable::new(fft.n_log2(), key.layout))
+    });
+    group.bench_function("TileProgram::lower", |b| {
+        b.iter(|| TileProgram::lower(&fft, &spec))
+    });
+}
+
+fn bench_builds(c: &mut Criterion) {
+    let version = Version::FineGuided;
+    for n_log2 in BUILD_SIZES_LOG2 {
+        let n = 1usize << n_log2;
+        let key = PlanKey::new(n, version, version.layout());
+        let name = format!("host_fft_2e{n_log2}");
+        println!(
+            "{:60} {:>14.1} B/point",
+            format!("{name}/plan resident bytes"),
+            Plan::build(key).resident_bytes() as f64 / n as f64
+        );
+        let mut group = c.benchmark_group(name);
+        group.sample_size(20);
+        build_rows(&mut group, key);
+        group.finish();
+    }
+}
+
+criterion_group!(benches, bench_sizes, bench_builds);
 criterion_main!(benches);

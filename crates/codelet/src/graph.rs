@@ -204,8 +204,10 @@ impl<P: CodeletProgram> CodeletProgram for WithoutSharedGroups<P> {
 /// once, trading memory for a branch-free hot dispatch path. It is built as
 /// a quotient ([`CsrProgram::quotient`]): blocks of consecutive codelets
 /// become single nodes, and a block of one keeps the program's own arcs.
-/// This is the "codelet-graph metadata" a cached plan holds.
-#[derive(Debug, Clone, Default)]
+/// This is the "codelet-graph metadata" a cached plan holds. Programs
+/// whose quotient has a closed form build it directly with
+/// [`CsrProgram::from_parts`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CsrProgram {
     dep_counts: Vec<u32>,
     child_offsets: Vec<u32>,
@@ -266,6 +268,48 @@ impl CsrProgram {
             child_offsets,
             child_data,
             seeds: quotient_order(&program.initial_ready(), block_log2),
+        }
+    }
+
+    /// A CSR program from its arrays: node `t` has dependence count
+    /// `dep_counts[t]` and children `child_data[child_offsets[t] ..
+    /// child_offsets[t + 1]]`; `seeds` is its initial-ready order.
+    ///
+    /// # Panics
+    /// When `child_offsets` is not a non-decreasing run of
+    /// `dep_counts.len() + 1` offsets from 0 to `child_data.len()`, or a
+    /// child or seed names no node.
+    pub fn from_parts(
+        dep_counts: Vec<u32>,
+        child_offsets: Vec<u32>,
+        child_data: Vec<u32>,
+        seeds: Vec<CodeletId>,
+    ) -> Self {
+        let nodes = dep_counts.len();
+        assert_eq!(
+            child_offsets.len(),
+            nodes + 1,
+            "one offset per node, plus one"
+        );
+        assert_eq!(child_offsets[0], 0, "offsets start at 0");
+        assert_eq!(
+            child_offsets[nodes] as usize,
+            child_data.len(),
+            "offsets end at the edge count"
+        );
+        assert!(
+            child_offsets.windows(2).all(|w| w[0] <= w[1]),
+            "offsets must not decrease"
+        );
+        assert!(
+            child_data.iter().all(|&c| (c as usize) < nodes) && seeds.iter().all(|&s| s < nodes),
+            "children and seeds must name nodes of the program"
+        );
+        Self {
+            dep_counts,
+            child_offsets,
+            child_data,
+            seeds,
         }
     }
 
@@ -698,6 +742,20 @@ mod tests {
         let unit = CsrProgram::quotient(&g, 0);
         assert_eq!(unit.children(0), &[4, 7]);
         assert_eq!(unit.dep_count(7), 2);
+        // The same arrays, given directly, are the same program.
+        let direct = CsrProgram::from_parts(
+            vec![0, 0, 1, 2],
+            vec![0, 2, 3, 3, 3],
+            vec![2, 3, 3],
+            vec![0, 1],
+        );
+        assert_eq!(direct, q);
+    }
+
+    #[test]
+    #[should_panic(expected = "name nodes")]
+    fn from_parts_rejects_a_child_outside_the_program() {
+        CsrProgram::from_parts(vec![0, 1], vec![0, 1, 1], vec![2], vec![0]);
     }
 
     #[test]

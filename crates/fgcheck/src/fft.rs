@@ -26,7 +26,6 @@ use codelet::verify::{self, Diagnostic};
 use fgfft::cert::{self, Digest};
 use fgfft::graph::FftGraph;
 use fgfft::planner::PlanKey;
-use fgfft::tiles::TileProgram;
 use fgfft::workload::{self, KindWorkload, ScheduleSpec, TransformKind, Workload};
 use fgfft::{FftPlan, Plan, SimVersion, TwiddleLayout};
 use fgsupport::json::Value;
@@ -368,11 +367,7 @@ pub fn check_fft_tuned(
     contract.extend(coverage);
 
     let races = find_races(n_tasks, |t| workload.footprint(t), &hb);
-    let host = vec![tiles::check_lowering(
-        &TileProgram::lower(&plan, &spec),
-        n_tasks,
-        |t| workload.footprint(t),
-    )];
+    let host = vec![tiles::check_host(&plan, &spec, |t| workload.footprint(t))];
     let bank = BankPressure::collect(
         n_tasks,
         |t| workload.footprint(t),
@@ -453,11 +448,7 @@ fn check_fft_kind(
     let wave = |inner: &Workload, tuning| {
         let fft = *inner.plan();
         let spec = ScheduleSpec::of_tuned(fft, opts.version, tuning);
-        tiles::check_lowering(
-            &TileProgram::lower(&fft, &spec),
-            fft.total_codelets(),
-            |t| inner.footprint(t),
-        )
+        tiles::check_host(&fft, &spec, |t| inner.footprint(t))
     };
     let mut host = vec![wave(kw.inner(), tuning)];
     if let Some(col) = kw.col_inner() {

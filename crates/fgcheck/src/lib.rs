@@ -16,7 +16,8 @@
 //!   reported as FG201 errors. Schedule-coverage holes are FG101. The
 //!   same check runs again over the host lowering ([`tiles`]): the tile
 //!   program `fgfft::Plan` actually fires, where a tile's footprint is the
-//!   union of its member codelets'.
+//!   union of its member codelets', and whose generated tile graph must
+//!   equal the quotient of the schedule (FG102).
 //! * **Pass 3 — bank pressure** ([`bank`]): per-stage per-bank histograms
 //!   of every footprint under the Cyclops-64 interleave; a stage whose peak
 //!   bank exceeds `threshold ×` the mean draws an FG301 warning. This is
@@ -25,7 +26,8 @@
 //! * **Pass 4 — plan tables and generators** ([`tables`]): the planner's
 //!   FFTW-style per-stage butterfly/twiddle tables and the generators the
 //!   plan computes instead of storing (the stage address generator, the
-//!   bit reversal) — the second lowering the `unsafe` hot path runs
+//!   direct twiddle index, the bit reversal) — the second lowering the
+//!   `unsafe` hot path runs
 //!   without bounds checks — verified for bounds, per-stage
 //!   disjointness, and identity with the workload authority. Codes
 //!   FG401–FG407, plus FG409 for composite-kind extension tables (real
@@ -56,8 +58,10 @@ pub use fft::{check_fft, check_fft_tuned, layout_name, FftCheckOptions, FftCheck
 pub use hb::{HbOrder, Segment, CODE_COVERAGE};
 pub use race::{find_races, RaceReport, CODE_RACE};
 pub use tables::{
-    check_bit_reversal, check_kind_extensions, check_plan, check_plan_tables, CODE_BITREV_DRIFT,
-    CODE_GATHER_BOUNDS, CODE_KIND_DRIFT, CODE_PAIR_BOUNDS, CODE_STAGE_ALIASING, CODE_TABLE_DRIFT,
-    CODE_TABLE_SHAPE, CODE_TWIDDLE_DRIFT,
+    check_bit_reversal, check_kind_extensions, check_plan, check_plan_tables, check_twiddle_index,
+    CODE_BITREV_DRIFT, CODE_GATHER_BOUNDS, CODE_KIND_DRIFT, CODE_PAIR_BOUNDS, CODE_STAGE_ALIASING,
+    CODE_TABLE_DRIFT, CODE_TABLE_SHAPE, CODE_TWIDDLE_DRIFT,
 };
-pub use tiles::{check_lowering, check_tiles, TileCheck};
+pub use tiles::{
+    check_generated, check_host, check_lowering, check_tiles, TileCheck, CODE_TILE_DRIFT,
+};

@@ -19,9 +19,10 @@
 //! ```
 //!
 //! Exit status 0 when every checked schedule is free of errors (FG00x
-//! contract violations, FG101 coverage holes, FG201 races, FG4xx table
-//! violations); 1 otherwise. Bank-pressure findings (FG301) are warnings
-//! and do not fail the run unless `--deny-warnings` is given.
+//! contract violations, FG101 coverage holes, FG102 tile drift, FG201
+//! races, FG4xx table violations); 1 otherwise. Bank-pressure findings
+//! (FG301) are warnings and do not fail the run unless `--deny-warnings`
+//! is given.
 
 use fgcheck::{check_fft, FftCheckOptions};
 use fgfft::{SeedOrder, SimVersion, TransformKind, TwiddleLayout};

@@ -3,15 +3,17 @@
 //! The first three passes verify the *workload-level* schedule — the graphs
 //! and footprints `fgfft::simwork` executes. But the serving hot path runs a
 //! second, independent lowering: [`fgfft::Plan`] stores per-stage
-//! butterfly/slot tables and one run of distinct twiddles per twiddle
-//! class, and its kernels compute every element address with the stage's
-//! generator ([`StageAddressing::element`]). `unsafe` execution reads and
-//! writes through both **without bounds checks**, on the strength of two
-//! assumptions:
+//! butterfly/slot tables and, where codelets share twiddles, one run of
+//! distinct twiddles per twiddle class; the unshared last stage stores no
+//! runs, and its kernels read the base twiddle table at the direct index
+//! [`TwiddleIndex`] gives. Its kernels compute every element address with
+//! the stage's generator ([`StageAddressing::element`]). `unsafe`
+//! execution reads and writes through all of these **without bounds
+//! checks**, on the strength of two assumptions:
 //!
 //! 1. every computed address and table index — element address, butterfly
-//!    pair, twiddle slot and class — is in bounds for the plan's buffers,
-//!    and
+//!    pair, twiddle slot, class and offset table — is in bounds for the
+//!    plan's buffers, and
 //! 2. codelets that may run concurrently (same stage) have pairwise
 //!    disjoint data footprints — each stage's addresses *partition* the
 //!    data array (which is also what lets the lane kernel load sub-
@@ -19,25 +21,27 @@
 //!
 //! This pass checks both, plus — differentially — that the tables are
 //! byte-identical to what [`fgfft::workload`]'s authority functions derive
-//! and that the generator equals [`FftPlan::for_each_element`], so the two
-//! lowerings can never drift apart silently. The generator checks
-//! ([`check_addressing`]) *run* the address function the kernels call, at
-//! the plan's size, and so take deliberately broken generators too; the
-//! bit reversal has no table either, and FG407 checks the plan's
-//! generator ([`fgfft::bitrev::bit_reverse_tiled`]) against the
-//! [`bit_reverse`] authority the same way. The twiddle check runs per
-//! codelet: the run it reads through its class and the slot pattern must
-//! expand to the authority's per-butterfly run bitwise, which proves the
-//! class map and not just the stored values.
+//! and that the generators equal theirs, so the two lowerings can never
+//! drift apart silently. The generator checks ([`check_addressing`],
+//! [`check_twiddle_index`]) *run* the address and twiddle index
+//! functions the kernels call, at the plan's size, and so take
+//! deliberately broken generators too; the bit reversal has no table
+//! either, and FG407 checks the plan's generator
+//! ([`fgfft::bitrev::bit_reverse_tiled`]) against the [`bit_reverse`]
+//! authority the same way. The twiddle check runs per codelet: the run it
+//! reads — through its class, or from the base table through the offset
+//! table — and the slot pattern must expand to the authority's
+//! per-butterfly run bitwise, which proves the class map and the direct
+//! index and not just the stored values.
 //!
 //! | code    | severity | meaning                                               |
 //! |---------|----------|-------------------------------------------------------|
 //! | `FG401` | error    | a generated element address is out of bounds for the data array |
-//! | `FG402` | error    | butterfly pair, twiddle slot or class out of bounds   |
-//! | `FG403` | error    | table shape mismatch (lengths, class count, run length, addressing parameters vs the plan's algebra) |
+//! | `FG402` | error    | butterfly pair or twiddle slot out of bounds          |
+//! | `FG403` | error    | table shape mismatch (lengths, class count, run length, addressing or direct index parameters vs the plan's algebra) |
 //! | `FG404` | error    | a stage's generated addresses are not a partition (aliasing under `unsafe`) |
-//! | `FG405` | error    | a codelet's slot-indexed twiddles differ bitwise from the workload authority |
-//! | `FG406` | error    | generator/pairs/slots differ from the workload authority |
+//! | `FG405` | error    | a codelet's slot-indexed twiddles, or the direct twiddle index generator, differ from the workload authority |
+//! | `FG406` | error    | generator/pairs/slots/offsets differ from the workload authority |
 //! | `FG407` | error    | computed bit reversal differs from the `bit_reverse` authority |
 //! | `FG409` | error    | composite-kind extension tables (untangle / column plan) drifted |
 //!
@@ -46,19 +50,19 @@
 //! corrupted tables, at most one diagnostic per (stage, code) is emitted —
 //! the first violation found.
 //!
-//! The checker has four entry points: [`check_plan`] for a built
+//! The checker has five entry points: [`check_plan`] for a built
 //! [`fgfft::Plan`] (what `check_fft` and the CLI run), the slice-level
 //! [`check_plan_tables`] that fuzz tests feed deliberately mutated tables,
-//! and [`check_addressing`] and [`check_bit_reversal`], which run any
-//! address or permutation generator and so take deliberately broken ones
-//! too.
+//! and [`check_addressing`], [`check_twiddle_index`] and
+//! [`check_bit_reversal`], which run any address, index or permutation
+//! generator and so take deliberately broken ones too.
 
 use codelet::runtime::Runtime;
 use codelet::verify::{Diagnostic, Severity};
 use fgfft::bitrev::{bit_reverse, bit_reverse_tiled};
-use fgfft::planner::StageTables;
-use fgfft::workload::{self, StageAddressing};
-use fgfft::{Complex64, FftPlan, Plan, TwiddleTable};
+use fgfft::planner::{run_scratch, StageTables, StageTwiddles};
+use fgfft::workload::{self, StageAddressing, TwiddleIndex};
+use fgfft::{Complex64, FftPlan, Plan, TwiddleLayout, TwiddleTable};
 
 /// A generated element address out of bounds.
 pub const CODE_GATHER_BOUNDS: &str = "FG401";
@@ -97,6 +101,7 @@ pub fn check_plan(plan: &Plan) -> Vec<Diagnostic> {
     let stages: Vec<StageTables<'_>> = (0..fft.stages()).map(|s| plan.stage_tables(s)).collect();
     let mut out = check_plan_tables(fft, plan.twiddles(), &stages);
     out.extend(check_addressing(fft, StageAddressing::element));
+    out.extend(check_twiddle_index(fft, TwiddleIndex::slot));
     out.extend(check_bit_reversal(fft.n_log2(), bit_reverse_tiled));
     out
 }
@@ -277,33 +282,50 @@ pub fn check_plan_tables(
     }
 
     let mut authority_tw = Vec::new();
+    let mut scratch = run_scratch();
 
     for (stage, table) in stages.iter().enumerate() {
         let q = fft.levels(stage);
         let expect_pairs = (q as usize) << (fft.radix_log2() - 1);
-        let classes = workload::twiddle_classes(fft, stage);
         let run_len = workload::twiddle_loads(fft, stage);
         let addressing = StageAddressing::of(fft, stage);
+        let index = TwiddleIndex::of(fft, stage, twiddles.layout());
 
-        // FG403 — shapes first: the remaining checks index by them.
+        // FG403 — shapes first: the remaining checks index by them. A
+        // shared stage stores its canonical class runs; an unshared one
+        // stores none and reads the whole base table through its own
+        // generator and a full offset table.
+        let (twiddles_ok, want_twiddles) = if workload::twiddles_unshared(fft, stage) {
+            let ok = matches!(table.twiddles, StageTwiddles::Base { index: i, offsets, base }
+                if i == index && offsets.len() == (1 << q) - 1 && base.len() == twiddles.len());
+            (
+                ok,
+                format!(
+                    "the base table through {index:?} with {} offsets",
+                    (1 << q) - 1
+                ),
+            )
+        } else {
+            let classes = workload::twiddle_classes(fft, stage);
+            let ok = matches!(table.twiddles, StageTwiddles::Classes { classes: c, runs }
+                if c == classes && runs.len() == classes * run_len);
+            (ok, format!("{classes} class runs × {run_len}"))
+        };
         if table.addressing != addressing
             || table.pairs.len() != expect_pairs
             || table.slots.len() != expect_pairs
-            || table.classes != classes
-            || table.twiddles.len() != classes * run_len
+            || !twiddles_ok
         {
             out.push(error(
                 CODE_TABLE_SHAPE,
                 None,
                 format!(
                     "stage {stage}: addressing {:?} (want {addressing:?}), pairs {} and \
-                     slots {} (want {expect_pairs}), classes {} (want {classes}), class runs \
-                     {} (want {classes} × {run_len})",
+                     slots {} (want {expect_pairs}), twiddles {} (want {want_twiddles})",
                     table.addressing,
                     table.pairs.len(),
                     table.slots.len(),
-                    table.classes,
-                    table.twiddles.len(),
+                    describe(&table.twiddles),
                 ),
             ));
             continue; // indices below would be meaningless
@@ -311,8 +333,8 @@ pub fn check_plan_tables(
 
         // FG402 — every butterfly pair stays inside the codelet buffer and
         // names two distinct slots (lo = hi would double-write one slot);
-        // every twiddle slot stays inside a class run, and every codelet's
-        // class names a stored run (the kernels read both unchecked).
+        // every twiddle slot stays inside a codelet's run (the kernels read
+        // both unchecked).
         if let Some((i, &(lo, hi))) = table
             .pairs
             .iter()
@@ -334,18 +356,8 @@ pub fn check_plan_tables(
                 CODE_PAIR_BOUNDS,
                 None,
                 format!(
-                    "stage {stage}: slot[{i}] = {} out of a {run_len}-value class run",
+                    "stage {stage}: slot[{i}] = {} out of a {run_len}-value run",
                     table.slots[i]
-                ),
-            ));
-        }
-        if let Some(idx) = (0..cps).find(|&idx| table.class_of(idx) >= classes) {
-            out.push(error(
-                CODE_PAIR_BOUNDS,
-                Some(stage * cps + idx),
-                format!(
-                    "stage {stage}: codelet {idx} maps to class {} of {classes}",
-                    table.class_of(idx)
                 ),
             ));
         }
@@ -363,17 +375,31 @@ pub fn check_plan_tables(
                 ),
             ));
         }
+        if let StageTwiddles::Base { offsets, .. } = table.twiddles {
+            if offsets != index.offsets(q).as_slice() {
+                out.push(error(
+                    CODE_TABLE_DRIFT,
+                    None,
+                    format!(
+                        "stage {stage}: offset table differs from the direct index \
+                         generator's — the kernels would read other twiddles"
+                    ),
+                ));
+            }
+        }
 
-        // FG405 — per codelet, the twiddles the kernel reads (its class run
-        // through the slot pattern) bitwise equal to the authority's
-        // per-butterfly run. Bitwise, not approximate: the plan is supposed
-        // to *copy* these values, and any rounding difference means it
-        // recomputed them another way.
+        // FG405 — per codelet, the twiddles the kernel reads (its run,
+        // stored or read from the base table, through the slot pattern)
+        // bitwise equal to the authority's per-butterfly run. Bitwise, not
+        // approximate: the plan is supposed to *read* these values, and any
+        // rounding difference means it recomputed them another way.
         if bad_slot.is_some() {
             continue; // the expansion would index past a run
         }
         for idx in 0..cps {
-            let Some(run) = table.run(idx) else { continue };
+            let Some(run) = table.run(idx, &mut scratch) else {
+                continue;
+            };
             authority_tw.clear();
             workload::append_twiddle_run(fft, twiddles, stage, idx, &mut authority_tw);
             let drift = table.slots.iter().zip(&authority_tw).position(|(&s, b)| {
@@ -386,11 +412,9 @@ pub fn check_plan_tables(
                     CODE_TWIDDLE_DRIFT,
                     Some(stage * cps + idx),
                     format!(
-                        "stage {stage}: codelet {idx} butterfly {i} reads class {} slot \
-                         {slot} = {}, which differs bitwise from the workload authority's {}",
-                        table.class_of(idx),
-                        run[slot],
-                        authority_tw[i]
+                        "stage {stage}: codelet {idx} butterfly {i} reads run slot {slot} = \
+                         {}, which differs bitwise from the workload authority's {}",
+                        run[slot], authority_tw[i]
                     ),
                 ));
                 break; // one diagnostic per (stage, code)
@@ -398,6 +422,80 @@ pub fn check_plan_tables(
         }
     }
 
+    out
+}
+
+/// A stage's twiddle source, for diagnostics.
+fn describe(twiddles: &StageTwiddles<'_>) -> String {
+    match *twiddles {
+        StageTwiddles::Classes { classes, runs } => {
+            format!("{classes} classes over {} stored values", runs.len())
+        }
+        StageTwiddles::Base {
+            index,
+            offsets,
+            base,
+        } => format!(
+            "a {}-value base table through {index:?} with {} offsets",
+            base.len(),
+            offsets.len()
+        ),
+    }
+}
+
+/// FG405 — run `slot` (the production generator is [`TwiddleIndex::slot`],
+/// the index both kernels read an unshared stage's twiddles at) for every
+/// twiddle of every codelet of every unshared stage of `fft`, under each
+/// of the three layouts, and require the slot the authority names:
+/// [`workload::for_each_twiddle_index`]'s logical index, placed by
+/// [`TwiddleTable::map_index`]. Level `ll`'s offset `t` of sub-transform
+/// `g` comes in the authority's order (level, sub-transform, offset).
+pub fn check_twiddle_index(
+    fft: &FftPlan,
+    slot: impl Fn(&TwiddleIndex, usize, u32, usize) -> usize,
+) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let (n_log2, cps) = (fft.n_log2(), fft.codelets_per_stage());
+    let layouts = [
+        TwiddleLayout::Linear,
+        TwiddleLayout::BitReversedHash,
+        TwiddleLayout::MultiplicativeHash,
+    ];
+    for stage in (0..fft.stages()).filter(|&s| workload::twiddles_unshared(fft, s)) {
+        let addr = StageAddressing::of(fft, stage);
+        for layout in layouts {
+            let index = TwiddleIndex::of(fft, stage, layout);
+            let mut drift = None;
+            for idx in 0..cps {
+                let mut want = Vec::with_capacity(workload::twiddle_loads(fft, stage));
+                workload::for_each_twiddle_index(fft, stage, idx, |t| {
+                    want.push(TwiddleTable::map_index(t, n_log2, layout))
+                });
+                let mut want = want.into_iter();
+                for ll in 0..addr.levels {
+                    for g in idx << addr.groups_log2..(idx + 1) << addr.groups_log2 {
+                        for t in 0..1usize << ll {
+                            let (got, want) = (slot(&index, g, ll, t), want.next());
+                            if Some(got) != want && drift.is_none() {
+                                drift = Some((idx, g, ll, t, got, want));
+                            }
+                        }
+                    }
+                }
+            }
+            if let Some((idx, g, ll, t, got, want)) = drift {
+                out.push(error(
+                    CODE_TWIDDLE_DRIFT,
+                    Some(stage * cps + idx),
+                    format!(
+                        "stage {stage} ({layout:?}): level {ll} twiddle {t} of sub-transform \
+                         {g} is read at slot {got}; the authority stores it at {want:?} — the \
+                         direct index generator has drifted"
+                    ),
+                ));
+            }
+        }
+    }
     out
 }
 
@@ -549,13 +647,16 @@ mod tests {
         let diags = check_plan_tables(fft, p.twiddles(), &stages);
         assert_eq!(codes(&diags), [CODE_TABLE_SHAPE]);
 
-        // One twiddle bit flipped: bitwise drift.
-        let mut stages = full.clone();
-        let mut tw = full[1].twiddles.to_vec();
+        // One twiddle bit flipped in stage 0's class run: bitwise drift.
+        let StageTwiddles::Classes { classes, runs } = full[0].twiddles else {
+            panic!("stage 0 shares its twiddles");
+        };
+        let mut tw = runs.to_vec();
         tw[5].re = f64::from_bits(tw[5].re.to_bits() ^ 1);
-        stages[1] = StageTables {
-            twiddles: &tw,
-            ..full[1]
+        let mut stages = full.clone();
+        stages[0] = StageTables {
+            twiddles: StageTwiddles::Classes { classes, runs: &tw },
+            ..full[0]
         };
         let diags = check_plan_tables(fft, p.twiddles(), &stages);
         assert!(
@@ -566,8 +667,8 @@ mod tests {
 
     /// The class-table mutations, each against the code that owns it: a
     /// slot past its run is FG402, a class count off by one is FG403, and
-    /// one flipped value of the last class run (the only codelet reading
-    /// it is the last) is FG405 for that codelet.
+    /// one flipped value of the last class run of stage 1 (read first by
+    /// codelet 63 of 128) is FG405 for that codelet.
     #[test]
     fn mutated_class_tables_draw_their_codes() {
         let p = Plan::build(PlanKey::with_radix(
@@ -595,26 +696,112 @@ mod tests {
         };
         assert!(codes(&stages).contains(&(CODE_PAIR_BOUNDS, None)));
 
-        for classes in [full[1].classes - 1, full[1].classes + 1] {
+        let StageTwiddles::Classes { classes, runs } = full[1].twiddles else {
+            panic!("stage 1 shares its twiddles");
+        };
+        for classes in [classes - 1, classes + 1] {
             let mut stages = full.clone();
-            stages[1] = StageTables { classes, ..full[1] };
+            stages[1] = StageTables {
+                twiddles: StageTwiddles::Classes { classes, runs },
+                ..full[1]
+            };
             assert!(
                 codes(&stages).contains(&(CODE_TABLE_SHAPE, None)),
                 "{classes}"
             );
         }
 
-        let last = fft.stages() - 1;
-        let mut tw = full[last].twiddles.to_vec();
+        let mut tw = runs.to_vec();
         let i = tw.len() - 1;
         tw[i].im = f64::from_bits(tw[i].im.to_bits() ^ 1);
         let mut stages = full.clone();
-        stages[last] = StageTables {
-            twiddles: &tw,
-            ..full[last]
+        stages[1] = StageTables {
+            twiddles: StageTwiddles::Classes { classes, runs: &tw },
+            ..full[1]
         };
-        let id = last * fft.codelets_per_stage() + fft.codelets_per_stage() - 1;
+        let id = fft.codelets_per_stage() + classes - 1;
         assert_eq!(codes(&stages), [(CODE_TWIDDLE_DRIFT, Some(id))]);
+    }
+
+    /// The unshared last stage stores no runs. Reading it from the base
+    /// table through another stage's generator or a short offset table is
+    /// FG403; one wrong offset is FG406 for the table and FG405 for the
+    /// first codelet that reads it.
+    #[test]
+    fn mutated_base_table_reads_draw_their_codes() {
+        for layout in [
+            TwiddleLayout::Linear,
+            TwiddleLayout::BitReversedHash,
+            TwiddleLayout::MultiplicativeHash,
+        ] {
+            let p = Plan::build(PlanKey::with_radix(1 << 13, Version::Coarse, layout, 6));
+            let fft = p.fft_plan();
+            let full: Vec<StageTables<'_>> = (0..fft.stages()).map(|s| p.stage_tables(s)).collect();
+            let codes = |stages: &[StageTables<'_>]| -> Vec<(&'static str, Option<usize>)> {
+                check_plan_tables(fft, p.twiddles(), stages)
+                    .iter()
+                    .map(|d| (d.code, d.codelet))
+                    .collect()
+            };
+            assert!(codes(&full).is_empty(), "{layout:?}");
+            let last = fft.stages() - 1;
+            let StageTwiddles::Base {
+                index,
+                offsets,
+                base,
+            } = full[last].twiddles
+            else {
+                panic!("the last stage reads the base table");
+            };
+            let with = |index, offsets| {
+                let mut stages = full.clone();
+                stages[last] = StageTables {
+                    twiddles: StageTwiddles::Base {
+                        index,
+                        offsets,
+                        base,
+                    },
+                    ..full[last]
+                };
+                codes(&stages)
+            };
+            let other_stage = TwiddleIndex::of(fft, 1, layout);
+            assert_eq!(with(other_stage, offsets), [(CODE_TABLE_SHAPE, None)]);
+            let short = &offsets[..offsets.len() - 1];
+            assert_eq!(with(index, short), [(CODE_TABLE_SHAPE, None)]);
+            // Level 0's one offset is 0; moving it reads another twiddle
+            // at every codelet's first butterfly.
+            let mut moved = offsets.to_vec();
+            moved[0] += 1;
+            let first = last * fft.codelets_per_stage();
+            assert_eq!(
+                with(index, &moved),
+                [(CODE_TABLE_DRIFT, None), (CODE_TWIDDLE_DRIFT, Some(first))],
+                "{layout:?}"
+            );
+        }
+    }
+
+    /// The direct index generator equals the authority under every layout
+    /// for every codelet radix, full and partial last stages; one with the
+    /// lane field shifted one bit too far is FG405 under each layout.
+    #[test]
+    fn direct_twiddle_index_matches_the_authority() {
+        for (n_log2, radix_log2) in [(12u32, 6u32), (13, 6), (10, 3), (9, 7), (4, 2), (6, 1)] {
+            let fft = FftPlan::new(n_log2, radix_log2);
+            let diags = check_twiddle_index(&fft, TwiddleIndex::slot);
+            assert!(diags.is_empty(), "2^{n_log2} r{radix_log2}: {diags:?}");
+        }
+        let fft = FftPlan::new(12, 6);
+        let shifted = |i: &TwiddleIndex, g: usize, ll: u32, t: usize| {
+            ((i.lane(g, ll) << 1) + i.offset(ll, t)) & i.mask()
+        };
+        let diags = check_twiddle_index(&fft, shifted);
+        assert_eq!(codes(&diags), [CODE_TWIDDLE_DRIFT; 3], "{diags:?}");
+        let last = fft.stages() - 1;
+        assert!(diags
+            .iter()
+            .all(|d| d.codelet.is_some_and(|c| fft.stage_of(c) == last)));
     }
 
     /// FG407 runs the generator, so a broken one draws it: a permutation

@@ -25,8 +25,11 @@
 //!   codelets (full stage, one sub-transform each) or from the groups
 //!   inside a partial-stage codelet. Every pass is loaded and stored
 //!   straight from the data: no index
-//!   load, no copy, no shuffle. Each lane's twiddle is its own class-run
-//!   entry, two 128-bit loads per vector. A pass runs up to
+//!   load, no copy, no shuffle. Each lane's twiddle is its own run entry,
+//!   two 128-bit loads per vector: from its class run in a shared stage,
+//!   or from the base twiddle table at the direct index in the unshared
+//!   last stage ([`LaneTwiddles`]), where the linear layout puts level
+//!   `q − 1`'s lanes in adjacent slots, one 256-bit load. A pass runs up to
 //!   [`PASS_PAIRS`] lane pairs side by side, block by block: pairs `g` and
 //!   `g + 2` share each slot's 64-byte line, so every line is used whole,
 //!   and a block reads each of its slots as one run of consecutive lines
@@ -49,13 +52,16 @@
 //!    radix at small sizes. So a tile owns exactly
 //!    its codelets' elements, and its two-wide loads at `g` (even) cover
 //!    `g + 1`, a sub-transform of the same tile.
-//! 2. **The slot pattern and run length are canonical.** Level `ll`'s
-//!    twiddle for sub-transform `g` and butterfly offset `t < 2^ll` sits at
-//!    `(2^ll − 1)·G + (g mod G)·2^ll + t` of its codelet's class run, with
+//! 2. **The slot pattern and runs are canonical.** Level `ll`'s twiddle
+//!    for sub-transform `g` and butterfly offset `t < 2^ll` sits at
+//!    `(2^ll − 1)·G + (g mod G)·2^ll + t` of its codelet's run, with
 //!    `G = 2^(p−q)` sub-transforms per codelet (FG402/FG403/FG406 pin the
 //!    tables to this shape, FG405 pins every codelet's run to the workload
-//!    authority). [`Plan::build`] re-verifies the pair and slot patterns,
-//!    the run lengths and the addressing once per plan
+//!    authority). A shared stage stores that run once per class; an
+//!    unshared stage reads it from the base table at the direct index,
+//!    masked into the table and so in bounds whatever the offsets hold.
+//!    [`Plan::build`] re-verifies the pair and slot patterns, the run and
+//!    offset-table lengths and the addressing once per plan
 //!    ([`Plan::vector_ready`]) and [`HostSimd::prepare`] falls back to the
 //!    scalar kernel on any mismatch, so the vector paths never guess.
 //!
@@ -73,8 +79,9 @@ use super::scalar::ScalarKernel;
 use super::{Backend, Capabilities, CodeletKernel, PreparedPlan};
 use crate::complex::Complex64;
 use crate::exec::shared::{execute_codelet_tabled, SharedData};
-use crate::planner::{Plan, StageTables};
-use crate::workload::{self, StageAddressing};
+use crate::planner::{Plan, StageTables, StageTwiddles};
+use crate::workload::{self, StageAddressing, TwiddleIndex};
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -337,21 +344,40 @@ pub(crate) fn vector_ready(plan: &Plan) -> bool {
 }
 
 /// Whether every stage of `plan` (and of a 2-D plan's column plan, which
-/// runs on the same kernel) carries the workload layer's addressing and
-/// the canonical butterfly and slot patterns over class runs of the
-/// canonical length (the precondition of the lane kernel's passes).
+/// runs on the same kernel) carries the workload layer's addressing, the
+/// canonical butterfly and slot patterns, and twiddles of the canonical
+/// shape: a shared stage (stage 0 always) a power-of-two count of class
+/// runs of the canonical length, the unshared one its own direct index
+/// over a full base table with a full offset table (the precondition of
+/// the lane kernel's passes).
 pub(crate) fn tables_are_canonical(plan: &Plan) -> bool {
     let fft = plan.fft_plan();
     let radix = 1usize << fft.radix_log2();
     plan.col_plan().is_none_or(tables_are_canonical)
         && (0..fft.stages()).all(|s| {
             let table = plan.stage_tables(s);
-            let q = fft.levels(s);
+            let twiddles = match table.twiddles {
+                StageTwiddles::Classes { classes, runs } => {
+                    !workload::twiddles_unshared(fft, s)
+                        && classes.is_power_of_two()
+                        && runs.len() == classes * table.run_len()
+                }
+                StageTwiddles::Base {
+                    index,
+                    offsets,
+                    base,
+                } => {
+                    workload::twiddles_unshared(fft, s)
+                        && index == TwiddleIndex::of(fft, s, plan.twiddles().layout())
+                        && offsets.len() == (1 << fft.levels(s)) - 1
+                        && base.len() == fft.n() / 2
+                }
+            };
             table.addressing == StageAddressing::of(fft, s)
                 && pairs_are_canonical(table.pairs, radix)
                 && slots_are_canonical(table.slots, radix)
                 && table.slots.len() == table.pairs.len()
-                && table.run_len() == ((1usize << q) - 1) * (radix >> q)
+                && twiddles
         })
 }
 
@@ -426,26 +452,146 @@ unsafe fn block<V: CVec, const R: u32>(p: &[*mut Complex64; 8], tw: impl Fn(u32,
     }
 }
 
-/// The first element of level `ll`'s twiddles for sub-transform `g` in
-/// its codelet's class run: `(2^ll − 1)·G + (g mod G)·2^ll` past the run
-/// start ([`workload::twiddle_slot`] with the butterfly offset left out).
-///
-/// # Safety
-/// `g` must be a sub-transform of the stage and `ll < q`; the tables must
-/// be canonical ([`tables_are_canonical`]).
-#[inline(always)]
-unsafe fn level_twiddles(tables: &StageTables<'_>, g: usize, ll: u32) -> *const Complex64 {
-    let a = tables.addressing;
-    // Canonical tables hold a power-of-two class count: a shift, not the
-    // division of `run_len`.
-    let run_len = tables.twiddles.len() >> tables.classes.trailing_zeros();
-    debug_assert_eq!(run_len, tables.run_len());
-    let class = tables.class_of(g >> a.groups_log2);
-    let g_rel = g & (a.groups() - 1);
-    let at = class * run_len + (((1usize << ll) - 1) << a.groups_log2) + (g_rel << ll);
-    debug_assert!(at + (1 << ll) <= tables.twiddles.len());
-    // SAFETY: in bounds by the canonical run shape (see the contract).
-    unsafe { tables.twiddles.as_ptr().add(at) }
+/// Where a lane pass reads its twiddles: level `ll`'s twiddle `t` of the
+/// lane pair `g, g + 1` (`g` even), as one two-lane vector. A twiddle's
+/// address splits into a part of the pair and level ([`LaneTwiddles::
+/// level`], once per pass) and a *key* of the level and offset that every
+/// pair shares ([`LaneTwiddles::key`]).
+trait LaneTwiddles: Copy {
+    /// What a pass keeps per lane pair and level.
+    type Level: Copy;
+
+    /// Level `ll`'s twiddles of the pair `g, g + 1`.
+    ///
+    /// # Safety
+    /// `g + 1` must be a sub-transform of the stage and `ll < q`; the
+    /// tables must be canonical ([`tables_are_canonical`]).
+    unsafe fn level(&self, g: usize, ll: u32) -> Self::Level;
+
+    /// The shared part of level `ll`'s twiddle `t`.
+    ///
+    /// # Safety
+    /// `ll < q` and `t < 2^ll`; the tables must be canonical.
+    unsafe fn key(&self, ll: u32, t: usize) -> usize;
+
+    /// The twiddle of both lanes of `level` at `key`.
+    ///
+    /// # Safety
+    /// `level` and `key` came from [`LaneTwiddles::level`] and
+    /// [`LaneTwiddles::key`] at one level `ll`.
+    unsafe fn load<V: CVec>(&self, level: &Self::Level, key: usize) -> V;
+}
+
+/// The shared twiddles of a stage, one run per class: a lane's level
+/// segment is `2^ll` consecutive values of its codelet's class run, and
+/// the key is the offset `t` into it.
+#[derive(Clone, Copy)]
+struct ClassRuns<'a> {
+    addressing: StageAddressing,
+    classes: usize,
+    runs: &'a [Complex64],
+}
+
+impl ClassRuns<'_> {
+    /// The first of level `ll`'s twiddles for sub-transform `g`:
+    /// `(2^ll − 1)·G + (g mod G)·2^ll` past the start of its codelet's
+    /// class run ([`workload::twiddle_slot`] with the butterfly offset
+    /// left out).
+    ///
+    /// # Safety
+    /// As [`LaneTwiddles::level`].
+    #[inline(always)]
+    unsafe fn segment(&self, g: usize, ll: u32) -> *const Complex64 {
+        let a = self.addressing;
+        // Canonical tables hold a power-of-two class count: a shift, not
+        // the division of the run length.
+        let run_len = self.runs.len() >> self.classes.trailing_zeros();
+        let class = (g >> a.groups_log2) & (self.classes - 1);
+        let g_rel = g & (a.groups() - 1);
+        let at = class * run_len + (((1usize << ll) - 1) << a.groups_log2) + (g_rel << ll);
+        debug_assert!(at + (1 << ll) <= self.runs.len());
+        // SAFETY: in bounds by the canonical run shape (see the contract).
+        unsafe { self.runs.as_ptr().add(at) }
+    }
+}
+
+impl LaneTwiddles for ClassRuns<'_> {
+    /// Both lanes' level segments.
+    type Level = (*const Complex64, *const Complex64);
+
+    #[inline(always)]
+    unsafe fn level(&self, g: usize, ll: u32) -> Self::Level {
+        // SAFETY: forwarded.
+        unsafe { (self.segment(g, ll), self.segment(g + 1, ll)) }
+    }
+
+    #[inline(always)]
+    unsafe fn key(&self, _ll: u32, t: usize) -> usize {
+        t
+    }
+
+    #[inline(always)]
+    unsafe fn load<V: CVec>(&self, level: &Self::Level, t: usize) -> V {
+        // SAFETY: `t < 2^ll` stays inside each lane's level segment.
+        unsafe { V::load2(level.0.add(t), level.1.add(t)) }
+    }
+}
+
+/// The unshared twiddles of a stage, read from the base table: lane `g`'s
+/// twiddle `t` at level `ll` is slot `(lane(g, ll) + offset(ll, t)) mod
+/// 2^(n−1)` ([`TwiddleIndex`]), and the key is the offset.
+#[derive(Clone, Copy)]
+struct BaseTable<'a> {
+    index: TwiddleIndex,
+    offsets: &'a [u32],
+    base: *const Complex64,
+}
+
+/// Both lanes' images at one level.
+#[derive(Clone, Copy)]
+struct Lanes {
+    lo: usize,
+    hi: usize,
+    /// The two lanes sit in adjacent slots at every offset: one vector
+    /// load serves both.
+    adjacent: bool,
+}
+
+impl LaneTwiddles for BaseTable<'_> {
+    type Level = Lanes;
+
+    #[inline(always)]
+    unsafe fn level(&self, g: usize, ll: u32) -> Lanes {
+        let index = self.index;
+        Lanes {
+            lo: index.lane(g, ll),
+            hi: index.lane(g + 1, ll),
+            adjacent: index.adjacent_lanes(ll),
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn key(&self, ll: u32, t: usize) -> usize {
+        // SAFETY: a canonical offset table holds `2^q − 1` entries, level
+        // `ll < q` starting at `2^ll − 1`, and `t < 2^ll`.
+        unsafe { *self.offsets.get_unchecked((1 << ll) - 1 + t) as usize }
+    }
+
+    #[inline(always)]
+    unsafe fn load<V: CVec>(&self, level: &Lanes, offset: usize) -> V {
+        let mask = self.index.mask();
+        // SAFETY: every slot is masked below `2^(n−1)`, the canonical base
+        // table's length, and adjacent lanes put slot `lo + 1` in the
+        // table too.
+        unsafe {
+            let lo = self.base.add((level.lo + offset) & mask);
+            if level.adjacent {
+                V::load(lo)
+            } else {
+                V::load2(lo, self.base.add((level.hi + offset) & mask))
+            }
+        }
+    }
 }
 
 /// Lane pairs a pass runs side by side: 32 pairs are 64 sub-transforms,
@@ -457,31 +603,44 @@ const PASS_PAIRS: usize = 32;
 /// each pair in turn loads its `2^R` two-lane vectors at the generator's
 /// addresses, runs them through the block and stores them back. Pairs
 /// `g` and `g + 2` share each slot's cache line and run back to back, so
-/// a block reads each slot as one run of consecutive lines.
+/// a block reads each slot as one run of consecutive lines. A `FIRST`
+/// pass (`l0 = 0`) reads the same twiddles in every block, so each pair
+/// loads them once; later passes load each block's own.
 ///
 /// # Safety
 /// The caller owns sub-transforms `g, g + 1` for every `g` in `pairs`,
-/// `data` spans the stage, and the tables are canonical.
+/// `data` spans the stage, the tables behind `a` and `twiddles` are
+/// canonical, and `FIRST` is `l0 == 0`.
 #[inline(always)]
-unsafe fn lane_pass<V: CVec, const R: u32>(
-    tables: &StageTables<'_>,
+unsafe fn lane_pass<V: CVec, W: LaneTwiddles, const R: u32, const FIRST: bool>(
+    a: StageAddressing,
+    twiddles: W,
     data: *mut Complex64,
     pairs: &[usize],
     l0: u32,
 ) {
-    let a = tables.addressing;
-    // Per pair and level of the pass, each lane's twiddle segment.
-    let mut segs = [[(std::ptr::null(), std::ptr::null()); 3]; PASS_PAIRS];
-    for (seg, &g) in segs.iter_mut().zip(pairs) {
-        for (s, lanes) in seg.iter_mut().enumerate().take(R as usize) {
-            let ll = l0 + s as u32;
+    // Per pair and level of the pass, both lanes' twiddles; only the
+    // first `pairs.len()` rows and `R` columns are written and read.
+    let mut levels = [[MaybeUninit::<W::Level>::uninit(); 3]; PASS_PAIRS];
+    for (level, &g) in levels.iter_mut().zip(pairs) {
+        for (s, lanes) in level.iter_mut().enumerate().take(R as usize) {
             // SAFETY: `g + 1` is a sub-transform and `ll < q` (contract).
-            *lanes = unsafe {
-                (
-                    level_twiddles(tables, g, ll),
-                    level_twiddles(tables, g + 1, ll),
-                )
-            };
+            lanes.write(unsafe { twiddles.level(g, l0 + s as u32) });
+        }
+    }
+    // A first pass loads each pair's `2^R − 1` vectors once, into
+    // `first`, position `2^s − 1 + j` for level `s` and offset `j`.
+    let mut first = [[MaybeUninit::<V>::uninit(); 7]; PASS_PAIRS];
+    if FIRST {
+        for (vectors, level) in first.iter_mut().zip(&levels).take(pairs.len()) {
+            for s in 0..R as usize {
+                for j in 0..1 << s {
+                    // SAFETY: level `s < R ≤ q` was written above, `j < 2^s`.
+                    vectors[(1 << s) - 1 + j].write(unsafe {
+                        twiddles.load(level[s].assume_init_ref(), twiddles.key(s as u32, j))
+                    });
+                }
+            }
         }
     }
     let low_mask = (1usize << l0) - 1;
@@ -490,7 +649,7 @@ unsafe fn lane_pass<V: CVec, const R: u32>(
         // inserted at `l0`; `low` its offset below the pass's levels.
         let low = o & low_mask;
         let base = ((o >> l0) << (l0 + R)) | low;
-        for (seg, &g) in segs.iter().zip(pairs) {
+        for ((level, vectors), &g) in levels.iter().zip(&first).zip(pairs) {
             let mut p = [std::ptr::null_mut(); 8];
             for (k, slot) in p.iter_mut().enumerate().take(1 << R) {
                 let e = a.element(g, base | (k << l0));
@@ -498,13 +657,19 @@ unsafe fn lane_pass<V: CVec, const R: u32>(
                 // SAFETY: the generator's addresses are in bounds.
                 *slot = unsafe { data.add(e) };
             }
-            // SAFETY: the pair owns these elements (contract); the
-            // twiddle offsets `low + j·2^l0 < 2^ll` stay in each segment.
+            // SAFETY: the pair owns these elements (contract); its first
+            // `R` levels, and in a first pass its vectors, were written
+            // above; the twiddle offsets `low + j·2^l0 < 2^ll` stay in
+            // each level.
             unsafe {
                 block::<V, R>(&p, |s, j| {
-                    let t = low + (j << l0);
-                    let (w0, w1) = seg[s as usize];
-                    V::load2(w0.add(t), w1.add(t))
+                    let su = s as usize;
+                    if FIRST {
+                        vectors[(1 << su) - 1 + j].assume_init()
+                    } else {
+                        let key = twiddles.key(l0 + s, low + (j << l0));
+                        twiddles.load(level[su].assume_init_ref(), key)
+                    }
                 })
             };
         }
@@ -517,8 +682,9 @@ unsafe fn lane_pass<V: CVec, const R: u32>(
 /// # Safety
 /// As [`lane_pass`].
 #[inline(always)]
-unsafe fn lane_pairs<V: CVec>(
-    tables: &StageTables<'_>,
+unsafe fn lane_pairs<V: CVec, W: LaneTwiddles>(
+    a: StageAddressing,
+    twiddles: W,
     data: *mut Complex64,
     groups: Range<usize>,
 ) {
@@ -531,13 +697,16 @@ unsafe fn lane_pairs<V: CVec>(
         for (p, g) in pairs.iter_mut().zip(chunk.step_by(2)) {
             *p = g;
         }
-        for (l0, r) in passes(tables.addressing.levels) {
+        for (l0, r) in passes(a.levels) {
             // SAFETY: forwarded.
             unsafe {
-                match r {
-                    3 => lane_pass::<V, 3>(tables, data, pairs, l0),
-                    2 => lane_pass::<V, 2>(tables, data, pairs, l0),
-                    _ => lane_pass::<V, 1>(tables, data, pairs, l0),
+                match (r, l0 == 0) {
+                    (3, true) => lane_pass::<V, W, 3, true>(a, twiddles, data, pairs, l0),
+                    (3, false) => lane_pass::<V, W, 3, false>(a, twiddles, data, pairs, l0),
+                    (2, true) => lane_pass::<V, W, 2, true>(a, twiddles, data, pairs, l0),
+                    (2, false) => lane_pass::<V, W, 2, false>(a, twiddles, data, pairs, l0),
+                    (_, true) => lane_pass::<V, W, 1, true>(a, twiddles, data, pairs, l0),
+                    (_, false) => lane_pass::<V, W, 1, false>(a, twiddles, data, pairs, l0),
                 }
             }
         }
@@ -547,18 +716,25 @@ unsafe fn lane_pairs<V: CVec>(
 /// A stage-0 codelet, in place on its contiguous elements, pass by pass
 /// of [`passes`]: the first pass (`f` = 2 or 3 levels) fused over
 /// blocks of `2^f` neighbouring slots with de-interleaved lanes, the
-/// others with lanes `x, x + 1`, which read consecutive twiddles.
+/// others with lanes `x, x + 1`, which read consecutive twiddles of
+/// `run`, the codelet's class run.
 ///
 /// # Safety
 /// The caller owns codelet `idx`'s elements, `data` spans the stage, the
-/// tables are canonical and the stage is stage 0 (`q = p ≥ 2`).
+/// tables are canonical, the stage is stage 0 (`q = p ≥ 2`) and `run`
+/// holds the codelet's `2^q − 1` twiddles.
 #[inline(always)]
-unsafe fn stage0_codelet<V: CVec>(tables: &StageTables<'_>, data: *mut Complex64, idx: usize) {
-    let a = tables.addressing;
+unsafe fn stage0_codelet<V: CVec>(
+    a: StageAddressing,
+    data: *mut Complex64,
+    idx: usize,
+    run: *const Complex64,
+) {
     let q = a.levels;
     debug_assert!(a.stride_log2 == 0 && a.groups_log2 == 0 && q >= 2);
-    // SAFETY: a stage-0 codelet is one sub-transform (`G = 1`).
-    let seg = |ll: u32| unsafe { level_twiddles(tables, idx, ll) };
+    // SAFETY: a stage-0 codelet is one sub-transform (`G = 1`): level
+    // `ll` starts `2^ll − 1` into its run.
+    let seg = |ll: u32| unsafe { run.add((1 << ll) - 1) };
     let at = |x: usize| {
         // SAFETY: the generator's addresses are in bounds.
         unsafe { data.add(a.element(idx, x)) }
@@ -646,15 +822,55 @@ unsafe fn tile_vec<V: CVec>(
     let a = tables.addressing;
     debug_assert!(view.len() >= codelets.end << (a.levels + a.groups_log2));
     let data = view.as_ptr();
-    if a.stride_log2 == 0 {
-        for idx in codelets {
-            // SAFETY: forwarded; the tile owns codelet `idx`.
-            unsafe { stage0_codelet::<V>(tables, data, idx) };
+    // SAFETY (all calls): forwarded; the tile owns its codelets, and
+    // canonical tables share stage 0's twiddles (`stride_log2 == 0`).
+    unsafe {
+        match tables.twiddles {
+            StageTwiddles::Classes { classes, runs } => {
+                let runs = ClassRuns {
+                    addressing: a,
+                    classes,
+                    runs,
+                };
+                if a.stride_log2 == 0 {
+                    for idx in codelets {
+                        stage0_codelet::<V>(a, data, idx, runs.segment(idx, 0));
+                    }
+                } else {
+                    lane_tile::<V, _>(tables, runs, codelets, view);
+                }
+            }
+            StageTwiddles::Base {
+                index,
+                offsets,
+                base,
+            } => {
+                let base = BaseTable {
+                    index,
+                    offsets,
+                    base: base.as_ptr(),
+                };
+                lane_tile::<V, _>(tables, base, codelets, view);
+            }
         }
-        return;
     }
-    // Sub-transforms `g0..g1`; with one per codelet (`G = 1`) an odd end
-    // has no partner lane and runs on the scalar reference.
+}
+
+/// A tile of a stage ≥ 1 as lane pairs of consecutive sub-transforms,
+/// reading twiddles from `twiddles`; with one sub-transform per codelet
+/// (`G = 1`) an odd end has no partner lane and runs on the scalar
+/// reference.
+///
+/// # Safety
+/// As [`tile_vec`], and `twiddles` is the stage's own.
+#[inline(always)]
+unsafe fn lane_tile<V: CVec, W: LaneTwiddles>(
+    tables: &StageTables<'_>,
+    twiddles: W,
+    codelets: Range<usize>,
+    view: &SharedData<'_>,
+) {
+    let a = tables.addressing;
     let (mut g0, mut g1) = (
         codelets.start << a.groups_log2,
         codelets.end << a.groups_log2,
@@ -671,7 +887,7 @@ unsafe fn tile_vec<V: CVec>(
     }
     if g1 > g0 {
         // SAFETY: forwarded; every `g, g + 1` is in the tile.
-        unsafe { lane_pairs::<V>(tables, data, g0..g1) };
+        unsafe { lane_pairs::<V, W>(a, twiddles, view.as_ptr(), g0..g1) };
     }
 }
 
@@ -992,11 +1208,13 @@ mod tests {
     /// full-stage sub-transform at N = 16 with radix 4), partial last
     /// stages of 2 to 64 sub-transforms per codelet, every codelet radix
     /// from 4 to 128 (so every pass split of `q = 2..=7` levels, in stage 0
-    /// and in later stages), native and portable. Each stage
-    /// starts from the scalar reference's previous stage, so a drift is
-    /// pinned to the stage that made it.
+    /// and in later stages), shared class runs and the unshared last stage
+    /// read from the base table under all three layouts, native and
+    /// portable. Each stage starts from the scalar reference's previous
+    /// stage, so a drift is pinned to the stage that made it.
     #[test]
     fn lane_kernel_matches_the_scalar_reference_stage_by_stage() {
+        use crate::twiddle::TwiddleLayout;
         let mut tile_lens = std::collections::BTreeSet::new();
         let mut groups = std::collections::BTreeSet::new();
         let shapes = [
@@ -1016,13 +1234,16 @@ mod tests {
             (11, 7),
             (15, 7),
         ];
-        for (n_log2, radix_log2) in shapes {
-            let key = PlanKey::with_radix(
-                1 << n_log2,
-                Version::FineGuided,
-                Version::FineGuided.layout(),
-                radix_log2,
-            );
+        let layouts = [
+            TwiddleLayout::Linear,
+            TwiddleLayout::BitReversedHash,
+            TwiddleLayout::MultiplicativeHash,
+        ];
+        for ((n_log2, radix_log2), layout) in shapes
+            .into_iter()
+            .flat_map(|shape| layouts.map(|layout| (shape, layout)))
+        {
+            let key = PlanKey::with_radix(1 << n_log2, Version::FineGuided, layout, radix_log2);
             let plan = Arc::new(Plan::build(key));
             let fft = *plan.fft_plan();
             tile_lens.insert(plan.tiles().tile_len());
@@ -1040,7 +1261,7 @@ mod tests {
                     assert_eq!(
                         bits(&want),
                         bits(&got),
-                        "2^{n_log2} radix 2^{radix_log2} stage {stage} {}",
+                        "2^{n_log2} radix 2^{radix_log2} {layout:?} stage {stage} {}",
                         prepared.kernel.label()
                     );
                 }

@@ -35,7 +35,7 @@
 //!   EXPERIMENTS.md).
 
 use crate::plan::FftPlan;
-use crate::planner::{Plan, PlanKey};
+use crate::planner::{Plan, PlanKey, StageTwiddles};
 use crate::twiddle::TwiddleLayout;
 use crate::workload::{ScheduleTuning, TransformKind};
 use fgsupport::json::Value;
@@ -71,7 +71,14 @@ use fgsupport::json::Value;
 /// tables, and the table digest covers the generator's parameters instead
 /// of streaming the indices. A revision-5 certificate vouches for gather
 /// tables the plan no longer holds.
-pub const WORKLOAD_REVISION: u64 = 6;
+///
+/// Revision 7: a stage whose twiddles are unshared (the last of two or
+/// more) stores no class runs; kernels read the base twiddle table at the
+/// direct index (`workload::TwiddleIndex`), and the table digest covers
+/// that generator's parameters and offset table in place of the stage's
+/// class count and run length. A revision-6 certificate vouches for runs
+/// the plan no longer holds.
+pub const WORKLOAD_REVISION: u64 = 7;
 
 /// Multi-lane FNV-style digest (keyless, dependency-free).
 ///
@@ -325,25 +332,25 @@ pub fn schedule_digest(key: PlanKey, tuning: Option<&ScheduleTuning>) -> Result<
 
 /// Digest of the *independent* data behind a built plan's execution
 /// tables: per stage the address generator's parameters, the butterfly
-/// pair pattern, the twiddle slot pattern and the class-run shape (class
-/// count and run length), and the twiddle factor table (in stored slot
-/// order, so it is layout-sensitive). Element addresses and the bit
+/// pair pattern, the twiddle slot pattern and either the class-run shape
+/// (class count and run length) or, for an unshared stage, the direct
+/// twiddle index generator's parameters and offset table; and the twiddle
+/// factor table (in stored slot order, so it is layout-sensitive). Element addresses and the bit
 /// reversal are computed, not stored, so there is no index table to
 /// digest: the parameters pin which generator runs, and `fgcheck`'s
 /// FG401/FG404/FG406 and FG407 prove the generators themselves.
 ///
-/// The class-run *values* are deliberately not streamed, and runs are never
-/// re-expanded per codelet: each value is a bitwise copy of a twiddle-table
-/// entry digested here, at a position fixed by the class algebra
-/// (`workload::append_class_run`); at 2^18 the runs hold twice the bytes
-/// of the base twiddle table, so streaming them would about triple the
-/// digest's cost against a build that no longer expands them; and copy
-/// or class-map drift is exactly what pass 4's FG405 check covers — every
-/// codelet's slot-indexed run bitwise against the workload authority — at
-/// certification time and in the CI `fgcheck --all` sweep. Everything the
-/// `unsafe` hot path's *safety* rests on — the generator that fixes
-/// address bounds and disjointness, pair bounds, slot bounds against the
-/// run length, class bounds — is covered byte-for-byte.
+/// The class-run *values* are deliberately not streamed: each is a bitwise
+/// copy of a twiddle-table entry digested here, at a position fixed by the
+/// class algebra (`workload::append_class_run`), so streaming them would
+/// only add cost; and copy, class-map or index drift is exactly what pass
+/// 4's FG405 check covers — every codelet's run, stored or read from the
+/// base table, bitwise against the workload authority — at certification
+/// time and in the CI `fgcheck --all` sweep. Everything the `unsafe` hot
+/// path's *safety* rests on — the generator that fixes address bounds and
+/// disjointness, pair bounds, slot bounds against the run length, class
+/// bounds, the offset table's length — is covered byte-for-byte; a direct
+/// twiddle index is masked into the table, in bounds by construction.
 pub fn table_digest(plan: &Plan) -> u64 {
     let fft = plan.fft_plan();
     // Packing density is a function of plan *structure* (already pinned by
@@ -367,8 +374,20 @@ pub fn table_digest(plan: &Plan) -> u64 {
         }
         d.write_usize(table.slots.len());
         d.write_bulk(table.slots, |&slot| u64::from(slot));
-        d.write_usize(table.classes);
-        d.write_usize(table.twiddles.len());
+        match table.twiddles {
+            StageTwiddles::Classes { classes, runs } => {
+                d.write_usize(classes);
+                d.write_usize(runs.len());
+            }
+            StageTwiddles::Base { index, offsets, .. } => {
+                // A class count of 0 cannot be a shared stage's.
+                d.write_usize(0);
+                d.write_u32(index.n_log2);
+                d.write_u32(index.stride_log2);
+                d.write_usize(offsets.len());
+                d.write_bulk(offsets, |&o| u64::from(o));
+            }
+        }
     }
     d.write_usize(plan.twiddles().len());
     d.write_complex_slice(plan.twiddles().values());

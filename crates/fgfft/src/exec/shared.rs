@@ -23,7 +23,7 @@
 use crate::complex::Complex64;
 use crate::kernel;
 use crate::plan::MAX_RADIX_LOG2;
-use crate::planner::StageTables;
+use crate::planner::{run_scratch, StageTables};
 #[cfg(doc)]
 use crate::workload::StageAddressing;
 use std::marker::PhantomData;
@@ -95,9 +95,10 @@ impl<'a> SharedData<'a> {
 /// reference every kernel is held to: gather the codelet's elements into
 /// a local buffer by the stage's address generator
 /// ([`crate::workload::StageAddressing::codelet_element`]), replay the
-/// stage's butterfly pattern against the codelet's class run, scatter
-/// back. Butterfly `i` applies `tables.pairs[i]` with twiddle
-/// `run(idx)[tables.slots[i]]`.
+/// stage's butterfly pattern against the codelet's run
+/// ([`StageTables::run`]: its class run, or the values it reads from the
+/// base table), scatter back. Butterfly `i` applies `tables.pairs[i]`
+/// with twiddle `run[tables.slots[i]]`.
 ///
 /// # Safety
 /// The caller upholds the dataflow discipline of the module docs for the
@@ -105,12 +106,13 @@ impl<'a> SharedData<'a> {
 /// codelet have completed (with proper synchronization edges) and no
 /// concurrent codelet shares any element — `data` spans the stage's
 /// `2^n` elements, `idx` is a codelet of the stage, every pair is within
-/// the codelet's `2^p`-slot buffer and every slot within its class run
-/// (read unchecked; FG402 checks them for a plan's tables).
+/// the codelet's `2^p`-slot buffer and every slot within its run (read
+/// unchecked; FG402 checks them for a plan's tables).
 pub unsafe fn execute_codelet_tabled(tables: &StageTables<'_>, idx: usize, data: &SharedData<'_>) {
     let addr = tables.addressing;
     let radix = 1usize << (addr.levels + addr.groups_log2);
-    let run = tables.run(idx).unwrap_or_default();
+    let mut scratch = run_scratch();
+    let run = tables.run(idx, &mut scratch).unwrap_or_default();
     debug_assert_eq!(tables.pairs.len(), tables.slots.len());
     debug_assert!(tables.slots.iter().all(|&s| (s as usize) < run.len()));
     debug_assert!(radix <= 1 << MAX_RADIX_LOG2);

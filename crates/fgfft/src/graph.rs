@@ -83,6 +83,11 @@ impl GuidedEarlyGraph {
         Self { plan, last_early }
     }
 
+    /// Last stage of the phase.
+    pub fn last_early(&self) -> usize {
+        self.last_early
+    }
+
     /// Codelets this phase will execute.
     pub fn expected(&self) -> usize {
         (self.last_early + 1) * self.plan.codelets_per_stage()

@@ -6,14 +6,16 @@
 //!
 //! * [`Plan`] — everything derivable from a [`PlanKey`], computed once:
 //!   the twiddle table, the codelet-graph schedule **lowered onto tiles**
-//!   of consecutive codelets ([`TileProgram`], flat CSR arrays), and
-//!   per-stage execution tables (butterfly pair pattern with its twiddle
-//!   slots, and one run of distinct twiddles per twiddle class) so the
-//!   hot path streams flat arrays instead of redoing twiddle lookups per
-//!   call. Element addresses are not stored: kernels compute them with
-//!   each stage's [`StageAddressing`], and [`bit_reverse_tiled`] computes
-//!   the bit reversal. `Plan::execute` runs one transform as a batch of
-//!   one; `Plan::execute_batch` runs many same-plan transforms through a
+//!   of consecutive codelets ([`TileProgram`], flat CSR arrays generated
+//!   from the stage algebra), and per-stage execution tables (butterfly
+//!   pair pattern with its twiddle slots, and one run of distinct
+//!   twiddles per twiddle class where codelets share them). Only what is
+//!   shared is stored. Element addresses are not: kernels compute them
+//!   with each stage's [`StageAddressing`]; the unshared last stage's
+//!   twiddles are read from the twiddle table at [`TwiddleIndex`]'s
+//!   slots; and [`bit_reverse_tiled`] computes the bit reversal.
+//!   `Plan::execute` runs one transform as a batch of one;
+//!   `Plan::execute_batch` runs many same-plan transforms through a
 //!   single runtime dispatch ([`codelet::BatchProgram`]). Both go through
 //!   one dispatch that hands each tile to the kernel in one call.
 //!   [`Plan::run_codelet`] exposes the unit of work itself for harnesses
@@ -36,7 +38,7 @@ use crate::tiles::{TileProgram, TileSlice};
 use crate::twiddle::{TwiddleLayout, TwiddleTable};
 use crate::wisdom::{Wisdom, WisdomEntry, WisdomStatus};
 use crate::workload::{
-    self, ScheduleSpec, ScheduleTuning, StageAddressing, TransformKind,
+    self, ScheduleSpec, ScheduleTuning, StageAddressing, TransformKind, TwiddleIndex,
     DEFAULT_TRANSPOSE_BLOCK_LOG2, SCRATCHPAD_RADIX_LOG2,
 };
 use codelet::graph::{BatchProgram, CodeletId, CsrProgram};
@@ -139,6 +141,7 @@ impl PlanKey {
 /// codelet's inner loop would otherwise rederive per call, flattened into
 /// arrays the hot path streams through sequentially. Element addresses are
 /// not stored: kernels compute them with the stage's [`StageAddressing`].
+/// Twiddles are stored only where codelets share them.
 #[derive(Debug)]
 struct StageTable {
     /// The stage's closed-form element addressing.
@@ -146,53 +149,89 @@ struct StageTable {
     /// The stage's local `(lo, hi)` butterfly pattern (shared by every
     /// codelet of the stage), in execution order.
     pairs: Vec<(u32, u32)>,
-    /// Per butterfly, the position of its twiddle in a class run
+    /// Per butterfly, the position of its twiddle in a codelet's run
     /// ([`workload::twiddle_slots`]); shared by every codelet.
     slots: Vec<u8>,
-    /// Twiddle classes ([`workload::twiddle_classes`], a power of two):
-    /// codelet `idx` reads the run of class `idx & (classes − 1)`.
-    classes: usize,
-    /// Distinct twiddles per class, class-major: `run_len` values each,
-    /// copied bitwise from the plan's twiddle table at build time.
-    twiddles: Vec<Complex64>,
+    /// Where the stage's twiddles are read from.
+    twiddles: StoredTwiddles,
     /// The stage's element indices, codelet-major, built on the first
     /// [`Plan::stage_table`] call for harnesses; execution, certification
     /// and `fgcheck` never read it.
     gather: OnceLock<Vec<u32>>,
 }
 
+/// A stage's twiddles as the plan keeps them.
+#[derive(Debug)]
+enum StoredTwiddles {
+    /// Shared: one run per twiddle class ([`workload::twiddle_classes`], a
+    /// power of two), class-major, copied bitwise from the plan's twiddle
+    /// table at build time.
+    Classes {
+        classes: usize,
+        runs: Vec<Complex64>,
+    },
+    /// Unshared ([`workload::twiddles_unshared`]): no runs; kernels read
+    /// the plan's twiddle table at the generator's slots, with the stage's
+    /// offset table ([`TwiddleIndex::offsets`]).
+    Base {
+        index: TwiddleIndex,
+        offsets: Vec<u32>,
+    },
+}
+
 impl StageTable {
     fn build(fft: &FftPlan, twiddles: &TwiddleTable, stage: usize) -> Self {
-        let classes = workload::twiddle_classes(fft, stage);
-        let mut tw = Vec::with_capacity(classes * workload::twiddle_loads(fft, stage));
-        for class in 0..classes {
-            workload::append_class_run(fft, twiddles, stage, class, &mut tw);
-        }
+        let stored = if workload::twiddles_unshared(fft, stage) {
+            let index = TwiddleIndex::of(fft, stage, twiddles.layout());
+            StoredTwiddles::Base {
+                index,
+                offsets: index.offsets(fft.levels(stage)),
+            }
+        } else {
+            let classes = workload::twiddle_classes(fft, stage);
+            let mut runs = Vec::with_capacity(classes * workload::twiddle_loads(fft, stage));
+            for class in 0..classes {
+                workload::append_class_run(fft, twiddles, stage, class, &mut runs);
+            }
+            StoredTwiddles::Classes { classes, runs }
+        };
         Self {
             addressing: StageAddressing::of(fft, stage),
             pairs: workload::butterfly_pairs(fft, stage),
             slots: workload::twiddle_slots(fft, stage),
-            classes,
-            twiddles: tw,
+            twiddles: stored,
             gather: OnceLock::new(),
         }
     }
 
-    fn view(&self) -> StageTables<'_> {
+    /// The kernels' view, reading unshared twiddles from `base`, the
+    /// plan's twiddle table.
+    fn view<'a>(&'a self, base: &'a TwiddleTable) -> StageTables<'a> {
         StageTables {
             addressing: self.addressing,
             pairs: &self.pairs,
             slots: &self.slots,
-            classes: self.classes,
-            twiddles: &self.twiddles,
+            twiddles: match &self.twiddles {
+                StoredTwiddles::Classes { classes, runs } => StageTwiddles::Classes {
+                    classes: *classes,
+                    runs,
+                },
+                StoredTwiddles::Base { index, offsets } => StageTwiddles::Base {
+                    index: *index,
+                    offsets,
+                    base: base.values(),
+                },
+            },
         }
     }
 
     /// Resident bytes; a harness gather view is not counted.
     fn bytes(&self) -> u64 {
-        (self.pairs.len() * std::mem::size_of::<(u32, u32)>()
-            + self.slots.len()
-            + self.twiddles.len() * std::mem::size_of::<Complex64>()) as u64
+        let twiddles = match &self.twiddles {
+            StoredTwiddles::Classes { runs, .. } => std::mem::size_of_val(runs.as_slice()),
+            StoredTwiddles::Base { offsets, .. } => std::mem::size_of_val(offsets.as_slice()),
+        };
+        (std::mem::size_of_val(self.pairs.as_slice()) + self.slots.len() + twiddles) as u64
     }
 }
 
@@ -203,8 +242,7 @@ impl StageTable {
 ///
 /// Codelet `idx` holds the elements [`StageAddressing::codelet_element`]
 /// names, applies `pairs` in order, and butterfly `i` multiplies by
-/// `run(idx)[slots[i]]`: the twiddles are stored once per *class*, not
-/// once per codelet ([`workload::twiddle_classes`]).
+/// position `slots[i]` of its run ([`StageTables::run`]).
 #[derive(Debug, Clone, Copy)]
 pub struct StageTables<'a> {
     /// The stage's element address generator parameters.
@@ -213,34 +251,94 @@ pub struct StageTables<'a> {
     /// codelet of the stage, in execution order.
     pub pairs: &'a [(u32, u32)],
     /// Per butterfly (in `pairs` order), the position of its twiddle in
-    /// the codelet's class run; shared by every codelet of the stage.
+    /// the codelet's run; shared by every codelet of the stage.
     pub slots: &'a [u8],
-    /// Twiddle classes of the stage; codelet `idx` has class
-    /// `idx & (classes − 1)`.
-    pub classes: usize,
-    /// The class runs, class-major, `twiddles.len() / classes` values each
+    /// Where the codelets' runs come from.
+    pub twiddles: StageTwiddles<'a>,
+}
+
+/// Where a stage's twiddles are read from. A codelet's *run* is the
+/// distinct twiddles it consumes in [`workload::for_each_twiddle_index`]
+/// order (level-major, then sub-transform, then offset `t < 2^ll`).
+#[derive(Debug, Clone, Copy)]
+pub enum StageTwiddles<'a> {
+    /// Shared twiddles, stored once per class: codelet `idx` reads the
+    /// run of class `idx & (classes − 1)`, the runs class-major and
+    /// `runs.len() / classes` values each
     /// ([`workload::append_class_run`]).
-    pub twiddles: &'a [Complex64],
+    Classes {
+        /// Twiddle classes of the stage.
+        classes: usize,
+        /// The class runs.
+        runs: &'a [Complex64],
+    },
+    /// Unshared twiddles, read from the plan's twiddle table: level `ll`'s
+    /// twiddle `t` of sub-transform `g` is `base[(index.lane(g, ll) +
+    /// offsets[(2^ll − 1) + t]) & index.mask()]`.
+    Base {
+        /// The stage's direct index generator.
+        index: TwiddleIndex,
+        /// [`TwiddleIndex::offsets`] of the stage.
+        offsets: &'a [u32],
+        /// The twiddle table's values, in slot order.
+        base: &'a [Complex64],
+    },
 }
 
 impl<'a> StageTables<'a> {
-    /// Values per class run (0 when the view has no classes).
+    /// Values per codelet run: `(2^q − 1)` per sub-transform of a codelet.
     pub fn run_len(&self) -> usize {
-        self.twiddles.len().checked_div(self.classes).unwrap_or(0)
+        let a = self.addressing;
+        ((1usize << a.levels) - 1) << a.groups_log2
     }
 
-    /// The class of codelet `idx`.
-    pub fn class_of(&self, idx: usize) -> usize {
-        idx & self.classes.wrapping_sub(1)
+    /// The run codelet `idx` reads: its class run, or the values an
+    /// unshared stage reads from the base table, gathered into `scratch`.
+    /// `None` when the tables point outside their arrays.
+    pub fn run<'s>(&self, idx: usize, scratch: &'s mut RunScratch) -> Option<&'s [Complex64]>
+    where
+        'a: 's,
+    {
+        match self.twiddles {
+            StageTwiddles::Classes { classes, runs } => {
+                let stored = runs.len().checked_div(classes)?;
+                let start = (idx & classes.wrapping_sub(1)).checked_mul(stored)?;
+                runs.get(start..start.checked_add(stored)?)
+            }
+            StageTwiddles::Base {
+                index,
+                offsets,
+                base,
+            } => {
+                let a = self.addressing;
+                let len = self.run_len();
+                let mut slots = scratch.get_mut(..len)?.iter_mut();
+                for ll in 0..a.levels {
+                    for g in idx << a.groups_log2..(idx + 1) << a.groups_log2 {
+                        let lane = index.lane(g, ll);
+                        for t in 0..1usize << ll {
+                            let offset = *offsets.get((1 << ll) - 1 + t)? as usize;
+                            slots
+                                .next()?
+                                .write(*base.get((lane + offset) & index.mask())?);
+                        }
+                    }
+                }
+                // SAFETY: the loops above wrote every one of the first
+                // `len` slots (`run_len` is their trip count) or returned.
+                Some(unsafe { std::slice::from_raw_parts(scratch.as_ptr().cast(), len) })
+            }
+        }
     }
+}
 
-    /// The class run codelet `idx` reads, or `None` when the view's class
-    /// map points outside `twiddles`.
-    pub fn run(&self, idx: usize) -> Option<&'a [Complex64]> {
-        let len = self.run_len();
-        let start = self.class_of(idx).checked_mul(len)?;
-        self.twiddles.get(start..start.checked_add(len)?)
-    }
+/// Room for one codelet's run ([`StageTables::run`]), at most `2^p − 1 <
+/// 2^MAX_RADIX_LOG2` values, written before it is read.
+pub type RunScratch = [std::mem::MaybeUninit<Complex64>; 1 << MAX_RADIX_LOG2];
+
+/// An unwritten [`RunScratch`].
+pub fn run_scratch() -> RunScratch {
+    [std::mem::MaybeUninit::uninit(); 1 << MAX_RADIX_LOG2]
 }
 
 /// A view of one stage for harnesses written against stored gather
@@ -257,9 +355,11 @@ pub struct StageTableView<'a> {
     pub pairs: &'a [(u32, u32)],
     /// As [`StageTables::slots`].
     pub slots: &'a [u8],
-    /// As [`StageTables::classes`].
+    /// [`StageTwiddles::Classes`]' class count; 0 for a stage whose
+    /// twiddles are read from the base table.
     pub classes: usize,
-    /// As [`StageTables::twiddles`].
+    /// [`StageTwiddles::Classes`]' runs; empty for a stage whose twiddles
+    /// are read from the base table.
     pub twiddles: &'a [Complex64],
 }
 
@@ -448,7 +548,11 @@ impl Plan {
         // plan's own for `stage`, whose generator partitions the data
         // (FG404) and whose pairs, slots and classes are in bounds (FG402).
         unsafe {
-            kernel.run_tile(&self.tables[stage].view(), first..first + ids.len(), view);
+            kernel.run_tile(
+                &self.tables[stage].view(&self.twiddles),
+                first..first + ids.len(),
+                view,
+            );
         }
     }
 
@@ -545,7 +649,7 @@ impl Plan {
     /// The execution tables of `stage` (`0..fft_plan().stages()`), exactly
     /// as the kernels read them.
     pub fn stage_tables(&self, stage: usize) -> StageTables<'_> {
-        self.tables[stage].view()
+        self.tables[stage].view(&self.twiddles)
     }
 
     /// The tables of `stage` with its element indices materialized as a
@@ -565,8 +669,14 @@ impl Plan {
             gather,
             pairs: &table.pairs,
             slots: &table.slots,
-            classes: table.classes,
-            twiddles: &table.twiddles,
+            classes: match table.twiddles {
+                StoredTwiddles::Classes { classes, .. } => classes,
+                StoredTwiddles::Base { .. } => 0,
+            },
+            twiddles: match &table.twiddles {
+                StoredTwiddles::Classes { runs, .. } => runs,
+                StoredTwiddles::Base { .. } => &[],
+            },
         }
     }
 
@@ -596,8 +706,9 @@ impl Plan {
 
     /// Approximate bytes this plan keeps resident (twiddles, tile program,
     /// stage tables, kind extensions) — what a cache eviction would
-    /// reclaim. Element addresses and the bit reversal are computed, so
-    /// they add nothing; a gather view or swap list a harness asked for
+    /// reclaim. Element addresses and the bit reversal are computed and an
+    /// unshared stage's twiddles are read from the twiddle table, so they
+    /// add nothing; a gather view or swap list a harness asked for
     /// through [`Plan::stage_table`] or [`Plan::bitrev_swaps`] is not
     /// counted.
     pub fn resident_bytes(&self) -> u64 {
@@ -907,7 +1018,11 @@ impl Plan {
                 let gather: Vec<u32> = (0..radix)
                     .map(|slot| table.addressing.codelet_element(idx, slot) as u32 + shift)
                     .collect();
-                let run = table.view().run(idx).expect("class in bounds");
+                let mut scratch = run_scratch();
+                let run = table
+                    .view(&self.twiddles)
+                    .run(idx, &mut scratch)
+                    .expect("run in bounds");
                 let record = TouchRecord {
                     reads: gather.clone(),
                     writes: gather,
@@ -1893,18 +2008,30 @@ mod tests {
             for stage in 0..fft.stages() {
                 let table = plan.stage_tables(stage);
                 assert_eq!(table.addressing, StageAddressing::of(fft, stage));
-                assert!(table.classes.is_power_of_two());
-                assert_eq!(table.classes, workload::twiddle_classes(fft, stage));
                 let run_len = workload::twiddle_loads(fft, stage);
-                assert_eq!(table.twiddles.len(), table.classes * run_len);
+                assert_eq!(table.run_len(), run_len);
+                match table.twiddles {
+                    StageTwiddles::Classes { classes, runs } => {
+                        assert!(!workload::twiddles_unshared(fft, stage));
+                        assert!(classes.is_power_of_two());
+                        assert_eq!(classes, workload::twiddle_classes(fft, stage));
+                        assert_eq!(runs.len(), classes * run_len);
+                    }
+                    StageTwiddles::Base { offsets, base, .. } => {
+                        assert!(workload::twiddles_unshared(fft, stage));
+                        assert_eq!(offsets.len(), (1 << fft.levels(stage)) - 1);
+                        assert_eq!(base.len(), n / 2);
+                    }
+                }
                 assert_eq!(table.slots.len(), table.pairs.len());
                 for &slot in table.slots {
                     assert!((slot as usize) < run_len, "slot {slot} out of the run");
                 }
                 let mut seen = vec![false; n];
+                let mut scratch = run_scratch();
                 for idx in 0..fft.codelets_per_stage() {
-                    assert!(table.class_of(idx) < table.classes);
-                    assert_eq!(table.run(idx).map(<[_]>::len), Some(run_len));
+                    let run = table.run(idx, &mut scratch).map(<[_]>::len);
+                    assert_eq!(run, Some(run_len));
                     for slot in 0..radix {
                         let e = table.addressing.codelet_element(idx, slot);
                         assert!(e < n, "address {e} out of bounds");
@@ -1929,37 +2056,26 @@ mod tests {
         }
     }
 
-    /// Twiddle classes keep a fine-guided linear plan under 44 resident
-    /// bytes per point at 2^16 and 2^18: the base twiddle table and the
-    /// last stage's one run per codelet dominate.
-    /// The bit reversal is computed, so a swap list a harness builds
-    /// through [`Plan::bitrev_swaps`] is not part of the plan's residency.
+    /// A 2^18 fine-guided plan keeps 9 resident bytes per point or fewer:
+    /// the base twiddle table (8), the shared class runs of stages 0 and 1
+    /// and the tile program. Element addresses, the bit reversal and the
+    /// unshared last stage's twiddles are read or computed, not stored, so
+    /// a swap list a harness builds through [`Plan::bitrev_swaps`] is not
+    /// part of the plan's residency either.
     #[test]
-    fn resident_bytes_stay_under_44_per_point() {
-        for n_log2 in [16u32, 18] {
-            let n = 1usize << n_log2;
-            let plan = Plan::build(PlanKey::new(n, Version::FineGuided, TwiddleLayout::Linear));
-            let per_point = plan.resident_bytes() as f64 / n as f64;
-            assert!(per_point <= 44.0, "2^{n_log2}: {per_point:.1} B/point");
-            let before = plan.resident_bytes();
-            assert_eq!(
-                plan.bitrev_swaps().len(),
-                (n - (1 << n_log2.div_ceil(2))) / 2
-            );
-            assert_eq!(plan.resident_bytes(), before);
-        }
-    }
-
-    /// Computing element addresses instead of storing them brings a 2^18
-    /// fine-guided plan to 24.5 resident bytes per point or fewer: the
-    /// base twiddle table (16), the last stage's one class run per codelet
-    /// and the tile program are what is left.
-    #[test]
-    fn resident_bytes_at_2e18_fit_24_5_per_point() {
-        let n = 1usize << 18;
+    fn resident_bytes_at_2e18_fit_9_per_point() {
+        let n_log2 = 18u32;
+        let n = 1usize << n_log2;
         let plan = Plan::build(PlanKey::new(n, Version::FineGuided, TwiddleLayout::Linear));
         let per_point = plan.resident_bytes() as f64 / n as f64;
-        assert!(per_point <= 24.5, "{per_point:.2} B/point");
+        assert!(per_point <= 9.0, "{per_point:.2} B/point");
+        assert_eq!(plan.twiddles().bytes(), 8 * n as u64, "the base table");
+        let before = plan.resident_bytes();
+        assert_eq!(
+            plan.bitrev_swaps().len(),
+            (n - (1 << n_log2.div_ceil(2))) / 2
+        );
+        assert_eq!(plan.resident_bytes(), before);
     }
 
     /// The gather view is a harness accessor only: building a plan, every

@@ -11,8 +11,9 @@
 //!
 //! [`TileProgram::lower`] is the quotient of the spec by that blocking:
 //!
-//! * dataflow slices become [`CsrProgram::quotient`]s — tile edges are the
-//!   deduplicated images of every codelet edge;
+//! * dataflow slices become tile graphs whose edges are the deduplicated
+//!   images of every codelet edge — the arrays `CsrProgram::quotient`
+//!   would build, generated from the stage algebra instead (below);
 //! * barrier phases and seed orders become tile lists, first appearance
 //!   kept ([`quotient_order`]);
 //! * each slice's `expected` codelet count becomes a tile count.
@@ -22,6 +23,20 @@
 //! every codelet still runs after all of its parents: same arithmetic, same
 //! bits. Tiles of one stage are unions of disjoint codelets, so they stay
 //! disjoint. `fgcheck` races-checks exactly this program.
+//!
+//! # The tile graph in closed form
+//!
+//! A stage-`j` codelet `idx` (a full stage: only the last stage can be
+//! partial, and it has no children) holds element `idx` with its `p` slot
+//! bits `x` inserted at bit `p·j`, and the owner of an element in stage
+//! `j + 1` keeps some of its bits and drops the rest. So every bit of a
+//! child *tile* index is one bit of the parent tile index, of the member
+//! offset `m < T`, or of the slot `x` (`StageEdges`). The children of a
+//! parent tile are then its fixed bits plus every value of the member and
+//! slot bits, members outer — the quotient's first-appearance order — and
+//! every child tile has `2^(parent tile bits it does not take)` parent
+//! tiles. Generating a slice costs its tile edges, not its codelet edges;
+//! `fgcheck`'s pass 2 holds the arrays to the quotient's (FG102).
 //!
 //! `T` comes only from the plan's shape (see [`tile_log2`]). At full
 //! radix a tile is one `P × P` block: at stage 1 the parents of a tile's
@@ -83,16 +98,26 @@ pub struct TileProgram {
 
 impl TileProgram {
     /// Lower `spec`, a schedule over `fft`'s codelets, onto the tiles of
-    /// [`tile_log2`]`(fft)`.
+    /// [`tile_log2`]`(fft)`. Dataflow slices are generated from the stage
+    /// algebra (`StageEdges`), equal to the quotient of the spec's
+    /// programs array for array.
     pub fn lower(fft: &FftPlan, spec: &ScheduleSpec) -> Self {
         let tile_log2 = tile_log2(fft);
-        let dataflow = |program: &dyn CodeletProgram, seeds: &[CodeletId], expected: usize| {
+        // `emitting` are the stages whose codelets signal their children
+        // in the slice's program; its own seeds are the program's
+        // initial-ready order, the slice's those of the spec.
+        let dataflow = |emitting: Range<usize>,
+                        program: &dyn CodeletProgram,
+                        seeds: &[CodeletId],
+                        expected: usize| {
+            let own_seeds = quotient_order(&program.initial_ready(), tile_log2);
             TileSlice::Dataflow {
-                program: CsrProgram::quotient(program, tile_log2),
+                program: generate_csr(fft, tile_log2, emitting, own_seeds),
                 seeds: quotient_order(seeds, tile_log2),
                 expected: expected >> tile_log2,
             }
         };
+        let last = fft.stages() - 1;
         let slices = match spec {
             ScheduleSpec::Phased { phases } => vec![TileSlice::Phased(
                 phases
@@ -101,7 +126,7 @@ impl TileProgram {
                     .collect(),
             )],
             ScheduleSpec::Fine { graph, seeds } => {
-                vec![dataflow(graph, seeds, fft.total_codelets())]
+                vec![dataflow(0..last, graph, seeds, fft.total_codelets())]
             }
             ScheduleSpec::Guided {
                 early,
@@ -109,8 +134,8 @@ impl TileProgram {
                 late,
                 late_seeds,
             } => vec![
-                dataflow(early, early_seeds, early.expected()),
-                dataflow(late, late_seeds, late.expected()),
+                dataflow(0..early.last_early(), early, early_seeds, early.expected()),
+                dataflow(late.first_late()..last, late, late_seeds, late.expected()),
             ],
         };
         Self {
@@ -145,6 +170,141 @@ impl TileProgram {
     pub fn resident_bytes(&self) -> u64 {
         self.slices.iter().map(TileSlice::resident_bytes).sum()
     }
+}
+
+/// Where one bit of a child tile's index comes from.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// Bit `i` of the parent tile's index within its stage.
+    Tile(u32),
+    /// Bit `i` of the member offset `m < T` within the parent tile.
+    Member(u32),
+    /// Bit `i` of the slot `x < P` of the member codelet.
+    Slot(u32),
+}
+
+/// The tile edges out of one stage into the next, as bit fields: what
+/// [`TileProgram::lower`] generates each dataflow slice from.
+///
+/// Stage-`j` codelet `idx = t·T + m` holds element `idx` with the slot
+/// bits `x` inserted at bit `p·j`. The stage-`(j+1)` owner of an element
+/// drops the `q'` bits of its sub-transform slot at `p·(j+1)` and then
+/// the `p − q'` low bits that a partial stage packs into one codelet;
+/// the child tile drops `τ` more. So each child tile bit is one bit of
+/// `t`, `m` or `x` ([`Source`]), no two the same.
+#[derive(Debug)]
+struct StageEdges {
+    /// `(child bit, parent tile bit)` for every child bit the parent tile
+    /// fixes.
+    fixed: Vec<(u32, u32)>,
+    /// The children of a parent tile whose fixed bits are zero, in
+    /// first-appearance order: every value of the member-sourced bits
+    /// (outer) and the slot-sourced bits (inner), each ascending.
+    free: Vec<usize>,
+    /// Parent tiles of every child tile: `2^(parent tile bits no child
+    /// bit takes)`.
+    parents: u32,
+}
+
+impl StageEdges {
+    /// The edges from stage `stage` (which has children) into `stage + 1`
+    /// under tiles of `2^tile_log2` codelets.
+    fn of(fft: &FftPlan, tile_log2: u32, stage: usize) -> Self {
+        let (n, p) = (fft.n_log2(), fft.radix_log2());
+        let pj = p * stage as u32;
+        let (next_base, next_levels) = (pj + p, fft.levels(stage + 1));
+        let tile_bits = n - p - tile_log2;
+        let source = |b: u32| {
+            // Child tile bit → owner bit → the owner's group bit → element
+            // bit (past the dropped slot field) → codelet or slot bit.
+            let group_bit = b + tile_log2 + (p - next_levels);
+            let e = if group_bit < next_base {
+                group_bit
+            } else {
+                group_bit + next_levels
+            };
+            let idx_bit = if e < pj {
+                e
+            } else if e < pj + p {
+                return Source::Slot(e - pj);
+            } else {
+                e - p
+            };
+            if idx_bit < tile_log2 {
+                Source::Member(idx_bit)
+            } else {
+                Source::Tile(idx_bit - tile_log2)
+            }
+        };
+        let (mut fixed, mut members, mut slots) = (Vec::new(), Vec::new(), Vec::new());
+        for b in 0..tile_bits {
+            match source(b) {
+                Source::Tile(i) => fixed.push((b, i)),
+                Source::Member(i) => members.push((i, b)),
+                Source::Slot(i) => slots.push((i, b)),
+            }
+        }
+        members.sort_unstable();
+        slots.sort_unstable();
+        let scatter = |bits: &[(u32, u32)], v: usize| {
+            bits.iter()
+                .enumerate()
+                .map(|(k, &(_, b))| ((v >> k) & 1) << b)
+                .sum::<usize>()
+        };
+        let free = (0..1usize << members.len())
+            .flat_map(|a| {
+                let high = scatter(&members, a);
+                (0..1usize << slots.len()).map(move |c| (high, c))
+            })
+            .map(|(high, c)| high | scatter(&slots, c))
+            .collect();
+        let parents = 1 << (tile_bits - fixed.len() as u32);
+        Self {
+            fixed,
+            free,
+            parents,
+        }
+    }
+
+    /// The fixed bits parent tile `t` (within its stage) gives each child.
+    fn fixed_bits(&self, t: usize) -> usize {
+        self.fixed.iter().map(|&(b, i)| ((t >> i) & 1) << b).sum()
+    }
+}
+
+/// The tile graph of a dataflow slice whose stages `emitting` signal their
+/// children, with `seeds` as its own initial-ready order: the arrays
+/// `CsrProgram::quotient` builds from the slice's codelet program, in
+/// O(tile edges).
+fn generate_csr(
+    fft: &FftPlan,
+    tile_log2: u32,
+    emitting: Range<usize>,
+    seeds: Vec<CodeletId>,
+) -> CsrProgram {
+    let per_stage = fft.codelets_per_stage() >> tile_log2;
+    let nodes = fft.stages() * per_stage;
+    let mut dep_counts = vec![0u32; nodes];
+    let mut child_offsets = Vec::with_capacity(nodes + 1);
+    let mut child_data = Vec::new();
+    child_offsets.push(0);
+    for stage in 0..fft.stages() {
+        if !emitting.contains(&stage) {
+            child_offsets.extend(std::iter::repeat_n(child_data.len() as u32, per_stage));
+            continue;
+        }
+        let edges = StageEdges::of(fft, tile_log2, stage);
+        let children = (stage + 1) * per_stage;
+        dep_counts[children..children + per_stage].fill(edges.parents);
+        child_data.reserve(per_stage * edges.free.len());
+        for t in 0..per_stage {
+            let fixed = children + edges.fixed_bits(t);
+            child_data.extend(edges.free.iter().map(|&f| (fixed | f) as u32));
+            child_offsets.push(child_data.len() as u32);
+        }
+    }
+    CsrProgram::from_parts(dep_counts, child_offsets, child_data, seeds)
 }
 
 #[cfg(test)]

@@ -16,9 +16,11 @@
 //!   butterfly pattern, twiddle run, parent/child edges, and shared-counter
 //!   group;
 //! * the stage address generator ([`StageAddressing`]) every kernel
-//!   computes element addresses with, and the stage-level tables
-//!   ([`butterfly_pairs`], [`append_twiddle_run`]) from which the planner
-//!   builds its flat hot-path arrays;
+//!   computes element addresses with, the direct twiddle index
+//!   ([`TwiddleIndex`]) the kernels read an unshared stage's twiddles at,
+//!   and the stage-level tables ([`butterfly_pairs`],
+//!   [`append_twiddle_run`]) from which the planner builds its flat
+//!   hot-path arrays;
 //! * the byte-address algebra ([`Workload`]): where the data, twiddle, and
 //!   spill arrays live in simulated memory, and the exact read/write
 //!   [`MemRange`] footprint of every codelet under either twiddle layout —
@@ -1502,6 +1504,109 @@ pub fn for_each_twiddle_index(plan: &FftPlan, stage: usize, idx: usize, mut f: i
     }
 }
 
+/// Whether `stage`'s twiddles are unshared: one class per codelet
+/// ([`twiddle_classes`]` == codelets_per_stage`) past stage 0, so class
+/// runs would only copy base-table values codelet by codelet. Exactly the
+/// last stage of every plan of two stages or more. Plans store no runs
+/// for such a stage; their kernels read the base table at
+/// [`TwiddleIndex`]'s slots. Stage 0 has one class, which its codelets
+/// share (a lone codelet included): its run of at most `P − 1` values
+/// stays stored, and its passes read each level's twiddles from it as
+/// consecutive vectors.
+pub fn twiddles_unshared(plan: &FftPlan, stage: usize) -> bool {
+    stage > 0 && twiddle_classes(plan, stage) == plan.codelets_per_stage()
+}
+
+/// The direct twiddle index generator of one stage: where in a
+/// [`TwiddleTable`] of either layout the twiddle of level `ll`, butterfly
+/// offset `t < 2^ll` and sub-transform `g` is stored.
+///
+/// The logical index is [`for_each_twiddle_index`]'s
+/// `((t << p·j) + (g mod 2^{p·j})) << (n − p·j − ll − 1)`: two disjoint
+/// bit fields, the *lane* field from `g` and the *offset* field from `t`.
+/// Every layout maps their sum to the sum of their images modulo
+/// `2^(n−1)`, so the slot is `(lane(g, ll) + offset(ll, t)) mod 2^(n−1)`:
+///
+/// * `Linear`: the lane is the base, the offset `t · 2^(n−ll−1)`;
+/// * `MultiplicativeHash`: the map is multiplication mod `2^(n−1)`,
+///   linear;
+/// * `BitReversedHash`: the two fields reverse separately into disjoint
+///   fields, and their OR is their sum.
+///
+/// One mechanism for every layout. The offsets depend on the stage only,
+/// so a plan keeps them as a table of `2^q − 1` entries (level-major, as a
+/// class run: [`TwiddleIndex::offsets`]); the lanes are computed per
+/// sub-transform. Values are read from the table, never recomputed, so
+/// they are bitwise the class run's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TwiddleIndex {
+    /// `n`: the transform size exponent; the table holds `2^(n−1)` slots.
+    pub n_log2: u32,
+    /// `p·j`: bits of `g` that select the lane field.
+    pub stride_log2: u32,
+    /// The table's layout.
+    pub layout: TwiddleLayout,
+}
+
+impl TwiddleIndex {
+    /// The generator of `stage` of `plan` over a table of `layout`.
+    pub fn of(plan: &FftPlan, stage: usize, layout: TwiddleLayout) -> Self {
+        Self {
+            n_log2: plan.n_log2(),
+            stride_log2: plan.radix_log2() * stage as u32,
+            layout,
+        }
+    }
+
+    /// `2^(n−1) − 1`: every slot the generator yields is masked by it, so
+    /// it is in bounds for the table by construction.
+    #[inline(always)]
+    pub fn mask(&self) -> usize {
+        low_mask(self.n_log2 - 1)
+    }
+
+    /// The image of sub-transform `g`'s field at level `ll`.
+    #[inline(always)]
+    pub fn lane(&self, g: usize, ll: u32) -> usize {
+        let s = self.stride_log2;
+        let field = (g & low_mask(s)) << (self.n_log2 - s - ll - 1);
+        TwiddleTable::map_index(field, self.n_log2, self.layout)
+    }
+
+    /// The image of butterfly offset `t`'s field at level `ll`.
+    #[inline]
+    pub fn offset(&self, ll: u32, t: usize) -> usize {
+        TwiddleTable::map_index(t << (self.n_log2 - ll - 1), self.n_log2, self.layout)
+    }
+
+    /// Whether, at level `ll`, sub-transforms `g` and `g + 1` (`g` even)
+    /// read adjacent slots at every offset: the linear layout past stage 0
+    /// at the level whose lane field is not shifted (the last stage's
+    /// level `q − 1`), where the lane is `g mod 2^{p·j}` and no sum
+    /// reaches `2^(n−1)`.
+    #[inline(always)]
+    pub fn adjacent_lanes(&self, ll: u32) -> bool {
+        self.layout == TwiddleLayout::Linear
+            && self.stride_log2 > 0
+            && self.n_log2 == self.stride_log2 + ll + 1
+    }
+
+    /// The slot of level `ll`'s twiddle `t` for sub-transform `g`.
+    #[inline]
+    pub fn slot(&self, g: usize, ll: u32, t: usize) -> usize {
+        (self.lane(g, ll) + self.offset(ll, t)) & self.mask()
+    }
+
+    /// The offsets of a stage of `levels` levels, level-major: entry
+    /// `(2^ll − 1) + t` is [`TwiddleIndex::offset`]`(ll, t)`, the class-run
+    /// position of butterfly offset `t` in a one-group run.
+    pub fn offsets(&self, levels: u32) -> Vec<u32> {
+        (0..levels)
+            .flat_map(|ll| (0..1usize << ll).map(move |t| self.offset(ll, t) as u32))
+            .collect()
+    }
+}
+
 #[inline]
 pub(crate) fn low_mask(bits: u32) -> usize {
     if bits as usize >= usize::BITS as usize {
@@ -1542,6 +1647,59 @@ mod tests {
                         for g in (0..n >> addr.levels).step_by(2) {
                             for x in 0..1 << addr.levels {
                                 assert_eq!(addr.element(g + 1, x), addr.element(g, x) + 1);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The direct twiddle index both kernels read an unshared stage at, at
+    /// every codelet radix 2^1..2^7 and size 2^4..2^10 under every layout
+    /// (Miri runs the `miri_` tests): only the last stage of a plan of two
+    /// stages or more is unshared, and there every index the lane kernel forms from the stage's offset
+    /// table is in the table (`< N/2`), equals the generator's and the
+    /// authority's slot, and sits next to its partner lane's wherever the
+    /// kernel loads both lanes as one vector.
+    #[test]
+    fn miri_direct_twiddle_indices_stay_in_the_table() {
+        for radix_log2 in 1..=crate::plan::MAX_RADIX_LOG2 {
+            for n_log2 in 4u32..=10 {
+                let plan = FftPlan::new(n_log2, radix_log2);
+                let last = plan.stages() - 1;
+                let unshared = |s| s == last && s > 0;
+                assert!((0..plan.stages()).all(|s| twiddles_unshared(&plan, s) == unshared(s)));
+                if !unshared(last) {
+                    continue;
+                }
+                let addr = StageAddressing::of(&plan, last);
+                for layout in [
+                    TwiddleLayout::Linear,
+                    TwiddleLayout::BitReversedHash,
+                    TwiddleLayout::MultiplicativeHash,
+                ] {
+                    let index = TwiddleIndex::of(&plan, last, layout);
+                    let offsets = index.offsets(addr.levels);
+                    assert_eq!(offsets.len(), (1 << addr.levels) - 1);
+                    for idx in 0..plan.codelets_per_stage() {
+                        let mut want = Vec::new();
+                        for_each_twiddle_index(&plan, last, idx, |t| {
+                            want.push(TwiddleTable::map_index(t, n_log2, layout))
+                        });
+                        let mut want = want.into_iter();
+                        for ll in 0..addr.levels {
+                            for g in idx << addr.groups_log2..(idx + 1) << addr.groups_log2 {
+                                for t in 0..1usize << ll {
+                                    let offset = offsets[(1 << ll) - 1 + t] as usize;
+                                    let slot = (index.lane(g, ll) + offset) & index.mask();
+                                    assert!(slot < plan.n() / 2, "slot {slot}");
+                                    assert_eq!(slot, index.slot(g, ll, t));
+                                    assert_eq!(Some(slot), want.next());
+                                    if index.adjacent_lanes(ll) && g % 2 == 0 {
+                                        assert_eq!(index.slot(g + 1, ll, t), slot + 1);
+                                    }
+                                }
                             }
                         }
                     }

@@ -8,9 +8,9 @@
 use fgcheck::{check_plan, check_plan_tables};
 use fgfft::cert::{CertError, Certificate};
 use fgfft::exec::{SeedOrder, Version};
-use fgfft::planner::{PlanKey, StageTables};
+use fgfft::planner::{PlanKey, StageTables, StageTwiddles};
 use fgfft::wisdom::{Wisdom, WisdomEntry, WisdomStatus};
-use fgfft::workload::StageAddressing;
+use fgfft::workload::{StageAddressing, TwiddleIndex};
 use fgfft::{Complex64, Plan, ScheduleTuning, TwiddleLayout};
 use fgsupport::rng::Rng64;
 
@@ -61,8 +61,20 @@ struct OwnedStage {
     addressing: StageAddressing,
     pairs: Vec<(u32, u32)>,
     slots: Vec<u8>,
-    classes: usize,
-    twiddles: Vec<Complex64>,
+    twiddles: OwnedTwiddles,
+}
+
+/// A stage's twiddle source, owned: its class runs, or the direct index
+/// generator and offset table it reads the plan's base table through.
+enum OwnedTwiddles {
+    Classes {
+        classes: usize,
+        runs: Vec<Complex64>,
+    },
+    Base {
+        index: TwiddleIndex,
+        offsets: Vec<u32>,
+    },
 }
 
 /// Owned, mutable copy of a plan's tables that can be lent back to the
@@ -82,8 +94,16 @@ impl OwnedTables {
                     addressing: t.addressing,
                     pairs: t.pairs.to_vec(),
                     slots: t.slots.to_vec(),
-                    classes: t.classes,
-                    twiddles: t.twiddles.to_vec(),
+                    twiddles: match t.twiddles {
+                        StageTwiddles::Classes { classes, runs } => OwnedTwiddles::Classes {
+                            classes,
+                            runs: runs.to_vec(),
+                        },
+                        StageTwiddles::Base { index, offsets, .. } => OwnedTwiddles::Base {
+                            index,
+                            offsets: offsets.to_vec(),
+                        },
+                    },
                 }
             })
             .collect();
@@ -98,8 +118,17 @@ impl OwnedTables {
                 addressing: t.addressing,
                 pairs: &t.pairs,
                 slots: &t.slots,
-                classes: t.classes,
-                twiddles: &t.twiddles,
+                twiddles: match &t.twiddles {
+                    OwnedTwiddles::Classes { classes, runs } => StageTwiddles::Classes {
+                        classes: *classes,
+                        runs,
+                    },
+                    OwnedTwiddles::Base { index, offsets } => StageTwiddles::Base {
+                        index: *index,
+                        offsets,
+                        base: plan.twiddles().values(),
+                    },
+                },
             })
             .collect();
         check_plan_tables(plan.fft_plan(), plan.twiddles(), &views)
@@ -112,7 +141,6 @@ impl OwnedTables {
             addressing,
             pairs,
             slots,
-            classes,
             twiddles,
         } = &mut self.stages[stage];
         match rng.gen_below(9) {
@@ -146,16 +174,27 @@ impl OwnedTables {
                 }
                 format!("stage {stage}: pair[{i}] corrupted")
             }
-            5 => {
-                // Flip one mantissa bit of a class-run value.
-                let i = rng.gen_range(0..twiddles.len());
-                let re = twiddles[i].re.to_bits() ^ (1 << rng.gen_below(52));
-                twiddles[i].re = f64::from_bits(re);
-                format!("stage {stage}: twiddle[{i}] bit-flipped")
-            }
+            5 => match twiddles {
+                OwnedTwiddles::Classes { runs, .. } => {
+                    // Flip one mantissa bit of a class-run value.
+                    let i = rng.gen_range(0..runs.len());
+                    let re = runs[i].re.to_bits() ^ (1 << rng.gen_below(52));
+                    runs[i].re = f64::from_bits(re);
+                    format!("stage {stage}: run value {i} bit-flipped")
+                }
+                OwnedTwiddles::Base { offsets, .. } => {
+                    // Flip one bit of a base-table offset.
+                    let i = rng.gen_range(0..offsets.len());
+                    offsets[i] ^= 1 << rng.gen_below(32);
+                    format!("stage {stage}: offset {i} bit-flipped")
+                }
+            },
             6 => {
-                // Truncate the class runs.
-                twiddles.pop();
+                // Truncate the class runs or the offset table.
+                match twiddles {
+                    OwnedTwiddles::Classes { runs, .. } => drop(runs.pop()),
+                    OwnedTwiddles::Base { offsets, .. } => drop(offsets.pop()),
+                }
                 format!("stage {stage}: twiddles truncated")
             }
             7 => {
@@ -164,15 +203,22 @@ impl OwnedTables {
                 slots[i] = slots[i].wrapping_add(1 + rng.gen_below(200) as u8);
                 format!("stage {stage}: slot[{i}] moved")
             }
-            _ => {
-                // Class count off by one.
-                if rng.gen_bool() || *classes == 0 {
-                    *classes += 1;
-                } else {
-                    *classes -= 1;
+            _ => match twiddles {
+                OwnedTwiddles::Classes { classes, .. } => {
+                    // Class count off by one.
+                    if rng.gen_bool() || *classes == 0 {
+                        *classes += 1;
+                    } else {
+                        *classes -= 1;
+                    }
+                    format!("stage {stage}: classes = {classes}")
                 }
-                format!("stage {stage}: classes = {classes}")
-            }
+                OwnedTwiddles::Base { index, .. } => {
+                    // Another stage's lane field.
+                    index.stride_log2 ^= 1 << rng.gen_below(3);
+                    format!("stage {stage}: index stride_log2 = {}", index.stride_log2)
+                }
+            },
         }
     }
 }
