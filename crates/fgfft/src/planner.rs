@@ -2056,26 +2056,51 @@ mod tests {
         }
     }
 
+    /// Twiddle classes keep a fine-guided linear plan under 44 resident
+    /// bytes per point at 2^16 and 2^18, the bound set before element
+    /// addresses were computed. The bit reversal is computed, so a swap
+    /// list a harness builds through [`Plan::bitrev_swaps`] is not part of
+    /// the plan's residency.
+    #[test]
+    fn resident_bytes_stay_under_44_per_point() {
+        for n_log2 in [16u32, 18] {
+            let n = 1usize << n_log2;
+            let plan = Plan::build(PlanKey::new(n, Version::FineGuided, TwiddleLayout::Linear));
+            let per_point = plan.resident_bytes() as f64 / n as f64;
+            assert!(per_point <= 44.0, "2^{n_log2}: {per_point:.1} B/point");
+            let before = plan.resident_bytes();
+            assert_eq!(
+                plan.bitrev_swaps().len(),
+                (n - (1 << n_log2.div_ceil(2))) / 2
+            );
+            assert_eq!(plan.resident_bytes(), before);
+        }
+    }
+
+    /// Computing element addresses instead of storing them brings a 2^18
+    /// fine-guided plan to 24.5 resident bytes per point or fewer, the
+    /// bound set while the last stage still stored one class run per
+    /// codelet; `resident_bytes_at_2e18_fit_9_per_point` holds the
+    /// tighter bound that reading that stage from the base table allows.
+    #[test]
+    fn resident_bytes_at_2e18_fit_24_5_per_point() {
+        let n = 1usize << 18;
+        let plan = Plan::build(PlanKey::new(n, Version::FineGuided, TwiddleLayout::Linear));
+        let per_point = plan.resident_bytes() as f64 / n as f64;
+        assert!(per_point <= 24.5, "{per_point:.2} B/point");
+    }
+
     /// A 2^18 fine-guided plan keeps 9 resident bytes per point or fewer:
     /// the base twiddle table (8), the shared class runs of stages 0 and 1
     /// and the tile program. Element addresses, the bit reversal and the
-    /// unshared last stage's twiddles are read or computed, not stored, so
-    /// a swap list a harness builds through [`Plan::bitrev_swaps`] is not
-    /// part of the plan's residency either.
+    /// unshared last stage's twiddles are read or computed, not stored.
     #[test]
     fn resident_bytes_at_2e18_fit_9_per_point() {
-        let n_log2 = 18u32;
-        let n = 1usize << n_log2;
+        let n = 1usize << 18;
         let plan = Plan::build(PlanKey::new(n, Version::FineGuided, TwiddleLayout::Linear));
         let per_point = plan.resident_bytes() as f64 / n as f64;
         assert!(per_point <= 9.0, "{per_point:.2} B/point");
         assert_eq!(plan.twiddles().bytes(), 8 * n as u64, "the base table");
-        let before = plan.resident_bytes();
-        assert_eq!(
-            plan.bitrev_swaps().len(),
-            (n - (1 << n_log2.div_ceil(2))) / 2
-        );
-        assert_eq!(plan.resident_bytes(), before);
     }
 
     /// The gather view is a harness accessor only: building a plan, every
