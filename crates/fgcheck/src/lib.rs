@@ -24,14 +24,14 @@
 //!   Fig. 1 of the paper as a lint.
 //!
 //! * **Pass 4 — plan tables and generators** ([`tables`]): the planner's
-//!   FFTW-style per-stage butterfly/twiddle tables and the generators the
-//!   plan computes instead of storing (the stage address generator, the
-//!   direct twiddle index, the bit reversal) — the second lowering the
-//!   `unsafe` hot path runs
+//!   per-stage twiddle runs and the generators the plan computes instead
+//!   of storing (the stage address generator, the direct twiddle index,
+//!   the bit reversal) — the second lowering the `unsafe` hot path runs
 //!   without bounds checks — verified for bounds, per-stage
 //!   disjointness, and identity with the workload authority. Codes
-//!   FG401–FG407, plus FG409 for composite-kind extension tables (real
-//!   untangle factors, the 2D column plan).
+//!   FG401 and FG403–FG407 (FG402 is retired), plus FG409 for
+//!   composite-kind extension tables (real untangle factors, the 2D
+//!   column plan).
 //!
 //! [`certify()`] seals a clean four-pass run into a portable
 //! `fgfft::cert::Certificate` (FG408 on re-check failure) that `fgtune`
@@ -59,8 +59,8 @@ pub use hb::{HbOrder, Segment, CODE_COVERAGE};
 pub use race::{find_races, RaceReport, CODE_RACE};
 pub use tables::{
     check_bit_reversal, check_kind_extensions, check_plan, check_plan_tables, check_twiddle_index,
-    CODE_BITREV_DRIFT, CODE_GATHER_BOUNDS, CODE_KIND_DRIFT, CODE_PAIR_BOUNDS, CODE_STAGE_ALIASING,
-    CODE_TABLE_DRIFT, CODE_TABLE_SHAPE, CODE_TWIDDLE_DRIFT,
+    CODE_BITREV_DRIFT, CODE_GATHER_BOUNDS, CODE_KIND_DRIFT, CODE_STAGE_ALIASING, CODE_TABLE_DRIFT,
+    CODE_TABLE_SHAPE, CODE_TWIDDLE_DRIFT,
 };
 pub use tiles::{
     check_generated, check_host, check_lowering, check_tiles, TileCheck, CODE_TILE_DRIFT,

@@ -2,48 +2,48 @@
 //!
 //! The first three passes verify the *workload-level* schedule — the graphs
 //! and footprints `fgfft::simwork` executes. But the serving hot path runs a
-//! second, independent lowering: [`fgfft::Plan`] stores per-stage
-//! butterfly/slot tables and, where codelets share twiddles, one run of
+//! second, independent lowering: [`fgfft::Plan`] stores per stage its
+//! addressing parameters and, where codelets share twiddles, one run of
 //! distinct twiddles per twiddle class; the unshared last stage stores no
 //! runs, and its kernels read the base twiddle table at the direct index
 //! [`TwiddleIndex`] gives. Its kernels compute every element address with
-//! the stage's generator ([`StageAddressing::element`]). `unsafe`
-//! execution reads and writes through all of these **without bounds
-//! checks**, on the strength of two assumptions:
+//! the stage's generator ([`StageAddressing::element`]) and the butterfly
+//! pattern from the same parameters. The vector kernel reads and writes
+//! **without bounds checks**, on the strength of two assumptions:
 //!
-//! 1. every computed address and table index — element address, butterfly
-//!    pair, twiddle slot, class and offset table — is in bounds for the
-//!    plan's buffers, and
+//! 1. every computed address and table index — element address, class
+//!    and offset table — is in bounds for the plan's buffers, and
 //! 2. codelets that may run concurrently (same stage) have pairwise
 //!    disjoint data footprints — each stage's addresses *partition* the
 //!    data array (which is also what lets the lane kernel load sub-
 //!    transforms `g` and `g + 1` in one vector).
 //!
-//! This pass checks both, plus — differentially — that the tables are
-//! byte-identical to what [`fgfft::workload`]'s authority functions derive
-//! and that the generators equal theirs, so the two lowerings can never
-//! drift apart silently. The generator checks ([`check_addressing`],
-//! [`check_twiddle_index`]) *run* the address and twiddle index
-//! functions the kernels call, at the plan's size, and so take
-//! deliberately broken generators too; the bit reversal has no table
-//! either, and FG407 checks the plan's generator
+//! This pass checks both, plus — differentially — that the tables and
+//! generators equal what [`fgfft::workload`]'s authority functions derive,
+//! so the two lowerings can never drift apart silently. The generator
+//! checks ([`check_addressing`], [`check_twiddle_index`]) *run* the
+//! address and twiddle index functions the kernels call, at the plan's
+//! size, and so take deliberately broken generators too; the bit reversal
+//! has no table either, and FG407 checks the plan's generator
 //! ([`fgfft::bitrev::bit_reverse_tiled`]) against the [`bit_reverse`]
 //! authority the same way. The twiddle check runs per codelet: the run it
 //! reads — through its class, or from the base table through the offset
-//! table — and the slot pattern must expand to the authority's
-//! per-butterfly run bitwise, which proves the class map and the direct
-//! index and not just the stored values.
+//! table — must equal the authority's distinct twiddles bitwise, which
+//! proves the class map and the direct index and not just the stored
+//! values.
 //!
 //! | code    | severity | meaning                                               |
 //! |---------|----------|-------------------------------------------------------|
 //! | `FG401` | error    | a generated element address is out of bounds for the data array |
-//! | `FG402` | error    | butterfly pair or twiddle slot out of bounds          |
-//! | `FG403` | error    | table shape mismatch (lengths, class count, run length, addressing or direct index parameters vs the plan's algebra) |
+//! | `FG403` | error    | table shape mismatch (class count, run or offset-table length, addressing or direct index parameters vs the plan's algebra) |
 //! | `FG404` | error    | a stage's generated addresses are not a partition (aliasing under `unsafe`) |
-//! | `FG405` | error    | a codelet's slot-indexed twiddles, or the direct twiddle index generator, differ from the workload authority |
-//! | `FG406` | error    | generator/pairs/slots/offsets differ from the workload authority |
+//! | `FG405` | error    | a codelet's run, or the direct twiddle index generator, differs from the workload authority |
+//! | `FG406` | error    | address generator or offset table differs from the workload authority |
 //! | `FG407` | error    | computed bit reversal differs from the `bit_reverse` authority |
 //! | `FG409` | error    | composite-kind extension tables (untangle / column plan) drifted |
+//!
+//! FG402 (butterfly pair or twiddle slot out of bounds) is retired: plans
+//! store neither, and its number is not reused.
 //!
 //! All findings are errors: each one is a violated precondition of an
 //! `unsafe` block, not a style concern. To keep reports readable on badly
@@ -66,16 +66,14 @@ use fgfft::{Complex64, FftPlan, Plan, TwiddleLayout, TwiddleTable};
 
 /// A generated element address out of bounds.
 pub const CODE_GATHER_BOUNDS: &str = "FG401";
-/// Butterfly pair, twiddle slot or twiddle class out of bounds (or a
-/// degenerate pair).
-pub const CODE_PAIR_BOUNDS: &str = "FG402";
 /// Table shape mismatch.
 pub const CODE_TABLE_SHAPE: &str = "FG403";
 /// A stage's generated addresses are not a partition of the data array.
 pub const CODE_STAGE_ALIASING: &str = "FG404";
-/// A codelet's slot-indexed twiddles drifted from the workload authority.
+/// A codelet's run drifted from the workload authority.
 pub const CODE_TWIDDLE_DRIFT: &str = "FG405";
-/// Generator/pair/slot tables drifted from the workload authority.
+/// The address generator or an offset table drifted from the workload
+/// authority.
 pub const CODE_TABLE_DRIFT: &str = "FG406";
 /// The computed bit reversal differs from the [`bit_reverse`] authority.
 pub const CODE_BITREV_DRIFT: &str = "FG407";
@@ -92,10 +90,10 @@ fn error(code: &'static str, codelet: Option<usize>, message: String) -> Diagnos
     }
 }
 
-/// Verify the execution tables of a built plan (bounds, shapes and
-/// byte-identity with the workload authority), the address generator its
-/// kernels call (bounds, per-stage partition, identity with the
-/// authority), and the bit reversal it computes before its stages.
+/// Verify the execution tables of a built plan (shapes and identity with
+/// the workload authority), the address generator its kernels call
+/// (bounds, per-stage partition, identity with the authority), and the
+/// bit reversal it computes before its stages.
 pub fn check_plan(plan: &Plan) -> Vec<Diagnostic> {
     let fft = plan.fft_plan();
     let stages: Vec<StageTables<'_>> = (0..fft.stages()).map(|s| plan.stage_tables(s)).collect();
@@ -264,7 +262,6 @@ pub fn check_plan_tables(
     stages: &[StageTables<'_>],
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let radix = 1usize << fft.radix_log2();
     let cps = fft.codelets_per_stage();
 
     if stages.len() != fft.stages() {
@@ -286,7 +283,6 @@ pub fn check_plan_tables(
 
     for (stage, table) in stages.iter().enumerate() {
         let q = fft.levels(stage);
-        let expect_pairs = (q as usize) << (fft.radix_log2() - 1);
         let run_len = workload::twiddle_loads(fft, stage);
         let addressing = StageAddressing::of(fft, stage);
         let index = TwiddleIndex::of(fft, stage, twiddles.layout());
@@ -311,70 +307,21 @@ pub fn check_plan_tables(
                 if c == classes && runs.len() == classes * run_len);
             (ok, format!("{classes} class runs × {run_len}"))
         };
-        if table.addressing != addressing
-            || table.pairs.len() != expect_pairs
-            || table.slots.len() != expect_pairs
-            || !twiddles_ok
-        {
+        if table.addressing != addressing || !twiddles_ok {
             out.push(error(
                 CODE_TABLE_SHAPE,
                 None,
                 format!(
-                    "stage {stage}: addressing {:?} (want {addressing:?}), pairs {} and \
-                     slots {} (want {expect_pairs}), twiddles {} (want {want_twiddles})",
+                    "stage {stage}: addressing {:?} (want {addressing:?}), twiddles {} (want \
+                     {want_twiddles})",
                     table.addressing,
-                    table.pairs.len(),
-                    table.slots.len(),
                     describe(&table.twiddles),
                 ),
             ));
             continue; // indices below would be meaningless
         }
 
-        // FG402 — every butterfly pair stays inside the codelet buffer and
-        // names two distinct slots (lo = hi would double-write one slot);
-        // every twiddle slot stays inside a codelet's run (the kernels read
-        // both unchecked).
-        if let Some((i, &(lo, hi))) = table
-            .pairs
-            .iter()
-            .enumerate()
-            .find(|&(_, &(lo, hi))| lo >= hi || hi as usize >= radix)
-        {
-            out.push(error(
-                CODE_PAIR_BOUNDS,
-                None,
-                format!(
-                    "stage {stage}: pair[{i}] = ({lo}, {hi}) invalid for radix {radix} \
-                     (want lo < hi < radix)"
-                ),
-            ));
-        }
-        let bad_slot = table.slots.iter().position(|&s| s as usize >= run_len);
-        if let Some(i) = bad_slot {
-            out.push(error(
-                CODE_PAIR_BOUNDS,
-                None,
-                format!(
-                    "stage {stage}: slot[{i}] = {} out of a {run_len}-value run",
-                    table.slots[i]
-                ),
-            ));
-        }
-
-        // FG406 — differential: byte-identical to the workload authority.
-        let auth_pairs = workload::butterfly_pairs(fft, stage);
-        let auth_slots = workload::twiddle_slots(fft, stage);
-        if table.pairs != auth_pairs.as_slice() || table.slots != auth_slots.as_slice() {
-            out.push(error(
-                CODE_TABLE_DRIFT,
-                None,
-                format!(
-                    "stage {stage}: pair/slot tables differ from the workload authority — \
-                     the two lowerings have drifted"
-                ),
-            ));
-        }
+        // FG406 — differential: the offset table is the generator's.
         if let StageTwiddles::Base { offsets, .. } = table.twiddles {
             if offsets != index.offsets(q).as_slice() {
                 out.push(error(
@@ -388,33 +335,30 @@ pub fn check_plan_tables(
             }
         }
 
-        // FG405 — per codelet, the twiddles the kernel reads (its run,
-        // stored or read from the base table, through the slot pattern)
-        // bitwise equal to the authority's per-butterfly run. Bitwise, not
-        // approximate: the plan is supposed to *read* these values, and any
-        // rounding difference means it recomputed them another way.
-        if bad_slot.is_some() {
-            continue; // the expansion would index past a run
-        }
+        // FG405 — per codelet, the run the kernels read (stored or read
+        // from the base table) bitwise equal to the authority's distinct
+        // twiddles, in load order. Bitwise, not approximate: the plan is
+        // supposed to *read* these values, and any rounding difference
+        // means it recomputed them another way.
         for idx in 0..cps {
             let Some(run) = table.run(idx, &mut scratch) else {
                 continue;
             };
             authority_tw.clear();
-            workload::append_twiddle_run(fft, twiddles, stage, idx, &mut authority_tw);
-            let drift = table.slots.iter().zip(&authority_tw).position(|(&s, b)| {
-                let a = run[s as usize];
+            workload::for_each_twiddle_index(fft, stage, idx, |t| {
+                authority_tw.push(twiddles.get(t))
+            });
+            let drift = run.iter().zip(&authority_tw).position(|(a, b)| {
                 a.re.to_bits() != b.re.to_bits() || a.im.to_bits() != b.im.to_bits()
             });
             if let Some(i) = drift {
-                let slot = table.slots[i] as usize;
                 out.push(error(
                     CODE_TWIDDLE_DRIFT,
                     Some(stage * cps + idx),
                     format!(
-                        "stage {stage}: codelet {idx} butterfly {i} reads run slot {slot} = \
-                         {}, which differs bitwise from the workload authority's {}",
-                        run[slot], authority_tw[i]
+                        "stage {stage}: codelet {idx} reads run entry {i} = {}, which \
+                         differs bitwise from the workload authority's {}",
+                        run[i], authority_tw[i]
                     ),
                 ));
                 break; // one diagnostic per (stage, code)
@@ -628,16 +572,6 @@ mod tests {
         let fft = p.fft_plan();
         let full: Vec<StageTables<'_>> = (0..fft.stages()).map(|s| p.stage_tables(s)).collect();
 
-        // Truncated pair pattern: shape error.
-        let mut stages = full.clone();
-        let pairs = &full[0].pairs[..full[0].pairs.len() - 1];
-        stages[0] = StageTables { pairs, ..full[0] };
-        let diags = check_plan_tables(fft, p.twiddles(), &stages);
-        assert!(
-            diags.iter().any(|d| d.code == CODE_TABLE_SHAPE),
-            "{diags:?}"
-        );
-
         // Addressing parameters of another stage: shape error.
         let mut stages = full.clone();
         stages[1] = StageTables {
@@ -666,9 +600,9 @@ mod tests {
     }
 
     /// The class-table mutations, each against the code that owns it: a
-    /// slot past its run is FG402, a class count off by one is FG403, and
-    /// one flipped value of the last class run of stage 1 (read first by
-    /// codelet 63 of 128) is FG405 for that codelet.
+    /// class count off by one is FG403, and one flipped value of the last
+    /// class run of stage 1 (read first by codelet 63 of 128) is FG405 for
+    /// that codelet.
     #[test]
     fn mutated_class_tables_draw_their_codes() {
         let p = Plan::build(PlanKey::with_radix(
@@ -686,15 +620,6 @@ mod tests {
                 .collect()
         };
         assert!(codes(&full).is_empty());
-
-        let mut slots = full[1].slots.to_vec();
-        slots[7] = full[1].run_len() as u8;
-        let mut stages = full.clone();
-        stages[1] = StageTables {
-            slots: &slots,
-            ..full[1]
-        };
-        assert!(codes(&stages).contains(&(CODE_PAIR_BOUNDS, None)));
 
         let StageTwiddles::Classes { classes, runs } = full[1].twiddles else {
             panic!("stage 1 shares its twiddles");

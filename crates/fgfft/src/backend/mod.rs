@@ -60,15 +60,15 @@ use std::sync::Arc;
 /// engine.
 ///
 /// A kernel receives one tile — consecutive codelets of one stage — with
-/// the stage's tables: its address generator
-/// ([`crate::workload::StageAddressing`]), butterfly pair pattern, slot
-/// pattern (per butterfly, the position of its twiddle in the run) and
-/// class runs (the distinct twiddles each class consumes,
-/// [`crate::workload::append_class_run`]). It must leave the same bits
-/// behind as [`crate::exec::shared::execute_codelet_tabled`] run on each
-/// codelet of the tile would: butterfly `i` of codelet `idx` multiplies by
-/// `run(idx)[slots[i]]`. Schedules, tables, and certificates are
-/// backend-independent; only this innermost loop varies.
+/// the stage's tables: its address and butterfly generator
+/// ([`crate::workload::StageAddressing`]) and its twiddles (the distinct
+/// twiddles each codelet consumes, [`StageTables::run`]). It must leave
+/// the same bits behind as [`crate::exec::shared::execute_codelet_tabled`]
+/// run on each codelet of the tile would: each butterfly of codelet `idx`
+/// multiplies by `run(idx)` at the position
+/// [`crate::workload::StageAddressing::for_each_butterfly`] gives it.
+/// Schedules, tables, and certificates are backend-independent; only this
+/// innermost loop varies.
 pub trait CodeletKernel: Send + Sync + std::fmt::Debug {
     /// Short human-readable identity (used in stats).
     fn label(&self) -> &'static str;
@@ -89,8 +89,7 @@ pub trait CodeletKernel: Send + Sync + std::fmt::Debug {
     /// every stage (so every computed address is in bounds for `view`,
     /// which spans the stage's `2^n` elements, and no two codelets share
     /// one) — proved by `fgcheck`'s FG401/FG404/FG406 over the generator
-    /// itself. Every pair is in bounds for a codelet's `2^p` slots, every
-    /// slot for a class run, and every codelet's class for `tables`.
+    /// itself. Every codelet's run is in bounds for `tables`.
     unsafe fn run_tile(
         &self,
         tables: &StageTables<'_>,
@@ -112,7 +111,7 @@ pub struct Capabilities {
 /// An execution engine for certified plans.
 ///
 /// `prepare` binds a plan to the backend's kernel (verifying any
-/// preconditions the kernel needs, e.g. the canonical butterfly pattern
+/// preconditions the kernel needs, e.g. the canonical twiddle shapes
 /// for vector loads) and returns a [`PreparedPlan`] that executes batches.
 pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Stable identity of the backend family (e.g. `"host-scalar"`).
@@ -152,7 +151,7 @@ impl PreparedPlan {
 
     /// Fingerprint of the kernel that runs this plan — the backend's own
     /// unless it degraded to the scalar kernel (radix-2 codelets or
-    /// non-canonical tables), in which case it names the scalar engine.
+    /// tables of another shape), in which case it names the scalar engine.
     pub fn backend_fingerprint(&self) -> &'static str {
         self.kernel.fingerprint()
     }

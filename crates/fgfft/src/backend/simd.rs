@@ -52,16 +52,17 @@
 //!    radix at small sizes. So a tile owns exactly
 //!    its codelets' elements, and its two-wide loads at `g` (even) cover
 //!    `g + 1`, a sub-transform of the same tile.
-//! 2. **The slot pattern and runs are canonical.** Level `ll`'s twiddle
-//!    for sub-transform `g` and butterfly offset `t < 2^ll` sits at
+//! 2. **The runs have the canonical shape.** Level `ll`'s twiddle for
+//!    sub-transform `g` and butterfly offset `t < 2^ll` sits at
 //!    `(2^ll − 1)·G + (g mod G)·2^ll + t` of its codelet's run, with
-//!    `G = 2^(p−q)` sub-transforms per codelet (FG402/FG403/FG406 pin the
-//!    tables to this shape, FG405 pins every codelet's run to the workload
-//!    authority). A shared stage stores that run once per class; an
-//!    unshared stage reads it from the base table at the direct index,
-//!    masked into the table and so in bounds whatever the offsets hold.
-//!    [`Plan::build`] re-verifies the pair and slot patterns, the run and
-//!    offset-table lengths and the addressing once per plan
+//!    `G = 2^(p−q)` sub-transforms per codelet — the position the scalar
+//!    reference computes too ([`StageAddressing::for_each_butterfly`]).
+//!    FG403 pins the run and offset-table lengths to this shape, FG405
+//!    every codelet's run to the workload authority. A shared stage
+//!    stores that run once per class; an unshared stage reads it from the
+//!    base table at the direct index, masked into the table and so in
+//!    bounds whatever the offsets hold. [`Plan::build`] re-verifies the
+//!    run and offset-table lengths and the addressing once per plan
 //!    ([`Plan::vector_ready`]) and [`HostSimd::prepare`] falls back to the
 //!    scalar kernel on any mismatch, so the vector paths never guess.
 //!
@@ -297,45 +298,6 @@ mod x86 {
     }
 }
 
-/// The canonical butterfly pattern the vector passes assume, as a
-/// predicate over one stage's pair table: level `ll`, butterfly `k` ⇒
-/// `(lo, hi) = ((c << (ll+1)) + r, lo + 2^ll)` with `c = k >> ll`,
-/// `r = k & (2^ll - 1)`.
-fn pairs_are_canonical(pairs: &[(u32, u32)], radix: usize) -> bool {
-    let half = radix / 2;
-    if half == 0 || !pairs.len().is_multiple_of(half) {
-        return false;
-    }
-    pairs.iter().enumerate().all(|(k_total, &(lo, hi))| {
-        let ll = (k_total / half) as u32;
-        let k = k_total % half;
-        let c = k >> ll;
-        let r = k & ((1usize << ll) - 1);
-        let want_lo = (c << (ll + 1)) + r;
-        lo as usize == want_lo && hi as usize == want_lo + (1usize << ll)
-    })
-}
-
-/// The canonical slot pattern the vector passes assume, as a predicate
-/// over one stage's slot table: level `ll`, butterfly `k` of a stage with
-/// `q = slots.len() / (radix/2)` levels reads
-/// [`workload::twiddle_slot`]`(ll, k, q, radix >> q)`.
-fn slots_are_canonical(slots: &[u8], radix: usize) -> bool {
-    let half = radix / 2;
-    if half == 0 || slots.is_empty() || !slots.len().is_multiple_of(half) {
-        return false;
-    }
-    let q = slots.len() / half;
-    if q > radix.trailing_zeros() as usize {
-        return false;
-    }
-    let q = q as u32;
-    slots.iter().enumerate().all(|(i, &slot)| {
-        let (ll, k) = ((i / half) as u32, i % half);
-        slot as usize == workload::twiddle_slot(ll, k, q, radix >> q)
-    })
-}
-
 /// Whether the vector kernel may run `plan`: codelets of at least four
 /// points and canonical tables ([`tables_are_canonical`]). [`Plan::build`]
 /// evaluates this once and stores it as [`Plan::vector_ready`].
@@ -344,15 +306,13 @@ pub(crate) fn vector_ready(plan: &Plan) -> bool {
 }
 
 /// Whether every stage of `plan` (and of a 2-D plan's column plan, which
-/// runs on the same kernel) carries the workload layer's addressing, the
-/// canonical butterfly and slot patterns, and twiddles of the canonical
-/// shape: a shared stage (stage 0 always) a power-of-two count of class
-/// runs of the canonical length, the unshared one its own direct index
-/// over a full base table with a full offset table (the precondition of
-/// the lane kernel's passes).
+/// runs on the same kernel) carries the workload layer's addressing and
+/// twiddles of the canonical shape: a shared stage (stage 0 always) a
+/// power-of-two count of class runs of the canonical length, the unshared
+/// one its own direct index over a full base table with a full offset
+/// table (the precondition of the lane kernel's passes).
 pub(crate) fn tables_are_canonical(plan: &Plan) -> bool {
     let fft = plan.fft_plan();
-    let radix = 1usize << fft.radix_log2();
     plan.col_plan().is_none_or(tables_are_canonical)
         && (0..fft.stages()).all(|s| {
             let table = plan.stage_tables(s);
@@ -373,11 +333,7 @@ pub(crate) fn tables_are_canonical(plan: &Plan) -> bool {
                         && base.len() == fft.n() / 2
                 }
             };
-            table.addressing == StageAddressing::of(fft, s)
-                && pairs_are_canonical(table.pairs, radix)
-                && slots_are_canonical(table.slots, radix)
-                && table.slots.len() == table.pairs.len()
-                && twiddles
+            table.addressing == StageAddressing::of(fft, s) && twiddles
         })
 }
 
@@ -495,8 +451,8 @@ struct ClassRuns<'a> {
 impl ClassRuns<'_> {
     /// The first of level `ll`'s twiddles for sub-transform `g`:
     /// `(2^ll − 1)·G + (g mod G)·2^ll` past the start of its codelet's
-    /// class run ([`workload::twiddle_slot`] with the butterfly offset
-    /// left out).
+    /// class run ([`StageAddressing::for_each_butterfly`]'s twiddle
+    /// position with the butterfly offset left out).
     ///
     /// # Safety
     /// As [`LaneTwiddles::level`].
@@ -964,12 +920,6 @@ impl CodeletKernel for SimdKernel {
         codelets: Range<usize>,
         view: &SharedData<'_>,
     ) {
-        // The pairs and slots are the canonical patterns `Plan::build`
-        // verified; the lane passes compute them instead of reading them.
-        debug_assert!(slots_are_canonical(
-            tables.slots,
-            tables.addressing.groups() << tables.addressing.levels
-        ));
         #[cfg(target_arch = "x86_64")]
         if self.use_avx2 {
             // SAFETY: forwarded; `use_avx2` implies runtime detection
@@ -985,8 +935,8 @@ impl CodeletKernel for SimdKernel {
 /// SIMD host backend: vectorized butterflies on the serial certified
 /// schedule.
 ///
-/// `prepare` reads the plan's build-time check that its tables carry the
-/// canonical pattern (see the module docs) and silently degrades to the
+/// `prepare` reads the plan's build-time check that its tables have the
+/// canonical shape (see the module docs) and silently degrades to the
 /// scalar path when they don't or when the codelet radix is too small to
 /// vectorize — a prepared plan is always correct, never merely fast.
 #[derive(Debug, Clone, Default)]
@@ -1134,23 +1084,6 @@ mod tests {
                 assert!(label.starts_with("simd-"), "{key:?}: {label}");
             }
         }
-    }
-
-    #[test]
-    fn mutated_pairs_fail_the_canonical_check() {
-        let plan = Plan::build(PlanKey::new(
-            1 << 8,
-            Version::Coarse,
-            Version::Coarse.layout(),
-        ));
-        let mut pairs = plan.stage_tables(0).pairs.to_vec();
-        pairs.swap(0, 1);
-        assert!(!pairs_are_canonical(&pairs, 64));
-        assert!(pairs_are_canonical(plan.stage_tables(0).pairs, 64));
-        let mut slots = plan.stage_tables(1).slots.to_vec();
-        assert!(slots_are_canonical(&slots, 64));
-        slots[40] += 1;
-        assert!(!slots_are_canonical(&slots, 64));
     }
 
     /// Both vector variants × every codelet radix must reproduce the

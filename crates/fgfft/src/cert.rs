@@ -29,8 +29,8 @@
 //!   this on every entry.
 //! * [`Certificate::verify_plan`] — the above plus the table digest over a
 //!   built [`Plan`]'s independent data (address generator parameters,
-//!   pair/slot tables and the twiddle factor table — see [`table_digest`] for what is deliberately
-//!   excluded and why). [`crate::planner::Planner`] runs this once per
+//!   twiddle shapes and the twiddle factor table — see [`table_digest`]
+//!   for what is deliberately excluded and why). [`crate::planner::Planner`] runs this once per
 //!   cold plan build (its cost against the build is tracked in
 //!   EXPERIMENTS.md).
 
@@ -78,7 +78,13 @@ use fgsupport::json::Value;
 /// that generator's parameters and offset table in place of the stage's
 /// class count and run length. A revision-6 certificate vouches for runs
 /// the plan no longer holds.
-pub const WORKLOAD_REVISION: u64 = 7;
+///
+/// Revision 8: plans store no butterfly pair or twiddle slot pattern;
+/// kernels compute both from the stage's addressing
+/// (`workload::StageAddressing::for_each_butterfly`), and the table digest
+/// no longer folds them. A revision-7 certificate vouches for tables the
+/// plan no longer holds.
+pub const WORKLOAD_REVISION: u64 = 8;
 
 /// Multi-lane FNV-style digest (keyless, dependency-free).
 ///
@@ -173,39 +179,6 @@ impl Digest {
         self.count += (items.len() - rounds.remainder().len()) as u64;
         for item in rounds.remainder() {
             self.write_u64(pack(item));
-        }
-    }
-
-    /// Fold a `(u32, u32)` slice, one pair per word.
-    pub fn write_pair_slice(&mut self, pairs: &[(u32, u32)]) {
-        self.write_bulk(pairs, |&(lo, hi)| (lo as u64) | ((hi as u64) << 32));
-    }
-
-    /// Fold a `(u32, u32)` slice whose components are structurally known
-    /// `< 2^16`, two pairs per word.
-    pub fn write_pair_slice_narrow(&mut self, pairs: &[(u32, u32)]) {
-        const STRIDE: usize = 2 * Digest::LANES;
-        let pack = |two: &[(u32, u32)]| {
-            (two[0].0 as u64)
-                | ((two[0].1 as u64) << 16)
-                | ((two[1].0 as u64) << 32)
-                | ((two[1].1 as u64) << 48)
-        };
-        let mut lanes = self.lanes;
-        let mut rounds = pairs.chunks_exact(STRIDE);
-        for chunk in &mut rounds {
-            for (lane, two) in lanes.iter_mut().zip(chunk.chunks_exact(2)) {
-                *lane = (*lane ^ pack(two)).wrapping_mul(Self::PRIME);
-            }
-        }
-        self.lanes = lanes;
-        self.count += ((pairs.len() - rounds.remainder().len()) / 2) as u64;
-        let mut twos = rounds.remainder().chunks_exact(2);
-        for two in &mut twos {
-            self.write_u64(pack(two));
-        }
-        for &(lo, hi) in twos.remainder() {
-            self.write_u64((lo as u64) | ((hi as u64) << 32));
         }
     }
 
@@ -331,9 +304,10 @@ pub fn schedule_digest(key: PlanKey, tuning: Option<&ScheduleTuning>) -> Result<
 }
 
 /// Digest of the *independent* data behind a built plan's execution
-/// tables: per stage the address generator's parameters, the butterfly
-/// pair pattern, the twiddle slot pattern and either the class-run shape
-/// (class count and run length) or, for an unshared stage, the direct
+/// tables: per stage the address generator's parameters (which also fix
+/// the butterfly pattern and each butterfly's run position) and either
+/// the class-run shape (class count and run length) or, for an unshared
+/// stage, the direct
 /// twiddle index generator's parameters and offset table; and the twiddle
 /// factor table (in stored slot order, so it is layout-sensitive). Element addresses and the bit
 /// reversal are computed, not stored, so there is no index table to
@@ -348,15 +322,11 @@ pub fn schedule_digest(key: PlanKey, tuning: Option<&ScheduleTuning>) -> Result<
 /// base table, bitwise against the workload authority — at certification
 /// time and in the CI `fgcheck --all` sweep. Everything the `unsafe` hot
 /// path's *safety* rests on — the generator that fixes address bounds and
-/// disjointness, pair bounds, slot bounds against the run length, class
-/// bounds, the offset table's length — is covered byte-for-byte; a direct
-/// twiddle index is masked into the table, in bounds by construction.
+/// disjointness, class bounds, the offset table's length — is covered
+/// byte-for-byte; a direct twiddle index is masked into the table, in
+/// bounds by construction.
 pub fn table_digest(plan: &Plan) -> u64 {
     let fft = plan.fft_plan();
-    // Packing density is a function of plan *structure* (already pinned by
-    // the digest stream itself), never of table contents, so both sides of
-    // a verification always agree on it.
-    let narrow_pair = fft.radix_log2() <= 16; // butterfly slots < 2^16
     let mut d = Digest::new_tagged(0x5441_424c); // "TABL"
     let stages = fft.stages();
     d.write_usize(stages);
@@ -366,14 +336,6 @@ pub fn table_digest(plan: &Plan) -> u64 {
         d.write_u32(addr.stride_log2);
         d.write_u32(addr.levels);
         d.write_u32(addr.groups_log2);
-        d.write_usize(table.pairs.len());
-        if narrow_pair {
-            d.write_pair_slice_narrow(table.pairs);
-        } else {
-            d.write_pair_slice(table.pairs);
-        }
-        d.write_usize(table.slots.len());
-        d.write_bulk(table.slots, |&slot| u64::from(slot));
         match table.twiddles {
             StageTwiddles::Classes { classes, runs } => {
                 d.write_usize(classes);

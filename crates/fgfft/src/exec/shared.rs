@@ -94,53 +94,37 @@ impl<'a> SharedData<'a> {
 /// Execute codelet `idx` of a stage from its plan tables — the scalar
 /// reference every kernel is held to: gather the codelet's elements into
 /// a local buffer by the stage's address generator
-/// ([`crate::workload::StageAddressing::codelet_element`]), replay the
-/// stage's butterfly pattern against the codelet's run
-/// ([`StageTables::run`]: its class run, or the values it reads from the
-/// base table), scatter back. Butterfly `i` applies `tables.pairs[i]`
-/// with twiddle `run[tables.slots[i]]`.
+/// ([`StageAddressing::codelet_element`]), apply the stage's butterflies
+/// ([`StageAddressing::for_each_butterfly`]) with the twiddles of the
+/// codelet's run ([`StageTables::run`]: its class run, or the values it
+/// reads from the base table), scatter back.
 ///
 /// # Safety
 /// The caller upholds the dataflow discipline of the module docs for the
 /// elements the generator assigns codelet `idx` — all parents of the
 /// codelet have completed (with proper synchronization edges) and no
 /// concurrent codelet shares any element — `data` spans the stage's
-/// `2^n` elements, `idx` is a codelet of the stage, every pair is within
-/// the codelet's `2^p`-slot buffer and every slot within its run (read
-/// unchecked; FG402 checks them for a plan's tables).
+/// `2^n` elements and `idx` is a codelet of the stage.
 pub unsafe fn execute_codelet_tabled(tables: &StageTables<'_>, idx: usize, data: &SharedData<'_>) {
     let addr = tables.addressing;
-    let radix = 1usize << (addr.levels + addr.groups_log2);
     let mut scratch = run_scratch();
-    let run = tables.run(idx, &mut scratch).unwrap_or_default();
-    debug_assert_eq!(tables.pairs.len(), tables.slots.len());
-    debug_assert!(tables.slots.iter().all(|&s| (s as usize) < run.len()));
-    debug_assert!(radix <= 1 << MAX_RADIX_LOG2);
+    let run = tables.run(idx, &mut scratch).expect("run in bounds");
     // Buffer slot `s` is slot `s mod 2^q` of sub-transform
     // `idx·2^(p−q) + (s >> q)` ([`StageAddressing::codelet_element`]).
     let groups = idx << addr.groups_log2..(idx + 1) << addr.groups_log2;
     let mut buf = [Complex64::ZERO; 1 << MAX_RADIX_LOG2];
-    let mut slots = buf[..radix].chunks_exact_mut(1 << addr.levels);
-    for (g, chunk) in groups.clone().zip(&mut slots) {
+    let buf = &mut buf[..addr.groups() << addr.levels];
+    for (g, chunk) in groups.clone().zip(buf.chunks_exact_mut(1 << addr.levels)) {
         for (x, v) in chunk.iter_mut().enumerate() {
             // SAFETY: per the function contract, this codelet has
             // exclusive access to its elements, which are in bounds.
             *v = unsafe { data.read(addr.element(g, x)) };
         }
     }
-    for (&(lo, hi), &s) in tables.pairs.iter().zip(tables.slots) {
-        let (lo, hi) = (lo as usize, hi as usize);
-        debug_assert!(lo < radix && hi < radix);
-        // SAFETY: every slot is within `run` and every pair within the
-        // codelet's buffer per the function contract.
-        unsafe {
-            let w = *run.get_unchecked(s as usize);
-            let (a, c) = kernel::butterfly(*buf.get_unchecked(lo), *buf.get_unchecked(hi), w);
-            *buf.get_unchecked_mut(lo) = a;
-            *buf.get_unchecked_mut(hi) = c;
-        }
-    }
-    for (g, chunk) in groups.zip(buf[..radix].chunks_exact(1 << addr.levels)) {
+    addr.for_each_butterfly(buf, run, |lo, hi, &w| {
+        (*lo, *hi) = kernel::butterfly(*lo, *hi, w);
+    });
+    for (g, chunk) in groups.zip(buf.chunks_exact(1 << addr.levels)) {
         for (x, &v) in chunk.iter().enumerate() {
             // SAFETY: as above.
             unsafe { data.write(addr.element(g, x), v) };
@@ -170,14 +154,24 @@ mod tests {
 
     #[test]
     fn shared_codelet_matches_safe_kernel() {
-        // The plan's tables and address generator, run through the shared
-        // view, compute bitwise what the index-algebra kernel computes on a
-        // safe slice, stage by stage: every class map, slot pattern and
-        // partial last stage, checked against an oracle that reads no plan
-        // table.
-        for (n_log2, radix_log2) in [(9u32, 3u32), (12, 7), (13, 6), (16, 6)] {
+        // The plan's tables, address generator and computed butterfly
+        // pattern, run through the shared view, compute bitwise what the
+        // index-algebra kernel computes on a safe slice, stage by stage:
+        // every radix 2^1..2^7 at every size up to 2^12 (so every partial
+        // last stage), under all three layouts (shared class runs and the
+        // unshared stage read from the base table), checked against an
+        // oracle that reads no plan table.
+        let layouts = [
+            TwiddleLayout::Linear,
+            TwiddleLayout::BitReversedHash,
+            TwiddleLayout::MultiplicativeHash,
+        ];
+        let shapes = (1..=MAX_RADIX_LOG2).flat_map(|r| (r..=12).map(move |n| (n, r)));
+        for ((n_log2, radix_log2), layout) in
+            shapes.flat_map(|shape| layouts.map(|layout| (shape, layout)))
+        {
             let n = 1usize << n_log2;
-            let key = PlanKey::with_radix(n, Version::Coarse, TwiddleLayout::Linear, radix_log2);
+            let key = PlanKey::with_radix(n, Version::Coarse, layout, radix_log2);
             let plan = Plan::build(key);
             let (fft, tw) = (plan.fft_plan(), plan.twiddles());
             let input: Vec<Complex64> = (0..n)
@@ -193,14 +187,13 @@ mod tests {
                 let view = SharedData::new(&mut b);
                 for idx in 0..fft.codelets_per_stage() {
                     // SAFETY: one thread in stage order: every parent of
-                    // the codelet has completed and none runs concurrently;
-                    // the plan's slots index its class runs in bounds.
+                    // the codelet has completed and none runs concurrently.
                     unsafe { execute_codelet_tabled(&table, idx, &view) };
                 }
                 let same = a.iter().zip(&b).all(|(x, y)| {
                     x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
                 });
-                assert!(same, "2^{n_log2}/r{radix_log2} stage {stage}");
+                assert!(same, "2^{n_log2}/r{radix_log2} {layout:?} stage {stage}");
             }
         }
     }

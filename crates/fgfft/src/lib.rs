@@ -15,8 +15,8 @@
 //!   parent/child formulas, shared dependence-counter groups, and the
 //!   guided algorithm's grouped seeding order.
 //! * [`workload`] — the single authority for the codelet decomposition:
-//!   per-codelet descriptors (butterfly pattern, twiddle run, edges,
-//!   shared-counter group), the exact byte-address footprint of every
+//!   the stage address generator and butterfly pattern, every codelet's
+//!   twiddle run, the exact byte-address footprint of every
 //!   codelet under either twiddle layout, and the schedule each Table-I
 //!   version runs ([`workload::ScheduleSpec`]). Every layer below consumes
 //!   this module rather than re-deriving the structure.
@@ -113,6 +113,6 @@ pub use twiddle::{TwiddleLayout, TwiddleTable};
 pub use window::Window;
 pub use wisdom::{machine_fingerprint, Wisdom, WisdomEntry, WisdomStatus};
 pub use workload::{
-    untangle_table, CodeletDesc, KindTaskClass, KindWorkload, ScheduleSpec, ScheduleTuning,
-    TransformKind, Workload, DEFAULT_TRANSPOSE_BLOCK_LOG2,
+    untangle_table, KindTaskClass, KindWorkload, ScheduleSpec, ScheduleTuning, TransformKind,
+    Workload, DEFAULT_TRANSPOSE_BLOCK_LOG2,
 };

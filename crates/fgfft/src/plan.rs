@@ -483,17 +483,21 @@ mod tests {
             let cps = plan.codelets_per_stage();
             for stage in 0..plan.stages() - 1 {
                 let mut child_sets: Vec<HashSet<usize>> = vec![HashSet::new(); cps];
-                let mut kids = Vec::new();
+                let (mut kids, mut parents) = (Vec::new(), Vec::new());
                 for idx in 0..cps {
                     kids.clear();
                     plan.children_of(stage, idx, &mut kids);
                     for &k in &kids {
                         assert_eq!(plan.stage_of(k), stage + 1);
                         child_sets[idx].insert(plan.idx_of(k));
+                        // Symmetric: every child lists `idx` among its parents.
+                        parents.clear();
+                        plan.parents_of(stage + 1, plan.idx_of(k), &mut parents);
+                        assert!(parents.contains(&plan.codelet_id(stage, idx)));
                     }
                 }
                 // Invert: parent counts derived from children must equal
-                // parent_count().
+                // parent_count() and the length of the parent list.
                 let mut derived = vec![0u32; cps];
                 for set in &child_sets {
                     for &c in set {
@@ -501,6 +505,9 @@ mod tests {
                     }
                 }
                 for idx in 0..cps {
+                    parents.clear();
+                    plan.parents_of(stage + 1, idx, &mut parents);
+                    assert_eq!(parents.len() as u32, plan.parent_count(stage + 1, idx));
                     assert_eq!(
                         derived[idx],
                         plan.parent_count(stage + 1, idx),

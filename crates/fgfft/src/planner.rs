@@ -7,13 +7,14 @@
 //! * [`Plan`] — everything derivable from a [`PlanKey`], computed once:
 //!   the twiddle table, the codelet-graph schedule **lowered onto tiles**
 //!   of consecutive codelets ([`TileProgram`], flat CSR arrays generated
-//!   from the stage algebra), and per-stage execution tables (butterfly
-//!   pair pattern with its twiddle slots, and one run of distinct
-//!   twiddles per twiddle class where codelets share them). Only what is
-//!   shared is stored. Element addresses are not: kernels compute them
-//!   with each stage's [`StageAddressing`]; the unshared last stage's
-//!   twiddles are read from the twiddle table at [`TwiddleIndex`]'s
-//!   slots; and [`bit_reverse_tiled`] computes the bit reversal.
+//!   from the stage algebra), and per stage its addressing parameters and
+//!   twiddles: one run of distinct twiddles per twiddle class where
+//!   codelets share them. A plan keeps values, not patterns: kernels
+//!   compute element addresses with each stage's [`StageAddressing`] and
+//!   its butterfly pattern with [`StageAddressing::for_each_butterfly`];
+//!   the unshared last stage's twiddles are read from the twiddle table
+//!   at [`TwiddleIndex`]'s slots; and [`bit_reverse_tiled`] computes the
+//!   bit reversal.
 //!   `Plan::execute` runs one transform as a batch of one;
 //!   `Plan::execute_batch` runs many same-plan transforms through a
 //!   single runtime dispatch ([`codelet::BatchProgram`]). Both go through
@@ -137,27 +138,29 @@ impl PlanKey {
     }
 }
 
-/// Per-stage execution tables, FFTW-style: the butterfly and twiddle data a
-/// codelet's inner loop would otherwise rederive per call, flattened into
-/// arrays the hot path streams through sequentially. Element addresses are
-/// not stored: kernels compute them with the stage's [`StageAddressing`].
-/// Twiddles are stored only where codelets share them.
+/// One stage of a plan: its addressing parameters and its twiddles. The
+/// element addresses and the butterfly pattern are computed from the
+/// addressing ([`StageAddressing`]); twiddles are stored only where
+/// codelets share them.
 #[derive(Debug)]
 struct StageTable {
     /// The stage's closed-form element addressing.
     addressing: StageAddressing,
-    /// The stage's local `(lo, hi)` butterfly pattern (shared by every
-    /// codelet of the stage), in execution order.
-    pairs: Vec<(u32, u32)>,
-    /// Per butterfly, the position of its twiddle in a codelet's run
-    /// ([`workload::twiddle_slots`]); shared by every codelet.
-    slots: Vec<u8>,
     /// Where the stage's twiddles are read from.
     twiddles: StoredTwiddles,
-    /// The stage's element indices, codelet-major, built on the first
-    /// [`Plan::stage_table`] call for harnesses; execution, certification
-    /// and `fgcheck` never read it.
-    gather: OnceLock<Vec<u32>>,
+    /// Harness-only views, built on the first [`Plan::stage_table`] call;
+    /// execution, certification and `fgcheck` never read them.
+    harness: OnceLock<HarnessView>,
+}
+
+/// What [`Plan::stage_table`] materializes for harnesses written against
+/// stored tables.
+#[derive(Debug)]
+struct HarnessView {
+    /// The stage's element indices, codelet-major.
+    gather: Vec<u32>,
+    /// The stage's butterfly pattern ([`workload::butterfly_pairs`]).
+    pairs: Vec<(u32, u32)>,
 }
 
 /// A stage's twiddles as the plan keeps them.
@@ -197,10 +200,8 @@ impl StageTable {
         };
         Self {
             addressing: StageAddressing::of(fft, stage),
-            pairs: workload::butterfly_pairs(fft, stage),
-            slots: workload::twiddle_slots(fft, stage),
             twiddles: stored,
-            gather: OnceLock::new(),
+            harness: OnceLock::new(),
         }
     }
 
@@ -209,8 +210,6 @@ impl StageTable {
     fn view<'a>(&'a self, base: &'a TwiddleTable) -> StageTables<'a> {
         StageTables {
             addressing: self.addressing,
-            pairs: &self.pairs,
-            slots: &self.slots,
             twiddles: match &self.twiddles {
                 StoredTwiddles::Classes { classes, runs } => StageTwiddles::Classes {
                     classes: *classes,
@@ -225,13 +224,12 @@ impl StageTable {
         }
     }
 
-    /// Resident bytes; a harness gather view is not counted.
+    /// Resident bytes; a harness view is not counted.
     fn bytes(&self) -> u64 {
-        let twiddles = match &self.twiddles {
+        (match &self.twiddles {
             StoredTwiddles::Classes { runs, .. } => std::mem::size_of_val(runs.as_slice()),
             StoredTwiddles::Base { offsets, .. } => std::mem::size_of_val(offsets.as_slice()),
-        };
-        (std::mem::size_of_val(self.pairs.as_slice()) + self.slots.len() + twiddles) as u64
+        }) as u64
     }
 }
 
@@ -241,18 +239,13 @@ impl StageTable {
 /// it.
 ///
 /// Codelet `idx` holds the elements [`StageAddressing::codelet_element`]
-/// names, applies `pairs` in order, and butterfly `i` multiplies by
-/// position `slots[i]` of its run ([`StageTables::run`]).
+/// names and applies the butterflies [`StageAddressing::for_each_butterfly`]
+/// lists, each multiplying by its position of the codelet's run
+/// ([`StageTables::run`]).
 #[derive(Debug, Clone, Copy)]
 pub struct StageTables<'a> {
-    /// The stage's element address generator parameters.
+    /// The stage's element address and butterfly generator parameters.
     pub addressing: StageAddressing,
-    /// The stage's local `(lo, hi)` butterfly pattern, shared by every
-    /// codelet of the stage, in execution order.
-    pub pairs: &'a [(u32, u32)],
-    /// Per butterfly (in `pairs` order), the position of its twiddle in
-    /// the codelet's run; shared by every codelet of the stage.
-    pub slots: &'a [u8],
     /// Where the codelets' runs come from.
     pub twiddles: StageTwiddles<'a>,
 }
@@ -341,23 +334,19 @@ pub fn run_scratch() -> RunScratch {
     [std::mem::MaybeUninit::uninit(); 1 << MAX_RADIX_LOG2]
 }
 
-/// A view of one stage for harnesses written against stored gather
-/// tables: [`StageTables`] plus `gather`, the stage's element indices
-/// materialized from the address generator on the first
-/// [`Plan::stage_table`] call and kept. Execution never reads it and
-/// [`Plan::resident_bytes`] does not count it.
+/// A view of one stage for harnesses written against stored tables: the
+/// stage's element indices and butterfly pattern, materialized from the
+/// generators on the first [`Plan::stage_table`] call and kept, and its
+/// class runs. Execution never reads it and [`Plan::resident_bytes`] does
+/// not count it.
 #[derive(Debug, Clone, Copy)]
 pub struct StageTableView<'a> {
     /// Element indices, codelet-major: entry `idx · radix + slot` is
     /// [`StageAddressing::codelet_element`]`(idx, slot)`.
     pub gather: &'a [u32],
-    /// As [`StageTables::pairs`].
+    /// The local `(lo, hi)` butterfly pattern every codelet of the stage
+    /// applies, in execution order ([`workload::butterfly_pairs`]).
     pub pairs: &'a [(u32, u32)],
-    /// As [`StageTables::slots`].
-    pub slots: &'a [u8],
-    /// [`StageTwiddles::Classes`]' class count; 0 for a stage whose
-    /// twiddles are read from the base table.
-    pub classes: usize,
     /// [`StageTwiddles::Classes`]' runs; empty for a stage whose twiddles
     /// are read from the base table.
     pub twiddles: &'a [Complex64],
@@ -373,8 +362,9 @@ pub struct TouchRecord {
     /// Global element indices scattered (buffer-slot order; the codelet
     /// writes exactly where it read).
     pub writes: Vec<u32>,
-    /// Twiddle values consumed, one per butterfly, in pair-pattern order —
-    /// bitwise the values the kernel multiplied by.
+    /// Twiddle values consumed, one per butterfly, in execution order
+    /// ([`StageAddressing::for_each_butterfly`]) — bitwise the values the
+    /// kernel multiplied by.
     pub twiddles: Vec<Complex64>,
 }
 
@@ -546,7 +536,7 @@ impl Plan {
         let first = self.fft.idx_of(ids.start);
         // SAFETY: forwarded from the caller's contract; the tables are the
         // plan's own for `stage`, whose generator partitions the data
-        // (FG404) and whose pairs, slots and classes are in bounds (FG402).
+        // (FG404).
         unsafe {
             kernel.run_tile(
                 &self.tables[stage].view(&self.twiddles),
@@ -652,27 +642,25 @@ impl Plan {
         self.tables[stage].view(&self.twiddles)
     }
 
-    /// The tables of `stage` with its element indices materialized as a
-    /// gather table, for harnesses written against stored gathers. The
-    /// gather is built from the address generator on the first call for
-    /// each stage and kept; execution never reads it and
-    /// [`Plan::resident_bytes`] does not count it.
+    /// The tables of `stage` with its element indices and butterfly
+    /// pattern materialized, for harnesses written against stored tables.
+    /// Both are built from the generators on the first call for each
+    /// stage and kept; execution never reads them and
+    /// [`Plan::resident_bytes`] does not count them.
     pub fn stage_table(&self, stage: usize) -> StageTableView<'_> {
         let table = &self.tables[stage];
-        let gather = table.gather.get_or_init(|| {
+        let harness = table.harness.get_or_init(|| {
             let (radix, a) = (self.fft.radix(), table.addressing);
-            (0..self.fft.n())
-                .map(|i| a.codelet_element(i / radix, i % radix) as u32)
-                .collect()
+            HarnessView {
+                gather: (0..self.fft.n())
+                    .map(|i| a.codelet_element(i / radix, i % radix) as u32)
+                    .collect(),
+                pairs: workload::butterfly_pairs(&self.fft, stage),
+            }
         });
         StageTableView {
-            gather,
-            pairs: &table.pairs,
-            slots: &table.slots,
-            classes: match table.twiddles {
-                StoredTwiddles::Classes { classes, .. } => classes,
-                StoredTwiddles::Base { .. } => 0,
-            },
+            gather: &harness.gather,
+            pairs: &harness.pairs,
             twiddles: match &table.twiddles {
                 StoredTwiddles::Classes { runs, .. } => runs,
                 StoredTwiddles::Base { .. } => &[],
@@ -691,9 +679,9 @@ impl Plan {
     }
 
     /// Whether the vector kernel may run this plan: every stage table, and
-    /// a 2-D plan's column tables, carries the canonical butterfly and
-    /// slot patterns and the codelets hold at least four points. Checked
-    /// once when the plan is built.
+    /// a 2-D plan's column tables, carries the workload layer's addressing
+    /// and canonical twiddle shapes, and the codelets hold at least four
+    /// points. Checked once when the plan is built.
     pub(crate) fn vector_ready(&self) -> bool {
         self.vector_ready
     }
@@ -908,8 +896,8 @@ impl Plan {
     /// As [`Plan::execute`], but with a *recording kernel*: alongside the
     /// transform, capture per codelet exactly what the hot path touched —
     /// the element indices it read and wrote (from the stage's address
-    /// generator) and the twiddle values it consumed (from the class runs
-    /// the real execution reads). The drift test compares these observations against
+    /// generator) and the twiddle values it consumed (from the run the
+    /// real execution reads). The drift test compares these observations against
     /// the workload layer's static footprints codelet-for-codelet; any
     /// divergence between what we *say* a codelet touches and what execution
     /// *actually* touches fails loudly.
@@ -994,7 +982,7 @@ impl Plan {
 
     /// Run the inner complex wave while recording, per codelet, exactly
     /// what the scalar kernel touched — the generator's element addresses
-    /// and the twiddles read through the class runs; records land in
+    /// and each butterfly's twiddle from the codelet's run; records land in
     /// `out` in codelet-id order with every element index shifted by
     /// `shift` (the composite plane/copy offset).
     fn record_c2c_into(
@@ -1023,10 +1011,14 @@ impl Plan {
                     .view(&self.twiddles)
                     .run(idx, &mut scratch)
                     .expect("run in bounds");
+                let mut twiddles = Vec::new();
+                table
+                    .addressing
+                    .for_each_butterfly(&mut vec![(); radix], run, |_, _, &w| twiddles.push(w));
                 let record = TouchRecord {
                     reads: gather.clone(),
                     writes: gather,
-                    twiddles: table.slots.iter().map(|&s| run[s as usize]).collect(),
+                    twiddles,
                 };
                 let set = slots[id].set(record).is_ok();
                 debug_assert!(set, "codelet {id} fired twice");
@@ -1874,8 +1866,6 @@ mod tests {
                 last_early: None,
                 transpose_block_log2: None,
             },
-            workers: 2,
-            batch: 1,
             backend: Default::default(),
             median_ns: 1,
             seed_median_ns: 2,
@@ -1931,8 +1921,6 @@ mod tests {
                 last_early: None,
                 transpose_block_log2: None,
             },
-            workers: 2,
-            batch: 1,
             backend: Default::default(),
             median_ns: 1,
             seed_median_ns: 2,
@@ -1964,8 +1952,6 @@ mod tests {
         let entry = |cert| crate::wisdom::WisdomEntry {
             key,
             tuning: tuning.clone(),
-            workers: 2,
-            batch: 1,
             backend: Default::default(),
             median_ns: 1,
             seed_median_ns: 2,
@@ -1989,9 +1975,9 @@ mod tests {
 
     /// Table-construction invariants at tiny sizes, single-threaded and
     /// execution-free on purpose: this is the subset CI runs under Miri
-    /// (filter `miri_`), where every address the kernels compute — and
-    /// every class index and slot they read unchecked — is checked under
-    /// the interpreter's strict provenance rules.
+    /// (filter `miri_`), where every address the kernels compute and every
+    /// run they read is checked under the interpreter's strict provenance
+    /// rules.
     #[test]
     fn miri_table_construction_is_in_bounds_and_partitioned() {
         for (n_log2, radix_log2) in [(4u32, 2u32), (6, 3), (7, 3), (8, 6)] {
@@ -2023,10 +2009,6 @@ mod tests {
                         assert_eq!(base.len(), n / 2);
                     }
                 }
-                assert_eq!(table.slots.len(), table.pairs.len());
-                for &slot in table.slots {
-                    assert!((slot as usize) < run_len, "slot {slot} out of the run");
-                }
                 let mut seen = vec![false; n];
                 let mut scratch = run_scratch();
                 for idx in 0..fft.codelets_per_stage() {
@@ -2040,10 +2022,15 @@ mod tests {
                     }
                 }
                 assert!(seen.iter().all(|&s| s), "stage {stage} misses elements");
-                for &(lo, hi) in table.pairs {
-                    assert!((lo as usize) < radix && (hi as usize) < radix);
-                    assert_ne!(lo, hi);
-                }
+                let mut slots: Vec<usize> = (0..radix).collect();
+                let positions: Vec<usize> = (0..run_len).collect();
+                table.addressing.for_each_butterfly(
+                    &mut slots,
+                    &positions,
+                    |&mut lo, &mut hi, &w| {
+                        assert!(lo < hi && hi < radix && w < run_len);
+                    },
+                );
             }
             // The computed bit reversal's raw reads and writes: one 4 × 4
             // tile at 2^4, one 8 × 8 tile at 2^6, 8 × 8 tile pairs at 2^7
@@ -2103,15 +2090,15 @@ mod tests {
         assert_eq!(plan.twiddles().bytes(), 8 * n as u64, "the base table");
     }
 
-    /// The gather view is a harness accessor only: building a plan, every
-    /// execute path (scalar and default kernels, single and batched,
-    /// recorded, every kind) and certificate issue and verification leave
-    /// it unbuilt. Once asked for, it holds the generator's addresses and
-    /// does not count as resident.
+    /// The gather and pair views are harness accessors only: building a
+    /// plan, every execute path (scalar and default kernels, single and
+    /// batched, recorded, every kind) and certificate issue and
+    /// verification leave them unbuilt. Once asked for, they hold the
+    /// generators' addresses and pattern and do not count as resident.
     #[test]
     fn gather_views_are_built_only_on_request() {
         fn untouched(plan: &Plan) -> bool {
-            plan.tables.iter().all(|t| t.gather.get().is_none())
+            plan.tables.iter().all(|t| t.harness.get().is_none())
                 && plan.col_plan().is_none_or(untouched)
         }
         let runtime = Runtime::with_workers(2);
@@ -2151,7 +2138,9 @@ mod tests {
         let before = plan.resident_bytes();
         let fft = *plan.fft_plan();
         for stage in 0..fft.stages() {
-            let gather = plan.stage_table(stage).gather;
+            let view = plan.stage_table(stage);
+            assert_eq!(view.pairs, workload::butterfly_pairs(&fft, stage));
+            let gather = view.gather;
             assert_eq!(gather.len(), fft.n());
             for idx in 0..fft.codelets_per_stage() {
                 fft.for_each_element(stage, idx, |slot, e| {

@@ -1,8 +1,8 @@
 //! Persistent autotuning wisdom, FFTW-style.
 //!
 //! The `fgtune` autotuner measures which schedule tuning (pool order,
-//! guided split) and runtime parameters (workers, batch size) are fastest
-//! for each [`PlanKey`] *on this machine*, and persists the answer here so
+//! guided split, transpose tile) and execution backend are fastest for
+//! each [`PlanKey`] *on this machine*, and persists the answer here so
 //! it is paid for once: the [`crate::planner::Planner`] consults a loaded
 //! [`Wisdom`] when materializing a plan, and `fgserve`'s `FftService`
 //! loads a wisdom file at startup via its `wisdom_path` config.
@@ -76,10 +76,6 @@ pub struct WisdomEntry {
     /// Schedule overrides (pool order, guided split) the planner applies
     /// when building the plan for `key`.
     pub tuning: ScheduleTuning,
-    /// Measured-best runtime worker count.
-    pub workers: usize,
-    /// Measured-best serving batch size.
-    pub batch: usize,
     /// Measured-best execution backend.
     pub backend: BackendSel,
     /// Median wall time of the tuned schedule, nanoseconds.
@@ -388,8 +384,6 @@ fn entry_to_json(entry: &WisdomEntry) -> Value {
         ("pool_order", pool_order),
         ("last_early", last_early),
         ("transpose_block_log2", transpose_block_log2),
-        ("workers", Value::Num(entry.workers as f64)),
-        ("batch", Value::Num(entry.batch as f64)),
         ("backend", Value::Str(entry.backend.kind_str().to_string())),
         ("median_ns", Value::Num(entry.median_ns as f64)),
         ("seed_median_ns", Value::Num(entry.seed_median_ns as f64)),
@@ -485,8 +479,6 @@ fn entry_from_json(value: &Value) -> Result<WisdomEntry, String> {
     Ok(WisdomEntry {
         key,
         tuning,
-        workers: num("workers")? as usize,
-        batch: num("batch")? as usize,
         backend,
         median_ns: num("median_ns")?,
         seed_median_ns: num("seed_median_ns")?,
@@ -511,8 +503,6 @@ mod tests {
         WisdomEntry {
             key,
             tuning,
-            workers: 4,
-            batch: 8,
             backend: BackendSel::SIMD,
             median_ns: 123_456,
             seed_median_ns: 234_567,
@@ -671,7 +661,7 @@ mod tests {
             "{{\"format\": 4, \"fingerprint\": {:?}, \"entries\": [{{\
              \"n_log2\": 12, \"radix_log2\": 6, \"version\": \"fine-guided\", \
              \"layout\": \"linear\", \"pool_order\": [0, 1], \"last_early\": null, \
-             \"workers\": 1, \"batch\": 1, \"backend\": \"scalar\", \"median_ns\": 1, \
+             \"backend\": \"scalar\", \"median_ns\": 1, \
              \"seed_median_ns\": 1}}]}}",
             machine_fingerprint()
         );
@@ -726,8 +716,6 @@ mod tests {
             wisdom.insert(WisdomEntry {
                 key,
                 tuning,
-                workers: 2,
-                batch: 4,
                 backend: BackendSel::SCALAR,
                 median_ns: 111,
                 seed_median_ns: 222,

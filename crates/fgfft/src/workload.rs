@@ -12,9 +12,6 @@
 //! * the algorithm versions of Table I ([`Version`], [`SeedOrder`]) and the
 //!   schedule each version runs ([`ScheduleSpec`]), including the small-plan
 //!   guided fallback, defined once;
-//! * per-codelet descriptors ([`CodeletDesc`]) exposing stage, index,
-//!   butterfly pattern, twiddle run, parent/child edges, and shared-counter
-//!   group;
 //! * the stage address generator ([`StageAddressing`]) every kernel
 //!   computes element addresses with, the direct twiddle index
 //!   ([`TwiddleIndex`]) the kernels read an unshared stage's twiddles at,
@@ -36,7 +33,7 @@ use crate::graph::{FftGraph, GuidedEarlyGraph, GuidedLateGraph};
 use crate::plan::FftPlan;
 use crate::twiddle::{TwiddleLayout, TwiddleTable};
 use c64sim::address::{Interleave, Layout, MemRange, Space};
-use codelet::graph::{CodeletId, SharedGroup};
+use codelet::graph::CodeletId;
 use std::f64::consts::PI;
 
 /// Bytes per complex element (two f64s) — the unit of every data and
@@ -460,82 +457,6 @@ impl ScheduleSpec {
     }
 }
 
-/// Everything one codelet is, in one record: its place in the plan, its
-/// synchronization structure, and accessors for the work it performs.
-#[derive(Debug, Clone, Copy)]
-pub struct CodeletDesc {
-    plan: FftPlan,
-    /// Global codelet id (`stage * codelets_per_stage + idx`).
-    pub id: CodeletId,
-    /// Stage this codelet belongs to.
-    pub stage: usize,
-    /// Index within the stage.
-    pub idx: usize,
-    /// Butterfly levels it applies (`< radix_log2` on a partial last stage).
-    pub levels: u32,
-    /// Parents it waits for (0 at stage 0).
-    pub parent_count: u32,
-    /// Shared dependence-counter group, when the stage uses one.
-    pub shared_group: Option<SharedGroup>,
-}
-
-impl CodeletDesc {
-    /// The descriptor of codelet `id` of `plan`.
-    pub fn of(plan: FftPlan, id: CodeletId) -> Self {
-        let stage = plan.stage_of(id);
-        let idx = plan.idx_of(id);
-        Self {
-            plan,
-            id,
-            stage,
-            idx,
-            levels: plan.levels(stage),
-            parent_count: if stage == 0 {
-                0
-            } else {
-                plan.parent_count(stage, idx)
-            },
-            shared_group: plan.shared_group_of(id),
-        }
-    }
-
-    /// Global indices of the elements this codelet gathers and scatters, in
-    /// buffer-slot order.
-    pub fn elements(&self) -> Vec<usize> {
-        self.plan.elements(self.stage, self.idx)
-    }
-
-    /// The local `(lo, hi)` butterfly pattern it applies (shared by every
-    /// codelet of its stage).
-    pub fn butterfly_pairs(&self) -> Vec<(u32, u32)> {
-        butterfly_pairs(&self.plan, self.stage)
-    }
-
-    /// The twiddle factors it consumes — one per butterfly, in
-    /// [`Self::butterfly_pairs`] order, bitwise the values the kernel loads.
-    pub fn twiddle_run(&self, twiddles: &TwiddleTable) -> Vec<Complex64> {
-        let mut out = Vec::new();
-        append_twiddle_run(&self.plan, twiddles, self.stage, self.idx, &mut out);
-        out
-    }
-
-    /// Ids of the codelets that consume this codelet's outputs.
-    pub fn children(&self) -> Vec<CodeletId> {
-        let mut out = Vec::new();
-        self.plan.children_of(self.stage, self.idx, &mut out);
-        out
-    }
-
-    /// Ids of the codelets whose outputs this codelet consumes.
-    pub fn parents(&self) -> Vec<CodeletId> {
-        let mut out = Vec::new();
-        if self.stage > 0 {
-            self.plan.parents_of(self.stage, self.idx, &mut out);
-        }
-        out
-    }
-}
-
 /// What array a footprint access targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Region {
@@ -665,11 +586,6 @@ impl Workload {
     /// Where the data and twiddle arrays live.
     pub fn residence(&self) -> Residence {
         self.residence
-    }
-
-    /// The descriptor of codelet `id`.
-    pub fn descriptor(&self, id: CodeletId) -> CodeletDesc {
-        CodeletDesc::of(self.plan, id)
     }
 
     /// Byte address of data element `e`.
@@ -1350,32 +1266,52 @@ impl StageAddressing {
     pub fn groups(&self) -> usize {
         1 << self.groups_log2
     }
-}
 
-/// The local butterfly pattern of one stage: `(lo, hi)` buffer-index pairs
-/// in execution order. The pattern depends only on the stage — every codelet
-/// of the stage applies the same pairs to its gathered buffer — while the
-/// twiddle factors differ per codelet (see [`append_twiddle_run`]). Plans
-/// materialize the pattern, its slot pattern ([`twiddle_slots`]) and one
-/// run per twiddle class ([`append_class_run`]) so the hot path replays
-/// flat arrays instead of redoing this index algebra per call.
-pub fn butterfly_pairs(plan: &FftPlan, stage: usize) -> Vec<(u32, u32)> {
-    let p = plan.radix_log2();
-    let q = plan.levels(stage);
-    let groups = 1usize << (p - q);
-    let group_size = 1usize << q;
-    let mut pairs = Vec::with_capacity((q as usize) << (p - 1));
-    for ll in 0..q {
-        let ll_mask = (1usize << ll) - 1;
-        for g_rel in 0..groups {
-            let base = g_rel * group_size;
-            for b in 0..group_size / 2 {
-                let x_lo = ((b >> ll) << (ll + 1)) | (b & ll_mask);
-                let lo = base + x_lo;
-                pairs.push((lo as u32, (lo + (1 << ll)) as u32));
+    /// Visit a codelet's butterflies in execution order — level `ll`, then
+    /// sub-transform `g < G`, then butterfly `b < 2^(q−1)` — as `f(lo, hi,
+    /// w)` over its local buffer `buf` (`2^p` slots) and its run `run`
+    /// (the [`twiddle_loads`] values in [`for_each_twiddle_index`] order):
+    /// the butterfly combines slots `g·2^q + ((b >> ll) << (ll+1) | (b mod
+    /// 2^ll))` and that plus `2^ll`, with the run's entry `(2^ll − 1)·G +
+    /// g·2^ll + (b mod 2^ll)`. Every codelet of the stage applies this one
+    /// pattern. Panics when `run` is shorter than a run.
+    #[inline(always)]
+    pub fn for_each_butterfly<T, W>(
+        &self,
+        buf: &mut [T],
+        run: &[W],
+        mut f: impl FnMut(&mut T, &mut T, &W),
+    ) {
+        let (q, groups) = (self.levels, self.groups());
+        for ll in 0..q {
+            let span = 1usize << ll;
+            let level = &run[(span - 1) * groups..][..groups * span];
+            for (sub, twiddles) in buf.chunks_exact_mut(1 << q).zip(level.chunks_exact(span)) {
+                for block in sub.chunks_exact_mut(2 * span) {
+                    let (lo, hi) = block.split_at_mut(span);
+                    for ((lo, hi), w) in lo.iter_mut().zip(hi).zip(twiddles) {
+                        f(lo, hi, w);
+                    }
+                }
             }
         }
     }
+}
+
+/// The local butterfly pattern of one stage: `(lo, hi)` buffer-index pairs
+/// in execution order ([`StageAddressing::for_each_butterfly`]). The
+/// pattern depends only on the stage — every codelet of the stage applies
+/// the same pairs to its gathered buffer — while the twiddle factors differ
+/// per codelet (see [`append_twiddle_run`]). Kernels compute it; this list
+/// is for harnesses and oracles.
+pub fn butterfly_pairs(plan: &FftPlan, stage: usize) -> Vec<(u32, u32)> {
+    let mut slots: Vec<u32> = (0..plan.radix() as u32).collect();
+    let mut pairs = Vec::with_capacity((plan.levels(stage) as usize) << (plan.radix_log2() - 1));
+    StageAddressing::of(plan, stage).for_each_butterfly(
+        &mut slots,
+        &vec![(); twiddle_loads(plan, stage)],
+        |&mut lo, &mut hi, _| pairs.push((lo, hi)),
+    );
     pairs
 }
 
@@ -1432,9 +1368,9 @@ pub fn twiddle_classes(plan: &FftPlan, stage: usize) -> usize {
 /// Append the distinct twiddles of class `class` of `stage` — the
 /// [`twiddle_loads`] values in [`for_each_twiddle_index`] order
 /// (level-major, then group, then `t < 2^ll`) — to `out`, copied bitwise
-/// from `twiddles`. Butterfly `k` of level `ll` reads position
-/// [`twiddle_slot`]`(ll, k, q, groups)` of this run; replaying the pair pattern with
-/// those values is exactly [`append_twiddle_run`]'s expansion.
+/// from `twiddles`. Each butterfly reads the run at the position
+/// [`StageAddressing::for_each_butterfly`] gives it; replaying the pattern
+/// with those values is exactly [`append_twiddle_run`]'s expansion.
 pub fn append_class_run(
     plan: &FftPlan,
     twiddles: &TwiddleTable,
@@ -1443,28 +1379,6 @@ pub fn append_class_run(
     out: &mut Vec<Complex64>,
 ) {
     for_each_twiddle_index(plan, stage, class, |t| out.push(twiddles.get(t)));
-}
-
-/// Position in a class run ([`append_class_run`]) of the twiddle that
-/// butterfly `k` (`0..P/2`) of level `ll` consumes, in a stage of `q`
-/// levels with `groups = 2^{p−q}` groups: level `ll` starts after the
-/// `(2^ll − 1)·groups` values of the lower levels, then holds `2^ll`
-/// values per group.
-pub fn twiddle_slot(ll: u32, k: usize, q: u32, groups: usize) -> usize {
-    (((1usize << ll) - 1) * groups) + ((k >> (q - 1)) << ll) + (k & ((1usize << ll) - 1))
-}
-
-/// The slot pattern of one stage: [`twiddle_slot`] for every butterfly in
-/// [`butterfly_pairs`] order, shared by every codelet of the stage. A run
-/// holds at most `P − 1 < 2^8` values, so a slot fits a byte.
-pub fn twiddle_slots(plan: &FftPlan, stage: usize) -> Vec<u8> {
-    const _: () = assert!(crate::plan::MAX_RADIX_LOG2 <= 8);
-    let half = plan.radix() / 2;
-    let q = plan.levels(stage);
-    let groups = 1usize << (plan.radix_log2() - q);
-    (0..q)
-        .flat_map(|ll| (0..half).map(move |k| twiddle_slot(ll, k, q, groups) as u8))
-        .collect()
 }
 
 /// Count the twiddle-factor loads one codelet performs (distinct logical
@@ -1726,8 +1640,7 @@ mod tests {
                 let tw = TwiddleTable::new(n_log2, layout);
                 for stage in 0..plan.stages() {
                     let classes = twiddle_classes(&plan, stage);
-                    let slots = twiddle_slots(&plan, stage);
-                    assert_eq!(slots.len(), butterfly_pairs(&plan, stage).len());
+                    let addressing = StageAddressing::of(&plan, stage);
                     let runs: Vec<Vec<Complex64>> = (0..classes)
                         .map(|class| {
                             let mut run = Vec::new();
@@ -1740,7 +1653,12 @@ mod tests {
                         let mut want = Vec::new();
                         append_twiddle_run(&plan, &tw, stage, idx, &mut want);
                         let run = &runs[idx % classes];
-                        let got: Vec<Complex64> = slots.iter().map(|&s| run[s as usize]).collect();
+                        let mut got = Vec::new();
+                        addressing.for_each_butterfly(
+                            &mut vec![(); plan.radix()],
+                            run,
+                            |_, _, &w| got.push(w),
+                        );
                         assert_eq!(got, want, "2^{n_log2}/r{p_log2} stage {stage} idx {idx}");
                     }
                 }
@@ -1786,39 +1704,6 @@ mod tests {
         for_each_twiddle_index(&plan, 1, 3, |t| {
             assert_eq!(t % (1 << 5), 0);
         });
-    }
-
-    #[test]
-    fn descriptor_matches_plan_algebra() {
-        let plan = FftPlan::new(13, 6);
-        let tw = TwiddleTable::new(13, TwiddleLayout::Linear);
-        for id in [0usize, 5, plan.total_codelets() - 1] {
-            let d = CodeletDesc::of(plan, id);
-            assert_eq!(d.id, id);
-            assert_eq!(d.stage, plan.stage_of(id));
-            assert_eq!(d.idx, plan.idx_of(id));
-            assert_eq!(d.levels, plan.levels(d.stage));
-            assert_eq!(d.elements(), plan.elements(d.stage, d.idx));
-            assert_eq!(
-                d.butterfly_pairs().len(),
-                d.twiddle_run(&tw).len(),
-                "one twiddle per butterfly"
-            );
-            if d.stage == 0 {
-                assert_eq!(d.parent_count, 0);
-                assert!(d.parents().is_empty());
-            } else {
-                assert_eq!(d.parent_count as usize, d.parents().len());
-            }
-        }
-        // Edges are symmetric: every child of id lists id among its parents.
-        let d = CodeletDesc::of(plan, 3);
-        for c in d.children() {
-            assert!(
-                CodeletDesc::of(plan, c).parents().contains(&3),
-                "child {c} must list 3 as parent"
-            );
-        }
     }
 
     #[test]

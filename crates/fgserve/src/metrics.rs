@@ -59,8 +59,6 @@ pub(crate) struct Metrics {
     pub accepted: AtomicU64,
     /// Requests rejected by admission control (`Overloaded`).
     pub rejected: AtomicU64,
-    /// Requests rejected by per-tenant QoS (`Throttled`) before queueing.
-    pub throttled: AtomicU64,
     /// Requests completed successfully. Incremented with `Release` (see
     /// [`Metrics::snapshot`]); use [`Metrics::on_complete`].
     pub completed: AtomicU64,
@@ -88,7 +86,7 @@ pub(crate) struct Metrics {
     /// Wire-protocol submissions rejected before reaching admission — bad
     /// slot headers, unknown sessions, ring violations. These never become
     /// `accepted`, so they sit outside the settlement identity (like
-    /// `rejected`/`throttled`), but they are first-class signal for
+    /// `rejected`), but they are first-class signal for
     /// operators watching a misbehaving remote client.
     pub wire_rejections: AtomicU64,
     /// Highest queue depth observed at admission.
@@ -102,7 +100,6 @@ impl Metrics {
         Self {
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            throttled: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             deadline_missed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -184,7 +181,7 @@ impl Metrics {
         ServeStats {
             accepted,
             rejected: self.rejected.load(Ordering::Relaxed),
-            throttled: self.throttled.load(Ordering::Relaxed),
+            throttled: 0,
             completed,
             deadline_missed,
             failed,
@@ -210,7 +207,9 @@ pub struct ServeStats {
     pub accepted: u64,
     /// Requests rejected by admission control.
     pub rejected: u64,
-    /// Requests rejected by per-tenant QoS before queueing.
+    /// Requests rejected by per-tenant QoS before queueing. Tenants are
+    /// charged only at the cluster front door, so a service's own snapshot
+    /// reads 0; [`crate::ClusterStats::throttled`] holds the count.
     pub throttled: u64,
     /// Requests completed successfully.
     pub completed: u64,
@@ -333,13 +332,12 @@ mod tests {
         m.on_batch(4);
         m.on_failed();
         m.on_deadline_missed();
-        m.throttled.fetch_add(3, Ordering::Relaxed);
         m.cold_deferred.fetch_add(2, Ordering::Relaxed);
         m.dispatcher_restarts.fetch_add(1, Ordering::Relaxed);
         let s = m.snapshot(PlannerStats::default());
         assert_eq!(s.accepted, 3);
         assert_eq!(s.rejected, 2);
-        assert_eq!(s.throttled, 3);
+        assert_eq!(s.throttled, 0);
         assert_eq!(s.cold_deferred, 2);
         assert_eq!(s.completed, 2);
         assert_eq!(s.failed, 1);

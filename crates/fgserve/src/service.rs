@@ -1,24 +1,24 @@
-//! The request pipeline: per-tenant admission in front of a bounded,
-//! deadline-ordered submission queue, drained by supervised dispatcher
-//! thread(s) that batch same-size requests through one cached plan and one
-//! runtime dispatch.
+//! The request pipeline: a bounded, deadline-ordered submission queue,
+//! drained by supervised dispatcher thread(s) that batch same-size requests
+//! through one cached plan and one runtime dispatch.
 //!
 //! ```text
-//!  clients ──submit──▶ governor ──▶ [EDF lanes] ──pop──▶ dispatcher ──▶ Runtime
-//!              │           │            │                   │ ▲
-//!         Overloaded   Throttled    capacity          group by size,  supervisor
-//!         when full    per tenant   = backpressure    cold-plan gate, (respawn on
-//!                                                     execute_batch    death)
+//!  clients ──submit──▶ [EDF lanes] ──pop──▶ dispatcher ──▶ Runtime
+//!              │            │                   │ ▲
+//!         Overloaded    capacity          group by size,  supervisor
+//!         when full     = backpressure    cold-plan gate, (respawn on
+//!                                         execute_batch    death)
 //! ```
 //!
 //! Design points, in the spirit of the paper's fine-grain execution model:
 //!
 //! * **Admission control, not buffering.** The queue is bounded; a full
 //!   queue rejects with [`ServeError::Overloaded`] instead of blocking the
-//!   client or growing latency without bound. In front of the queue an
-//!   optional [`TenantGovernor`] polices per-tenant token buckets
-//!   ([`ServeError::Throttled`]), so one misbehaving tenant burns its own
-//!   budget rather than the shared capacity.
+//!   client or growing latency without bound. Per-tenant token buckets
+//!   ([`ServeError::Throttled`]) sit at the cluster front door
+//!   ([`crate::FftCluster`]), the one place tenants are charged, so one
+//!   misbehaving tenant burns its own budget rather than the shared
+//!   capacity.
 //! * **Deadline-aware ordering.** The queue is an [`EdfQueue`]: two strict
 //!   priority lanes ([`Lane`]), earliest deadline first within a lane.
 //!   Cold plans dispatch under a slow-start [`ColdGate`] so one cache-miss
@@ -49,7 +49,7 @@
 //!   leftovers inline — after any number of failures the accounting
 //!   identity `accepted == completed + deadline_missed + failed` holds.
 
-use crate::admission::{ColdGate, EdfQueue, Lane, QosConfig, TenantGovernor, TenantId};
+use crate::admission::{ColdGate, EdfQueue, Lane, TenantId};
 use crate::bufpool::Lease;
 use crate::error::ServeError;
 use crate::metrics::{Metrics, ServeStats};
@@ -67,6 +67,9 @@ use std::time::{Duration, Instant};
 /// stop flag, and how often the supervisor sweeps for dead dispatchers.
 /// Pops are condvar-woken, so this only bounds shutdown/respawn latency.
 const IDLE_POLL: Duration = Duration::from_millis(5);
+
+/// Cap on retained latency samples (reservoir-sampled past the cap).
+const LATENCY_SAMPLES: usize = 1 << 16;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -90,27 +93,18 @@ pub struct ServeConfig {
     pub version: Version,
     /// Codelet radix exponent (6 = the paper's 64-point codelets).
     pub radix_log2: u32,
-    /// Execution backend for every dispatch. `None` (the default) defers
-    /// to loaded wisdom per plan key — what `fgtune` measured fastest on
-    /// this machine, `scalar` included — falling back to the host's default
-    /// vector kernel ([`fgfft::BackendSel::default`]) when wisdom has no
-    /// opinion. Backends change execution strategy only: results are
-    /// bit-identical across all of them.
-    pub backend: Option<fgfft::BackendSel>,
-    /// Cap on retained latency samples (reservoir-sampled past the cap).
-    pub latency_samples: usize,
     /// Autotuned wisdom file (written by `fgtune`) loaded into the plan
     /// cache at startup. Missing, corrupt, or foreign files are tolerated
     /// — the service starts on seed schedules and records the outcome in
     /// [`FftService::wisdom_status`]. Tuned plans are bit-identical to
-    /// seed plans; only execution order changes.
+    /// seed plans; only execution order changes. Each dispatch runs the
+    /// backend the plan key's wisdom entry names (what `fgtune` measured
+    /// fastest on this machine, `scalar` included), else the host's default
+    /// vector kernel ([`fgfft::BackendSel::default`]); results are
+    /// bit-identical across all of them.
     pub wisdom_path: Option<std::path::PathBuf>,
     /// Fault injection for tests and chaos drills; defaults to a no-op.
     pub fault: crate::fault::FaultInjector,
-    /// Per-tenant QoS admission (token buckets in front of the queue).
-    /// `None` (the default) disables policing: tagged tenants are admitted
-    /// exactly like untagged traffic.
-    pub qos: Option<QosConfig>,
 }
 
 impl Default for ServeConfig {
@@ -125,11 +119,8 @@ impl Default for ServeConfig {
             max_dispatcher_restarts: 4,
             version: Version::FineGuided,
             radix_log2: 6,
-            backend: None,
-            latency_samples: 1 << 16,
             wisdom_path: None,
             fault: crate::fault::FaultInjector::none(),
-            qos: None,
         }
     }
 }
@@ -332,8 +323,8 @@ pub struct Request {
     /// request completes with [`ServeError::DeadlineExceeded`].
     pub deadline: Option<Instant>,
     /// Who is asking. `None` bypasses per-tenant QoS (single-user tools);
-    /// tagged requests drain their tenant's token bucket when
-    /// [`ServeConfig::qos`] is set.
+    /// tagged requests drain their tenant's token bucket when the cluster's
+    /// [`crate::ClusterConfig::qos`] is set.
     pub tenant: Option<TenantId>,
     /// Which priority lane the request rides; defaults to
     /// [`Lane::Interactive`].
@@ -393,6 +384,34 @@ impl Request {
     pub fn with_lane(mut self, lane: Lane) -> Self {
         self.lane = lane;
         self
+    }
+
+    /// The admission check every front door makes before a request is
+    /// routed, charged or queued: `n` a power of two ≥ 2 that the kind
+    /// fits, and a buffer of the kind's length for it. Returns `log2 n`.
+    pub(crate) fn validate(&self) -> Result<u32, ServeError> {
+        let declared = self.n;
+        if declared < 2 || !declared.is_power_of_two() {
+            return Err(ServeError::BadRequest(format!(
+                "length {declared} is not a power of two ≥ 2"
+            )));
+        }
+        let n_log2 = declared.trailing_zeros();
+        let kind = self.kind.as_string();
+        if let Err(why) = self.kind.validate(n_log2) {
+            return Err(ServeError::BadRequest(format!(
+                "kind {kind} does not fit n {declared}: {why}"
+            )));
+        }
+        let expected = self.kind.buffer_len(n_log2);
+        if self.buffer.len() != expected {
+            return Err(ServeError::BadRequest(format!(
+                "buffer length {} does not match declared n {declared} (kind {kind} \
+                 takes {expected} complex samples)",
+                self.buffer.len()
+            )));
+        }
+        Ok(n_log2)
     }
 }
 
@@ -577,8 +596,6 @@ struct Shared {
     queue: EdfQueue<Job>,
     metrics: Arc<Metrics>,
     planner: Arc<Planner>,
-    /// Per-tenant token buckets; `None` when QoS is not configured.
-    governor: Option<TenantGovernor>,
     /// Slow-start window for dispatches whose plan is not yet cached.
     cold_gate: ColdGate,
     /// Cleared by shutdown: no new admissions.
@@ -635,9 +652,8 @@ impl FftService {
             .map(|path| planner.load_wisdom(path));
         let shared = Arc::new(Shared {
             queue: EdfQueue::new(config.queue_capacity),
-            metrics: Arc::new(Metrics::new(config.latency_samples)),
+            metrics: Arc::new(Metrics::new(LATENCY_SAMPLES)),
             planner,
-            governor: config.qos.clone().map(TenantGovernor::new),
             cold_gate: ColdGate::new(config.max_batch.max(1)),
             accepting: AtomicBool::new(true),
             stop: AtomicBool::new(false),
@@ -665,46 +681,13 @@ impl FftService {
 
     /// Submit a request. Returns a [`Ticket`] on admission; fails fast with
     /// [`ServeError::Overloaded`] when the queue is full (admission
-    /// control), [`ServeError::Throttled`] when the tenant's token bucket
-    /// is empty, [`ServeError::ShuttingDown`] after shutdown began, or
+    /// control), [`ServeError::ShuttingDown`] after shutdown began, or
     /// [`ServeError::BadRequest`] for an invalid transform size.
     pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
         if !self.shared.accepting.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        let declared = request.n;
-        if declared < 2 || !declared.is_power_of_two() {
-            return Err(ServeError::BadRequest(format!(
-                "length {declared} is not a power of two ≥ 2"
-            )));
-        }
-        let n_log2 = declared.trailing_zeros();
-        if let Err(why) = request.kind.validate(n_log2) {
-            return Err(ServeError::BadRequest(format!(
-                "kind {} does not fit n {declared}: {why}",
-                request.kind.as_string()
-            )));
-        }
-        let expected = request.kind.buffer_len(n_log2);
-        if request.buffer.len() != expected {
-            return Err(ServeError::BadRequest(format!(
-                "buffer length {} does not match declared n {declared} (kind {} \
-                 takes {expected} complex samples)",
-                request.buffer.len(),
-                request.kind.as_string()
-            )));
-        }
-        // QoS after validation: malformed requests are not charged to the
-        // tenant's bucket, throttled ones never touch the queue.
-        if let Some(governor) = &self.shared.governor {
-            if let Err(err) = governor.admit(request.tenant) {
-                self.shared
-                    .metrics
-                    .throttled
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(err);
-            }
-        }
+        let n_log2 = request.validate()?;
         let Request {
             buffer,
             kind,
@@ -952,19 +935,14 @@ fn serve_batch(shared: &Shared, runtime: &codelet::runtime::Runtime, batch: &mut
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             shared.config.fault.before_dispatch(n);
             let plan = shared.planner.plan_key(key);
-            // Backend routing: an explicit config choice wins, else the
-            // wisdom entry for this key (what fgtune measured fastest),
-            // else the default vector kernel. All three produce identical
-            // bits. Preparing picks a static kernel: no allocation.
+            // Backend routing: the wisdom entry for this key (what fgtune
+            // measured fastest), else the default vector kernel. Both
+            // produce identical bits. Preparing picks a static kernel: no
+            // allocation.
             let sel = shared
-                .config
-                .backend
-                .or_else(|| {
-                    shared
-                        .planner
-                        .wisdom()
-                        .and_then(|w| w.lookup(&plan.key()).map(|e| e.backend))
-                })
+                .planner
+                .wisdom()
+                .and_then(|w| w.lookup(&plan.key()).map(|e| e.backend))
                 .unwrap_or_default();
             let prepared = sel.prepare(&plan);
             let mut views: Vec<&mut [Complex64]> = group
@@ -1055,33 +1033,42 @@ mod tests {
     #[test]
     fn configured_backends_serve_identical_bits() {
         // Every backend drives the same certified plan tables, so routing
-        // the service through either kernel — by config or by wisdom —
-        // must not move a single bit relative to the scalar path.
+        // the service through either kernel — by default or by wisdom —
+        // must not move a single bit relative to the scalar reference.
         use fgfft::{Certificate, Plan, ScheduleTuning, Wisdom, WisdomEntry, WisdomStatus};
         let sizes = [1usize << 9, 1 << 10];
         let serve_with = |config: ServeConfig| {
             let service = FftService::start(config);
-            let outs: Vec<_> = sizes
+            let outs: Vec<Vec<Complex64>> = sizes
                 .iter()
                 .map(|&n| {
                     let ticket = service.submit(Request::new(signal(n))).expect("admitted");
-                    ticket.wait().expect("completed").buffer
+                    ticket.wait().expect("completed").buffer.into_vec()
                 })
                 .collect();
             let status = service.wisdom_status();
             service.shutdown();
             (outs, status)
         };
-        let with_backend = |backend| {
-            serve_with(ServeConfig {
-                backend,
-                ..small_config()
+        let runtime = codelet::runtime::Runtime::with_workers(1);
+        let version = small_config().version;
+        let scalar: Vec<Vec<Complex64>> = sizes
+            .iter()
+            .map(|&n| {
+                let plan = Plan::build(PlanKey::new(n, version, version.layout()));
+                let mut data = signal(n);
+                plan.execute(&mut data, &runtime);
+                data
             })
-            .0
+            .collect();
+        let bits = |outs: &[Vec<Complex64>]| -> Vec<(u64, u64)> {
+            outs.iter()
+                .flatten()
+                .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                .collect()
         };
-        let scalar = with_backend(Some(fgfft::BackendSel::SCALAR));
-        assert_eq!(with_backend(None), scalar, "default vector kernel");
-        assert_eq!(with_backend(Some(fgfft::BackendSel::SIMD)), scalar, "simd");
+        let (default, _) = serve_with(small_config());
+        assert_eq!(bits(&default), bits(&scalar), "default vector kernel");
 
         // A certified wisdom file routing one served key to the scalar
         // kernel (not the default) and the other to the vector kernel.
@@ -1096,8 +1083,6 @@ mod tests {
             wisdom.insert(WisdomEntry {
                 key,
                 tuning,
-                workers: 2,
-                batch: 1,
                 backend,
                 median_ns: 1,
                 seed_median_ns: 1,
@@ -1112,7 +1097,7 @@ mod tests {
         });
         std::fs::remove_file(&path).unwrap();
         assert_eq!(status, Some(WisdomStatus::Loaded { entries: 2 }));
-        assert_eq!(tuned, scalar, "wisdom-routed kernels");
+        assert_eq!(bits(&tuned), bits(&scalar), "wisdom-routed kernels");
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   (`Arc`) into every shard's planner, rather than re-read K times.
 //! * **Front-door QoS.** The per-tenant token buckets
 //!   ([`crate::admission::TenantGovernor`]) sit at the cluster front door,
-//!   policing a tenant's aggregate rate across all shards; shards
-//!   themselves run with QoS disabled so nothing is double-charged.
+//!   policing a tenant's aggregate rate across all shards; it is the one
+//!   place tenants are charged.
 //! * **One buffer pool.** The cluster owns a [`BufferPool`] shared by all
 //!   clients; [`FftCluster::lease`] + [`Request::pooled`] is the
 //!   zero-copy, zero-allocation request path.
@@ -47,38 +47,34 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Cluster configuration: how many shards, how they route, and the
-/// per-shard service template.
+/// Virtual nodes per shard on the consistent-hash ring: enough to spread
+/// the key space evenly for small K.
+const VNODES: usize = 16;
+
+/// Cluster configuration: how many shards and the per-shard service
+/// template.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of independent [`FftService`] shards (min 1).
     pub shards: usize,
-    /// Virtual nodes per shard on the consistent-hash ring. More vnodes
-    /// spread the key space more evenly; 16 is plenty for small K.
-    pub vnodes: usize,
     /// Template for every shard's [`ServeConfig`]. The cluster overrides
-    /// `qos` (enforced at the front door, not per shard), `fault` (from
-    /// [`ClusterConfig::shard_faults`]), and `wisdom_path` (loaded once by
-    /// the cluster and shared into every shard's planner).
+    /// `fault` (from [`ClusterConfig::shard_faults`]) and `wisdom_path`
+    /// (loaded once by the cluster and shared into every shard's planner).
     pub base: ServeConfig,
     /// Per-tenant QoS at the cluster front door; `None` disables policing.
     pub qos: Option<QosConfig>,
     /// Per-shard fault injection, indexed by shard; shards past the end of
     /// the vector get a no-op injector.
     pub shard_faults: Vec<FaultInjector>,
-    /// Retention cap for the cluster's shared [`BufferPool`].
-    pub pool_retention: usize,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
             shards: 2,
-            vnodes: 16,
             base: ServeConfig::default(),
             qos: None,
             shard_faults: Vec::new(),
-            pool_retention: crate::bufpool::DEFAULT_RETENTION,
         }
     }
 }
@@ -97,11 +93,9 @@ struct Ring {
 }
 
 impl Ring {
-    fn new(shards: usize, vnodes: usize) -> Self {
+    fn new(shards: usize) -> Self {
         let mut points: Vec<(u64, usize)> = (0..shards)
-            .flat_map(|shard| {
-                (0..vnodes.max(1)).map(move |vnode| (hash_of(&(shard, vnode)), shard))
-            })
+            .flat_map(|shard| (0..VNODES).map(move |vnode| (hash_of(&(shard, vnode)), shard)))
             .collect();
         points.sort_unstable();
         Self { points }
@@ -145,7 +139,6 @@ impl Shard {
 fn fold_counters(mut live: ServeStats, retired: &ServeStats) -> ServeStats {
     live.accepted += retired.accepted;
     live.rejected += retired.rejected;
-    live.throttled += retired.throttled;
     live.completed += retired.completed;
     live.deadline_missed += retired.deadline_missed;
     live.failed += retired.failed;
@@ -248,7 +241,7 @@ pub struct FftCluster {
     ring: Ring,
     shards: Vec<Shard>,
     governor: Option<TenantGovernor>,
-    /// Front-door throttles (shards run with QoS off).
+    /// Front-door throttles.
     throttled: AtomicU64,
     /// Wire-protocol rejections recorded against the cluster by the wire
     /// layer (which validates slot headers before anything reaches
@@ -284,8 +277,7 @@ impl FftCluster {
                     planner.set_wisdom(Some(Arc::clone(wisdom)));
                 }
                 let shard_config = ServeConfig {
-                    // QoS lives at the front door; wisdom was loaded above.
-                    qos: None,
+                    // Wisdom was loaded above.
                     wisdom_path: None,
                     fault: config
                         .shard_faults
@@ -306,13 +298,13 @@ impl FftCluster {
             })
             .collect();
         Self {
-            ring: Ring::new(shard_count, config.vnodes),
+            ring: Ring::new(shard_count),
             shards,
             governor: config.qos.map(TenantGovernor::new),
             throttled: AtomicU64::new(0),
             wire_rejections: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
-            pool: BufferPool::with_retention(config.pool_retention),
+            pool: BufferPool::new(),
             version: config.base.version,
             wisdom_status,
         }
@@ -364,36 +356,16 @@ impl FftCluster {
     pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
         // Validate before routing: `PlanKey::with_kind` asserts on bad
         // sizes and ill-fitting kinds, and a malformed request must come
-        // back as `BadRequest`, not a panic.
-        let declared = request.n;
-        if declared < 2 || !declared.is_power_of_two() {
-            return Err(ServeError::BadRequest(format!(
-                "length {declared} is not a power of two ≥ 2"
-            )));
-        }
-        let n_log2 = declared.trailing_zeros();
-        if let Err(why) = request.kind.validate(n_log2) {
-            return Err(ServeError::BadRequest(format!(
-                "kind {} does not fit n {declared}: {why}",
-                request.kind.as_string()
-            )));
-        }
-        let expected = request.kind.buffer_len(n_log2);
-        if request.buffer.len() != expected {
-            return Err(ServeError::BadRequest(format!(
-                "buffer length {} does not match declared n {declared} (kind {} \
-                 takes {expected} complex samples)",
-                request.buffer.len(),
-                request.kind.as_string()
-            )));
-        }
+        // back as `BadRequest`, not a panic. Malformed requests are not
+        // charged to the tenant's bucket.
+        request.validate()?;
         if let Some(governor) = &self.governor {
             if let Err(err) = governor.admit(request.tenant) {
                 self.throttled.fetch_add(1, Ordering::Relaxed);
                 return Err(err);
             }
         }
-        let shard = &self.shards[self.shard_for_kind(request.kind, declared)];
+        let shard = &self.shards[self.shard_for_kind(request.kind, request.n)];
         match shard.service.read() {
             Ok(service) => service.submit(request),
             Err(poisoned) => poisoned.into_inner().submit(request),
@@ -452,7 +424,7 @@ impl FftCluster {
         ClusterStats {
             accepted: sum(|s| s.accepted),
             rejected: sum(|s| s.rejected),
-            throttled: self.throttled.load(Ordering::Relaxed) + sum(|s| s.throttled),
+            throttled: self.throttled.load(Ordering::Relaxed),
             completed: sum(|s| s.completed),
             deadline_missed: sum(|s| s.deadline_missed),
             failed: sum(|s| s.failed),
@@ -511,7 +483,7 @@ mod tests {
 
     #[test]
     fn ring_routes_every_key_and_spreads_sizes() {
-        let ring = Ring::new(4, 16);
+        let ring = Ring::new(4);
         let mut seen = [false; 4];
         for n_log2 in 1..=20 {
             let key = PlanKey::new(
@@ -532,8 +504,8 @@ mod tests {
         // Consistent hashing's defining property: going K -> K+1 remaps
         // only keys that now belong to the new shard — no reshuffling
         // among survivors.
-        let before = Ring::new(4, 32);
-        let after = Ring::new(5, 32);
+        let before = Ring::new(4);
+        let after = Ring::new(5);
         let mut moved = 0u32;
         let total = 512u32;
         for i in 0..total {

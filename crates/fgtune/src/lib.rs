@@ -6,7 +6,7 @@
 //! point of its fine-grain versions. `fgtune` turns that observation into
 //! a tool: it searches the schedule space the codebase already exposes —
 //! pool orders, the guided algorithm's split point, twiddle layouts,
-//! algorithm versions, worker counts, serving batch sizes — and persists
+//! algorithm versions, butterfly kernels — and persists
 //! the measured winners as [`fgfft::wisdom::Wisdom`] that the planner and
 //! `fgserve` load at startup.
 //!
@@ -19,8 +19,9 @@
 //!    can never emit an invalid schedule — and candidates whose simulated
 //!    makespan or bank imbalance is far off the best seen are *pruned*
 //!    before costing any wall-clock measurement.
-//! 2. **Measurement**: survivors run for real through
-//!    [`fgfft::Plan::execute_batch`], median-of-k wall time.
+//! 2. **Measurement**: survivors run for real, one transform at a time on
+//!    all cores (as the library and a default service run them),
+//!    median-of-k wall time.
 //!
 //! The driver ([`search`]) mixes random exploration with a greedy
 //! neighborhood walk (pairwise swaps on the pool order, split nudges,
@@ -29,8 +30,7 @@
 //!
 //! The space also covers *butterfly kernels* ([`fgfft::BackendSel`]): the
 //! scalar hot path and the SIMD kernel — so wisdom learns scalar-vs-SIMD per
-//! `(N, machine)`, not just the schedule. Threading is the `workers` axis:
-//! the runtime's worker count, running the certified schedule as is.
+//! `(N, machine)`, not just the schedule.
 //!
 //! Crucially, *tuning never changes results*: a [`fgfft::ScheduleTuning`]
 //! reorders execution of the same codelet DAG, and the DAG fixes the
@@ -43,8 +43,6 @@ pub mod objective;
 pub mod search;
 pub mod space;
 
-pub use objective::{
-    measure_candidate, measure_plan, measure_prepared, prescreen, Gate, Screened, StaticScreen,
-};
+pub use objective::{measure_candidate, measure_prepared, prescreen, Gate, Screened, StaticScreen};
 pub use search::{tune, Measured, TuneConfig, TuneOutcome, TuneReport};
 pub use space::{Candidate, TuningSpace};

@@ -7,7 +7,7 @@
 //! rates. Invalid schedules are rejected outright, and schedules whose
 //! simulated cost is far off the best seen are pruned — both without
 //! spending a single wall-clock sample. Phase two measures the survivors
-//! for real: median-of-k [`fgfft::Plan::execute_batch`] wall time.
+//! for real: median-of-k wall time of one transform on all cores.
 
 use crate::space::{Candidate, TuningSpace};
 use c64sim::{ChipConfig, SimOptions};
@@ -172,72 +172,37 @@ impl Gate {
     }
 }
 
-/// Measure `candidate` on the real executor: median of `reps` batched
-/// wall-clock samples, reported as nanoseconds *per transform*.
+/// Measure `candidate` on the real executor: median of `reps` wall-clock
+/// samples of one transform on [`Runtime::default`] — all of the host's
+/// cores, as `fgfft::Fft` and a default `fgserve` service run it.
 ///
-/// The buffers are refilled from a pristine signal outside the timed
-/// region each repetition, so the sample is execute-only. The plan is
-/// built here (tuned), prepared by the candidate's backend, and both
-/// costs are likewise untimed — services pay them once per key, not per
-/// transform.
+/// The buffer is refilled from a pristine signal outside the timed region
+/// each repetition, so the sample is execute-only. The plan is built here
+/// (tuned), prepared by the candidate's backend, and both costs are
+/// likewise untimed — services pay them once per key, not per transform.
 pub fn measure_candidate(space: &TuningSpace, candidate: &Candidate, reps: usize) -> u64 {
     let key = candidate.key(space.kind, space.n_log2, space.radix_log2);
     let plan = std::sync::Arc::new(Plan::build_tuned(key, Some(&candidate.tuning)));
-    let prepared = candidate.backend.build().prepare(&plan);
-    let runtime = Runtime::with_workers(candidate.workers);
-    measure_prepared(&prepared, &runtime, candidate.batch, reps)
-}
-
-/// Median-of-`reps` per-transform wall time of an already-built plan on
-/// the historical scalar path.
-pub fn measure_plan(plan: &Plan, runtime: &Runtime, batch: usize, reps: usize) -> u64 {
-    measure_batches(plan.buffer_len(), runtime, batch, reps, |views, rt| {
-        plan.execute_batch(views, rt);
-    })
-}
-
-/// Median-of-`reps` per-transform wall time of a plan already bound to a
-/// backend (see [`fgfft::Backend::prepare`]).
-pub fn measure_prepared(
-    prepared: &fgfft::PreparedPlan,
-    runtime: &Runtime,
-    batch: usize,
-    reps: usize,
-) -> u64 {
-    measure_batches(
-        prepared.plan().buffer_len(),
-        runtime,
-        batch,
+    measure_prepared(
+        &candidate.backend.build().prepare(&plan),
+        &Runtime::default(),
         reps,
-        |views, rt| {
-            prepared.execute_batch(views, rt);
-        },
     )
 }
 
-fn measure_batches(
-    n: usize,
-    runtime: &Runtime,
-    batch: usize,
-    reps: usize,
-    mut run: impl FnMut(&mut [&mut [Complex64]], &Runtime),
-) -> u64 {
-    let batch = batch.max(1);
-    let reps = reps.max(1);
-    let pristine: Vec<Complex64> = (0..n)
+/// Median-of-`reps` wall time of one transform through a plan already
+/// bound to a backend (see [`fgfft::Backend::prepare`]), nanoseconds.
+pub fn measure_prepared(prepared: &fgfft::PreparedPlan, runtime: &Runtime, reps: usize) -> u64 {
+    let pristine: Vec<Complex64> = (0..prepared.plan().buffer_len())
         .map(|i| Complex64::new((i as f64 * 0.37).sin(), (i as f64 * 0.23).cos()))
         .collect();
-    let mut buffers: Vec<Vec<Complex64>> = vec![pristine.clone(); batch];
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        for buffer in &mut buffers {
-            buffer.copy_from_slice(&pristine);
-        }
-        let mut views: Vec<&mut [Complex64]> =
-            buffers.iter_mut().map(|b| b.as_mut_slice()).collect();
+    let mut buffer = pristine.clone();
+    let mut samples = Vec::with_capacity(reps.max(1));
+    for _ in 0..reps.max(1) {
+        buffer.copy_from_slice(&pristine);
         let start = Instant::now();
-        run(&mut views, runtime);
-        samples.push(start.elapsed().as_nanos() as f64 / batch as f64);
+        prepared.execute(&mut buffer, runtime);
+        samples.push(start.elapsed().as_nanos() as f64);
     }
     samples.sort_by(f64::total_cmp);
     percentile(&samples, 50.0).round() as u64
@@ -276,8 +241,6 @@ mod tests {
                 last_early: None,
                 transpose_block_log2: None,
             },
-            workers: 2,
-            batch: 2,
             backend: fgfft::BackendSel::SIMD,
         };
         assert!(matches!(prescreen(&space, &c), Screened::Passed(_)));

@@ -277,8 +277,6 @@ pub fn tune(space: &TuningSpace, config: &TuneConfig) -> TuneOutcome {
             wisdom.insert(WisdomEntry {
                 key,
                 tuning: best_for_key.candidate.tuning.clone(),
-                workers: best_for_key.candidate.workers,
-                batch: best_for_key.candidate.batch,
                 backend: best_for_key.candidate.backend,
                 median_ns: best_for_key.median_ns,
                 seed_median_ns: seed_for_key,

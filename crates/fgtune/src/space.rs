@@ -16,10 +16,6 @@ pub struct Candidate {
     pub layout: TwiddleLayout,
     /// Schedule overrides applied on top of the version's seed schedule.
     pub tuning: ScheduleTuning,
-    /// Runtime worker count used when measuring (and recorded in wisdom).
-    pub workers: usize,
-    /// Batch size used when measuring (and recorded in wisdom).
-    pub batch: usize,
     /// Execution backend used when measuring (and recorded in wisdom).
     pub backend: BackendSel,
 }
@@ -45,14 +41,12 @@ impl Candidate {
             Some(b) => format!(" tb{b}"),
         };
         format!(
-            "{}/{} {}{}{} w{} b{} {}",
+            "{}/{} {}{}{} {}",
             fgfft::wisdom::version_to_string(self.version),
             fgfft::wisdom::layout_to_string(self.layout),
             order,
             split,
             block,
-            self.workers,
-            self.batch,
             self.backend
         )
     }
@@ -62,8 +56,9 @@ impl Candidate {
 ///
 /// Defaults cover the interesting region of the paper: the fine-grain
 /// versions (whose pool order is the paper's "fine worst vs fine best"
-/// spread), all three twiddle layouts, and worker/batch counts up to the
-/// host's parallelism.
+/// spread), all three twiddle layouts, and both backends. Every candidate
+/// is measured as the library and a default service run it: on all of the
+/// host's cores, one transform at a time.
 #[derive(Debug, Clone)]
 pub struct TuningSpace {
     /// Transform size exponent.
@@ -77,10 +72,6 @@ pub struct TuningSpace {
     pub versions: Vec<Version>,
     /// Layouts to tune over.
     pub layouts: Vec<TwiddleLayout>,
-    /// Worker counts to tune over.
-    pub workers: Vec<usize>,
-    /// Batch sizes to tune over.
-    pub batches: Vec<usize>,
     /// Execution backends to tune over.
     pub backends: Vec<BackendSel>,
 }
@@ -89,13 +80,6 @@ impl TuningSpace {
     /// Default space for an `N = 2^n_log2` transform with `2^radix_log2`
     /// point codelets.
     pub fn new(n_log2: u32, radix_log2: u32) -> Self {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let mut workers: Vec<usize> = vec![1, 2, 4, host];
-        workers.retain(|&w| w <= host || w <= 4);
-        workers.sort_unstable();
-        workers.dedup();
         Self {
             n_log2,
             radix_log2,
@@ -110,8 +94,6 @@ impl TuningSpace {
                 TwiddleLayout::BitReversedHash,
                 TwiddleLayout::MultiplicativeHash,
             ],
-            workers,
-            batches: vec![1, 4, 8],
             backends: vec![BackendSel::SCALAR, BackendSel::SIMD],
         }
     }
@@ -145,14 +127,12 @@ impl TuningSpace {
     }
 
     /// The untuned baseline for `version`: its own seed schedule, its own
-    /// layout, full host parallelism, single transforms.
+    /// layout, the scalar reference kernel.
     pub fn seed_candidate(&self, version: Version) -> Candidate {
         Candidate {
             version,
             layout: version.layout(),
             tuning: ScheduleTuning::identity(),
-            workers: *self.workers.last().expect("worker list is non-empty"),
-            batch: 1,
             backend: BackendSel::SCALAR,
         }
     }
@@ -168,21 +148,19 @@ impl TuningSpace {
                 last_early: self.random_split(version, rng),
                 transpose_block_log2: self.random_block(rng),
             },
-            workers: self.workers[rng.gen_range(0..self.workers.len())],
-            batch: self.batches[rng.gen_range(0..self.batches.len())],
             backend: self.backends[rng.gen_range(0..self.backends.len())],
         }
     }
 
     /// A small mutation of `base` (exploitation move): swap two pool-order
-    /// positions, nudge the guided split, or step a runtime parameter.
+    /// positions, nudge the guided split, or switch the backend.
     pub fn neighbor(&self, base: &Candidate, rng: &mut Rng64) -> Candidate {
         let mut c = base.clone();
         let stages = self.plan().stages();
         // Move kinds: 0‒1 swap (most of the space lives in the pool order,
-        // so it gets double weight), 2 split nudge, 3 workers, 4 batch,
-        // 5 backend, 6 transpose-block nudge (2D only; swap otherwise).
-        match rng.gen_range(0..7) {
+        // so it gets double weight), 2 split nudge, 3 backend, 4
+        // transpose-block nudge (2D only; swap otherwise).
+        match rng.gen_range(0..5) {
             0 | 1 => self.swap_move(&mut c, rng),
             2 if c.version == Version::FineGuided && stages >= 3 => {
                 let cur = c.tuning.last_early.unwrap_or(stages.saturating_sub(3));
@@ -194,9 +172,7 @@ impl TuningSpace {
                 c.tuning.last_early = Some(next);
             }
             2 => self.swap_move(&mut c, rng),
-            3 => c.workers = self.workers[rng.gen_range(0..self.workers.len())],
-            4 => c.batch = self.batches[rng.gen_range(0..self.batches.len())],
-            5 => c.backend = self.backends[rng.gen_range(0..self.backends.len())],
+            3 => c.backend = self.backends[rng.gen_range(0..self.backends.len())],
             _ => match self.block_choices() {
                 Some(blocks) => {
                     c.tuning.transpose_block_log2 = blocks[rng.gen_range(0..blocks.len())];

@@ -59,8 +59,6 @@ fn unmutated_plans_have_no_false_positives() {
 /// One stage's tables, owned.
 struct OwnedStage {
     addressing: StageAddressing,
-    pairs: Vec<(u32, u32)>,
-    slots: Vec<u8>,
     twiddles: OwnedTwiddles,
 }
 
@@ -92,8 +90,6 @@ impl OwnedTables {
                 let t = plan.stage_tables(s);
                 OwnedStage {
                     addressing: t.addressing,
-                    pairs: t.pairs.to_vec(),
-                    slots: t.slots.to_vec(),
                     twiddles: match t.twiddles {
                         StageTwiddles::Classes { classes, runs } => OwnedTwiddles::Classes {
                             classes,
@@ -116,8 +112,6 @@ impl OwnedTables {
             .iter()
             .map(|t| StageTables {
                 addressing: t.addressing,
-                pairs: &t.pairs,
-                slots: &t.slots,
                 twiddles: match &t.twiddles {
                     OwnedTwiddles::Classes { classes, runs } => StageTwiddles::Classes {
                         classes: *classes,
@@ -139,11 +133,9 @@ impl OwnedTables {
         let stage = rng.gen_range(0..self.stages.len());
         let OwnedStage {
             addressing,
-            pairs,
-            slots,
             twiddles,
         } = &mut self.stages[stage];
-        match rng.gen_below(9) {
+        match rng.gen_below(6) {
             0 => {
                 // Another stage's address stride.
                 addressing.stride_log2 ^= 1 << rng.gen_below(3);
@@ -159,22 +151,7 @@ impl OwnedTables {
                 addressing.groups_log2 ^= 1;
                 format!("stage {stage}: groups_log2 ^= 1")
             }
-            3 => {
-                // Truncate the slot pattern.
-                slots.pop();
-                format!("stage {stage}: slots truncated")
-            }
-            4 => {
-                // Corrupt a butterfly pair.
-                let i = rng.gen_range(0..pairs.len());
-                if rng.gen_bool() {
-                    pairs[i].1 = pairs[i].0; // degenerate lo == hi
-                } else {
-                    pairs[i].1 += 64; // out of the codelet buffer
-                }
-                format!("stage {stage}: pair[{i}] corrupted")
-            }
-            5 => match twiddles {
+            3 => match twiddles {
                 OwnedTwiddles::Classes { runs, .. } => {
                     // Flip one mantissa bit of a class-run value.
                     let i = rng.gen_range(0..runs.len());
@@ -189,19 +166,13 @@ impl OwnedTables {
                     format!("stage {stage}: offset {i} bit-flipped")
                 }
             },
-            6 => {
+            4 => {
                 // Truncate the class runs or the offset table.
                 match twiddles {
                     OwnedTwiddles::Classes { runs, .. } => drop(runs.pop()),
                     OwnedTwiddles::Base { offsets, .. } => drop(offsets.pop()),
                 }
                 format!("stage {stage}: twiddles truncated")
-            }
-            7 => {
-                // Point a butterfly at another run position (or past it).
-                let i = rng.gen_range(0..slots.len());
-                slots[i] = slots[i].wrapping_add(1 + rng.gen_below(200) as u8);
-                format!("stage {stage}: slot[{i}] moved")
             }
             _ => match twiddles {
                 OwnedTwiddles::Classes { classes, .. } => {
@@ -313,8 +284,6 @@ fn corrupted_wisdom_files_never_load_silently() {
     wisdom.insert(WisdomEntry {
         key,
         tuning,
-        workers: 2,
-        batch: 4,
         backend: Default::default(),
         median_ns: 10,
         seed_median_ns: 20,

@@ -539,7 +539,6 @@ fn library_defaults_are_bit_exact_with_the_scalar_reference() {
 
             let service = fgserve::FftService::start(fgserve::ServeConfig {
                 workers,
-                backend: None,
                 wisdom_path: None,
                 ..fgserve::ServeConfig::default()
             });

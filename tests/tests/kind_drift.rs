@@ -151,8 +151,16 @@ fn recorded_kind_execution_matches_static_footprints() {
                     };
                     if let Some((w, p, local)) = wave {
                         // Inner-wave codelets multiply by the stage table's
-                        // butterfly twiddle run — bitwise the descriptor's.
-                        let expected = w.descriptor(local).twiddle_run(p.twiddles());
+                        // butterfly twiddle run — bitwise the authority's.
+                        let fft = w.plan();
+                        let mut expected = Vec::new();
+                        fgfft::workload::append_twiddle_run(
+                            fft,
+                            p.twiddles(),
+                            fft.stage_of(local),
+                            fft.idx_of(local),
+                            &mut expected,
+                        );
                         assert_eq!(
                             rec.twiddles.len(),
                             expected.len(),

@@ -621,8 +621,6 @@ fn wisdom_tuned_service_is_bit_exact_vs_untuned() {
     wisdom.insert(fgfft::wisdom::WisdomEntry {
         key,
         tuning,
-        workers: 2,
-        batch: 4,
         backend: Default::default(),
         median_ns: 1,
         seed_median_ns: 2,

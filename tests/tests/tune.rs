@@ -35,8 +35,6 @@ fn entry(n_log2: u32, version: Version) -> WisdomEntry {
     WisdomEntry {
         key,
         tuning,
-        workers: 2,
-        batch: 4,
         backend: Default::default(),
         median_ns: 1_000,
         seed_median_ns: 2_000,
@@ -249,7 +247,7 @@ fn tuner_smoke_wisdom_reloads_into_a_fresh_planner() {
         let input: Vec<Complex64> = (0..n)
             .map(|i| Complex64::new((i as f64 * 0.13).sin(), (i as f64 * 0.19).cos()))
             .collect();
-        let rt = codelet::runtime::Runtime::with_workers(entry.workers.max(1));
+        let rt = codelet::runtime::Runtime::default();
         let mut tuned_out = input.clone();
         tuned.execute(&mut tuned_out, &rt);
         let mut seed_out = input;

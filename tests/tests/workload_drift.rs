@@ -95,7 +95,7 @@ fn recorded_execution_matches_static_footprints() {
                     assert_eq!(observed_writes, data_writes, "{ctx}: codelet {id} scatters");
 
                     // The static twiddle address stream, derived again from
-                    // the descriptor (not from for_each_op), must agree.
+                    // the index algebra (not from for_each_op), must agree.
                     let stage = workload.plan().stage_of(id);
                     let idx = workload.plan().idx_of(id);
                     let mut desc_twiddles = Vec::new();
@@ -108,8 +108,15 @@ fn recorded_execution_matches_static_footprints() {
                     );
 
                     // And the *values* the kernel actually multiplied by are
-                    // bitwise the descriptor's twiddle run.
-                    let expected = workload.descriptor(id).twiddle_run(plan.twiddles());
+                    // bitwise the authority's per-butterfly twiddle run.
+                    let mut expected = Vec::new();
+                    fgfft::workload::append_twiddle_run(
+                        workload.plan(),
+                        plan.twiddles(),
+                        stage,
+                        idx,
+                        &mut expected,
+                    );
                     assert_eq!(
                         rec.twiddles.len(),
                         expected.len(),
