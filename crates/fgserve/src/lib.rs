@@ -85,5 +85,7 @@ pub use error::ServeError;
 pub use fault::FaultInjector;
 pub use fgfft::planner::{Plan, PlanKey, Planner, PlannerStats};
 pub use metrics::ServeStats;
-pub use service::{FftService, Payload, Request, Response, ServeConfig, SharedSlice, Ticket};
+pub use service::{
+    FftService, Payload, Request, Response, ServeConfig, SharedSlice, SliceOwner, Ticket,
+};
 pub use shard::{ClusterConfig, ClusterStats, FftCluster};

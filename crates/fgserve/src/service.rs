@@ -71,6 +71,11 @@ const IDLE_POLL: Duration = Duration::from_millis(5);
 /// Cap on retained latency samples (reservoir-sampled past the cap).
 const LATENCY_SAMPLES: usize = 1 << 16;
 
+/// Codelet radix exponent of every served plan: the paper's 64-point
+/// codelets. Dispatch resolves plans and the cluster routes requests on
+/// the same key, so both read this one value.
+pub(crate) const RADIX_LOG2: u32 = 6;
+
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -91,8 +96,6 @@ pub struct ServeConfig {
     pub max_dispatcher_restarts: usize,
     /// Scheduling algorithm for every transform.
     pub version: Version,
-    /// Codelet radix exponent (6 = the paper's 64-point codelets).
-    pub radix_log2: u32,
     /// Autotuned wisdom file (written by `fgtune`) loaded into the plan
     /// cache at startup. Missing, corrupt, or foreign files are tolerated
     /// — the service starts on seed schedules and records the outcome in
@@ -118,21 +121,32 @@ impl Default for ServeConfig {
             dispatchers: 1,
             max_dispatcher_restarts: 4,
             version: Version::FineGuided,
-            radix_log2: 6,
             wisdom_path: None,
             fault: crate::fault::FaultInjector::none(),
         }
     }
 }
 
+/// The owner of the memory a [`SharedSlice`] views — in practice an
+/// `fgwire` slot guard. `fgserve` deliberately knows nothing about
+/// segments or rings; it tells the owner once, when it is done with the
+/// memory, how the request ended.
+pub trait SliceOwner: Send {
+    /// Called exactly once, when the [`SharedSlice`] drops — the moment the
+    /// service provably holds no more references into the memory.
+    /// `outcome` is `Some(Ok(()))` for a transformed request, `Some(Err(_))`
+    /// for one the service settled with that error, and `None` for one it
+    /// never admitted (the front door's error went back to the submitter).
+    fn release(self: Box<Self>, outcome: Option<Result<(), ServeError>>);
+}
+
 /// A mutable view of sample memory owned by another subsystem — in
 /// practice a payload slot inside an `fgwire` shared-memory segment — plus
-/// an opaque owner guard. The guard's `Drop` is the release hook: when the
+/// its [`SliceOwner`]. Dropping the slice is the release hook: when the
 /// [`Payload::Shared`] travels through the dispatcher into a [`Response`]
-/// (or dies in a failed job's drop-guard), dropping it runs the guard,
-/// which returns the slot to its ring and settles the wire-side
-/// accounting. `fgserve` deliberately knows nothing about segments or
-/// rings; it sees exclusive memory with a destructor.
+/// (or dies with a failed or refused job), its drop hands the owner the
+/// outcome the job recorded, and the owner returns the slot to its ring
+/// and settles the wire-side accounting on whichever thread that is.
 ///
 /// This is the zero-copy half of the cross-process path: the transform
 /// runs *in place on the client's shared pages*, so the only bytes that
@@ -140,9 +154,10 @@ impl Default for ServeConfig {
 pub struct SharedSlice {
     ptr: *mut Complex64,
     len: usize,
-    /// Dropped last (declaration order): releases the memory `ptr` views.
-    #[allow(dead_code)]
-    owner: Box<dyn std::any::Any + Send>,
+    /// Taken by `Drop`, which releases the memory `ptr` views.
+    owner: Option<Box<dyn SliceOwner>>,
+    /// How the request ended, recorded by the job that settled it.
+    outcome: Option<Result<(), ServeError>>,
 }
 
 impl SharedSlice {
@@ -151,18 +166,19 @@ impl SharedSlice {
     /// # Safety
     ///
     /// `ptr` must be valid for reads and writes of `len` `Complex64`
-    /// values for as long as `owner` is alive, properly aligned, and not
-    /// aliased by any other reader or writer for that whole lifetime —
-    /// the caller is promising this `SharedSlice` has *exclusive* access
-    /// until `owner` drops. (The wire layer enforces that through slot
-    /// ownership states: a slot is handed to the service only in the
+    /// values until `owner` is released, properly aligned, and not
+    /// aliased by any other reader or writer for that whole time — the
+    /// caller is promising this `SharedSlice` has *exclusive* access until
+    /// [`SliceOwner::release`] runs. (The wire layer enforces that through
+    /// slot ownership states: a slot is handed to the service only in the
     /// `EXECUTING` state, which the client must not touch.)
-    pub unsafe fn new(
-        ptr: *mut Complex64,
-        len: usize,
-        owner: Box<dyn std::any::Any + Send>,
-    ) -> Self {
-        Self { ptr, len, owner }
+    pub unsafe fn new(ptr: *mut Complex64, len: usize, owner: Box<dyn SliceOwner>) -> Self {
+        Self {
+            ptr,
+            len,
+            owner: Some(owner),
+            outcome: None,
+        }
     }
 
     /// Base pointer of the viewed memory — lets tests assert pointer
@@ -173,9 +189,17 @@ impl SharedSlice {
 }
 
 // SAFETY: the constructor contract gives this value exclusive access to
-// the viewed memory, and the owner guard is itself `Send`, so moving the
-// whole bundle across threads is sound.
+// the viewed memory, and the owner is itself `Send`, so moving the whole
+// bundle across threads is sound.
 unsafe impl Send for SharedSlice {}
+
+impl Drop for SharedSlice {
+    fn drop(&mut self) {
+        if let Some(owner) = self.owner.take() {
+            owner.release(self.outcome.take());
+        }
+    }
+}
 
 impl std::fmt::Debug for SharedSlice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -208,15 +232,15 @@ impl std::ops::DerefMut for SharedSlice {
 /// the [`Response`] — the pooled variant additionally returns its slab to
 /// the pool when the response (or any intermediate owner, including a
 /// failed job's drop-guard) is dropped, and the shared variant releases
-/// its slot through its owner guard the same way.
+/// its slot through its [`SliceOwner`] the same way.
 #[derive(Debug)]
 pub enum Payload {
     /// A plain heap allocation owned by the request.
     Owned(Vec<Complex64>),
     /// A pooled slab; goes home to its [`crate::BufferPool`] on drop.
     Leased(Lease),
-    /// A view of another owner's memory (an `fgwire` slot); its guard
-    /// releases the slot on drop.
+    /// A view of another owner's memory (an `fgwire` slot); its owner
+    /// settles the slot on drop.
     Shared(SharedSlice),
 }
 
@@ -241,6 +265,14 @@ impl Payload {
             Payload::Owned(v) => v.as_mut_slice(),
             Payload::Leased(l) => &mut l[..],
             Payload::Shared(s) => &mut s[..],
+        }
+    }
+
+    /// Record how the request ended, for a shared slice's owner to read
+    /// at release. The other variants have no one to tell.
+    fn record_outcome(&mut self, outcome: Result<(), &ServeError>) {
+        if let Payload::Shared(s) = self {
+            s.outcome = Some(outcome.map_err(ServeError::clone));
         }
     }
 
@@ -549,6 +581,7 @@ impl Job {
     fn succeed(mut self) {
         let latency_ns = self.submitted.elapsed().as_nanos() as u64;
         self.metrics.on_complete(latency_ns);
+        self.buffer.record_outcome(Ok(()));
         let buffer = std::mem::replace(&mut self.buffer, Payload::Owned(Vec::new()));
         self.settled = true;
         self.ticket.complete(Ok(Response { buffer }));
@@ -568,6 +601,7 @@ impl Job {
             }
             _ => {}
         }
+        self.buffer.record_outcome(Err(&error));
         self.settled = true;
         self.ticket.complete(Err(error));
     }
@@ -909,7 +943,7 @@ fn serve_batch(shared: &Shared, runtime: &codelet::runtime::Runtime, batch: &mut
             n,
             shared.config.version,
             shared.config.version.layout(),
-            6,
+            RADIX_LOG2,
         );
         // Cold-plan slow start: a size whose plan is not cached yet serves
         // at most the gate's window this dispatch; the excess goes back on

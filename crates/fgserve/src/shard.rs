@@ -39,7 +39,7 @@ use crate::bufpool::{BufferPool, Lease, PoolStats};
 use crate::error::ServeError;
 use crate::fault::FaultInjector;
 use crate::metrics::ServeStats;
-use crate::service::{FftService, Request, ServeConfig, Ticket};
+use crate::service::{FftService, Request, ServeConfig, Ticket, RADIX_LOG2};
 use fgfft::planner::{PlanKey, Planner};
 use fgfft::wisdom::{Wisdom, WisdomStatus};
 use fgsupport::json::Value;
@@ -343,7 +343,7 @@ impl FftCluster {
     /// the same size may live on different shards, each keeping its own
     /// cache warm.
     pub fn shard_for_kind(&self, kind: fgfft::TransformKind, n: usize) -> usize {
-        let key = PlanKey::with_kind(kind, n, self.version, self.version.layout(), 6);
+        let key = PlanKey::with_kind(kind, n, self.version, self.version.layout(), RADIX_LOG2);
         self.ring.route(hash_of(&key))
     }
 

@@ -5,9 +5,12 @@
 //!
 //! The client owns the segment: it creates the memfd, maps it, and
 //! hands the fd (plus two eventfd doorbells) to the server in the hello
-//! frame via `SCM_RIGHTS`. A monitor thread watches the control socket;
-//! if the server goes away, every pending operation fails with
-//! [`fgserve::ServeError::Protocol`] rather than hanging.
+//! frame via `SCM_RIGHTS`. The client runs no thread of its own: waiting
+//! on a ticket pumps the completion ring and watches the control socket
+//! in the same `poll`, so if the server goes away every pending
+//! operation fails with [`fgserve::ServeError::Protocol`] rather than
+//! hanging. The socket stays open until the session's last lease,
+//! ticket or response drops.
 
 use crate::proto::{self, SegmentConfig, SegmentLayout};
 use crate::ring::SharedSegment;
@@ -17,17 +20,10 @@ use fgfft::Complex64;
 use fgserve::admission::TenantId;
 use fgserve::ServeError;
 use fgsupport::json::Value;
-use fgsupport::shm::{
-    poll, send_with_fds, EventFd, MemorySegment, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL,
-};
-use std::io::{self, Read};
-use std::net::Shutdown;
-use std::os::fd::AsRawFd;
+use fgsupport::shm::{send_with_fds, EventFd, MemorySegment};
+use std::io;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Wire-client configuration.
@@ -59,14 +55,12 @@ impl ClientConfig {
 pub struct Client {
     session: ClientSession,
     session_id: u64,
-    socket: UnixStream,
-    monitor_stop: Arc<AtomicBool>,
-    monitor: Option<JoinHandle<()>>,
 }
 
 impl Client {
     /// Connect: create and map the segment, perform the hello/accept
-    /// handshake (passing segment + doorbell fds), start the HUP monitor.
+    /// handshake (passing segment + doorbell fds), and hand the control
+    /// socket to the session, whose pump watches it for hangup.
     pub fn connect(config: ClientConfig) -> io::Result<Self> {
         config
             .classes
@@ -130,28 +124,18 @@ impl Client {
             .and_then(Value::as_u64)
             .unwrap_or(0) as usize;
 
+        stream.set_nonblocking(true)?;
         let session = ClientSession::new(
             seg,
             credits,
             queue_capacity,
             Some(submit_bell),
             Some(complete_bell),
+            Some(stream),
         );
-        let monitor_stop = Arc::new(AtomicBool::new(false));
-        let monitor = {
-            let socket = stream.try_clone()?;
-            let session = session.clone();
-            let stop = Arc::clone(&monitor_stop);
-            std::thread::Builder::new()
-                .name("fgwire-monitor".to_string())
-                .spawn(move || monitor_loop(socket, session, stop))?
-        };
         Ok(Self {
             session,
             session_id,
-            socket: stream,
-            monitor_stop,
-            monitor: Some(monitor),
         })
     }
 
@@ -201,62 +185,5 @@ impl Client {
     /// Drain pending completions (cooperative; `wait` does this too).
     pub fn pump(&self, timeout: Duration) {
         self.session.pump(timeout);
-    }
-}
-
-impl Drop for Client {
-    fn drop(&mut self) {
-        self.monitor_stop.store(true, Ordering::Release);
-        // Closing our end drops the server's session promptly and wakes
-        // the monitor thread out of its poll.
-        let _ = self.socket.shutdown(Shutdown::Both);
-        if let Some(handle) = self.monitor.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Watch the control socket; on HUP (server death) fail every pending
-/// operation instead of letting tickets wait forever.
-fn monitor_loop(socket: UnixStream, session: ClientSession, stop: Arc<AtomicBool>) {
-    let _ = socket.set_nonblocking(true);
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let mut fds = [PollFd {
-            fd: socket.as_raw_fd(),
-            events: POLLIN,
-            revents: 0,
-        }];
-        match poll(&mut fds, Some(Duration::from_millis(100))) {
-            Ok(0) | Err(_) => continue,
-            Ok(_) => {}
-        }
-        if fds[0].revents & (POLLERR | POLLHUP | POLLNVAL) != 0 {
-            if !stop.load(Ordering::Acquire) {
-                session.mark_dead();
-            }
-            return;
-        }
-        if fds[0].revents & POLLIN != 0 {
-            let mut sink = [0u8; 256];
-            match (&socket).read(&mut sink) {
-                Ok(0) => {
-                    if !stop.load(Ordering::Acquire) {
-                        session.mark_dead();
-                    }
-                    return;
-                }
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(_) => {
-                    if !stop.load(Ordering::Acquire) {
-                        session.mark_dead();
-                    }
-                    return;
-                }
-            }
-        }
     }
 }

@@ -17,14 +17,20 @@
 //!  │               │   (fds: segment,    └──────────┬────────────┘
 //!  │  SlotLease    │    doorbells)                  │ register
 //!  │  WireTicket   │                     ┌──────────▼────────────┐
-//!  └──────┬────────┘                     │ shard acceptors       │
+//!  └──────┬────────┘                     │ acceptors             │
 //!         │ mmap                         │  claim → FftCluster   │
-//!  ┌──────▼────────────────────────────  │  completers → DONE    │
-//!  │ shared segment: submit ring ──────▶ └──────────┬────────────┘
-//!  │   complete ring ◀─────────────────────────────-┘
-//!  │   slot headers + payload slots (size classes)
+//!  ┌──────▼────────────────────────────  │ dispatchers           │
+//!  │ shared segment: submit ring ──────▶ │  slot guard → DONE    │
+//!  │   complete ring ◀─────────────────  └──────────┬────────────┘
+//!  │   slot headers + payload slots  ◀──────────────┘
 //!  └────────────────────────────────────
 //! ```
+//!
+//! The server runs a listener and its acceptors; an admitted slot
+//! settles on the cluster dispatcher that ran it, when the service
+//! drops its last reference into the slot. The client runs no thread:
+//! waiting on a ticket pumps the completion ring and watches the
+//! control socket for the server's hangup.
 //!
 //! The layers, bottom up:
 //!
@@ -41,7 +47,7 @@
 //!   blocking + deadline submit API mirroring the in-process
 //!   [`fgserve::Request`] surface.
 //! - [`server`] — [`server::WireServer`]: the embeddable server
-//!   (listener, shard acceptors, completers) that `fgwired` wraps.
+//!   (listener and acceptors) that `fgwired` wraps.
 //!
 //! ## Failure semantics
 //!
@@ -51,7 +57,9 @@
 //! [`fgserve::ServeError::Protocol`] codes and can never corrupt a
 //! neighboring slot. A dying client is detected by socket HUP; every
 //! slot it had in flight is reclaimed once the service settles it, so
-//! cluster accounting stays balanced across crashes.
+//! cluster accounting stays balanced across crashes. A dying server is
+//! detected the same way by the client's own wait, which fails the
+//! pending tickets with [`fgserve::ServeError::Protocol`].
 
 #![warn(missing_docs)]
 

@@ -132,7 +132,7 @@ pub fn code_to_error(
 }
 
 /// Map a service-side error onto its wire code (the reverse direction,
-/// used by the server's completer).
+/// used when the server answers a slot).
 pub fn error_to_code(error: &ServeError) -> u16 {
     match error {
         ServeError::Overloaded { .. } => code::OVERLOADED,

@@ -5,35 +5,43 @@
 //! ## Threading
 //!
 //! ```text
-//! listener ──(handshake, SCM_RIGHTS, mmap)──▶ acceptor[k] ⇄ completer[k]
+//! listener ──(handshake, SCM_RIGHTS, mmap)──▶ acceptor[k] ──submit──▶ cluster
+//!                                                                       │
+//!            completion ring ◀──DONE── slot guard ◀──release── dispatcher
 //! ```
+//!
+//! The server runs `1 + acceptors` threads of its own beside the
+//! cluster's dispatchers and supervisors:
 //!
 //! - **One listener**: accepts connections, validates the hello frame,
 //!   maps the segment, registers the session with an acceptor
 //!   (round-robin), answers with the accept frame.
-//! - **N acceptors** (one per core-group shard): poll their sessions'
-//!   submit doorbells and sockets; drain, validate, claim, and submit to
-//!   the cluster; hand in-flight tickets to their completer. Socket HUP
-//!   is client death: the session is dropped from the poll set and its
-//!   in-flight slots settle through the completer as usual, so
+//! - **N acceptors**: poll their sessions' submit doorbells and sockets;
+//!   drain, validate, claim, and submit to the cluster, dropping the
+//!   ticket. A claim rejection or an admission refusal is answered on
+//!   the completion ring here. Socket HUP is client death: the session
+//!   leaves the poll set and its in-flight slots settle as usual, so
 //!   `accepted == completed + deadline_missed + failed` stays balanced.
-//! - **N completers**: wait each ticket, drop the response (releasing
-//!   the payload reference into the slot), settle the slot to DONE.
+//!
+//! No thread waits on an admitted request. Its payload's slot guard
+//! ([`fgserve::SliceOwner`]) settles the slot to DONE and answers the
+//! completion ring when the service drops its last reference into the
+//! slot — on the dispatcher that ran or failed the request, as the
+//! paper's codelet model has the thread that fires a codelet signal its
+//! dependents.
 
 use crate::proto::{self, SegmentConfig, SegmentLayout};
 use crate::ring::SharedSegment;
-use crate::session::{ClaimOutcome, ServerSession};
+use crate::session::{peer_gone, ClaimOutcome, ServerSession, WireJob};
 use fgserve::admission::TenantId;
 use fgserve::shard::{ClusterConfig, ClusterStats, FftCluster};
-use fgserve::{Payload, Ticket};
 use fgsupport::json::{self, Value};
-use fgsupport::shm::{poll, EventFd, MemorySegment, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL};
+use fgsupport::shm::{poll, EventFd, MemorySegment, PollFd, POLLIN};
 use std::io::{self, Read};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -45,8 +53,9 @@ pub struct WireServerConfig {
     pub socket_path: PathBuf,
     /// The embedded cluster serving the transforms.
     pub cluster: ClusterConfig,
-    /// Acceptor shards: each owns a poll set of sessions and a completer
-    /// thread. Sessions are assigned round-robin at accept.
+    /// Acceptor threads: each owns a poll set of sessions, assigned
+    /// round-robin at accept. Admitted requests settle on the cluster's
+    /// dispatchers, so acceptors only claim, submit and refuse.
     pub acceptors: usize,
     /// Submission credits granted to each session (its max in-flight).
     pub credits_per_session: u64,
@@ -76,14 +85,6 @@ struct SessionHandle {
     submit_bell: EventFd,
 }
 
-/// Work the acceptor hands its completer: one admitted request.
-struct CompletionJob {
-    session: ServerSession,
-    slot: u32,
-    seq: u32,
-    ticket: Ticket,
-}
-
 struct Shared {
     cluster: FftCluster,
     stop: AtomicBool,
@@ -110,7 +111,6 @@ pub struct WireServer {
     acceptors: Vec<Arc<Acceptor>>,
     listener_thread: Option<JoinHandle<()>>,
     acceptor_threads: Vec<JoinHandle<()>>,
-    completer_threads: Vec<JoinHandle<()>>,
 }
 
 impl WireServer {
@@ -132,24 +132,17 @@ impl WireServer {
         let acceptor_count = config.acceptors.max(1);
         let mut acceptors = Vec::with_capacity(acceptor_count);
         let mut acceptor_threads = Vec::with_capacity(acceptor_count);
-        let mut completer_threads = Vec::with_capacity(acceptor_count);
         for index in 0..acceptor_count {
             let acceptor = Arc::new(Acceptor {
                 incoming: Mutex::new(Vec::new()),
                 wakeup: EventFd::new()?,
             });
-            let (tx, rx) = channel::<CompletionJob>();
             let shared_for_acceptor = Arc::clone(&shared);
             let acceptor_for_thread = Arc::clone(&acceptor);
             acceptor_threads.push(
                 std::thread::Builder::new()
                     .name(format!("fgwire-accept-{index}"))
-                    .spawn(move || acceptor_loop(shared_for_acceptor, acceptor_for_thread, tx))?,
-            );
-            completer_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("fgwire-complete-{index}"))
-                    .spawn(move || completer_loop(rx))?,
+                    .spawn(move || acceptor_loop(shared_for_acceptor, acceptor_for_thread))?,
             );
             acceptors.push(acceptor);
         }
@@ -164,7 +157,6 @@ impl WireServer {
             acceptors,
             listener_thread: Some(listener_thread),
             acceptor_threads,
-            completer_threads,
         })
     }
 
@@ -191,13 +183,9 @@ impl WireServer {
         for handle in self.acceptor_threads.drain(..) {
             let _ = handle.join();
         }
-        // Acceptors are gone, so completer senders are dropped; the
-        // completers drain their queues and exit on disconnect.
-        for handle in self.completer_threads.drain(..) {
-            let _ = handle.join();
-        }
         let _ = std::fs::remove_file(&self.socket_path);
-        // Every session and guard has settled; safe to take the cluster.
+        // Nothing else holds the shared state now; the cluster's drain
+        // settles every slot still in flight through its guard.
         match Arc::try_unwrap(self.shared) {
             Ok(shared) => shared.cluster.shutdown(),
             Err(shared) => {
@@ -348,7 +336,7 @@ fn read_hello(stream: &UnixStream) -> io::Result<(Value, Vec<std::os::fd::OwnedF
     Ok((value, fds))
 }
 
-fn acceptor_loop(shared: Arc<Shared>, acceptor: Arc<Acceptor>, completions: Sender<CompletionJob>) {
+fn acceptor_loop(shared: Arc<Shared>, acceptor: Arc<Acceptor>) {
     let mut sessions: Vec<SessionHandle> = Vec::new();
     let mut entries: Vec<u64> = Vec::new();
     loop {
@@ -358,7 +346,8 @@ fn acceptor_loop(shared: Arc<Shared>, acceptor: Arc<Acceptor>, completions: Send
             sessions.append(&mut incoming);
         }
         if shared.stop.load(Ordering::Acquire) {
-            // Retire every session; in-flight jobs settle via completers.
+            // Retire every session; in-flight requests settle through
+            // their slot guards as the cluster drains.
             for handle in sessions.drain(..) {
                 shared.active_sessions.fetch_sub(1, Ordering::AcqRel);
                 drop(handle);
@@ -391,7 +380,6 @@ fn acceptor_loop(shared: Arc<Shared>, acceptor: Arc<Acceptor>, completions: Send
         let mut dead: Vec<usize> = Vec::new();
         for (index, handle) in sessions.iter().enumerate() {
             let bell = &fds[1 + 2 * index];
-            let sock = &fds[2 + 2 * index];
             if bell.revents & POLLIN != 0 {
                 handle.submit_bell.drain();
             }
@@ -400,29 +388,17 @@ fn acceptor_loop(shared: Arc<Shared>, acceptor: Arc<Acceptor>, completions: Send
             entries.clear();
             handle.session.drain_submissions(&mut entries);
             for &entry in &entries {
-                process_entry(&shared, handle, entry, &completions);
+                process_entry(&shared, &handle.session, entry);
             }
-            if sock.revents & (POLLERR | POLLHUP | POLLNVAL) != 0 {
+            // Socket hangup or EOF is client death.
+            if peer_gone(&handle.socket, fds[2 + 2 * index].revents) {
                 dead.push(index);
-                continue;
-            }
-            if sock.revents & POLLIN != 0 {
-                // Control traffic or EOF; the protocol defines no
-                // client→server control frames after the hello, so any
-                // bytes are drained and EOF retires the session.
-                let mut sink = [0u8; 256];
-                match (&handle.socket).read(&mut sink) {
-                    Ok(0) => dead.push(index),
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                    Err(_) => dead.push(index),
-                }
             }
         }
         // Retire dead sessions (highest index first so removals stay
-        // valid). Their in-flight jobs hold the mapping alive through
-        // the payload guards and settle through the completer; the
-        // session object itself leaves the poll set now.
+        // valid). Their in-flight requests hold the mapping alive through
+        // the slot guards, which settle them; the session object itself
+        // leaves the poll set now.
         for index in dead.into_iter().rev() {
             let handle = sessions.swap_remove(index);
             shared.active_sessions.fetch_sub(1, Ordering::AcqRel);
@@ -433,61 +409,20 @@ fn acceptor_loop(shared: Arc<Shared>, acceptor: Arc<Acceptor>, completions: Send
 
 /// Claim one submit entry and route it: into the cluster on success,
 /// onto the completion ring with a specific code otherwise.
-fn process_entry(
-    shared: &Shared,
-    handle: &SessionHandle,
-    entry: u64,
-    completions: &Sender<CompletionJob>,
-) {
-    let job = match handle.session.claim(entry) {
-        ClaimOutcome::Job(job) => job,
+fn process_entry(shared: &Shared, session: &ServerSession, entry: u64) {
+    let WireJob { request, slot, seq } = match session.claim(entry) {
+        ClaimOutcome::Job(job) => *job,
         ClaimOutcome::Rejected { .. } => {
             shared.cluster.record_wire_rejection();
             return;
         }
     };
-    let (slot, seq) = (job.slot, job.seq);
-    match shared.cluster.submit(job.request) {
-        Ok(ticket) => {
-            let sent = completions.send(CompletionJob {
-                session: handle.session.clone(),
-                slot,
-                seq,
-                ticket,
-            });
-            debug_assert!(sent.is_ok(), "completer outlives the acceptor");
-        }
-        Err(error) => {
-            // Admission rejected (overload, throttle, shutdown…): the
-            // request — and with it the payload reference — was consumed,
-            // so the slot can settle immediately.
-            handle.session.complete(slot, seq, Err(&error));
-        }
-    }
-}
-
-fn completer_loop(jobs: Receiver<CompletionJob>) {
-    while let Ok(job) = jobs.recv() {
-        match job.ticket.wait() {
-            Ok(response) => {
-                // Zero-copy invariant: the response must still view the
-                // claimed slot itself, at its mapped address.
-                match &response.buffer {
-                    Payload::Shared(shared) => debug_assert!(
-                        std::ptr::eq(shared.as_ptr(), job.session.payload_ptr(job.slot)),
-                        "wire response strayed from its slot"
-                    ),
-                    other => debug_assert!(false, "wire response lost slot identity: {other:?}"),
-                }
-                // Dropping the response releases the service's only
-                // reference into the slot; only then may it flip to DONE.
-                drop(response);
-                job.session.complete(job.slot, job.seq, Ok(()));
-            }
-            Err(error) => {
-                job.session.complete(job.slot, job.seq, Err(&error));
-            }
-        }
+    // Admitted, the ticket drops here: the slot settles when the service
+    // releases its payload. Refused (overload, throttle, shutdown…), the
+    // request and its payload reference are already gone, so the slot is
+    // answered now.
+    if let Err(error) = shared.cluster.submit(request) {
+        session.refuse(slot, seq, &error);
     }
 }
 

@@ -1,19 +1,23 @@
 //! Session state machines over a mapped segment — everything the
-//! protocol does *after* setup, with no sockets in sight. The transport
-//! layer ([`crate::client`], [`crate::server`]) wires these to Unix
-//! sockets and eventfds; tests drive them directly in one process, which
-//! is how the pointer-identity and adversarial suites stay deterministic.
+//! protocol does *after* setup. The transport layer ([`crate::client`],
+//! [`crate::server`]) performs the handshake and hands these the
+//! eventfds, and the client session the control stream; tests drive
+//! them directly in one process without either, which is how the
+//! pointer-identity and adversarial suites stay deterministic.
 //!
 //! Client side ([`ClientSession`]): slot free-lists per size class,
-//! credit accounting, submit-ring production, completion reaping.
+//! credit accounting, submit-ring production, completion reaping. Its
+//! pump waits on the completion doorbell and the peer stream together,
+//! so a server hangup fails pending tickets on the thread that waits.
 //! Server side ([`ServerSession`]): submit-ring consumption, hostile-input
 //! validation, the zero-copy handoff into [`fgserve::Payload::Shared`],
-//! and completion-ring production.
+//! and completion-ring production — refusals from the caller's thread,
+//! settlements from the slot guard when the service releases the slot.
 //!
 //! ## Slot life cycle
 //!
 //! ```text
-//!   client alloc        client submit        server claim       server complete
+//!   client alloc        client submit        server claim      guard release
 //! FREE ──────▶ WRITING ──────▶ SUBMITTED ──────▶ EXECUTING ──────▶ DONE
 //!   ▲                                                               │
 //!   └────────────────────── client release (response drop) ◀────────┘
@@ -32,11 +36,14 @@ use crate::ring::{
 use fgfft::workload::TransformKind;
 use fgfft::Complex64;
 use fgserve::admission::{Lane, TenantId};
-use fgserve::{Payload, Request, ServeError, SharedSlice};
-use fgsupport::shm::EventFd;
+use fgserve::{Payload, Request, ServeError, SharedSlice, SliceOwner};
+use fgsupport::shm::{poll, EventFd, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL};
 use std::collections::HashMap;
+use std::io::Read;
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default advisory backoff handed out with `OVERLOADED` completions when
@@ -60,7 +67,6 @@ struct OpState {
     /// Completion code once reaped; `retry_after_us` rides along for
     /// overload completions.
     result: Mutex<Option<(u16, u64)>>,
-    ready: Condvar,
     seq: u32,
 }
 
@@ -83,14 +89,18 @@ struct ClientInner {
     /// EWMA of completion latency in microseconds; seeds retry-after
     /// hints when the client itself is out of slots or credits.
     latency_ewma_us: AtomicU64,
-    /// Set when the transport layer loses the server; pending and future
-    /// ops fail with `Protocol` instead of waiting forever.
+    /// Set when the server is lost; pending and future ops fail with
+    /// `Protocol` instead of waiting forever.
     dead: AtomicBool,
     /// Doorbell to ring after pushing submissions (server-side poll);
     /// `None` when the peer is pumped in-process (tests).
     submit_bell: Option<EventFd>,
     /// Doorbell the server rings after pushing completions.
     complete_bell: Option<EventFd>,
+    /// The control stream to the server, non-blocking. Nothing travels on
+    /// it after the handshake; [`ClientInner::pump`] polls it beside the
+    /// completion doorbell, and its hangup or EOF is server death.
+    peer: Option<UnixStream>,
 }
 
 /// Client half of a wire session: allocate slots, fill them in place,
@@ -310,14 +320,17 @@ impl WireTicket {
 
 impl ClientSession {
     /// Build the client side over a mapped segment. `credits` and
-    /// `queue_capacity` come from the server's accept frame; the bells
-    /// are `None` when the peer runs in-process (tests pump manually).
+    /// `queue_capacity` come from the server's accept frame; `peer` is
+    /// the control stream, already non-blocking. The bells and `peer`
+    /// are `None` when the server side runs in-process (tests pump
+    /// manually).
     pub fn new(
         seg: SharedSegment,
         credits: u64,
         queue_capacity: usize,
         submit_bell: Option<EventFd>,
         complete_bell: Option<EventFd>,
+        peer: Option<UnixStream>,
     ) -> Self {
         let layout = seg.layout();
         let mut free: Vec<Vec<u32>> = Vec::with_capacity(layout.config.classes.len());
@@ -342,6 +355,7 @@ impl ClientSession {
                 dead: AtomicBool::new(false),
                 submit_bell,
                 complete_bell,
+                peer,
             }),
         }
     }
@@ -465,7 +479,6 @@ impl ClientSession {
         header.retry_after_us.store(0, Ordering::Relaxed);
         let op = Arc::new(OpState {
             result: Mutex::new(None),
-            ready: Condvar::new(),
             seq: lease.seq,
         });
         lock(&self.inner.ops).insert(lease.slot, Arc::clone(&op));
@@ -506,22 +519,10 @@ impl ClientSession {
 
     /// Drain any pending completions, waking their tickets. Blocks up to
     /// `timeout` on the completion doorbell when one is configured (and
-    /// there is nothing to reap immediately).
+    /// there is nothing to reap immediately), watching the control stream
+    /// beside it: a server hangup marks the session dead.
     pub fn pump(&self, timeout: Duration) {
         self.inner.pump(timeout);
-    }
-
-    /// Mark the transport dead: every pending and future op fails with
-    /// [`ServeError::Protocol`] instead of waiting on a peer that is gone.
-    pub fn mark_dead(&self) {
-        self.inner.dead.store(true, Ordering::Release);
-        for (_, op) in lock(&self.inner.ops).drain() {
-            let mut slot = lock(&op.result);
-            if slot.is_none() {
-                *slot = Some((code::PROTOCOL, 0));
-            }
-            op.ready.notify_all();
-        }
     }
 
     /// Hostile-client simulator for adversarial tests: push a raw entry
@@ -593,16 +594,58 @@ impl ClientInner {
         }
     }
 
+    /// Mark the transport dead: every pending and future op fails with
+    /// [`ServeError::Protocol`] instead of waiting on a peer that is gone.
+    fn mark_dead(&self) {
+        self.dead.store(true, Ordering::Release);
+        for (_, op) in lock(&self.ops).drain() {
+            let mut slot = lock(&op.result);
+            if slot.is_none() {
+                *slot = Some((code::PROTOCOL, 0));
+            }
+        }
+    }
+
+    /// Block up to `timeout` for the completion doorbell, or for the
+    /// server's end of the control stream to hang up (which marks the
+    /// session dead).
+    fn await_peer(&self, timeout: Duration) {
+        if self.complete_bell.is_none() && self.peer.is_none() {
+            std::thread::sleep(timeout.min(Duration::from_micros(200)));
+            return;
+        }
+        // `poll` ignores a negative fd, so a missing bell or stream
+        // watches nothing.
+        let watch = |fd: Option<RawFd>| PollFd {
+            fd: fd.unwrap_or(-1),
+            events: POLLIN,
+            revents: 0,
+        };
+        let mut fds = [
+            watch(self.complete_bell.as_ref().map(EventFd::raw_fd)),
+            watch(self.peer.as_ref().map(AsRawFd::as_raw_fd)),
+        ];
+        if poll(&mut fds, Some(timeout)).is_err() {
+            return;
+        }
+        if let Some(bell) = &self.complete_bell {
+            if fds[0].revents & POLLIN != 0 {
+                bell.drain();
+            }
+        }
+        if let Some(peer) = &self.peer {
+            if peer_gone(peer, fds[1].revents) {
+                self.mark_dead();
+            }
+        }
+    }
+
     fn pump(&self, timeout: Duration) {
         let mut entries = Vec::new();
         self.complete_ring
             .drain_into(&mut entries, 2 * self.complete_ring.capacity() as usize);
         if entries.is_empty() {
-            if let Some(bell) = &self.complete_bell {
-                let _ = bell.wait(timeout);
-            } else {
-                std::thread::sleep(timeout.min(Duration::from_micros(200)));
-            }
+            self.await_peer(timeout);
             self.complete_ring
                 .drain_into(&mut entries, 2 * self.complete_ring.capacity() as usize);
         }
@@ -633,8 +676,27 @@ impl ClientInner {
             if result.is_none() {
                 *result = Some((code, retry_after_us));
             }
-            op.ready.notify_all();
         }
+    }
+}
+
+/// Whether a control stream's poll events (or a drain of its readable
+/// bytes) show the other side gone: hangup, error, or EOF. Neither side
+/// sends anything after the handshake, so stray bytes are discarded.
+/// The client's pump and the server's acceptors both watch with this.
+pub(crate) fn peer_gone(peer: &UnixStream, revents: i16) -> bool {
+    if revents & (POLLERR | POLLHUP | POLLNVAL) != 0 {
+        return true;
+    }
+    if revents & POLLIN == 0 {
+        return false;
+    }
+    let mut sink = [0u8; 256];
+    let mut stream = peer;
+    match stream.read(&mut sink) {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
     }
 }
 
@@ -659,13 +721,14 @@ struct ServerInner {
     seg: SharedSegment,
     submit_ring: Ring,
     complete_ring: Ring,
-    /// Serializes completion-ring production (acceptor rejections and
-    /// completer settlements both push).
+    /// Serializes completion-ring production: the acceptor pushes claim
+    /// rejections and admission refusals, and the dispatchers settle
+    /// admitted slots through their guards.
     complete_lock: Mutex<()>,
     tenant: Option<TenantId>,
     /// Slots currently claimed (EXECUTING) whose payload the service may
-    /// still reference. Drained to zero by settlement even if the client
-    /// dies — the leak-guard the crash test asserts on.
+    /// still reference. Drained to zero by the slot guards' release even
+    /// if the client dies — the leak-guard the crash test asserts on.
     inflight: AtomicU64,
     /// Doorbell to ring after pushing completions.
     complete_bell: Option<EventFd>,
@@ -689,12 +752,13 @@ pub struct ServerSession {
 }
 
 /// A validated, claimed submission: the [`Request`] to hand to the
-/// cluster (payload views the client's slot — zero copies) plus the
-/// coordinates the completer needs to settle the slot afterwards.
+/// cluster (payload views the client's slot — zero copies; its guard
+/// settles the slot when the service releases it) plus the coordinates
+/// [`ServerSession::refuse`] needs if admission turns it away.
 pub struct WireJob {
     /// Ready to submit to an [`fgserve::FftCluster`] / `FftService`.
     pub request: Request,
-    /// Slot index to settle.
+    /// Slot index.
     pub slot: u32,
     /// Sequence the completion must carry.
     pub seq: u32,
@@ -702,7 +766,8 @@ pub struct WireJob {
 
 /// What [`ServerSession::claim`] did with one submit-ring entry.
 pub enum ClaimOutcome {
-    /// Valid: execute it, then call [`ServerSession::complete`].
+    /// Valid: submit it. Once admitted it settles itself; a refusal is
+    /// answered with [`ServerSession::refuse`].
     Job(Box<WireJob>),
     /// Rejected with `code`; the completion is already on the ring. The
     /// caller records it (e.g. [`fgserve::FftCluster::record_wire_rejection`]).
@@ -713,16 +778,26 @@ pub enum ClaimOutcome {
 }
 
 /// Keeps the segment mapped and the in-flight gauge honest while the
-/// service holds a [`SharedSlice`] into a slot. This is the owner guard
-/// inside [`Payload::Shared`]: its drop is the moment the service
-/// provably holds no more references into the slot.
+/// service holds a [`SharedSlice`] into a slot. This is the
+/// [`SliceOwner`] inside [`Payload::Shared`]: its release is the moment
+/// the service provably holds no more references into the slot, so it is
+/// the one place an admitted request settles — on the thread that
+/// finished it, usually a dispatcher.
 struct SlotGuard {
     inner: Arc<ServerInner>,
+    slot: u32,
+    seq: u32,
 }
 
-impl Drop for SlotGuard {
-    fn drop(&mut self) {
+impl SliceOwner for SlotGuard {
+    fn release(self: Box<Self>, outcome: Option<Result<(), ServeError>>) {
         self.inner.inflight.fetch_sub(1, Ordering::AcqRel);
+        // `None`: the front door refused the request and its caller
+        // answers the slot with the refusal.
+        if let Some(outcome) = outcome {
+            self.inner
+                .settle(self.slot, self.seq, outcome.as_ref().copied());
+        }
     }
 }
 
@@ -762,13 +837,6 @@ impl ServerSession {
         self.inner.inflight.load(Ordering::Acquire)
     }
 
-    /// Raw payload pointer of `slot` in this process's mapping. The
-    /// zero-copy identity assertions compare a response's shared payload
-    /// against this.
-    pub fn payload_ptr(&self, slot: u32) -> *const Complex64 {
-        self.inner.seg.payload_ptr(slot as usize)
-    }
-
     /// Drain pending submit entries (bounded per call; hostile tails
     /// cannot wedge the acceptor).
     pub fn drain_submissions(&self, out: &mut Vec<u64>) {
@@ -786,14 +854,14 @@ impl ServerSession {
         let total = self.inner.seg.layout().total_slots();
         if slot as usize >= total {
             // No header to consult; answer with the entry's own identity.
-            self.push_completion(slot, seq, code::PROTOCOL);
+            self.inner.push_completion(slot, seq, code::PROTOCOL);
             return ClaimOutcome::Rejected {
                 code: code::PROTOCOL,
             };
         }
         let header = self.inner.seg.header(slot as usize);
         if header.seq.load(Ordering::Acquire) != seq {
-            self.push_completion(slot, seq, code::STALE_SEQUENCE);
+            self.inner.push_completion(slot, seq, code::STALE_SEQUENCE);
             return ClaimOutcome::Rejected {
                 code: code::STALE_SEQUENCE,
             };
@@ -808,7 +876,7 @@ impl ServerSession {
             )
             .is_err()
         {
-            self.push_completion(slot, seq, code::BAD_SLOT_STATE);
+            self.inner.push_completion(slot, seq, code::BAD_SLOT_STATE);
             return ClaimOutcome::Rejected {
                 code: code::BAD_SLOT_STATE,
             };
@@ -819,14 +887,14 @@ impl ServerSession {
         // (its seq) with PROTOCOL rather than strand it.
         let live_seq = header.seq.load(Ordering::Acquire);
         if live_seq != seq {
-            self.complete_slot(slot, live_seq, code::PROTOCOL, 0);
+            self.inner.complete_slot(slot, live_seq, code::PROTOCOL, 0);
             return ClaimOutcome::Rejected {
                 code: code::PROTOCOL,
             };
         }
         let n_log2 = header.n_log2.load(Ordering::Acquire);
         if !(1..=proto::MAX_N_LOG2).contains(&n_log2) {
-            self.complete_slot(slot, seq, code::BAD_PLAN_KEY, 0);
+            self.inner.complete_slot(slot, seq, code::BAD_PLAN_KEY, 0);
             return ClaimOutcome::Rejected {
                 code: code::BAD_PLAN_KEY,
             };
@@ -838,19 +906,19 @@ impl ServerSession {
         ) {
             Ok(kind) => kind,
             Err(code) => {
-                self.complete_slot(slot, seq, code, 0);
+                self.inner.complete_slot(slot, seq, code, 0);
                 return ClaimOutcome::Rejected { code };
             }
         };
         if kind.validate(n_log2).is_err() {
-            self.complete_slot(slot, seq, code::BAD_PLAN_KEY, 0);
+            self.inner.complete_slot(slot, seq, code::BAD_PLAN_KEY, 0);
             return ClaimOutcome::Rejected {
                 code: code::BAD_PLAN_KEY,
             };
         }
         let buffer_len = kind.buffer_len(n_log2);
         if buffer_len > self.inner.seg.slot_capacity(slot as usize) {
-            self.complete_slot(slot, seq, code::BAD_SIZE_CLASS, 0);
+            self.inner.complete_slot(slot, seq, code::BAD_SIZE_CLASS, 0);
             return ClaimOutcome::Rejected {
                 code: code::BAD_SIZE_CLASS,
             };
@@ -862,11 +930,14 @@ impl ServerSession {
         self.inner.inflight.fetch_add(1, Ordering::AcqRel);
         let guard = Box::new(SlotGuard {
             inner: Arc::clone(&self.inner),
+            slot,
+            seq,
         });
         // SAFETY: the payload area of a claimed (EXECUTING) slot belongs
         // exclusively to the server until it marks the slot DONE — which
-        // `complete` does only after the service's `SharedSlice` (and
-        // thus this guard) is dropped. The pointer/length come from the
+        // happens only in the guard's release, when the service's
+        // `SharedSlice` drops, or in `refuse`, after a refused request
+        // (and its slice) is gone. The pointer/length come from the
         // locally computed layout, not from shared memory, so a hostile
         // client cannot fake geometry. The guard's `Arc<ServerInner>`
         // keeps the mapping alive even if the session is dropped from the
@@ -885,10 +956,19 @@ impl ServerSession {
         ClaimOutcome::Job(Box::new(WireJob { request, slot, seq }))
     }
 
-    /// Settle a claimed slot after its request finished. Must be called
-    /// with the response payload already dropped — the slot flips to DONE
-    /// here, after which the client may reuse it at any moment.
-    pub fn complete(&self, slot: u32, seq: u32, outcome: Result<(), &ServeError>) {
+    /// Answer a claimed slot whose request the cluster refused at
+    /// admission (the refused request, and with it the payload reference,
+    /// is already gone). Admitted requests settle themselves when the
+    /// service releases their payload; calling this for one would answer
+    /// it twice.
+    pub fn refuse(&self, slot: u32, seq: u32, error: &ServeError) {
+        self.inner.settle(slot, seq, Err(error));
+    }
+}
+
+impl ServerInner {
+    /// Settle a claimed slot with its request's outcome.
+    fn settle(&self, slot: u32, seq: u32, outcome: Result<(), &ServeError>) {
         let (code, retry) = match outcome {
             Ok(()) => (code::OK, 0),
             Err(error) => {
@@ -911,7 +991,7 @@ impl ServerSession {
     /// Post-claim settle: mirror the outcome into the header, flip the
     /// slot to DONE, answer on the completion ring, ring the bell.
     fn complete_slot(&self, slot: u32, seq: u32, code: u16, retry_after_us: u64) {
-        let header = self.inner.seg.header(slot as usize);
+        let header = self.seg.header(slot as usize);
         header.error_code.store(code as u32, Ordering::Relaxed);
         header
             .retry_after_us
@@ -923,16 +1003,14 @@ impl ServerSession {
     /// Pre-claim answer: completion-ring entry only, header untouched.
     fn push_completion(&self, slot: u32, seq: u32, code: u16) {
         let pushed = {
-            let _guard = lock(&self.inner.complete_lock);
-            self.inner
-                .complete_ring
-                .try_push(pack_complete(slot, seq, code))
+            let _guard = lock(&self.complete_lock);
+            self.complete_ring.try_push(pack_complete(slot, seq, code))
         };
         // A full completion ring means the client scribbled on the ring
         // counters (an honest client drains ahead of the slot bound);
         // dropping the answer only harms the scribbler.
         let _ = pushed;
-        if let Some(bell) = &self.inner.complete_bell {
+        if let Some(bell) = &self.complete_bell {
             bell.signal();
         }
     }
@@ -955,7 +1033,7 @@ mod tests {
         let mem = MemorySegment::create(layout.total_len).expect("segment");
         let seg = SharedSegment::new(mem, layout).expect("view");
         seg.init_magic();
-        let client = ClientSession::new(seg.clone(), 64, 256, None, None);
+        let client = ClientSession::new(seg.clone(), 64, 256, None, None, None);
         let server = ServerSession::new(1, seg, None, None);
         (client, server)
     }
@@ -1011,7 +1089,6 @@ mod tests {
             ),
             other => panic!("expected a shared payload, got {other:?}"),
         }
-        let (slot, seq) = (job.slot, job.seq);
         let service_ticket = service.submit(job.request).expect("admitted");
         let outcome = service_ticket.wait();
         match outcome {
@@ -1024,8 +1101,9 @@ mod tests {
                     ),
                     other => panic!("expected a shared payload, got {other:?}"),
                 }
+                // Dropping the response releases the service's last
+                // reference into the slot, which settles it.
                 drop(response);
-                server.complete(slot, seq, Ok(()));
             }
             Err(e) => panic!("transform failed: {e}"),
         }
@@ -1066,7 +1144,7 @@ mod tests {
             let mem = MemorySegment::create(layout.total_len).expect("segment");
             let seg = SharedSegment::new(mem, layout).expect("view");
             (
-                ClientSession::new(seg.clone(), 1, 256, None, None),
+                ClientSession::new(seg.clone(), 1, 256, None, None, None),
                 ServerSession::new(1, seg, None, None),
             )
         };
@@ -1133,9 +1211,7 @@ mod tests {
             }
             other => panic!("expected shared payload, got {other:?}"),
         }
-        let honest_seq = honest_job.seq;
         drop(honest_job); // releases the claim guard (payload reference gone)
-        server.complete(live_slot, honest_seq, Ok(()));
         assert_eq!(server.inflight(), 0);
     }
 
@@ -1200,10 +1276,8 @@ mod tests {
         lease.copy_from_slice(&input);
         let ticket = client.submit(lease, SubmitOpts::default()).expect("submit");
         let job = claim_one(&server);
-        let (slot, seq) = (job.slot, job.seq);
         let outcome = service.submit(job.request).expect("admitted").wait();
         drop(outcome.expect("completed"));
-        server.complete(slot, seq, Ok(()));
         let response = ticket.wait().expect("server survived the abuse");
         assert!(fgfft::rms_error(&response, &fgfft::reference::recursive_fft(&input)) < 1e-9);
         service.shutdown();
@@ -1224,27 +1298,130 @@ mod tests {
             )
             .expect("submit");
         let job = claim_one(&server);
-        let (slot, seq) = (job.slot, job.seq);
         // Let the deadline lapse before the service ever sees it; the
-        // service will fail it with DeadlineExceeded at dispatch.
+        // service will fail it with DeadlineExceeded at dispatch, and the
+        // failed job's payload guard carries that code to the client.
         std::thread::sleep(Duration::from_millis(5));
         let service = service();
-        let outcome = service.submit(job.request).expect("admitted").wait();
-        let error = outcome.expect_err("deadline must have lapsed");
-        assert_eq!(error, ServeError::DeadlineExceeded);
-        server.complete(slot, seq, Err(&error));
-        match ticket.wait() {
+        drop(service.submit(job.request).expect("admitted"));
+        match settled(ticket) {
             Err(ServeError::DeadlineExceeded) => {}
             other => panic!("expected DeadlineExceeded over the wire, got {other:?}"),
         }
-        // The dispatcher drops the failed job's payload asynchronously
-        // after completing the ticket; give the gauge a moment to settle.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.inflight() != 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+        // The guard drops the gauge before it answers the ring.
+        assert_eq!(server.inflight(), 0);
+        let stats = service.shutdown();
+        assert_eq!(stats.deadline_missed, 1);
+        assert_no_more_completions(&client);
+    }
+
+    /// The ticket's outcome; a slot nobody settles fails the test instead
+    /// of hanging it.
+    fn settled(ticket: WireTicket) -> Result<WireResponse, ServeError> {
+        match ticket.wait_timeout(Duration::from_secs(10)) {
+            Ok(outcome) => outcome,
+            Err(ticket) => panic!("{ticket:?} not settled within 10 s"),
+        }
+    }
+
+    /// Every completion the server pushed has been reaped: nothing was
+    /// answered twice.
+    fn assert_no_more_completions(client: &ClientSession) {
+        let mut extra = Vec::new();
+        client.inner.complete_ring.drain_into(&mut extra, 64);
+        assert!(extra.is_empty(), "slot answered more than once: {extra:?}");
+    }
+
+    #[test]
+    fn admitted_requests_settle_on_the_dispatcher_once() {
+        let (client, server) = pair();
+        let service = service();
+        let n = 1 << 9;
+        let inputs: Vec<Vec<Complex64>> = (0..6)
+            .map(|k| signal(n).iter().map(|s| s.scale(k as f64 + 1.0)).collect())
+            .collect();
+        let tickets: Vec<WireTicket> = inputs
+            .iter()
+            .map(|input| {
+                let mut lease = client.alloc(TransformKind::C2C, n).expect("slot");
+                lease.copy_from_slice(input);
+                client.submit(lease, SubmitOpts::default()).expect("submit")
+            })
+            .collect();
+        let mut entries = Vec::new();
+        server.drain_submissions(&mut entries);
+        assert_eq!(entries.len(), inputs.len());
+        for entry in entries {
+            let ClaimOutcome::Job(job) = server.claim(entry) else {
+                panic!("honest entry rejected");
+            };
+            // As the acceptor does: submit and drop the ticket. Nothing on
+            // this thread settles the slot.
+            drop(service.submit(job.request).expect("admitted"));
+        }
+        for (ticket, input) in tickets.into_iter().zip(&inputs) {
+            let response = settled(ticket).expect("settled by its dispatcher");
+            assert!(fgfft::rms_error(&response, &fgfft::reference::recursive_fft(input)) < 1e-9);
         }
         assert_eq!(server.inflight(), 0);
-        service.shutdown();
+        assert_eq!(client.inflight(), 0);
+        let stats = service.shutdown();
+        assert_eq!(stats.completed, inputs.len() as u64);
+        assert_no_more_completions(&client);
+        assert_eq!(client.credits(), 64, "every credit returned");
+    }
+
+    #[test]
+    fn refused_requests_are_answered_once_by_the_front_door() {
+        use fgserve::fault::FaultInjector;
+        let (client, server) = pair();
+        // One dispatcher that dies holding its first batch and is never
+        // respawned, over a one-entry queue: the first request is
+        // abandoned, the second fills the queue, the third is refused.
+        let service = FftService::start(ServeConfig {
+            queue_capacity: 1,
+            max_batch: 1,
+            workers: 1,
+            dispatchers: 1,
+            max_dispatcher_restarts: 0,
+            fault: FaultInjector::kill_dispatcher_on_batch(1),
+            ..ServeConfig::default()
+        });
+        let submit_one = || {
+            let mut lease = client.alloc(TransformKind::C2C, 256).expect("slot");
+            lease.iter_mut().for_each(|s| *s = Complex64::ONE);
+            let ticket = client.submit(lease, SubmitOpts::default()).expect("submit");
+            (ticket, claim_one(&server))
+        };
+        // Abandoned by the dying dispatcher: its drop-guard fails the job,
+        // and the payload guard answers the slot from the unwinding thread.
+        let (abandoned, job) = submit_one();
+        drop(service.submit(job.request).expect("admitted"));
+        match settled(abandoned) {
+            Err(ServeError::Internal { .. }) => {}
+            other => panic!("expected Internal, got {other:?}"),
+        }
+        let filler = service
+            .submit(Request::new(vec![Complex64::ONE; 256]))
+            .expect("the queue's one entry");
+        // Refused at admission: the request and its guard are gone before
+        // `submit` returns, so only the front door answers the slot.
+        let (refused, job) = submit_one();
+        let error = service.submit(job.request).expect_err("queue is full");
+        assert!(matches!(error, ServeError::Overloaded { .. }), "{error:?}");
+        assert_eq!(server.inflight(), 0, "refused guard released");
+        server.refuse(job.slot, job.seq, &error);
+        match settled(refused) {
+            Err(ServeError::Overloaded { retry_after_us, .. }) => assert!(retry_after_us > 0),
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        assert_no_more_completions(&client);
+        assert_eq!(client.inflight(), 0);
+        // Shutdown serves the filler inline; the books balance.
+        let stats = service.shutdown();
+        filler.wait().expect("served at shutdown");
+        assert_eq!(stats.accepted, stats.settled());
+        assert_eq!(stats.rejected, 1);
     }
 
     #[test]
@@ -1253,7 +1430,7 @@ mod tests {
         let mut lease = client.alloc(TransformKind::C2C, 256).expect("slot");
         lease.iter_mut().for_each(|s| *s = Complex64::ZERO);
         let ticket = client.submit(lease, SubmitOpts::default()).expect("submit");
-        client.mark_dead();
+        client.inner.mark_dead();
         match ticket.wait() {
             Err(ServeError::Protocol { reason }) => {
                 assert!(reason.contains("connection lost"), "{reason}");

@@ -1,6 +1,6 @@
 //! End-to-end wire tests: a real `WireServer` on a Unix socket, real
 //! `Client`s with SCM_RIGHTS fd passing, eventfd doorbells, and the
-//! full acceptor/completer thread tree.
+//! full listener/acceptor thread tree.
 //!
 //! The load-bearing assertions:
 //! - results over the wire are **bit-identical** to the in-process
